@@ -431,7 +431,11 @@ def load_certificate(path):
 
 
 def run(config: RunConfig) -> int:
-    """Execute one study and write artifacts; returns the process exit code."""
+    """Execute one study and write artifacts; returns the process exit code.
+
+    ``timings.csv`` is written on every exit path, solver and hypothesis
+    failures included.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plot_dir = out / "plotdata"
@@ -440,15 +444,15 @@ def run(config: RunConfig) -> int:
     timings = []
     started = time.perf_counter()
 
-    if config.strict and not spec.diagnostic:
-        report = model.check_hypotheses(spec)
-        if not report.all_passed:
-            write_csv(out / "table.csv",
-                      ["hypothesis", "passed", "margin", "worst_x"],
-                      [(c.key, c.passed, c.margin, c.worst_x) for c in report.checks])
-            return EXIT_HYPOTHESES
-
     try:
+        if config.strict and not spec.diagnostic:
+            report = model.check_hypotheses(spec)
+            if not report.all_passed:
+                write_csv(out / "table.csv",
+                          ["hypothesis", "passed", "margin", "worst_x"],
+                          [(c.key, c.passed, c.margin, c.worst_x) for c in report.checks])
+                return EXIT_HYPOTHESES
+
         if config.study == "solve":
             mesh = config.mesh(config.mesh_sizes[-1])
             cert = maximize(spec, mesh, options=config.solver)
@@ -561,7 +565,7 @@ def run(config: RunConfig) -> int:
             np.linalg.LinAlgError) as exc:
         (out / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n")
         return EXIT_SOLVER
-
-    timings.append(("total", time.perf_counter() - started))
-    write_csv(out / "timings.csv", ["stage", "seconds"], timings)
+    finally:
+        timings.append(("total", time.perf_counter() - started))
+        write_csv(out / "timings.csv", ["stage", "seconds"], timings)
     return EXIT_OK

@@ -7,15 +7,25 @@ quotients are linearized and the LP
                     |du|_inf <= trust radius,  u + du above the cone floor
 
 is solved; the LP duals are the running Fritz John multiplier estimates and a
-ratio test adapts the trust radius.  For nonlinear problems the SLP point is
-polished by a bordered-Newton solve of the fold system
+ratio test adapts the trust radius.  For nonlinear problems ``maximize`` works
+in two phases:
 
-    F(u, lambda) = 0,   J(u, lambda)^T w = 0,   l . w = 1,
+1. every start runs the SLP only to the loose gain tolerance ``_LOOSE_GAIN``,
+   which is enough to land in the contraction basin of the fold;
+2. every converged start is polished by a bordered-Newton solve of the fold
+   system
 
-which drives the certificate residuals to roundoff (pure SLP stalls near the
-fold at quotient spreads of order (distance)^2 and cannot reach the singular-
-value tolerance).  The final multipliers are recovered from the adjoint null
-vector through kappa_i = mu_i / <g(u*), eta_i>.
+       F(u, lambda) = 0,   J(u, lambda)^T w = 0,   l . w = 1,
+
+   which drives the certificate residuals to roundoff (pure SLP stalls near
+   the fold at quotient spreads of order (distance)^2 and cannot reach the
+   singular-value tolerance).  A start whose polish fails is resumed by the
+   SLP at ``tol_kkt`` and polished once more.
+
+``lambda*`` is the largest polished value, and the multi-start agreement is
+judged on the polished values.  The linear diagnostic mode and ``polish=False``
+run a single SLP phase at ``tol_kkt``.  The final multipliers are recovered
+from the adjoint null vector through kappa_i = mu_i / <g(u*), eta_i>.
 
 Everything is deterministic for fixed options and seed: fixed iteration
 order, seeded multi-starts, no timing dependence.
@@ -40,11 +50,14 @@ class SolverOptions:
     """Options for ``maximize`` (all defaults documented here).
 
     ``trust_radius_init`` is relative to the sup norm of the start field.
-    ``tol_kkt`` bounds the scaled predicted LP gain at termination, and
-    ``tol_cert`` is the relative residual level a certificate must meet to be
-    flagged VALID.  ``n_starts`` randomized cone starts are run and the best
-    local maximum is kept; disagreement beyond ``multistart_rel_tol`` is
-    flagged, not resolved.
+    ``tol_kkt`` bounds the scaled predicted LP gain at SLP termination where
+    the SLP has to finish the job: in the linear diagnostic mode, with
+    ``polish=False``, and when a start whose fold polish failed is resumed
+    before a second polish.  Otherwise each start stops at the loose gain
+    ``_LOOSE_GAIN`` and the polish finishes it.  ``tol_cert`` is the relative
+    residual level a certificate must meet to be flagged VALID.  ``n_starts``
+    randomized cone starts are run and the best local maximum is kept;
+    disagreement beyond ``multistart_rel_tol`` is flagged, not resolved.
     """
 
     max_iters: int = 400
@@ -170,6 +183,11 @@ def default_start(spec: ProblemSpec, mesh: Mesh1D, blocks=None) -> FEField:
 # SLP phase
 
 
+# scaled predicted-gain tolerance of the SLP phase before the fold polish; the
+# polish contracts from SLP points this close to the fold (5-11 SLP iterations)
+_LOOSE_GAIN = 1e-3
+
+
 @dataclass
 class _SLPState:
     u: np.ndarray
@@ -188,7 +206,8 @@ def _inner_value(spec, mesh, flat, blocks):
 
 
 def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
-         blocks) -> _SLPState:
+         blocks, gain_tol: float) -> _SLPState:
+    """SLP from u0 until the scaled predicted gain is at most ``gain_tol``."""
     m, n = spec.m, mesh.n_interior
     big = m * n
     flat = u0.flatten()
@@ -203,7 +222,7 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
 
     for it in range(1, options.max_iters + 1):
         scale_u = float(np.abs(flat).max())
-        if scale_u < options.collapse_threshold * scale0 and lam <= options.tol_kkt:
+        if scale_u < options.collapse_threshold * scale0 and lam <= gain_tol:
             status = "cone_collapse"
             break
         if scale_u > options.growth_threshold * scale0 and grew >= 5:
@@ -243,7 +262,7 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
             if tot > 0:
                 mu_lp = raw / tot
 
-        if predicted <= options.tol_kkt * (1.0 + abs(lam)):
+        if predicted <= gain_tol * (1.0 + abs(lam)):
             status = "converged"
             break
 
@@ -270,19 +289,38 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
 # bordered fold polish
 
 
-def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, lam0: float,
-                 blocks, max_iter: int = 20):
-    """Newton on [F(u, lam); J(u, lam)^T w; l.w - 1] from the SLP point.
+@dataclass(frozen=True)
+class PolishResult:
+    """Outcome of the fold polish.
 
-    Returns (u, w, lam, iterations) or None when the bordered system cannot
-    be solved or does not contract.
+    ``reason`` is ``converged`` (residuals at the 1e-13 floor),
+    ``roundoff_floor`` (no damped step decreases the residual any more, and
+    every scaled residual is at most 1e-3 * tol_cert), or a failure:
+    ``no_decrease``, ``singular_system`` or ``max_iter``.  ``u`` and ``lam``
+    are the last accepted iterate either way; ``residual`` is its largest
+    scaled residual.
     """
+
+    reason: str
+    u: FEField
+    lam: float
+    iterations: int
+    residual: float
+
+    @property
+    def ok(self) -> bool:
+        return self.reason in ("converged", "roundoff_floor")
+
+
+def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float,
+                 blocks, tol_cert: float, max_iter: int = 20) -> PolishResult:
+    """Newton on [F(u, lam); J(u, lam)^T w; l.w - 1] from the SLP point."""
     m, n = spec.m, mesh.n_interior
     big = m * n
-    flat = u0.flatten()
+    flat = np.array(flat0, dtype=float)
     lam = float(lam0)
 
-    jac = model.eval_jacobian(spec, mesh, u0, lam)
+    jac = model.eval_jacobian(spec, mesh, FEField.from_flat(mesh, m, flat), lam)
     svd_u, svd_s, _ = np.linalg.svd(jac)
     w = svd_u[:, -1]
     if w.sum() < 0:
@@ -304,13 +342,22 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, lam0: float,
                  abs(lam) * np.abs(terms.g_load).max(), 1e-300)
     norm_prev = max(np.abs(res1).max() / scale1, np.abs(res2).max(), abs(res3))
 
-    iters = 0
-    for iters in range(1, max_iter + 1):
+    def scaled_residuals():
         scale2 = max(np.abs(jac_u).max() * max(np.abs(w).max(), 1e-300), 1e-300)
-        if (np.abs(res1).max() <= 1e-13 * scale1
-                and np.abs(res2).max() <= 1e-13 * scale2
-                and abs(res3) <= 1e-12):
-            return FEField.from_flat(mesh, m, flat), w, lam, iters - 1
+        return np.abs(res1).max() / scale1, np.abs(res2).max() / scale2, abs(res3)
+
+    def result(reason, iterations):
+        scaled = float(max(scaled_residuals()))
+        if reason == "no_decrease" and scaled <= 1e-3 * tol_cert:
+            # every trial step is lost in roundoff, far below the certificate level
+            reason = "roundoff_floor"
+        return PolishResult(reason, FEField.from_flat(mesh, m, flat), lam, iterations,
+                            scaled)
+
+    for iters in range(1, max_iter + 1):
+        primal, adjoint, normalization = scaled_residuals()
+        if primal <= 1e-13 and adjoint <= 1e-13 and normalization <= 1e-12:
+            return result("converged", iters - 1)
 
         curvature = model.adjoint_curvature(spec, mesh, u, w, lam)
         g_flat = terms.g_load.ravel()
@@ -325,9 +372,9 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, lam0: float,
         try:
             step = np.linalg.solve(big_mat, rhs)
         except np.linalg.LinAlgError:
-            return None
+            return result("singular_system", iters - 1)
         if not np.all(np.isfinite(step)):
-            return None
+            return result("singular_system", iters - 1)
 
         accepted = False
         for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
@@ -346,8 +393,8 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, lam0: float,
                 accepted = True
                 break
         if not accepted:
-            return None
-    return None
+            return result("no_decrease", iters - 1)
+    return result("max_iter", max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +530,14 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
     """Solve lambda_r* = sup over the open cone of min_i R(u, eta_i).
 
     Runs ``n_starts`` SLP instances (the torsion-profile default start plus
-    seeded random cone perturbations, or ``u0`` if given), polishes the best
-    one on the bordered fold system when the problem is nonlinear, and
-    assembles the certificate.  ``cone_collapse`` and ``unbounded_ascent``
-    outcomes are reported in the certificate status, not raised.
+    seeded random cone perturbations, or ``u0`` if given).  For a nonlinear
+    problem with ``polish=True`` each start stops at the loose gain
+    ``_LOOSE_GAIN``, every converged start is polished on the bordered fold
+    system (a failed polish is retried once from the start resumed at
+    ``tol_kkt``), and the largest polished value wins; ``polish_failed`` means
+    no start polished.  Otherwise the best SLP point at ``tol_kkt`` is kept.
+    ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported in the
+    certificate status, not raised.
     """
     options = options or SolverOptions()
     if spec.q >= 1.0 and not spec.diagnostic:
@@ -515,35 +566,55 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
             shape = np.abs(shape) + 1e-6
         starts.append(amplitude_line_search(spec, mesh, FEField(mesh, shape), blocks))
 
-    results = [_slp(spec, mesh, s, options, blocks) for s in starts]
+    two_phase = options.polish and not spec.diagnostic
+    gain_tol = _LOOSE_GAIN if two_phase else options.tol_kkt
+    results = [_slp(spec, mesh, s, options, blocks, gain_tol) for s in starts]
     converged = [r for r in results if r.status == "converged"]
-    pool = converged or results
-    best = max(pool, key=lambda r: r.lam)
-    lams = [r.lam for r in converged]
-    spread = float(max(lams) - min(lams)) if len(lams) > 1 else 0.0
-    agree = spread <= options.multistart_rel_tol * (1.0 + abs(best.lam))
 
-    status = best.status
-    flat, lam = best.u, best.lam
-    polish_iters = 0
-    adjoint_multipliers = True
-    if status == "converged" and options.polish and not spec.diagnostic:
-        polished = _fold_polish(spec, mesh, FEField.from_flat(mesh, spec.m, flat),
-                                lam, blocks)
-        if polished is not None:
-            u_p, _, lam_p, polish_iters = polished
-            flat, lam, status = u_p.flatten(), lam_p, "polished"
-        else:
+    if two_phase and converged:
+        polished, unpolished = [], []  # (PolishResult, SLP iterations), _SLPState
+        for r in converged:
+            result = _fold_polish(spec, mesh, r.u, r.lam, blocks, options.tol_cert)
+            if not result.ok:
+                # retry, not downgrade: finish the start at tol_kkt, polish again
+                loose_iterations = r.iterations
+                r = _slp(spec, mesh, FEField.from_flat(mesh, spec.m, r.u), options,
+                         blocks, options.tol_kkt)
+                r.iterations += loose_iterations
+                if r.status == "converged":
+                    result = _fold_polish(spec, mesh, r.u, r.lam, blocks, options.tol_cert)
+                if not result.ok:
+                    unpolished.append(r)
+                    continue
+            polished.append((result, r.iterations))
+        if polished:
+            best, slp_iterations = max(polished, key=lambda p: p[0].lam)
+            spread, agree = _agreement([p.lam for p, _ in polished], best.lam, options)
+            return _certificate(spec, mesh, best.u.flatten(), best.lam, "polished",
+                                slp_iterations, best.iterations, agree, spread,
+                                options, blocks)
+        # no start polished: report the best tight SLP point with its LP duals
+        results = unpolished
+        converged = [r for r in results if r.status == "converged"]
+
+    best = max(converged or results, key=lambda r: r.lam)
+    spread, agree = _agreement([r.lam for r in converged], best.lam, options)
+    status, mu_lp = best.status, best.mu_lp
+    if status == "converged":
+        if two_phase:
             status = "polish_failed"
-            adjoint_multipliers = False
-    elif status == "converged" and spec.diagnostic:
-        status = "polished"  # SLP is quadratically convergent in the linear mode
-    elif status != "converged":
-        adjoint_multipliers = False
+        else:
+            mu_lp = None
+            if spec.diagnostic:
+                status = "polished"  # SLP is quadratically convergent in the linear mode
+    return _certificate(spec, mesh, best.u, best.lam, status, best.iterations, 0,
+                        agree, spread, options, blocks, mu_lp=mu_lp)
 
-    return _certificate(spec, mesh, flat, lam, status, best.iterations,
-                        polish_iters, agree, spread, options, blocks,
-                        mu_lp=None if adjoint_multipliers else best.mu_lp)
+
+def _agreement(lams, lam_best: float, options: SolverOptions):
+    """Spread of the multi-start values and whether it is within tolerance."""
+    spread = float(max(lams) - min(lams)) if len(lams) > 1 else 0.0
+    return spread, spread <= options.multistart_rel_tol * (1.0 + abs(lam_best))
 
 
 # ---------------------------------------------------------------------------

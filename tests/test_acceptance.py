@@ -92,6 +92,9 @@ def test_criterion_03_fold_oracle_agreement():
             gaps[key] = abs(cert.lambda_star - sweep.fold_lambda) / sweep.fold_lambda
             ok &= gaps[key] <= 0.02
     cert128 = solved_certificate("sp128")
+    # the n=128 gap is only meaningful at a certified maximizer
+    ok &= cert128.valid
+    ok &= verify_certificate(scalar_power(0.5, 2.0), build_mesh(128), cert128).valid
     sweep128 = continuation_sweep(scalar_power(0.5, 2.0), build_mesh(128),
                                   lambda_max_guess=cert128.lambda_star)
     ok &= sweep128.fold_found

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -177,6 +178,36 @@ class TestOracleStudy:
                                     options=SolverOptions(n_starts=2))
         assert comparison.expected_divergence
         assert comparison.lambda_fold is None
+
+
+class TestTimingsOnEveryExit:
+    def test_invalid_certificate(self, tmp_path):
+        config = fast_config(out_dir=str(tmp_path),
+                             solver=SolverOptions(n_starts=1, max_iters=1))
+        assert harness.run(config) == harness.EXIT_SOLVER
+        assert not json.loads((tmp_path / "certificate.json").read_text())["valid"]
+        assert (tmp_path / "timings.csv").read_text().startswith("stage,seconds\ntotal,")
+
+    def test_caught_solver_exception(self, tmp_path, monkeypatch):
+        def broken_maximize(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(harness, "maximize", broken_maximize)
+        assert harness.run(fast_config(out_dir=str(tmp_path))) == harness.EXIT_SOLVER
+        assert (tmp_path / "failure.txt").read_text() == "RuntimeError: injected\n"
+        assert (tmp_path / "timings.csv").read_text().startswith("stage,seconds\ntotal,")
+
+    def test_strict_hypothesis_failure(self, tmp_path, monkeypatch):
+        def bad_problem():
+            return dataclasses.replace(scalar_power(0.5, 2.0),
+                                       f=lambda x, t: -np.power(t, 2.0),
+                                       name="bad_test_problem")
+
+        monkeypatch.setitem(model.CATALOG, "bad_test_problem", bad_problem)
+        config = fast_config(problem_name="bad_test_problem", problem_params={},
+                             strict=True, out_dir=str(tmp_path))
+        assert harness.run(config) == harness.EXIT_HYPOTHESES
+        assert (tmp_path / "timings.csv").read_text().startswith("stage,seconds\ntotal,")
 
 
 class TestCLI:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from minimax_fold import mesh_fem, model, rayleigh
+from minimax_fold import mesh_fem, minimax_solver, model, rayleigh
 from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.minimax_solver import (
     MinimaxCertificate,
@@ -15,7 +15,13 @@ from minimax_fold.minimax_solver import (
     newton_solve,
     recover_adjoint,
 )
-from minimax_fold.model import FEField, ProblemSpec, linear_diagnostic, scalar_power
+from minimax_fold.model import (
+    FEField,
+    ProblemSpec,
+    builtin_problem,
+    linear_diagnostic,
+    scalar_power,
+)
 from minimax_fold.verification import verify_certificate
 from tests.test_rayleigh import closed_form_eigenvalue, mass_matrix, principal_eigenpair
 
@@ -153,6 +159,83 @@ class TestMaximizeScalarPower:
         assert cert.valid
         assert cert.lambda_star > 0.0
         assert np.all(cert.v_star.values > 0.0)
+
+
+class TestTwoPhaseMaximize:
+    """Loose SLP starts, every candidate finished by the fold polish."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name,params,n", [
+        ("scalar_power", {"q": 0.5, "gamma": 2.0}, 128),
+        ("scalar_power", {"q": 0.5, "gamma": 2.0}, 256),
+        ("cooperative_product", {"m": 3}, 64),
+    ], ids=["scalar_power-n128", "scalar_power-n256", "cooperative_product-m3-n64"])
+    def test_cold_default_solve_is_certified(self, name, params, n, seed):
+        spec = builtin_problem(name, params)
+        mesh = build_mesh(n)
+        cert = maximize(spec, mesh, options=SolverOptions(seed=seed))
+        assert cert.valid and cert.status == "polished"
+        assert cert.starts_agree
+        assert verify_certificate(spec, mesh, cert).valid
+
+    def test_polish_stops_at_roundoff_at_n128(self):
+        spec = scalar_power(0.5, 2.0)
+        mesh = build_mesh(128)
+        options = SolverOptions()
+        blocks = model.stiffness_blocks(spec, mesh)
+        start = minimax_solver.default_start(spec, mesh, blocks)
+        slp = minimax_solver._slp(spec, mesh, start, options, blocks,
+                                  minimax_solver._LOOSE_GAIN)
+        assert slp.status == "converged"
+        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks,
+                                             options.tol_cert)
+        assert result.reason in ("converged", "roundoff_floor")
+        assert result.ok
+        assert result.residual <= 1e-3 * options.tol_cert
+
+    def test_polish_names_its_failure(self):
+        spec = scalar_power(0.5, 2.0)
+        mesh = build_mesh(24)
+        blocks = model.stiffness_blocks(spec, mesh)
+        start = minimax_solver.default_start(spec, mesh, blocks)
+        slp = minimax_solver._slp(spec, mesh, start, FAST, blocks,
+                                  minimax_solver._LOOSE_GAIN)
+        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks,
+                                             FAST.tol_cert, max_iter=0)
+        assert result.reason == "max_iter" and not result.ok
+
+    def test_failed_polish_is_retried_after_tight_slp(self, monkeypatch):
+        spec = scalar_power(0.5, 2.0)
+        mesh = build_mesh(24)
+        options = SolverOptions(n_starts=1)
+        reference = maximize(spec, mesh, options=options)
+        real_polish = minimax_solver._fold_polish
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            result = real_polish(*args, **kwargs)
+            calls.append(result)
+            return dataclasses.replace(result, reason="no_decrease") if len(calls) == 1 \
+                else result
+
+        monkeypatch.setattr(minimax_solver, "_fold_polish", fail_once)
+        cert = maximize(spec, mesh, options=options)
+        assert len(calls) == 2
+        assert cert.valid and cert.status == "polished"
+        assert abs(cert.lambda_star - reference.lambda_star) <= 1e-12 * reference.lambda_star
+        # the retry resumed the SLP at tol_kkt on top of the loose iterations
+        assert cert.iterations > reference.iterations
+
+    def test_no_polished_start_reports_polish_failed(self, monkeypatch):
+        real_polish = minimax_solver._fold_polish
+
+        def always_fail(*args, **kwargs):
+            return dataclasses.replace(real_polish(*args, **kwargs), reason="no_decrease")
+
+        monkeypatch.setattr(minimax_solver, "_fold_polish", always_fail)
+        cert = maximize(scalar_power(0.5, 2.0), build_mesh(12), options=FAST)
+        assert cert.status == "polish_failed"
+        assert not cert.valid
 
 
 class TestSolverStressModes:

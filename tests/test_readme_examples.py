@@ -1,0 +1,52 @@
+"""Every ``minimax-fold ...`` example in README.md runs and certifies.
+
+The commands are read from the README itself, so the README and the CLI
+cannot drift apart unnoticed.  Each runs in-process through ``cli.main``
+with its ``--out`` directory redirected to a temporary path.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from minimax_fold import cli, harness
+from minimax_fold.verification import verify_certificate
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """``minimax-fold <study> ...`` lines from the README's fenced code blocks."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = []
+    for block in blocks:
+        for line in block.splitlines():
+            argv = shlex.split(line)
+            if len(argv) > 1 and argv[0] == "minimax-fold" and argv[1] in harness.STUDIES:
+                commands.append(argv[1:])
+    return commands
+
+
+def with_out(argv, out):
+    argv = list(argv)
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(out)
+    else:
+        argv += ["--out", str(out)]
+    return argv
+
+
+def test_readme_lists_every_study():
+    assert {argv[0] for argv in readme_commands()} == set(harness.STUDIES)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv))
+def test_readme_example(argv, tmp_path):
+    assert cli.main(with_out(argv, tmp_path)) == 0
+    cert_path = tmp_path / "certificate.json"
+    if cert_path.exists():
+        spec, mesh, cert = harness.load_certificate(cert_path)
+        assert cert.valid, cert.status
+        assert verify_certificate(spec, mesh, cert).valid
