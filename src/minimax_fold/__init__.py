@@ -58,7 +58,6 @@ from .perturbation import (
     PerturbationSpec,
     lower_shift,
     two_sided_example,
-    upper_shift,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

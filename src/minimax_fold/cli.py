@@ -94,7 +94,6 @@ def config_to_dict(config: RunConfig) -> dict:
         "ratio": config.ratio,
         "solver": vars(config.solver).copy(),
         "out_dir": config.out_dir,
-        "seed": config.seed,
         "strict": config.strict,
         "svg": config.svg,
         "lambda_window": None if config.lambda_window is None else list(config.lambda_window),

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,6 +21,7 @@ import numpy as np
 from . import mesh_fem, model, rayleigh, svgplot
 from .mesh_fem import Mesh1D, build_mesh, distance_to_boundary
 from .minimax_solver import (
+    ContinuationResult,
     MinimaxCertificate,
     SolverOptions,
     continuation_sweep,
@@ -62,24 +61,6 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def max_workers() -> int:
-    """Parallelism cap from the MF_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_parallel(tasks):
-    """Run zero-argument callables, in order, honoring the MF_THREADS cap."""
-    workers = max_workers()
-    if workers == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One harness invocation (problem + study + solver options + outputs)."""
@@ -92,7 +73,6 @@ class RunConfig:
     ratio: Optional[float] = None
     solver: SolverOptions = field(default_factory=SolverOptions)
     out_dir: str = "out"
-    seed: int = 0
     strict: bool = False
     svg: bool = False
     lambda_window: Optional[tuple] = None
@@ -121,7 +101,7 @@ class RunConfig:
             raise ConfigError(f"unknown solver options: {sorted(unknown)}")
         solver = SolverOptions(**solver_map)
         if "seed" in data:
-            solver = replace(solver, seed=int(data["seed"]))
+            solver = replace(solver, seed=int(data.pop("seed")))
         problem = data.pop("problem", {})
         window = data.pop("lambda_window", None)
         try:
@@ -190,7 +170,6 @@ def refinement_study(config: RunConfig) -> RefinementTable:
     rows = []
     certs = []
     prev_cert: Optional[MinimaxCertificate] = None
-    prev_mesh: Optional[Mesh1D] = None
     for n in config.mesh_sizes:
         mesh = config.mesh(n)
         u0 = None
@@ -212,7 +191,7 @@ def refinement_study(config: RunConfig) -> RefinementTable:
                                   delta_prev=delta, u_diff_sup=u_diff,
                                   sigma_min=cert.sigma_min, in_window=in_window))
         certs.append(cert)
-        prev_cert, prev_mesh = cert, mesh
+        prev_cert = cert
     return RefinementTable(rows=tuple(rows), certificates=tuple(certs))
 
 
@@ -364,8 +343,12 @@ class OracleComparison:
 
 
 def oracle_compare(spec: ProblemSpec, mesh: Mesh1D,
-                   options: SolverOptions | None = None) -> OracleComparison:
-    """Minimax value against the fold located by pseudo-arclength continuation."""
+                   options: SolverOptions | None = None,
+                   ) -> tuple[OracleComparison, ContinuationResult]:
+    """Minimax value against the fold located by pseudo-arclength continuation.
+
+    Returns the comparison and the continuation sweep it was taken from.
+    """
     t0 = time.perf_counter()
     cert = maximize(spec, mesh, options=options)
     t1 = time.perf_counter()
@@ -381,7 +364,7 @@ def oracle_compare(spec: ProblemSpec, mesh: Mesh1D,
         fold_status=sweep.status,
         runtime_minimax=t1 - t0,
         runtime_fold=t2 - t1,
-    )
+    ), sweep
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +489,8 @@ def run(config: RunConfig) -> int:
             params = config.problem_params
             q = float(params.get("q", 0.5))
             gamma = float(params.get("gamma", 2.0))
-            reports = _run_parallel([
-                (lambda k=k: two_sided_example(q, gamma, config.perturb_gamma1, k,
-                                               mesh, options=config.solver))
-                for k in config.perturb_kappas
-            ])
+            reports = two_sided_example(q, gamma, config.perturb_gamma1,
+                                        config.perturb_kappas, mesh, options=config.solver)
             write_csv(out / "table.csv",
                       ["kappa", "lambda_base", "lambda_pert", "shift",
                        "lower_shift", "upper_shift", "analytic_cap", "bounds_hold"],
@@ -540,9 +520,7 @@ def run(config: RunConfig) -> int:
 
         elif config.study == "oracle":
             mesh = config.mesh(config.mesh_sizes[-1])
-            comparison = oracle_compare(spec, mesh, options=config.solver)
-            sweep = continuation_sweep(spec, mesh,
-                                       lambda_max_guess=abs(comparison.lambda_minimax) or 1.0)
+            comparison, sweep = oracle_compare(spec, mesh, options=config.solver)
             write_csv(out / "table.csv",
                       ["lambda_minimax", "lambda_fold", "rel_gap", "fold_status",
                        "expected_divergence"],

@@ -181,6 +181,14 @@ def weighted_mass(mesh: Mesh1D, weight: np.ndarray):
     return diag[..., 1:-1], o_mid[..., 1:-1]
 
 
+def tridiag_to_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix with main diagonal ``diag`` and off-diagonal ``off``."""
+    a = np.diag(diag)
+    if diag.size > 1:
+        a += np.diag(off, 1) + np.diag(off, -1)
+    return a
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Symmetric tridiagonal Galerkin matrix over interior nodes.
@@ -227,10 +235,7 @@ class OperatorMatrix:
         return x
 
     def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        if self.n > 1:
-            a += np.diag(self.off, 1) + np.diag(self.off, -1)
-        return a
+        return tridiag_to_dense(self.diag, self.off)
 
     def smallest_eigenvalue(self) -> float:
         if self.n == 1:

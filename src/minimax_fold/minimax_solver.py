@@ -199,10 +199,7 @@ class _SLPState:
 
 def _inner_value(spec, mesh, flat, blocks):
     u = FEField.from_flat(mesh, spec.m, flat)
-    terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
-    numer = (terms.stiff_action - terms.f_load).ravel()
-    denom = terms.g_load.ravel()
-    return float((numer / denom).min())
+    return float(rayleigh.galerkin_terms(spec, mesh, u, blocks).quotients().min())
 
 
 def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
@@ -233,9 +230,7 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
         flat = np.maximum(flat, model.CONE_FLOOR_REL * scale_u)
         u = FEField.from_flat(mesh, m, flat)
         terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
-        numer = (terms.stiff_action - terms.f_load).ravel()
-        denom = terms.g_load.ravel()
-        quotients = numer / denom
+        quotients = terms.quotients()
         lam = float(quotients.min())
         grads = rayleigh.quotient_gradients(spec, mesh, u, terms=terms)
 
@@ -332,7 +327,7 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float
         terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
         parts = model.jacobian_parts(spec, mesh, u, blocks=blocks)
         jac_u = parts.stiffness - parts.mass_f - lam_val * parts.mass_g
-        res1 = (terms.stiff_action - terms.f_load - lam_val * terms.g_load).ravel()
+        res1 = terms.residual(lam_val)
         res2 = jac_u.T @ w_vec
         res3 = float(ell @ w_vec) - 1.0
         return u, terms, parts, jac_u, res1, res2, res3
@@ -429,8 +424,7 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     u = FEField.from_flat(mesh, m, np.maximum(flat, 0.0))
     terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
     denom = terms.g_load.ravel()
-    numer = (terms.stiff_action - terms.f_load).ravel()
-    quotients = numer / denom
+    quotients = terms.quotients()
 
     parts = model.jacobian_parts(spec, mesh, u, blocks=blocks)
     jac = parts.stiffness - parts.mass_f - lam * parts.mass_g
@@ -461,7 +455,7 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     energy = sum(float(v_vals[k] @ blocks[k].matvec(v_vals[k])) for k in range(m))
     v_star = FEField(mesh, v_vals / np.sqrt(energy)) if energy > 0 else FEField(mesh, v_vals)
 
-    res_vec = (terms.stiff_action - terms.f_load - lam * terms.g_load).ravel()
+    res_vec = terms.residual(lam)
     primal_scale = max(np.abs(terms.stiff_action).max(), np.abs(terms.f_load).max(),
                        abs(lam) * np.abs(terms.g_load).max(), 1e-300)
     primal = float(np.abs(res_vec).max() / primal_scale)
@@ -790,7 +784,7 @@ def _corrector(spec, mesh, z_pred, tangent, options, blocks):
             return None
         lam = float(z[-1])
         terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
-        res = (terms.stiff_action - terms.f_load - lam * terms.g_load).ravel()
+        res = terms.residual(lam)
         aug = np.concatenate([res, [tangent @ (z - z_pred)]])
         if np.abs(res).max() < options.corrector_tol and abs(aug[-1]) < 1e-12:
             return z

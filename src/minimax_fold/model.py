@@ -217,13 +217,6 @@ class JacobianParts:
     mass_g: np.ndarray
 
 
-def _dense_from_tridiag(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    a = np.diag(diag)
-    if diag.size > 1:
-        a += np.diag(off, 1) + np.diag(off, -1)
-    return a
-
-
 def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
                    blocks: tuple | None = None) -> JacobianParts:
     """Assemble the stiffness, reaction-mass and parameter-mass matrices at u.
@@ -254,10 +247,10 @@ def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
     for k in range(m):
         sl = slice(k * n, (k + 1) * n)
         stiff[sl, sl] = blocks[k].to_dense()
-        mass_g[sl, sl] = _dense_from_tridiag(gdiag[k], goff[k])
+        mass_g[sl, sl] = mesh_fem.tridiag_to_dense(gdiag[k], goff[k])
         for l in range(m):
             tl = slice(l * n, (l + 1) * n)
-            mass_f[sl, tl] = _dense_from_tridiag(fdiag[k, l], foff[k, l])
+            mass_f[sl, tl] = mesh_fem.tridiag_to_dense(fdiag[k, l], foff[k, l])
     return JacobianParts(stiffness=stiff, mass_f=mass_f, mass_g=mass_g)
 
 
@@ -293,10 +286,10 @@ def adjoint_curvature(spec: ProblemSpec, mesh: Mesh1D, u: FEField, w: np.ndarray
         out = np.zeros((big, big))
         for l in range(m):
             sl = slice(l * n, (l + 1) * n)
-            out[sl, sl] -= lam * _dense_from_tridiag(gdiag[l], goff[l])
+            out[sl, sl] -= lam * mesh_fem.tridiag_to_dense(gdiag[l], goff[l])
             for s in range(m):
                 ts = slice(s * n, (s + 1) * n)
-                out[sl, ts] -= _dense_from_tridiag(fdiag[l, s], foff[l, s])
+                out[sl, ts] -= mesh_fem.tridiag_to_dense(fdiag[l, s], foff[l, s])
         return out
 
     eps = 1e-6 * (1.0 + u.sup_norm)

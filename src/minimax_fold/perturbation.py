@@ -14,10 +14,9 @@ Psi(u) = -kappa(x) u^gamma1 gives the two-sided estimate
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import mesh_fem, model, rayleigh
 from .mesh_fem import Coefficient, Mesh1D
@@ -69,173 +68,6 @@ def lower_shift(spec: ProblemSpec, mesh: Mesh1D, base_cert: MinimaxCertificate,
 
 
 @dataclass(frozen=True)
-class UpperShiftResult:
-    """Best found value of sup_u <Psi(u), v*>/<g(u), v*>.
-
-    ``value`` is only a lower bound of the supremum (multi-start ascent plus
-    an amplitude scaling probe); ``unbounded_above`` reports when the scaling
-    probe detects growth at the grid ends.
-    """
-
-    value: float
-    is_lower_bound_of_sup: bool
-    unbounded_above: bool
-    probe_amplitudes: np.ndarray
-    probe_values: np.ndarray
-
-
-def _dual_quotient(spec, mesh, psi, v_flat, flat_u):
-    u = FEField.from_flat(mesh, spec.m, flat_u)
-    numer = float(psi_loads(spec, mesh, psi, u).ravel() @ v_flat)
-    _, g_load = model.eval_residual_terms(spec, mesh, u)
-    denom = float(g_load.ravel() @ v_flat)
-    if denom <= rayleigh.TOL_DENOM:
-        raise rayleigh.DenominatorError("dual pairing <g(u), v*> is not positive")
-    return numer / denom
-
-
-def upper_shift(spec: ProblemSpec, mesh: Mesh1D, base_dual_v: FEField,
-                psi: PerturbationSpec, n_starts: int = 4, seed: int = 0) -> UpperShiftResult:
-    """Maximize u -> <Psi(u), v*>/<g(u), v*> over the discrete open cone.
-
-    The search is multi-start projected ascent seeded with an amplitude
-    scaling probe on a log grid; the result carries an explicit
-    lower-bound-of-sup caveat.
-    """
-    v_flat = base_dual_v.values.ravel()
-    if np.any(v_flat < 0.0) or not np.any(v_flat > 0.0):
-        raise ValueError("dual field must be a nonzero closed-cone field")
-    rng = np.random.default_rng(seed)
-    n = mesh.n_interior
-    hat = np.sin(np.pi * mesh.interior_nodes)
-    shapes = [np.tile(hat, (spec.m, 1)).ravel()]
-    for _ in range(max(n_starts - 1, 0)):
-        shapes.append(np.abs(rng.standard_normal(spec.m * n)) + 0.1)
-
-    amplitudes = np.geomspace(1e-4, 1e4, 33)
-    probe_vals = []
-    best_val, best_u = -np.inf, None
-    for t in amplitudes:
-        row = []
-        for shape in shapes:
-            flat = t * shape / np.abs(shape).max()
-            try:
-                val = _dual_quotient(spec, mesh, psi, v_flat, flat)
-            except (rayleigh.DenominatorError, model.ConeError, ValueError):
-                continue
-            row.append(val)
-            if val > best_val:
-                best_val, best_u = val, flat
-        probe_vals.append(max(row) if row else np.nan)
-    probe_vals = np.array(probe_vals)
-
-    # on a log grid, power growth means geometrically increasing increments;
-    # a quotient saturating toward a finite limit has shrinking ones
-    finite = np.isfinite(probe_vals)
-    unbounded = False
-    if finite.sum() >= 4:
-        vals = probe_vals[finite]
-        tol = 1e-8 * (1.0 + np.abs(vals).max())
-        d_hi = np.diff(vals[-3:])
-        d_lo = np.diff(vals[:3])
-        unbounded = bool(d_hi[-1] > tol and d_hi[-1] > 1.5 * max(d_hi[0], 0.0)) or \
-            bool(-d_lo[0] > tol and -d_lo[0] > 1.5 * max(-d_lo[-1], 0.0))
-
-    if best_u is not None and not unbounded:
-        floor = 1e-10 * np.abs(best_u).max()
-
-        def objective(z):
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    return -_dual_quotient(spec, mesh, psi, v_flat, z)
-            except (ValueError, FloatingPointError, rayleigh.DenominatorError):
-                return np.inf
-
-        res = scipy.optimize.minimize(
-            objective, best_u, method="L-BFGS-B",
-            bounds=[(floor, None)] * best_u.size,
-            options={"maxiter": 200},
-        )
-        if res.success and np.isfinite(res.fun) and -res.fun > best_val:
-            best_val = float(-res.fun)
-
-    return UpperShiftResult(
-        value=float(best_val),
-        is_lower_bound_of_sup=True,
-        unbounded_above=unbounded,
-        probe_amplitudes=amplitudes,
-        probe_values=probe_vals,
-    )
-
-
-@dataclass(frozen=True)
-class MinimaxPrincipleProbe:
-    """Testable consequence of the minimax principle at the dual candidate v*.
-
-    The upper shift bound presumes sup_u R(u, v*) equals lambda* (the dual
-    value is realized at v*).  That cannot be proved numerically; this probe
-    reports the best sup_u R(u, v*) found (a lower estimate of the dual
-    value), which must reach lambda* up to tolerance since R(u*, v*) =
-    lambda*.  A positive ``gap_above`` beyond tolerance would mean the dual
-    value strictly exceeds the minimax value at this v*.
-    """
-
-    sup_estimate: float
-    lambda_star: float
-    gap_above: float
-    consistent: bool
-    assumption_unproved: bool = True
-
-
-def minimax_principle_probe(spec: ProblemSpec, mesh: Mesh1D,
-                            cert: MinimaxCertificate, n_starts: int = 4,
-                            seed: int = 0, tol: float = 1e-8) -> MinimaxPrincipleProbe:
-    """Probe sup_u R(u, v*) around the certificate pair (multi-start ascent)."""
-    v_flat = cert.v_star.values.ravel()
-    blocks = model.stiffness_blocks(spec, mesh)
-
-    def base_quotient(flat_u):
-        u = FEField.from_flat(mesh, spec.m, flat_u)
-        terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
-        numer = float(((terms.stiff_action - terms.f_load) * cert.v_star.values).sum())
-        denom = float((terms.g_load * cert.v_star.values).sum())
-        if denom <= rayleigh.TOL_DENOM:
-            raise rayleigh.DenominatorError("dual pairing not positive")
-        return numer / denom
-
-    best = base_quotient(cert.u_star.flatten())
-    rng = np.random.default_rng(seed)
-    for _ in range(max(n_starts - 1, 0)):
-        start = cert.u_star.values * np.exp(0.3 * rng.standard_normal(cert.u_star.values.shape))
-        try:
-            best = max(best, base_quotient(start.ravel()))
-        except rayleigh.DenominatorError:
-            continue
-
-    def objective(z):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return -base_quotient(z)
-        except (ValueError, FloatingPointError, rayleigh.DenominatorError):
-            return np.inf
-
-    floor = 1e-10 * cert.u_star.sup_norm
-    res = scipy.optimize.minimize(objective, cert.u_star.flatten(), method="L-BFGS-B",
-                                  bounds=[(floor, None)] * cert.u_star.values.size,
-                                  options={"maxiter": 200})
-    if res.success and np.isfinite(res.fun):
-        best = max(best, float(-res.fun))
-
-    gap = best - cert.lambda_star
-    return MinimaxPrincipleProbe(
-        sup_estimate=float(best),
-        lambda_star=cert.lambda_star,
-        gap_above=float(gap),
-        consistent=bool(best >= cert.lambda_star - tol * (1.0 + abs(cert.lambda_star))),
-    )
-
-
-@dataclass(frozen=True)
 class PerturbationReport:
     """Two-sided estimate for the extra-reaction example kappa(x) u^gamma1.
 
@@ -259,52 +91,60 @@ class PerturbationReport:
     pert_cert: Optional[MinimaxCertificate] = field(default=None, repr=False)
 
 
-def two_sided_example(q: float, gamma: float, gamma1: float, kappa: Coefficient,
+def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Coefficient],
                       mesh: Mesh1D, options: SolverOptions | None = None,
-                      tol: float = 1e-8) -> PerturbationReport:
-    """Solve base (kappa = 0) and perturbed scalar problems, check the sandwich."""
+                      tol: float = 1e-8) -> tuple:
+    """Two-sided estimates for a kappa sequence, one ``PerturbationReport`` each.
+
+    The base scalar problem (kappa = 0) is solved once and shared; each kappa
+    adds one perturbed solve.  Raises ``RuntimeError`` when a certificate is
+    not VALID.
+    """
     if not (0.0 < q < 1.0 and gamma > 1.0 and gamma1 > 1.0):
         raise ValueError("need 0 < q < 1 and gamma, gamma1 > 1")
-    kappa_fn = (lambda x: np.full_like(np.asarray(x, dtype=float), float(kappa))) \
-        if np.isscalar(kappa) else kappa
-    kappa_norm = float(np.abs(kappa_fn(np.linspace(0.0, 1.0, 513))).max())
-
     base_spec = model.scalar_power(q=q, gamma=gamma)
-    pert_spec = model.perturbed_scalar(q=q, gamma=gamma, gamma1=gamma1, kappa=kappa_fn)
     base_cert = maximize(base_spec, mesh, options=options)
-    pert_cert = maximize(pert_spec, mesh, options=options)
-    if not (base_cert.valid and pert_cert.valid):
-        raise RuntimeError(
-            f"solver failure: base status {base_cert.status!r}, "
-            f"perturbed status {pert_cert.status!r}"
-        )
-
-    def psi_down(x, t):  # perturbs base -> perturbed
-        return -kappa_fn(x)[None] * np.power(t, gamma1)
-
-    def psi_up(x, t):  # perturbs perturbed -> base
-        return kappa_fn(x)[None] * np.power(t, gamma1)
-
-    lo = lower_shift(base_spec, mesh, base_cert, PerturbationSpec(psi_down))
-    hi = -float(direction_quotients(pert_spec, mesh, PerturbationSpec(psi_up),
-                                    pert_cert.u_star).min())
-
-    shift = pert_cert.lambda_star - base_cert.lambda_star
     u_sup = base_cert.u_star.sup_norm  # P1 fields attain their sup at nodes
-    cap = kappa_norm * u_sup ** (gamma1 - q)
-    bounds_hold = bool(
-        lo - tol <= shift <= hi + tol
-        and -tol <= -shift <= cap + tol
-    )
-    return PerturbationReport(
-        lambda_base=base_cert.lambda_star,
-        lambda_pert=pert_cert.lambda_star,
-        lower_shift=float(lo),
-        upper_shift=float(hi),
-        analytic_cap=float(cap),
-        bounds_hold=bounds_hold,
-        kappa_norm=kappa_norm,
-        u_star_sup=float(u_sup),
-        base_cert=base_cert,
-        pert_cert=pert_cert,
-    )
+
+    reports = []
+    for kappa in kappas:
+        kappa_fn = (lambda x, k=float(kappa): np.full_like(np.asarray(x, dtype=float), k)) \
+            if np.isscalar(kappa) else kappa
+        kappa_norm = float(np.abs(kappa_fn(np.linspace(0.0, 1.0, 513))).max())
+        pert_spec = model.perturbed_scalar(q=q, gamma=gamma, gamma1=gamma1, kappa=kappa_fn)
+        pert_cert = maximize(pert_spec, mesh, options=options)
+        if not (base_cert.valid and pert_cert.valid):
+            raise RuntimeError(
+                f"solver failure: base status {base_cert.status!r}, "
+                f"perturbed status {pert_cert.status!r}"
+            )
+
+        def psi_down(x, t):  # perturbs base -> perturbed
+            return -kappa_fn(x)[None] * np.power(t, gamma1)
+
+        def psi_up(x, t):  # perturbs perturbed -> base
+            return kappa_fn(x)[None] * np.power(t, gamma1)
+
+        lo = lower_shift(base_spec, mesh, base_cert, PerturbationSpec(psi_down))
+        hi = -float(direction_quotients(pert_spec, mesh, PerturbationSpec(psi_up),
+                                        pert_cert.u_star).min())
+
+        shift = pert_cert.lambda_star - base_cert.lambda_star
+        cap = kappa_norm * u_sup ** (gamma1 - q)
+        bounds_hold = bool(
+            lo - tol <= shift <= hi + tol
+            and -tol <= -shift <= cap + tol
+        )
+        reports.append(PerturbationReport(
+            lambda_base=base_cert.lambda_star,
+            lambda_pert=pert_cert.lambda_star,
+            lower_shift=float(lo),
+            upper_shift=float(hi),
+            analytic_cap=float(cap),
+            bounds_hold=bounds_hold,
+            kappa_norm=kappa_norm,
+            u_star_sup=float(u_sup),
+            base_cert=base_cert,
+            pert_cert=pert_cert,
+        ))
+    return tuple(reports)

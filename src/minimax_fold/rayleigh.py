@@ -36,6 +36,17 @@ class GalerkinTerms:
     g_load: np.ndarray
     blocks: tuple
 
+    def quotients(self) -> np.ndarray:
+        """Per-direction quotients R(u, eta_i), flat (component-major).
+
+        The denominator is not checked here; callers guard it where needed.
+        """
+        return (self.stiff_action - self.f_load).ravel() / self.g_load.ravel()
+
+    def residual(self, lam: float) -> np.ndarray:
+        """Galerkin residual a(u, psi_i) - <f(u), psi_i> - lam <g(u), psi_i>, flat."""
+        return (self.stiff_action - self.f_load - lam * self.g_load).ravel()
+
 
 def galerkin_terms(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
                    blocks: tuple | None = None) -> GalerkinTerms:
@@ -87,11 +98,9 @@ def inner_min(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
     model.require_open_cone(u, "inner minimum")
     if terms is None:
         terms = galerkin_terms(spec, mesh, u)
-    numer = (terms.stiff_action - terms.f_load).ravel()
-    denom = terms.g_load.ravel()
-    if np.any(denom <= TOL_DENOM):
+    if np.any(terms.g_load <= TOL_DENOM):
         raise DenominatorError("a direction pairing <g(u), eta_i> is not positive")
-    quotients = numer / denom
+    quotients = terms.quotients()
     value = float(quotients.min())
     tol_active = 1e-8 * (1.0 + abs(value))
     active = np.flatnonzero(quotients <= value + tol_active)
@@ -108,7 +117,7 @@ def residual(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float,
         raise ConeError("residual requires a closed-cone field")
     if terms is None:
         terms = galerkin_terms(spec, mesh, u)
-    return terms.stiff_action - terms.f_load - lam * terms.g_load
+    return terms.residual(lam).reshape(terms.g_load.shape)
 
 
 def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
@@ -125,11 +134,10 @@ def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
         terms = galerkin_terms(spec, mesh, u)
     if parts is None:
         parts = model.jacobian_parts(spec, mesh, u, blocks=terms.blocks)
-    numer = (terms.stiff_action - terms.f_load).ravel()
     denom = terms.g_load.ravel()
     if np.any(denom <= TOL_DENOM):
         raise DenominatorError("a direction pairing <g(u), eta_i> is not positive")
-    quotients = numer / denom
+    quotients = terms.quotients()
     jac_a = parts.stiffness - parts.mass_f
     return (jac_a - quotients[:, None] * parts.mass_g) / denom[:, None]
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from minimax_fold import cli, harness, model
+from minimax_fold import cli, harness, model, perturbation
 from minimax_fold.harness import (
     ConfigError,
     RunConfig,
@@ -20,6 +20,19 @@ from minimax_fold.verification import verify_certificate
 from tests.test_rayleigh import closed_form_eigenvalue
 
 FAST_SOLVER = {"n_starts": 2}
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a pass-through that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def fast_config(**kw):
@@ -85,11 +98,13 @@ class TestRunSolve:
         recomputed = rayleigh.inner_min(spec, mesh, cert.u_star).value
         assert abs(recomputed - cert.lambda_star) <= 1e-10 * (1.0 + abs(cert.lambda_star))
 
-    def test_perturb_study_with_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MF_THREADS", "2")
+    def test_perturb_study_solves_base_once(self, tmp_path, monkeypatch):
+        # one base solve shared by both kappas, plus one perturbed solve each
+        calls = count_calls(monkeypatch, perturbation, "maximize")
         config = fast_config(study="perturb", out_dir=str(tmp_path),
                              perturb_kappas=(0.1, 0.01))
         assert harness.run(config) == 0
+        assert len(calls) == 3
         lines = (tmp_path / "table.csv").read_text().splitlines()
         assert len(lines) == 3
 
@@ -174,10 +189,17 @@ class TestOracleStudy:
         assert "true" in table[1]  # expected_divergence flag
 
     def test_comparison_object(self):
-        comparison = oracle_compare(model.linear_diagnostic(), build_mesh(8),
-                                    options=SolverOptions(n_starts=2))
+        comparison, sweep = oracle_compare(model.linear_diagnostic(), build_mesh(8),
+                                           options=SolverOptions(n_starts=2))
         assert comparison.expected_divergence
         assert comparison.lambda_fold is None
+        assert sweep.status == comparison.fold_status
+
+    def test_oracle_study_sweeps_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, harness, "continuation_sweep")
+        assert harness.run(fast_config(study="oracle", out_dir=str(tmp_path))) == 0
+        assert len(calls) == 1
+        assert len((tmp_path / "plotdata" / "branch.csv").read_text().splitlines()) > 1
 
 
 class TestTimingsOnEveryExit:
@@ -248,6 +270,16 @@ class TestCLI:
         assert code == 0
         data = json.loads((out / "certificate.json").read_text())
         assert data["mesh"]["n_elements"] == 12
+
+    def test_config_file_solver_seed_is_kept(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"solver": {"seed": 5}}))
+        parser = cli.build_parser()
+        config = cli.config_from_args(parser.parse_args(["solve", "--config", str(cfg)]))
+        assert config.solver.seed == 5
+        config = cli.config_from_args(parser.parse_args(
+            ["solve", "--config", str(cfg), "--seed", "3"]))
+        assert config.solver.seed == 3
 
     def test_strict_hypothesis_failure_exits_4(self, tmp_path, monkeypatch):
         def bad_problem():
