@@ -90,6 +90,13 @@ class RunConfig:
         if any(n < 2 for n in sizes):
             raise ConfigError("mesh sizes must be >= 2")
         object.__setattr__(self, "mesh_sizes", sizes)
+        if self.study == "perturb":
+            # the two-sided example perturbs scalar_power(q, gamma) by kappa u^gamma1
+            if self.problem_name != "scalar_power":
+                raise ConfigError("the perturb study solves scalar_power only, "
+                                  f"not {self.problem_name!r}")
+            if not self.perturb_kappas:
+                raise ConfigError("the perturb study needs at least one kappa")
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
@@ -330,6 +337,7 @@ def condition_u_check(spec: ProblemSpec, mesh_sizes: Sequence[int],
 @dataclass(frozen=True)
 class OracleComparison:
     lambda_minimax: float
+    minimax_valid: bool
     lambda_fold: Optional[float]
     rel_gap: Optional[float]
     fold_status: str
@@ -359,6 +367,7 @@ def oracle_compare(spec: ProblemSpec, mesh: Mesh1D,
         gap = abs(cert.lambda_star - sweep.fold_lambda) / abs(sweep.fold_lambda)
     return OracleComparison(
         lambda_minimax=cert.lambda_star,
+        minimax_valid=cert.valid,
         lambda_fold=sweep.fold_lambda,
         rel_gap=gap,
         fold_status=sweep.status,
@@ -539,6 +548,8 @@ def run(config: RunConfig) -> int:
                                        x_label="lambda", y_label="sup |u|")
             timings.append(("minimax", comparison.runtime_minimax))
             timings.append(("continuation", comparison.runtime_fold))
+            if not comparison.minimax_valid:
+                return EXIT_SOLVER
     except (model.ConeError, rayleigh.DenominatorError, RuntimeError,
             np.linalg.LinAlgError) as exc:
         (out / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n")

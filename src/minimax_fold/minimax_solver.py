@@ -7,8 +7,9 @@ quotients are linearized and the LP
                     |du|_inf <= trust radius,  u + du above the cone floor
 
 is solved; the LP duals are the running Fritz John multiplier estimates and a
-ratio test adapts the trust radius.  For nonlinear problems ``maximize`` works
-in two phases:
+ratio test adapts the trust radius.  Each SLP run keeps one HiGHS instance
+(``WarmLP``) and solves every LP from the previous optimal basis.  For
+nonlinear problems ``maximize`` works in two phases:
 
 1. every start runs the SLP only to the loose gain tolerance ``_LOOSE_GAIN``,
    which is enough to land in the contraction basin of the fold;
@@ -37,8 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
+from scipy.optimize._highspy import _core as _highs
 
 from . import model, rayleigh
 from .mesh_fem import Mesh1D
@@ -197,6 +197,57 @@ class _SLPState:
     mu_lp: Optional[np.ndarray]
 
 
+class WarmLP:
+    """HiGHS instance for a sequence of same-shape LPs
+
+        min cost . x   s.t.   a_ub x <= b_ub,   lower <= x <= upper,
+
+    each solved from the previous optimal basis.  It calls scipy's bundled
+    HiGHS bindings (the private ``scipy.optimize._highspy._core``) directly,
+    which skips the input checking and conversion that scipy's public LP
+    front end repeats on every call.
+    """
+
+    def __init__(self):
+        self._highs = _highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        self._basis = None
+
+    def solve(self, cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
+              lower: np.ndarray, upper: np.ndarray):
+        """``(x, row_dual)`` at an optimum, ``None`` for any other model status.
+
+        A failed solve drops the stored basis, so the next one starts cold.
+        """
+        n_row, n_col = a_ub.shape
+        lp = _highs.HighsLp()
+        lp.num_col_, lp.num_row_ = n_col, n_row
+        lp.col_cost_ = cost
+        lp.col_lower_ = lower
+        lp.col_upper_ = upper
+        lp.row_lower_ = np.full(n_row, -np.inf)
+        lp.row_upper_ = b_ub
+        # only the structural nonzeros go to HiGHS: each quotient depends on a
+        # few neighbouring unknowns, so the gradient rows are sparse
+        rows, cols = np.nonzero(a_ub)
+        matrix = lp.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kRowwise
+        matrix.num_col_, matrix.num_row_ = n_col, n_row
+        matrix.start_ = np.searchsorted(rows, np.arange(n_row + 1))
+        matrix.index_ = cols
+        matrix.value_ = a_ub[rows, cols]
+        self._highs.passModel(lp)
+        if self._basis is not None:
+            self._highs.setBasis(self._basis)
+        self._highs.run()
+        if self._highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+            self._basis = None
+            return None
+        self._basis = self._highs.getBasis()
+        solution = self._highs.getSolution()
+        return np.array(solution.col_value), np.array(solution.row_dual)
+
+
 def _inner_value(spec, mesh, flat, blocks):
     u = FEField.from_flat(mesh, spec.m, flat)
     return float(rayleigh.galerkin_terms(spec, mesh, u, blocks).quotients().min())
@@ -211,6 +262,9 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
     scale0 = float(np.abs(flat).max())
     trust = options.trust_radius_init * scale0
     lam = _inner_value(spec, mesh, flat, blocks)
+    lp = WarmLP()
+    cost = np.zeros(big + 1)
+    cost[-1] = -1.0
     mu_lp = None
     lam_prev = lam
     grew = 0
@@ -235,27 +289,23 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
         grads = rayleigh.quotient_gradients(spec, mesh, u, terms=terms)
 
         floor = model.CONE_FLOOR_REL * scale_u
-        lower = np.maximum(-trust, floor - flat)
-        bounds = [(lo, trust) for lo in lower] + [(None, None)]
+        lower = np.append(np.maximum(-trust, floor - flat), -np.inf)
+        upper = np.append(np.full(big, trust), np.inf)
         a_ub = np.hstack([-grads, np.ones((big, 1))])
-        cost = np.zeros(big + 1)
-        cost[-1] = -1.0
-        res = scipy.optimize.linprog(cost, A_ub=a_ub, b_ub=quotients,
-                                     bounds=bounds, method="highs")
-        if not res.success:
+        res = lp.solve(cost, a_ub, quotients, lower, upper)
+        if res is None:
             trust *= 0.5
             if trust < 1e-13 * scale_u:
                 status = "stalled"
                 break
             continue
-        delta = res.x[:-1]
-        predicted = float(res.x[-1]) - lam
-        duals = getattr(res, "ineqlin", None)
-        if duals is not None and duals.marginals is not None:
-            raw = np.abs(np.asarray(duals.marginals, dtype=float))
-            tot = raw.sum()
-            if tot > 0:
-                mu_lp = raw / tot
+        x, row_dual = res
+        delta = x[:-1]
+        predicted = float(x[-1]) - lam
+        raw = np.abs(row_dual)
+        tot = raw.sum()
+        if tot > 0:
+            mu_lp = raw / tot
 
         if predicted <= gain_tol * (1.0 + abs(lam)):
             status = "converged"

@@ -195,6 +195,14 @@ class TestOracleStudy:
         assert comparison.lambda_fold is None
         assert sweep.status == comparison.fold_status
 
+    def test_invalid_minimax_certificate_exits_3(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"solver": {"n_starts": 1, "max_iters": 1}}))
+        out = tmp_path / "out"
+        code = cli.main(["oracle", "--config", str(cfg), "--n", "16", "--out", str(out)])
+        assert code == harness.EXIT_SOLVER
+        assert len((out / "table.csv").read_text().splitlines()) == 2
+
     def test_oracle_study_sweeps_once(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, harness, "continuation_sweep")
         assert harness.run(fast_config(study="oracle", out_dir=str(tmp_path))) == 0
@@ -270,6 +278,21 @@ class TestCLI:
         assert code == 0
         data = json.loads((out / "certificate.json").read_text())
         assert data["mesh"]["n_elements"] == 12
+
+    def test_perturb_with_empty_kappas_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"perturb_kappas": [], "solver": FAST_SOLVER}))
+        out = tmp_path / "out"
+        code = cli.main(["perturb", "--config", str(cfg), "--n", "8", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_perturb_of_other_problem_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main(["perturb", "--problem", "cooperative_product", "--m", "2",
+                         "--n", "8", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_config_file_solver_seed_is_kept(self, tmp_path):
         cfg = tmp_path / "run.json"

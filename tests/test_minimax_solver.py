@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from minimax_fold import mesh_fem, minimax_solver, model, rayleigh
 from minimax_fold.mesh_fem import build_mesh
@@ -236,6 +237,58 @@ class TestTwoPhaseMaximize:
         cert = maximize(scalar_power(0.5, 2.0), build_mesh(12), options=FAST)
         assert cert.status == "polish_failed"
         assert not cert.valid
+
+
+class TestWarmLP:
+    """The warm-started HiGHS helper against scipy's public LP solver."""
+
+    def test_recorded_slp_lps_match_public_solver(self, monkeypatch):
+        recorded = []
+        real_solve = minimax_solver.WarmLP.solve
+
+        def recording_solve(self, *args):
+            result = real_solve(self, *args)
+            recorded.append(([np.array(a) for a in args], result))
+            return result
+
+        monkeypatch.setattr(minimax_solver.WarmLP, "solve", recording_solve)
+        maximize(scalar_power(0.5, 2.0), build_mesh(64))
+        assert len(recorded) > 50
+        for (cost, a_ub, b_ub, lower, upper), result in recorded:
+            reference = scipy.optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                                               bounds=list(zip(lower, upper)),
+                                               method="highs")
+            assert reference.success and result is not None
+            x, row_dual = result
+            assert abs(cost @ x - reference.fun) <= 1e-9 * abs(reference.fun)
+            assert np.all(a_ub @ x - b_ub <= 1e-9 * (1.0 + np.abs(b_ub)))
+            assert np.all(x >= lower - 1e-9) and np.all(x <= upper + 1e-9)
+            assert row_dual.shape == b_ub.shape
+
+    def test_infeasible_lp_returns_no_solution(self):
+        lp = minimax_solver.WarmLP()
+        cost = np.array([0.0, -1.0])
+        a_ub = np.array([[1.0, 1.0], [-1.0, 0.0]])
+        lower, upper = np.array([0.0, -1.0]), np.array([1.0, 1.0])
+        assert lp.solve(cost, a_ub, np.array([1.0, 0.0]), lower, upper) is not None
+        # x0 >= 2 against the bound x0 <= 1
+        assert lp.solve(cost, a_ub, np.array([1.0, -2.0]), lower, upper) is None
+        x, _ = lp.solve(cost, a_ub, np.array([0.5, 0.0]), lower, upper)
+        np.testing.assert_allclose(x, [0.0, 0.5], atol=1e-12)
+
+    def test_linear_diagnostic_starts_all_converge(self, monkeypatch):
+        statuses = []
+        real_slp = minimax_solver._slp
+
+        def recording_slp(*args, **kwargs):
+            state = real_slp(*args, **kwargs)
+            statuses.append(state.status)
+            return state
+
+        monkeypatch.setattr(minimax_solver, "_slp", recording_slp)
+        cert = maximize(linear_diagnostic(), build_mesh(64))
+        assert cert.valid
+        assert statuses == ["converged"] * SolverOptions().n_starts
 
 
 class TestSolverStressModes:
