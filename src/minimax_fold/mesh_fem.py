@@ -3,14 +3,17 @@
 Unknowns live on interior nodes only: Dirichlet rows are eliminated during
 assembly, which keeps every operator tridiagonal and, for admissible
 coefficients, an irreducible M-matrix.  All integrals use the same fixed
-2-point Gauss rule per element; the rule is exact for P1 x P1 products with
-constant coefficients, so the classical closed forms (stiffness
-(1/h)*tridiag(-1, 2, -1), mass (h/6)*tridiag(1, 4, 1)) are reproduced to
-roundoff on uniform meshes.
+2-point Gauss rule per element, whose geometry each mesh builds once; the
+rule is exact for P1 x P1 products with constant coefficients, so the
+classical closed forms (stiffness (1/h)*tridiag(-1, 2, -1), mass
+(h/6)*tridiag(1, 4, 1)) are reproduced to roundoff on uniform meshes.
+Tridiagonal matrices are kept as diagonals or as row-wise bands
+(``tridiag_band``); ``tridiag_to_dense`` expands them for dense callers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -47,7 +50,9 @@ class Mesh1D:
 
     ``quasi_uniformity`` is the constant kappa >= 1 with
     kappa^{-1} * h_max <= h_i <= h_max for every element size h_i.
-    Instances are immutable and safe to share between threads.
+    Instances are immutable and safe to share between threads; the Gauss
+    geometry returned by ``element_quadrature`` is built once, read-only, in
+    the constructor.
     """
 
     nodes: np.ndarray
@@ -69,6 +74,14 @@ class Mesh1D:
         lower = self.h_max / self.quasi_uniformity
         if np.any(h > self.h_max * (1 + 1e-12)) or np.any(h < lower * (1 - 1e-12)):
             raise ValueError("element sizes violate the stored quasi-uniformity bound")
+        left = nodes[:-1, None]
+        hq = self.element_sizes[:, None]
+        xq = left + _GAUSS_REL[None, :] * hq
+        wq = np.broadcast_to(0.5 * hq, xq.shape)
+        lam_right = _GAUSS_REL[None, :] * np.ones_like(xq)
+        lam_left = 1.0 - lam_right
+        object.__setattr__(self, "_quadrature",
+                           (_freeze(xq), wq, _freeze(lam_left), _freeze(lam_right)))
 
     @property
     def n_elements(self) -> int:
@@ -123,15 +136,20 @@ def element_quadrature(mesh: Mesh1D):
     """Gauss points, weights and P1 basis values, each shaped (n_elements, 2).
 
     ``lam_left``/``lam_right`` are the hat-function values attached to the
-    left/right node of each element at the quadrature points.
+    left/right node of each element at the quadrature points.  The arrays are
+    the mesh's read-only cache, shared by every caller.
     """
-    left = mesh.nodes[:-1, None]
-    h = mesh.element_sizes[:, None]
-    xq = left + _GAUSS_REL[None, :] * h
-    wq = np.broadcast_to(0.5 * h, xq.shape)
-    lam_right = _GAUSS_REL[None, :] * np.ones_like(xq)
-    lam_left = 1.0 - lam_right
-    return xq, wq, lam_left, lam_right
+    return mesh._quadrature
+
+
+def _element_sum(samples: np.ndarray) -> np.ndarray:
+    """Sum over the two Gauss points of each element (the last axis).
+
+    Written as one addition, which rounds exactly as ``sum(axis=-1)`` over
+    two terms but skips numpy's reduction set-up (several times the cost of
+    the addition on these small arrays).
+    """
+    return samples[..., 0] + samples[..., 1]
 
 
 def values_at_quadrature(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
@@ -156,8 +174,8 @@ def quadrature_loads(mesh: Mesh1D, samples: np.ndarray) -> np.ndarray:
     """
     samples = np.asarray(samples, dtype=float)
     _, wq, lam_l, lam_r = element_quadrature(mesh)
-    to_left = (samples * lam_l * wq).sum(axis=-1)
-    to_right = (samples * lam_r * wq).sum(axis=-1)
+    to_left = _element_sum(samples * lam_l * wq)
+    to_right = _element_sum(samples * lam_r * wq)
     acc = np.zeros(samples.shape[:-2] + (mesh.nodes.size,))
     acc[..., :-1] += to_left
     acc[..., 1:] += to_right
@@ -172,9 +190,9 @@ def weighted_mass(mesh: Mesh1D, weight: np.ndarray):
     """
     weight = np.asarray(weight, dtype=float)
     _, wq, lam_l, lam_r = element_quadrature(mesh)
-    d_left = (weight * lam_l * lam_l * wq).sum(axis=-1)
-    d_right = (weight * lam_r * lam_r * wq).sum(axis=-1)
-    o_mid = (weight * lam_l * lam_r * wq).sum(axis=-1)
+    d_left = _element_sum(weight * lam_l * lam_l * wq)
+    d_right = _element_sum(weight * lam_r * lam_r * wq)
+    o_mid = _element_sum(weight * lam_l * lam_r * wq)
     diag = np.zeros(weight.shape[:-2] + (mesh.nodes.size,))
     diag[..., :-1] += d_left
     diag[..., 1:] += d_right
@@ -187,6 +205,19 @@ def tridiag_to_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if diag.size > 1:
         a += np.diag(off, 1) + np.diag(off, -1)
     return a
+
+
+def tridiag_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Rows (off_{i-1}, diag_i, off_i) of symmetric tridiagonal matrices.
+
+    ``diag`` (..., n) and ``off`` (..., n - 1) give the band, shape (..., n,
+    3), with zeros where a row's neighbour lies past either end.
+    """
+    band = np.zeros(diag.shape + (3,))
+    band[..., 1] = diag
+    band[..., 1:, 0] = off
+    band[..., :-1, 2] = off
+    return band
 
 
 @dataclass(frozen=True)
@@ -237,6 +268,11 @@ class OperatorMatrix:
     def to_dense(self) -> np.ndarray:
         return tridiag_to_dense(self.diag, self.off)
 
+    @functools.cached_property
+    def band(self) -> np.ndarray:
+        """Row-wise band (n, 3) of ``tridiag_band``, built once."""
+        return tridiag_band(self.diag, self.off)
+
     def smallest_eigenvalue(self) -> float:
         if self.n == 1:
             return float(self.diag[0])
@@ -274,7 +310,7 @@ def assemble_stiffness(mesh: Mesh1D, sigma: Coefficient, c: Coefficient,
         raise ValueError("c sample is not finite")
 
     h = mesh.element_sizes
-    grad = (sig * wq).sum(axis=-1) / h**2  # integral(sigma) / h^2 per element
+    grad = _element_sum(sig * wq) / h**2  # integral(sigma) / h^2 per element
     diag_full = np.zeros(mesh.nodes.size)
     diag_full[:-1] += grad
     diag_full[1:] += grad

@@ -8,8 +8,11 @@ quotients are linearized and the LP
 
 is solved; the LP duals are the running Fritz John multiplier estimates and a
 ratio test adapts the trust radius.  Each SLP run keeps one HiGHS instance
-(``WarmLP``) and solves every LP from the previous optimal basis.  For
-nonlinear problems ``maximize`` works in two phases:
+(``WarmLP``) and solves every LP from the previous optimal basis.  The LP
+rows are read off the banded gradient stencil (``LPRows``), and each iterate
+is assembled once: an accepted trial point brings its terms along, and a
+rejected step re-solves with the same rows.  For nonlinear problems
+``maximize`` works in two phases:
 
 1. every start runs the SLP only to the loose gain tolerance ``_LOOSE_GAIN``,
    which is enough to land in the contraction basin of the fold;
@@ -160,17 +163,29 @@ def torsion_start(spec: ProblemSpec, mesh: Mesh1D, blocks=None) -> FEField:
 
 def amplitude_line_search(spec: ProblemSpec, mesh: Mesh1D, shape: FEField,
                           blocks=None) -> FEField:
-    """Pick t maximizing lambda_r(t * shape) over a fixed log grid."""
+    """Pick t maximizing lambda_r(t * shape) over a fixed log grid.
+
+    The 25 amplitudes are assembled as one stack of fields.  An amplitude is
+    skipped where ``rayleigh.inner_min`` would reject it: a field outside the
+    open cone or below its relative floor, or a pairing <g, eta_i> that is
+    not positive.
+    """
     base = shape.values / shape.sup_norm
+    amplitudes = np.geomspace(1e-3, 1e3, 25)
+    fields = amplitudes[:, None, None] * base
+    try:
+        terms = rayleigh.galerkin_terms(spec, mesh, fields, blocks)
+    except model.ConeError:  # a negative coefficient: no amplitude lies in the cone
+        return FEField(mesh, base)
+    low = fields.min(axis=(1, 2))
+    usable = ((low > 0.0)
+              & ~(low < model.CONE_FLOOR_REL * np.abs(fields).max(axis=(1, 2)))
+              & ~np.any(terms.g_load <= rayleigh.TOL_DENOM, axis=(1, 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = terms.quotients().min(axis=1)
     best_val, best_t = -np.inf, 1.0
-    for t in np.geomspace(1e-3, 1e3, 25):
-        cand = FEField(mesh, t * base)
-        try:
-            val = rayleigh.inner_min(spec, mesh, cand,
-                                     rayleigh.galerkin_terms(spec, mesh, cand, blocks)).value
-        except (model.ConeError, rayleigh.DenominatorError):
-            continue
-        if val > best_val:
+    for t, val, ok in zip(amplitudes, values, usable):
+        if ok and val > best_val:
             best_val, best_t = val, t
     return FEField(mesh, best_t * base)
 
@@ -213,13 +228,17 @@ class WarmLP:
         self._highs.setOptionValue("output_flag", False)
         self._basis = None
 
-    def solve(self, cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
+    def solve(self, cost: np.ndarray, a_ub, b_ub: np.ndarray,
               lower: np.ndarray, upper: np.ndarray):
         """``(x, row_dual)`` at an optimum, ``None`` for any other model status.
 
-        A failed solve drops the stored basis, so the next one starts cold.
+        ``a_ub`` is the constraint matrix in row-wise form ``(start, index,
+        value)``: the nonzeros of row r are ``value[start[r]:start[r + 1]]`` in
+        the columns ``index[start[r]:start[r + 1]]``.  A failed solve drops the
+        stored basis, so the next one starts cold.
         """
-        n_row, n_col = a_ub.shape
+        start, index, value = a_ub
+        n_row, n_col = len(start) - 1, len(cost)
         lp = _highs.HighsLp()
         lp.num_col_, lp.num_row_ = n_col, n_row
         lp.col_cost_ = cost
@@ -227,15 +246,12 @@ class WarmLP:
         lp.col_upper_ = upper
         lp.row_lower_ = np.full(n_row, -np.inf)
         lp.row_upper_ = b_ub
-        # only the structural nonzeros go to HiGHS: each quotient depends on a
-        # few neighbouring unknowns, so the gradient rows are sparse
-        rows, cols = np.nonzero(a_ub)
         matrix = lp.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kRowwise
         matrix.num_col_, matrix.num_row_ = n_col, n_row
-        matrix.start_ = np.searchsorted(rows, np.arange(n_row + 1))
-        matrix.index_ = cols
-        matrix.value_ = a_ub[rows, cols]
+        matrix.start_ = start
+        matrix.index_ = index
+        matrix.value_ = value
         self._highs.passModel(lp)
         if self._basis is not None:
             self._highs.setBasis(self._basis)
@@ -248,21 +264,60 @@ class WarmLP:
         return np.array(solution.col_value), np.array(solution.row_dual)
 
 
-def _inner_value(spec, mesh, flat, blocks):
-    u = FEField.from_flat(mesh, spec.m, flat)
-    return float(rayleigh.galerkin_terms(spec, mesh, u, blocks).quotients().min())
+class LPRows:
+    """Row-wise form of the SLP constraint matrix [-grad R | 1] on one mesh.
+
+    The sparsity pattern is that of the (m*n, 3m) gradient stencil plus the
+    lambda column; it is built once.  ``of(stencil)`` returns ``(start,
+    index, value)`` for ``WarmLP.solve``, with the exact zeros dropped, so
+    the arrays equal the ``np.nonzero`` entries of the dense matrix.
+    """
+
+    def __init__(self, m: int, n: int):
+        big = m * n
+        band_index, rows, cols = model.band_pattern(m, n)
+        # flat positions in the (big, 3m + 1) matrix [-stencil | 1]; sorting
+        # puts each row's lambda entry (dense column big) after its band entries
+        flat = np.concatenate([rows * (3 * m + 1) + band_index % (3 * m),
+                               np.arange(big) * (3 * m + 1) + 3 * m])
+        order = np.argsort(flat)
+        self._flat = flat[order]
+        self._rows = np.concatenate([rows, np.arange(big)])[order]
+        self._cols = np.concatenate([cols, np.full(big, big)])[order]
+        self._matrix = np.ones((big, 3 * m + 1))
+        self._row_ids = np.arange(big + 1)
+
+    def of(self, stencil: np.ndarray):
+        np.negative(stencil, out=self._matrix[:, :-1])
+        value = self._matrix.ravel()[self._flat]
+        keep = value != 0.0
+        return np.searchsorted(self._rows[keep], self._row_ids), self._cols[keep], value[keep]
+
+
+def _terms_at(spec, mesh, flat, blocks):
+    """Galerkin terms and direction quotients at the flat field ``flat``."""
+    terms = rayleigh.galerkin_terms(spec, mesh, FEField.from_flat(mesh, spec.m, flat), blocks)
+    return terms, terms.quotients()
 
 
 def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
          blocks, gain_tol: float) -> _SLPState:
-    """SLP from u0 until the scaled predicted gain is at most ``gain_tol``."""
+    """SLP from u0 until the scaled predicted gain is at most ``gain_tol``.
+
+    Each iterate is assembled once: an accepted trial point brings its terms
+    and quotients along, and a rejected step or failed LP only shrinks the
+    trust radius and solves again with the same constraint rows.
+    """
     m, n = spec.m, mesh.n_interior
     big = m * n
     flat = u0.flatten()
     scale0 = float(np.abs(flat).max())
     trust = options.trust_radius_init * scale0
-    lam = _inner_value(spec, mesh, flat, blocks)
+    terms, quotients = _terms_at(spec, mesh, flat, blocks)
+    lam = float(quotients.min())
     lp = WarmLP()
+    lp_rows = LPRows(m, n)
+    a_ub = None  # constraint rows of the current iterate
     cost = np.zeros(big + 1)
     cost[-1] = -1.0
     mu_lp = None
@@ -281,17 +336,19 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
             break
 
         # the relative cone floor rises with the iterate scale; re-clamp
-        flat = np.maximum(flat, model.CONE_FLOOR_REL * scale_u)
-        u = FEField.from_flat(mesh, m, flat)
-        terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
-        quotients = terms.quotients()
-        lam = float(quotients.min())
-        grads = rayleigh.quotient_gradients(spec, mesh, u, terms=terms)
-
         floor = model.CONE_FLOOR_REL * scale_u
+        if np.any(flat < floor):
+            flat = np.maximum(flat, floor)
+            terms, quotients = _terms_at(spec, mesh, flat, blocks)
+            a_ub = None
+        if a_ub is None:
+            lam = float(quotients.min())
+            stencil = rayleigh.quotient_gradients(spec, mesh, FEField.from_flat(mesh, m, flat),
+                                                  terms=terms, quotients=quotients)
+            a_ub = lp_rows.of(stencil)
+
         lower = np.append(np.maximum(-trust, floor - flat), -np.inf)
         upper = np.append(np.full(big, trust), np.inf)
-        a_ub = np.hstack([-grads, np.ones((big, 1))])
         res = lp.solve(cost, a_ub, quotients, lower, upper)
         if res is None:
             trust *= 0.5
@@ -312,10 +369,12 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
             break
 
         trial = np.maximum(flat + delta, floor)
-        lam_trial = _inner_value(spec, mesh, trial, blocks)
+        trial_terms, trial_quotients = _terms_at(spec, mesh, trial, blocks)
+        lam_trial = float(trial_quotients.min())
         rho = (lam_trial - lam) / predicted
         if rho >= 0.05:
-            flat = trial
+            flat, terms, quotients = trial, trial_terms, trial_quotients
+            a_ub = None
             grew = grew + 1 if lam_trial > lam_prev else 0
             lam_prev = lam_trial
             lam = lam_trial
@@ -514,7 +573,9 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     adjoint = float(np.linalg.norm(jac.T @ v_flat)
                     / (jac_scale * max(np.linalg.norm(v_flat), 1e-300)))
 
-    grads = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, parts=parts)
+    stencil = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, parts=parts,
+                                          quotients=quotients)
+    grads = model.band_to_dense(stencil, m, n)
     # scale from the row magnitudes before cancellation, not the rows themselves
     jac_a = parts.stiffness - parts.mass_f
     row_mag = (np.linalg.norm(jac_a, axis=1)

@@ -5,10 +5,16 @@ with a reaction f(x, u) and the parameter term g_k(x, u) = a_k(x) * u_k^q,
 0 < q < 1.  The structural hypotheses (sublinear diagonal parameter term,
 growth bounds, cooperativity, theta-superlinearity, boundary degeneracy) are
 checked by sampling; they cannot be proved for black-box callables.
+
+The Galerkin Jacobian is block-tridiagonal (each of its m x m blocks is a
+tridiagonal matrix), so ``jacobian_parts`` assembles it on an (m*n, 3m)
+band; dense matrices are expanded only on request.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -179,25 +185,37 @@ def g_tt_values(spec: ProblemSpec, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return spec.q * (spec.q - 1.0) * a * np.power(t, spec.q - 2.0)
 
 
-def _field_quadrature(spec: ProblemSpec, mesh: Mesh1D, u: FEField):
-    """Quadrature samples (x flat, t flat) of the P1 field, both over (m, P)."""
+def _field_quadrature(spec: ProblemSpec, mesh: Mesh1D, values: np.ndarray):
+    """Quadrature samples of P1 fields with coefficients ``values``.
+
+    ``values`` is (m, n) for one field or (S, m, n) for a stack of S fields.
+    Returns x flat over P points, t over (m, P), and the shape ([S,]
+    n_elements, 2) the P samples of one component fold back to; a stack puts
+    its points one field after another.
+    """
     xq, _, _, _ = mesh_fem.element_quadrature(mesh)
-    tq = mesh_fem.values_at_quadrature(mesh, u.values)
-    shape = tq.shape[1:]
-    return xq.ravel(), tq.reshape(spec.m, -1), shape
+    tq = mesh_fem.values_at_quadrature(mesh, values)
+    shape = tq.shape[:-3] + tq.shape[-2:]
+    x = np.tile(xq.ravel(), math.prod(tq.shape[:-3]))
+    return x, tq.swapaxes(0, -3).reshape(spec.m, -1), shape
 
 
-def eval_residual_terms(spec: ProblemSpec, mesh: Mesh1D, u: FEField):
-    """Load vectors (<f(u), psi_i>, <g(u), psi_i>), each of shape (m, n_interior)."""
-    if not u.nonnegative:
+def eval_residual_terms(spec: ProblemSpec, mesh: Mesh1D, u):
+    """Load vectors (<f(u), psi_i>, <g(u), psi_i>), each of shape (m, n_interior).
+
+    ``u`` is an FEField, or coefficients (S, m, n_interior) of a stack of S
+    fields; a stack is sampled in one call to each reaction callback, and
+    its loads come back shaped (S, m, n_interior).
+    """
+    values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
+    if not np.all(values >= 0.0):
         raise ConeError("residual terms require a field in the closed cone")
-    x, t, shape = _field_quadrature(spec, mesh, u)
+    x, t, shape = _field_quadrature(spec, mesh, values)
     fv = np.asarray(spec.f(x, t), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise ValueError("reaction sample is not finite")
-    gv = g_values(spec, x, t)
-    f_load = mesh_fem.quadrature_loads(mesh, fv.reshape((spec.m,) + shape))
-    g_load = mesh_fem.quadrature_loads(mesh, gv.reshape((spec.m,) + shape))
+    samples = np.stack([fv, g_values(spec, x, t)]).reshape((2, spec.m) + shape)
+    f_load, g_load = mesh_fem.quadrature_loads(mesh, samples.swapaxes(1, -3))
     return f_load, g_load
 
 
@@ -208,50 +226,103 @@ def stiffness_blocks(spec: ProblemSpec, mesh: Mesh1D) -> tuple:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def band_pattern(m: int, n: int):
+    """Where the entries of an (m*n, 3m) band sit in the dense (m*n, m*n) matrix.
+
+    Band entry (k*n + i, 3*l + s) couples unknown (k, i) with (l, i + s - 1).
+    Returns read-only (flat band index, row, column) of the entries whose
+    neighbour lies inside the mesh, in row-major order, so columns ascend
+    within a row.
+    """
+    i = np.arange(n)[None, :, None, None]
+    j = i + np.arange(3)[None, None, None, :] - 1
+    inside = np.broadcast_to((j >= 0) & (j < n), (m, n, m, 3))
+    rows = np.broadcast_to(np.arange(m * n).reshape(m, n, 1, 1), inside.shape)
+    cols = np.broadcast_to(np.arange(m)[None, None, :, None] * n + j, inside.shape)
+    index = np.flatnonzero(inside)
+    pattern = (index, rows.ravel()[index], cols.ravel()[index])
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
+
+
+def band_to_dense(band: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Dense (m*n, m*n) matrix of an (m*n, 3m) band (layout of ``band_pattern``)."""
+    index, rows, cols = band_pattern(m, n)
+    dense = np.zeros((m * n, m * n))
+    dense[rows, cols] = band.ravel()[index]
+    return dense
+
+
+def _block_diagonal_band(rows: np.ndarray) -> np.ndarray:
+    """(m*n, 3m) band of a block-diagonal matrix from its (m, n, 3) block bands."""
+    m, n, _ = rows.shape
+    band = np.zeros((m, n, m, 3))
+    own = np.arange(m)
+    band[own, :, own] = rows
+    return band.reshape(m * n, 3 * m)
+
+
 @dataclass(frozen=True)
 class JacobianParts:
-    """Dense building blocks of the Galerkin Jacobian, each (m*n, m*n)."""
+    """Building blocks of the Galerkin Jacobian at u, stored on the band.
 
-    stiffness: np.ndarray
-    mass_f: np.ndarray
-    mass_g: np.ndarray
+    Each ``*_band`` array is (m*n, 3m) in the layout of ``band_pattern``:
+    entry (k*n + i, 3*l + s) couples unknown (k, i) with (l, i + s - 1), and
+    entries whose neighbour lies outside the mesh are zero.  ``stiffness``,
+    ``mass_f`` and ``mass_g`` are the dense (m*n, m*n) matrices, expanded on
+    first access for the callers that factorize or multiply densely.
+    """
+
+    m: int
+    n: int
+    stiffness_band: np.ndarray
+    mass_f_band: np.ndarray
+    mass_g_band: np.ndarray
+
+    @functools.cached_property
+    def stiffness(self) -> np.ndarray:
+        return band_to_dense(self.stiffness_band, self.m, self.n)
+
+    @functools.cached_property
+    def mass_f(self) -> np.ndarray:
+        return band_to_dense(self.mass_f_band, self.m, self.n)
+
+    @functools.cached_property
+    def mass_g(self) -> np.ndarray:
+        return band_to_dense(self.mass_g_band, self.m, self.n)
 
 
 def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
                    blocks: tuple | None = None) -> JacobianParts:
-    """Assemble the stiffness, reaction-mass and parameter-mass matrices at u.
+    """Assemble the stiffness, reaction-mass and parameter-mass bands at u.
 
-    Block (k, l) of ``mass_f`` is the tridiagonal mass matrix weighted by
-    df^k/dt_l evaluated along u; ``mass_g`` is block diagonal with weights
-    dg^k/dt_k.  Requires u in the open cone (the parameter-term linearization
-    is singular on the boundary).
+    Block (k, l) of the reaction mass is the tridiagonal mass matrix weighted
+    by df^k/dt_l evaluated along u; the parameter mass is block diagonal with
+    weights dg^k/dt_k.  Only the diagonals are assembled.  Requires u in the
+    open cone (the parameter-term linearization is singular on the boundary).
     """
     require_open_cone(u, "jacobian assembly")
     m, n = spec.m, mesh.n_interior
     if blocks is None:
         blocks = stiffness_blocks(spec, mesh)
 
-    x, t, shape = _field_quadrature(spec, mesh, u)
+    x, t, shape = _field_quadrature(spec, mesh, u.values)
     fj = np.asarray(spec.f_jac(x, t), dtype=float).reshape((m, m) + shape)
     if not np.all(np.isfinite(fj)):
         raise ValueError("reaction Jacobian sample is not finite")
     gt = g_t_values(spec, x, t).reshape((m,) + shape)
 
-    fdiag, foff = mesh_fem.weighted_mass(mesh, fj)
-    gdiag, goff = mesh_fem.weighted_mass(mesh, gt)
-
-    big = m * n
-    stiff = np.zeros((big, big))
-    mass_f = np.zeros((big, big))
-    mass_g = np.zeros((big, big))
-    for k in range(m):
-        sl = slice(k * n, (k + 1) * n)
-        stiff[sl, sl] = blocks[k].to_dense()
-        mass_g[sl, sl] = mesh_fem.tridiag_to_dense(gdiag[k], goff[k])
-        for l in range(m):
-            tl = slice(l * n, (l + 1) * n)
-            mass_f[sl, tl] = mesh_fem.tridiag_to_dense(fdiag[k, l], foff[k, l])
-    return JacobianParts(stiffness=stiff, mass_f=mass_f, mass_g=mass_g)
+    # one weighted-mass pass for the m*m reaction blocks and the m parameter blocks
+    weights = np.concatenate([fj.reshape((m * m,) + shape), gt])
+    rows = mesh_fem.tridiag_band(*mesh_fem.weighted_mass(mesh, weights))
+    mass_f = rows[:m * m].reshape(m, m, n, 3).transpose(0, 2, 1, 3).reshape(m * n, 3 * m)
+    return JacobianParts(
+        m=m, n=n,
+        stiffness_band=_block_diagonal_band(np.stack([blk.band for blk in blocks])),
+        mass_f_band=mass_f,
+        mass_g_band=_block_diagonal_band(rows[m * m:]))
 
 
 def eval_jacobian(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float) -> np.ndarray:
@@ -274,7 +345,7 @@ def adjoint_curvature(spec: ProblemSpec, mesh: Mesh1D, u: FEField, w: np.ndarray
     m, n = spec.m, mesh.n_interior
     big = m * n
     if spec.f_hess is not None:
-        x, t, shape = _field_quadrature(spec, mesh, u)
+        x, t, shape = _field_quadrature(spec, mesh, u.values)
         fh = np.asarray(spec.f_hess(x, t), dtype=float).reshape((m, m, m) + shape)
         gtt = g_tt_values(spec, x, t).reshape((m,) + shape)
         wq = mesh_fem.values_at_quadrature(mesh, np.asarray(w).reshape(m, n))

@@ -4,8 +4,10 @@ R(u, v) = [a_m(u, v) - <f(u), v>] / <g(u), v> over pairs of cone fields.  The
 infimum of R(u, .) over the open discrete cone equals the minimum over the
 nodal basis directions, so the inner problem reduces to m * n_interior
 scalar quotients.  Gradients in u are assembled analytically from the same
-Jacobian blocks used by the solver; no numerical differentiation is used on
-the production path.
+Jacobian bands used by the solver; no numerical differentiation is used on
+the production path.  Each quotient depends on the 3m unknowns at its own
+node and the two neighbouring nodes, so the gradients are kept as an
+(m * n_interior, 3m) stencil on that band.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ class DenominatorError(ValueError):
 
 @dataclass(frozen=True)
 class GalerkinTerms:
-    """Assembled pairings at a fixed field u (all shapes (m, n_interior))."""
+    """Assembled pairings at a fixed field u (all shapes (m, n_interior)).
+
+    For a stack of fields every array gains a leading stack axis, and
+    ``quotients``/``residual`` return one flat row per field.
+    """
 
     stiff_action: np.ndarray  # (A_k u^k)_i = a^k(u^k, psi_i)
     f_load: np.ndarray
@@ -41,19 +47,28 @@ class GalerkinTerms:
 
         The denominator is not checked here; callers guard it where needed.
         """
-        return (self.stiff_action - self.f_load).ravel() / self.g_load.ravel()
+        return self._flat(self.stiff_action - self.f_load) / self._flat(self.g_load)
 
     def residual(self, lam: float) -> np.ndarray:
         """Galerkin residual a(u, psi_i) - <f(u), psi_i> - lam <g(u), psi_i>, flat."""
-        return (self.stiff_action - self.f_load - lam * self.g_load).ravel()
+        return self._flat(self.stiff_action - self.f_load - lam * self.g_load)
+
+    def _flat(self, a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape[:-2] + (-1,))
 
 
-def galerkin_terms(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
+def galerkin_terms(spec: ProblemSpec, mesh: Mesh1D, u,
                    blocks: tuple | None = None) -> GalerkinTerms:
+    """Pairings at the field ``u``: an FEField, or coefficients (S, m, n_interior).
+
+    A stack of S fields is assembled in one pass (one call to each reaction
+    callback for all of them).
+    """
     if blocks is None:
         blocks = model.stiffness_blocks(spec, mesh)
-    action = np.stack([blocks[k].matvec(u.values[k]) for k in range(spec.m)])
-    f_load, g_load = model.eval_residual_terms(spec, mesh, u)
+    values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
+    action = np.stack([blocks[k].matvec(values[..., k, :]) for k in range(spec.m)], axis=-2)
+    f_load, g_load = model.eval_residual_terms(spec, mesh, values)
     return GalerkinTerms(stiff_action=action, f_load=f_load, g_load=g_load, blocks=blocks)
 
 
@@ -122,12 +137,18 @@ def residual(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float,
 
 def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
                        terms: GalerkinTerms | None = None,
-                       parts: model.JacobianParts | None = None) -> np.ndarray:
-    """All direction gradients: row i is the gradient of u -> R(u, eta_i).
+                       parts: model.JacobianParts | None = None,
+                       quotients: np.ndarray | None = None) -> np.ndarray:
+    """All direction gradients as an (m*n, 3m) stencil on the Jacobian band.
 
-    Quotient rule on R_i = N_i / D_i with N_i the stiffness-minus-reaction
-    pairing and D_i = <g(u), eta_i>:
-        grad R_i = [row_i(A - f_u-mass) - R_i row_i(g_u-mass)] / D_i.
+    Entry (k*n + i, 3*l + s) is dR_{k,i}/du_{l,i+s-1}, the derivative of
+    u -> R(u, eta_{k,i}) in the coefficient of component l at node i + s - 1;
+    every other derivative vanishes.  Quotient rule on R_i = N_i / D_i with
+    N_i the stiffness-minus-reaction pairing and D_i = <g(u), eta_i>:
+        grad R_i = [row_i(A - f_u-mass) - R_i row_i(g_u-mass)] / D_i,
+    entry by entry on the band.  The denominators are checked here;
+    ``quotients`` passes R_i when the caller already holds them.
+    ``model.band_to_dense`` expands the stencil to the dense gradient matrix.
     """
     model.require_open_cone(u, "quotient gradient")
     if terms is None:
@@ -137,15 +158,17 @@ def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
     denom = terms.g_load.ravel()
     if np.any(denom <= TOL_DENOM):
         raise DenominatorError("a direction pairing <g(u), eta_i> is not positive")
-    quotients = terms.quotients()
-    jac_a = parts.stiffness - parts.mass_f
-    return (jac_a - quotients[:, None] * parts.mass_g) / denom[:, None]
+    if quotients is None:
+        quotients = terms.quotients()
+    jac_a = parts.stiffness_band - parts.mass_f_band
+    return (jac_a - quotients[:, None] * parts.mass_g_band) / denom[:, None]
 
 
 def grad_u_inner_quotient(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
                           index: int) -> np.ndarray:
     """Analytic gradient of u -> R(u, eta_index), shape (m, n_interior)."""
-    grads = quotient_gradients(spec, mesh, u)
-    if not 0 <= index < grads.shape[0]:
+    stencil = quotient_gradients(spec, mesh, u)
+    if not 0 <= index < stencil.shape[0]:
         raise IndexError(f"direction index {index} out of range")
+    grads = model.band_to_dense(stencil, spec.m, mesh.n_interior)
     return grads[index].reshape(spec.m, mesh.n_interior)

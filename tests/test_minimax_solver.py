@@ -24,7 +24,14 @@ from minimax_fold.model import (
     scalar_power,
 )
 from minimax_fold.verification import verify_certificate
-from tests.test_rayleigh import closed_form_eigenvalue, mass_matrix, principal_eigenpair
+from tests.test_rayleigh import (
+    STENCIL_CASES,
+    closed_form_eigenvalue,
+    dense_gradients,
+    mass_matrix,
+    principal_eigenpair,
+    stencil_case,
+)
 
 FAST = SolverOptions(n_starts=3)
 
@@ -239,6 +246,20 @@ class TestTwoPhaseMaximize:
         assert not cert.valid
 
 
+def row_form(dense):
+    """Row-wise ``(start, index, value)`` of the nonzeros of a dense matrix."""
+    rows, cols = np.nonzero(dense)
+    return np.searchsorted(rows, np.arange(dense.shape[0] + 1)), cols, dense[rows, cols]
+
+
+def dense_form(a_ub, n_col):
+    start, index, value = a_ub
+    dense = np.zeros((len(start) - 1, n_col))
+    for r in range(len(start) - 1):
+        dense[r, index[start[r]:start[r + 1]]] = value[start[r]:start[r + 1]]
+    return dense
+
+
 class TestWarmLP:
     """The warm-started HiGHS helper against scipy's public LP solver."""
 
@@ -246,9 +267,10 @@ class TestWarmLP:
         recorded = []
         real_solve = minimax_solver.WarmLP.solve
 
-        def recording_solve(self, *args):
-            result = real_solve(self, *args)
-            recorded.append(([np.array(a) for a in args], result))
+        def recording_solve(self, cost, a_ub, *args):
+            result = real_solve(self, cost, a_ub, *args)
+            recorded.append(([np.array(cost), dense_form(a_ub, len(cost))]
+                             + [np.array(a) for a in args], result))
             return result
 
         monkeypatch.setattr(minimax_solver.WarmLP, "solve", recording_solve)
@@ -268,13 +290,26 @@ class TestWarmLP:
     def test_infeasible_lp_returns_no_solution(self):
         lp = minimax_solver.WarmLP()
         cost = np.array([0.0, -1.0])
-        a_ub = np.array([[1.0, 1.0], [-1.0, 0.0]])
+        a_ub = row_form(np.array([[1.0, 1.0], [-1.0, 0.0]]))
         lower, upper = np.array([0.0, -1.0]), np.array([1.0, 1.0])
         assert lp.solve(cost, a_ub, np.array([1.0, 0.0]), lower, upper) is not None
         # x0 >= 2 against the bound x0 <= 1
         assert lp.solve(cost, a_ub, np.array([1.0, -2.0]), lower, upper) is None
         x, _ = lp.solve(cost, a_ub, np.array([0.5, 0.0]), lower, upper)
         np.testing.assert_allclose(x, [0.0, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("n_interior", [1, 2, 7])
+    @pytest.mark.parametrize("name", sorted(STENCIL_CASES))
+    def test_lp_rows_equal_nonzeros_of_dense_matrix(self, name, n_interior):
+        spec, mesh, u, terms, parts = stencil_case(name, n_interior)
+        stencil = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, parts=parts)
+        big = spec.m * n_interior
+        dense = np.hstack([-dense_gradients(terms, parts), np.ones((big, 1))])
+        start, index, value = minimax_solver.LPRows(spec.m, n_interior).of(stencil)
+        ref_start, ref_index, ref_value = row_form(dense)
+        assert np.array_equal(start, ref_start)
+        assert np.array_equal(index, ref_index)
+        assert np.array_equal(value, ref_value)
 
     def test_linear_diagnostic_starts_all_converge(self, monkeypatch):
         statuses = []
@@ -289,6 +324,96 @@ class TestWarmLP:
         cert = maximize(linear_diagnostic(), build_mesh(64))
         assert cert.valid
         assert statuses == ["converged"] * SolverOptions().n_starts
+
+
+class TestSLPAssembly:
+    """Each SLP iterate is assembled once, on the band."""
+
+    def slp_start(self, spec, mesh):
+        """``_slp`` at ``tol_kkt`` from the default start, set up before any patching."""
+        start = minimax_solver.default_start(spec, mesh)
+        blocks = model.stiffness_blocks(spec, mesh)
+        return lambda: minimax_solver._slp(spec, mesh, start, SolverOptions(), blocks, 1e-9)
+
+    def test_one_assembly_per_point_none_after_rejection(self, monkeypatch):
+        events = []  # ("terms", field bytes) or ("lp", b_ub, solved)
+        real_terms = rayleigh.galerkin_terms
+        real_solve = minimax_solver.WarmLP.solve
+
+        def counting_terms(spec, mesh, u, blocks=None):
+            events.append(("terms", u.values.tobytes()))
+            return real_terms(spec, mesh, u, blocks)
+
+        def recording_solve(self, cost, a_ub, b_ub, lower, upper):
+            result = real_solve(self, cost, a_ub, b_ub, lower, upper)
+            events.append(("lp", b_ub.tobytes(), result is not None))
+            return result
+
+        run = self.slp_start(linear_diagnostic(), build_mesh(64))
+        monkeypatch.setattr(rayleigh, "galerkin_terms", counting_terms)
+        monkeypatch.setattr(minimax_solver.WarmLP, "solve", recording_solve)
+        assert run().status == "converged"
+
+        fields = [e[1] for e in events if e[0] == "terms"]
+        assert len(fields) == len(set(fields))  # no point is assembled twice
+        lps = [i for i, e in enumerate(events) if e[0] == "lp"]
+        rejected = 0
+        for i, j in zip(lps, lps[1:]):
+            between = j - i - 1
+            if not events[i][2]:
+                assert between == 0  # a failed LP is re-solved with the same rows
+            elif events[i][1] == events[j][1]:
+                rejected += 1
+                assert between == 1  # only the rejected trial point
+            else:
+                assert between in (1, 2)  # the accepted trial, maybe its floor clamp
+        assert rejected > 0
+
+    def test_slp_builds_no_dense_matrix(self, monkeypatch):
+        def dense_view(self):
+            raise AssertionError("dense Jacobian view built in the SLP loop")
+
+        runs = [self.slp_start(spec, build_mesh(16))
+                for spec in (scalar_power(0.5, 2.0), builtin_problem("cooperative_product", {"m": 2}))]
+        for name in ("stiffness", "mass_f", "mass_g"):
+            monkeypatch.setattr(model.JacobianParts, name, property(dense_view))
+        for run in runs:
+            assert run().status == "converged"
+
+
+def looped_line_search(spec, mesh, shape, blocks):
+    """The amplitude search one amplitude at a time, through ``inner_min``."""
+    base = shape.values / shape.sup_norm
+    best_val, best_t = -np.inf, 1.0
+    for t in np.geomspace(1e-3, 1e3, 25):
+        cand = FEField(mesh, t * base)
+        try:
+            val = rayleigh.inner_min(spec, mesh, cand,
+                                     rayleigh.galerkin_terms(spec, mesh, cand, blocks)).value
+        except (model.ConeError, rayleigh.DenominatorError):
+            continue
+        if val > best_val:
+            best_val, best_t = val, t
+    return FEField(mesh, best_t * base)
+
+
+class TestAmplitudeLineSearch:
+    @pytest.mark.parametrize("name, shape_of", [
+        ("scalar_power", lambda n: np.sin(np.pi * np.arange(1, n + 1) / (n + 1))[None]),
+        ("cooperative_product", lambda n: np.random.default_rng(5).uniform(0.2, 1.0, (3, n))),
+        # small amplitudes push the tiny half under the denominator floor
+        ("linear_diagnostic", lambda n: np.where(np.arange(n) < n // 2, 1.0, 1e-10)[None]),
+        # a zero coefficient leaves the open cone at every amplitude
+        ("scalar_power", lambda n: np.where(np.arange(n) == 3, 0.0, 1.0)[None]),
+    ])
+    def test_stacked_search_matches_amplitude_loop(self, name, shape_of):
+        spec = builtin_problem(name, {"m": 3} if name == "cooperative_product" else {})
+        mesh = build_mesh(16)
+        blocks = model.stiffness_blocks(spec, mesh)
+        shape = FEField(mesh, shape_of(mesh.n_interior))
+        got = minimax_solver.amplitude_line_search(spec, mesh, shape, blocks)
+        expected = looped_line_search(spec, mesh, shape, blocks)
+        assert np.array_equal(got.values, expected.values)
 
 
 class TestSolverStressModes:

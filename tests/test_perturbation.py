@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minimax_fold import rayleigh
+from minimax_fold import perturbation, rayleigh
 from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.minimax_solver import SolverOptions, maximize
 from minimax_fold.model import FEField, scalar_power
@@ -132,6 +132,20 @@ class TestTwoSidedExample:
         # larger nonnegative extra reaction gives smaller extreme value
         r1, r2 = two_sided_example(0.5, 2.0, 3.0, (0.05, 0.2), MESH, options=FAST)
         assert r2.lambda_pert <= r1.lambda_pert + 1e-9
+
+    def test_invalid_base_raises_before_perturbed_solves(self, monkeypatch):
+        solved = []
+        real_maximize = perturbation.maximize
+
+        def counting_maximize(spec, mesh, **kwargs):
+            solved.append(spec.name)
+            return real_maximize(spec, mesh, **kwargs)
+
+        monkeypatch.setattr(perturbation, "maximize", counting_maximize)
+        with pytest.raises(RuntimeError, match=r"^solver failure: base status 'max_iters'$"):
+            two_sided_example(0.5, 2.0, 3.0, (0.1, 0.01), MESH,
+                              options=SolverOptions(n_starts=1, max_iters=1))
+        assert solved == ["scalar_power"]
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from minimax_fold import mesh_fem, model, rayleigh
 from minimax_fold.mesh_fem import build_mesh
-from minimax_fold.model import FEField, linear_diagnostic, scalar_power
+from minimax_fold.model import FEField, cooperative_product, linear_diagnostic, scalar_power
 from minimax_fold.rayleigh import (
     DenominatorError,
     grad_u_inner_quotient,
@@ -23,6 +23,32 @@ def mass_matrix(mesh):
     if d.size > 1:
         out += np.diag(o, 1) + np.diag(o, -1)
     return out
+
+
+STENCIL_CASES = {
+    "scalar_power": lambda: scalar_power(0.5, 2.0),
+    "cooperative_product_m2": lambda: cooperative_product(m=2, beta=(2.0, 3.0), alpha=0.7),
+    "cooperative_product_m3": lambda: cooperative_product(m=3),
+    "linear_diagnostic_m2": lambda: linear_diagnostic(m=2),  # zero coupling blocks
+}
+
+
+def stencil_case(name, n_interior):
+    """(spec, mesh, u, terms, parts) at a seeded interior field."""
+    spec = STENCIL_CASES[name]()
+    mesh = build_mesh(n_interior + 1)
+    rng = np.random.default_rng(n_interior)
+    u = FEField(mesh, rng.uniform(0.5, 1.5, size=(spec.m, n_interior)))
+    terms = rayleigh.galerkin_terms(spec, mesh, u)
+    return spec, mesh, u, terms, model.jacobian_parts(spec, mesh, u, blocks=terms.blocks)
+
+
+def dense_gradients(terms, parts):
+    """Direction gradients by the dense quotient rule, row i = grad R_i."""
+    quotients = terms.quotients()
+    denom = terms.g_load.ravel()
+    jac_a = parts.stiffness - parts.mass_f
+    return (jac_a - quotients[:, None] * parts.mass_g) / denom[:, None]
 
 
 def principal_eigenpair(mesh):
@@ -225,3 +251,43 @@ class TestGradients:
             np.testing.assert_allclose(t2.stiff_action, t * t1.stiff_action, rtol=1e-12)
             np.testing.assert_allclose(t2.f_load, t**gamma * t1.f_load, rtol=1e-12)
             np.testing.assert_allclose(t2.g_load, t**q * t1.g_load, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_interior", [1, 2, 7])
+@pytest.mark.parametrize("name", sorted(STENCIL_CASES))
+class TestGradientStencil:
+    """The banded gradient and the lazy dense views, bit for bit."""
+
+    def test_dense_views_match_block_assembly(self, name, n_interior):
+        spec, mesh, u, terms, parts = stencil_case(name, n_interior)
+        m, n = spec.m, n_interior
+        xq, _, _, _ = mesh_fem.element_quadrature(mesh)
+        tq = mesh_fem.values_at_quadrature(mesh, u.values).reshape(m, -1)
+        fj = spec.f_jac(xq.ravel(), tq).reshape((m, m) + xq.shape)
+        gt = model.g_t_values(spec, xq.ravel(), tq).reshape((m,) + xq.shape)
+        stiff, mass_f, mass_g = (np.zeros((m * n, m * n)) for _ in range(3))
+        for k in range(m):
+            sl = slice(k * n, (k + 1) * n)
+            stiff[sl, sl] = terms.blocks[k].to_dense()
+            mass_g[sl, sl] = mesh_fem.tridiag_to_dense(*mesh_fem.weighted_mass(mesh, gt[k]))
+            for l in range(m):
+                mass_f[sl, l * n:(l + 1) * n] = mesh_fem.tridiag_to_dense(
+                    *mesh_fem.weighted_mass(mesh, fj[k, l]))
+        assert np.array_equal(parts.stiffness, stiff)
+        assert np.array_equal(parts.mass_f, mass_f)
+        assert np.array_equal(parts.mass_g, mass_g)
+
+    def test_stencil_equals_dense_quotient_rule(self, name, n_interior):
+        spec, mesh, u, terms, parts = stencil_case(name, n_interior)
+        stencil = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, parts=parts)
+        assert stencil.shape == (spec.m * n_interior, 3 * spec.m)
+        dense = model.band_to_dense(stencil, spec.m, n_interior)
+        assert np.array_equal(dense, dense_gradients(terms, parts))
+        # the band holds every nonzero: entries off the mesh are exact zeros
+        index, _, _ = model.band_pattern(spec.m, n_interior)
+        outside = np.delete(stencil.ravel(), index)
+        assert np.count_nonzero(outside) == 0
+        # passing the quotients in gives the same stencil
+        again = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, parts=parts,
+                                            quotients=terms.quotients())
+        assert np.array_equal(again, stencil)
