@@ -16,20 +16,28 @@ rejected step re-solves with the same rows.  For nonlinear problems
 
 1. every start runs the SLP only to the loose gain tolerance ``_LOOSE_GAIN``,
    which is enough to land in the contraction basin of the fold;
-2. every converged start is polished by a bordered-Newton solve of the fold
-   system
+2. every converged start is polished by Newton on the minimally augmented
+   fold system
 
-       F(u, lambda) = 0,   J(u, lambda)^T w = 0,   l . w = 1,
+       F(u, lambda) = 0,   s(u, lambda) = 0,
 
-   which drives the certificate residuals to roundoff (pure SLP stalls near
-   the fold at quotient spreads of order (distance)^2 and cannot reach the
+   where s, with the right and left null vectors v and w of J, solves the
+   bordered system [J b; c^T 0][v; s] = [0; 1] and its transpose (Govaerts,
+   Numerical Methods for Bifurcations of Dynamical Equilibria, SIAM 2000,
+   ch. 3).  Each iterate takes one sparse LU of that (m*n + 1)-square
+   matrix, which also gives the Newton step.  The polish drives the
+   certificate residuals to roundoff (pure SLP stalls near the fold at
+   quotient spreads of order (distance)^2 and cannot reach the
    singular-value tolerance).  A start whose polish fails is resumed by the
    SLP at ``tol_kkt`` and polished once more.
 
 ``lambda*`` is the largest polished value, and the multi-start agreement is
 judged on the polished values.  The linear diagnostic mode and ``polish=False``
-run a single SLP phase at ``tol_kkt``.  The final multipliers are recovered
-from the adjoint null vector through kappa_i = mu_i / <g(u*), eta_i>.
+run a single SLP phase at ``tol_kkt``.  The certificate works on the band as
+well: two bordered solves give the adjoint null vector, from which the final
+multipliers are recovered through kappa_i = mu_i / <g(u*), eta_i>, and an
+upper bound on sigma_min(J); |J|_2 comes from the top eigenvalue of the
+banded J^T J.  No SVD is taken and no dense matrix is built.
 
 Everything is deterministic for fixed options and seed: fixed iteration
 order, seeded multi-starts, no timing dependence.
@@ -41,7 +49,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize._highspy import _core as _highs
+from scipy.sparse.linalg import splu
 
 from . import model, rayleigh
 from .mesh_fem import Mesh1D
@@ -88,7 +98,11 @@ class MinimaxCertificate:
       * ``stationarity_residual``: |sum_i mu_i grad R_i|_2 over the largest
         direction-gradient norm;
       * ``complementarity_residual``: max_i mu_i |lambda* - R_i| / (1 + |lambda*|).
-    ``valid`` requires all four below ``tol_cert``, sigma_min(J) below
+    ``sigma_min`` is the upper bound min(|J v|_2 / |v|_2, |J^T w|_2 / |w|_2)
+    on the smallest singular value of J, from the null vectors v, w of the
+    bordered solves, and ``jac_norm`` is |J|_2, the square root of the top
+    eigenvalue of J^T J (``scipy.linalg.eig_banded`` on its band).
+    ``valid`` requires all four residuals below ``tol_cert``, sigma_min below
     1e-6 * |J|_2 (or J itself at assembly roundoff), and both fields inside
     their cones.
     """
@@ -416,42 +430,106 @@ class PolishResult:
         return self.reason in ("converged", "roundoff_floor")
 
 
+def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarray):
+    """One sparse LU of the bordered matrix [J b; c^T 0] and the null vectors it gives.
+
+    ``jac`` is the band of J.  Returns ``(lu, v, w, s)`` with
+    [J b; c^T 0][v; s] = [0; 1] and, from the transposed factors,
+    [J^T c; b^T 0][w; s] = [0; 1].  s vanishes exactly where J is singular,
+    and there v and w span its right and left null spaces.  A singular
+    bordered matrix raises ``RuntimeError``.
+    """
+    lu = splu(model.band_csc(jac, m, n, b, c))
+    unit = np.zeros(m * n + 1)
+    unit[-1] = 1.0
+    x = lu.solve(unit)
+    return lu, x[:-1], lu.solve(unit, trans="T")[:-1], float(x[-1])
+
+
+def _fold_borders(jac: np.ndarray, m: int, n: int):
+    """Borders ``(b, c)`` for bordered solves near a fold of J (a band).
+
+    The fold's null vectors lie in the open cone, so a first solve bordered
+    by the normalized all-ones vector finds them; b and c are its normalized
+    w and v.
+    """
+    ones = np.full(m * n, 1.0 / np.sqrt(m * n))
+    _, v, w, _ = _bordered_solve(jac, m, n, ones, ones)
+    return w / np.linalg.norm(w), v / np.linalg.norm(v)
+
+
+def _newton_step(lu, v: np.ndarray, s: float, residual: np.ndarray, g: np.ndarray,
+                 s_u: np.ndarray, s_lam: float) -> np.ndarray:
+    """Newton step [du; dlam] on [F; s] from the bordered LU taken at the iterate.
+
+    Solves [J, -g; s_u^T, s_lam][du; dlam] = -[F; s] by block elimination
+    (Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
+    SIAM 2000, ch. 3).  With [J b; c^T 0][x_1; t_1] = [-F; 0] and
+    [J b; c^T 0][x_2; t_2] = [g; 0], du = x_1 + dlam x_2 + beta v solves the
+    first block row when t_1 + dlam t_2 + beta s = 0, and the last row gives
+    the second equation for (dlam, beta).
+    """
+    rhs = np.zeros((residual.size + 1, 2))
+    rhs[:-1, 0] = -residual
+    rhs[:-1, 1] = g
+    x = lu.solve(rhs)
+    x1, t1, x2, t2 = x[:-1, 0], x[-1, 0], x[:-1, 1], x[-1, 1]
+    # [t2, s; s_u.x2 + s_lam, s_u.v] [dlam; beta] = [-t1; -s - s_u.x1]
+    a21, a22, r2 = s_u @ x2 + s_lam, s_u @ v, -s - s_u @ x1
+    det = t2 * a22 - s * a21
+    with np.errstate(divide="ignore", invalid="ignore"):  # the caller checks finiteness
+        dlam = (-t1 * a22 - s * r2) / det
+        beta = (t2 * r2 + a21 * t1) / det
+        return np.append(x1 + dlam * x2 + beta * v, dlam)
+
+
 def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float,
                  blocks, tol_cert: float, max_iter: int = 20) -> PolishResult:
-    """Newton on [F(u, lam); J(u, lam)^T w; l.w - 1] from the SLP point."""
+    """Newton on the minimally augmented fold system G(u, lam) = [F(u, lam); s(u, lam)].
+
+    Each iterate takes one sparse LU of the bordered matrix [J b; c^T 0]
+    (``_bordered_solve``), which gives s and the null vectors v, w, and
+    ``_newton_step`` solves the Newton system with s_u = -C(w) v
+    (``model.adjoint_curvature``) and s_lam = w^T M_g v on the same factors.
+    No LU of J alone is taken, so a singular J needs no special case.  The
+    borders are the normalized all-ones vector at the SLP point, then the
+    normalized w and v found there, fixed for the rest of the polish.
+    """
     m, n = spec.m, mesh.n_interior
     big = m * n
     flat = np.array(flat0, dtype=float)
     lam = float(lam0)
 
-    jac = model.eval_jacobian(spec, mesh, FEField.from_flat(mesh, m, flat), lam)
-    svd_u, svd_s, _ = np.linalg.svd(jac)
-    w = svd_u[:, -1]
-    if w.sum() < 0:
-        w = -w
-    ell = w / float(w @ w)
-
-    def assemble(flat_u, w_vec, lam_val):
+    def assemble(flat_u, lam_val):
         u = FEField.from_flat(mesh, m, flat_u)
         terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
-        parts = model.jacobian_parts(spec, mesh, u, blocks=blocks)
-        jac_u = parts.stiffness - parts.mass_f - lam_val * parts.mass_g
-        res1 = terms.residual(lam_val)
-        res2 = jac_u.T @ w_vec
-        res3 = float(ell @ w_vec) - 1.0
-        return u, terms, parts, jac_u, res1, res2, res3
+        parts = model.jacobian_parts(spec, mesh, u, blocks=blocks, samples=terms.samples)
+        jac = parts.jacobian_band(lam_val)
+        return (u, terms, parts, jac) + _bordered_solve(jac, m, n, b, c)
 
-    u, terms, parts, jac_u, res1, res2, res3 = assemble(flat, w, lam)
+    def scaled_residuals(terms_x, jac_x, w_x, lam_x):
+        adjoint = (np.abs(model.band_matvec(jac_x, w_x, transpose=True)).max()
+                   / max(scale2 * np.abs(w_x).max(), 1e-300))
+        return np.abs(terms_x.residual(lam_x)).max() / scale1, adjoint
+
+    # the fold's null vectors lie in the open cone, so the all-ones border
+    # finds them at the SLP point; they border every later solve
+    b = c = np.full(big, 1.0 / np.sqrt(big))
+    try:
+        u, terms, parts, jac, lu, v, w, s = assemble(flat, lam)
+    except RuntimeError:
+        return PolishResult("singular_system", FEField.from_flat(mesh, m, flat), lam, 0, np.inf)
+    b, c = w / np.linalg.norm(w), v / np.linalg.norm(v)
     scale1 = max(np.abs(terms.stiff_action).max(), np.abs(terms.f_load).max(),
                  abs(lam) * np.abs(terms.g_load).max(), 1e-300)
-    norm_prev = max(np.abs(res1).max() / scale1, np.abs(res2).max(), abs(res3))
-
-    def scaled_residuals():
-        scale2 = max(np.abs(jac_u).max() * max(np.abs(w).max(), 1e-300), 1e-300)
-        return np.abs(res1).max() / scale1, np.abs(res2).max() / scale2, abs(res3)
+    # the magnitude of the matrices J is assembled from, not of J itself, which
+    # vanishes at the fold of a problem with one unknown
+    scale2 = max(np.abs(parts.stiffness_band).max(), np.abs(parts.mass_f_band).max(),
+                 abs(lam) * np.abs(parts.mass_g_band).max(), 1e-300)
+    primal, adjoint = scaled_residuals(terms, jac, w, lam)
 
     def result(reason, iterations):
-        scaled = float(max(scaled_residuals()))
+        scaled = float(max(primal, adjoint))
         if reason == "no_decrease" and scaled <= 1e-3 * tol_cert:
             # every trial step is lost in roundoff, far below the certificate level
             reason = "roundoff_floor"
@@ -459,24 +537,12 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float
                             scaled)
 
     for iters in range(1, max_iter + 1):
-        primal, adjoint, normalization = scaled_residuals()
-        if primal <= 1e-13 and adjoint <= 1e-13 and normalization <= 1e-12:
+        if primal <= 1e-13 and adjoint <= 1e-13:
             return result("converged", iters - 1)
 
-        curvature = model.adjoint_curvature(spec, mesh, u, w, lam)
-        g_flat = terms.g_load.ravel()
-        big_mat = np.zeros((2 * big + 1, 2 * big + 1))
-        big_mat[:big, :big] = jac_u
-        big_mat[:big, -1] = -g_flat
-        big_mat[big:2 * big, :big] = curvature
-        big_mat[big:2 * big, big:2 * big] = jac_u.T
-        big_mat[big:2 * big, -1] = -(parts.mass_g.T @ w)
-        big_mat[-1, big:2 * big] = ell
-        rhs = -np.concatenate([res1, res2, [res3]])
-        try:
-            step = np.linalg.solve(big_mat, rhs)
-        except np.linalg.LinAlgError:
-            return result("singular_system", iters - 1)
+        s_u = -model.adjoint_curvature(spec, mesh, u, w, v, lam)
+        s_lam = float(w @ model.band_matvec(parts.mass_g_band, v))
+        step = _newton_step(lu, v, s, terms.residual(lam), terms.g_load.ravel(), s_u, s_lam)
         if not np.all(np.isfinite(step)):
             return result("singular_system", iters - 1)
 
@@ -485,15 +551,17 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float
             flat_t = flat + damp * step[:big]
             if np.any(flat_t <= 0.0):
                 continue
-            w_t = w + damp * step[big:2 * big]
             lam_t = lam + damp * float(step[-1])
-            u_t, terms_t, parts_t, jac_t, r1, r2, r3 = assemble(flat_t, w_t, lam_t)
-            norm_t = max(np.abs(r1).max() / scale1, np.abs(r2).max(), abs(r3))
-            if norm_t < norm_prev * (1.0 - 1e-4 * damp) or norm_t < 1e-13:
-                flat, w, lam = flat_t, w_t, lam_t
-                u, terms, parts, jac_u = u_t, terms_t, parts_t, jac_t
-                res1, res2, res3 = r1, r2, r3
-                norm_prev = norm_t
+            try:
+                trial = assemble(flat_t, lam_t)
+            except RuntimeError:
+                return result("singular_system", iters - 1)
+            scaled_t = scaled_residuals(trial[1], trial[3], trial[6], lam_t)
+            if (max(scaled_t) < max(primal, adjoint) * (1.0 - 1e-4 * damp)
+                    or max(scaled_t) < 1e-13):
+                flat, lam = flat_t, lam_t
+                u, terms, parts, jac, lu, v, w, s = trial
+                primal, adjoint = scaled_t
                 accepted = True
                 break
         if not accepted:
@@ -535,13 +603,16 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     denom = terms.g_load.ravel()
     quotients = terms.quotients()
 
-    parts = model.jacobian_parts(spec, mesh, u, blocks=blocks)
-    jac = parts.stiffness - parts.mass_f - lam * parts.mass_g
-    svd_u, svd_s, _ = np.linalg.svd(jac)
-    jac_norm = float(svd_s[0])
-    sigma_min = float(svd_s[-1])
-    jac_scale = max(np.abs(parts.stiffness).max(), np.abs(parts.mass_f).max(),
-                    abs(lam) * np.abs(parts.mass_g).max(), 1e-300)
+    parts = model.jacobian_parts(spec, mesh, u, blocks=blocks, samples=terms.samples)
+    jac_band = parts.jacobian_band(lam)
+    _, v_null, w, _ = _bordered_solve(jac_band, m, n, *_fold_borders(jac_band, m, n))
+    # |J x| / |x| bounds sigma_min(J) from above for any x
+    sigma_min = float(min(
+        np.linalg.norm(model.band_matvec(jac_band, v_null)) / np.linalg.norm(v_null),
+        np.linalg.norm(model.band_matvec(jac_band, w, transpose=True)) / np.linalg.norm(w)))
+    jac_norm = _spectral_norm(jac_band, m, n)
+    jac_scale = max(np.abs(parts.stiffness_band).max(), np.abs(parts.mass_f_band).max(),
+                    abs(lam) * np.abs(parts.mass_g_band).max(), 1e-300)
 
     if mu_lp is not None and mu_lp.sum() > 0:
         # an unrefined point: the final LP duals are the multiplier estimate
@@ -552,7 +623,6 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     else:
         # at the fold the adjoint null vector reproduces the multipliers
         # through kappa_i = mu_i / <g(u*), eta_i>
-        w = svd_u[:, -1]
         if w.sum() < 0:
             w = -w
         w_cone_ok = float(w.min()) >= -1e-10 * np.abs(w).max()
@@ -570,18 +640,17 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     primal = float(np.abs(res_vec).max() / primal_scale)
 
     v_flat = v_star.values.ravel()
-    adjoint = float(np.linalg.norm(jac.T @ v_flat)
+    adjoint = float(np.linalg.norm(model.band_matvec(jac_band, v_flat, transpose=True))
                     / (jac_scale * max(np.linalg.norm(v_flat), 1e-300)))
 
     stencil = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, parts=parts,
                                           quotients=quotients)
-    grads = model.band_to_dense(stencil, m, n)
     # scale from the row magnitudes before cancellation, not the rows themselves
-    jac_a = parts.stiffness - parts.mass_f
-    row_mag = (np.linalg.norm(jac_a, axis=1)
-               + np.abs(quotients) * np.linalg.norm(parts.mass_g, axis=1)) / denom
+    row_mag = (np.linalg.norm(parts.stiffness_band - parts.mass_f_band, axis=1)
+               + np.abs(quotients) * np.linalg.norm(parts.mass_g_band, axis=1)) / denom
     grad_scale = max(float(row_mag.max()), 1e-300)
-    stationarity = float(np.linalg.norm(grads.T @ mu) / grad_scale)
+    stationarity = float(np.linalg.norm(model.band_matvec(stencil, mu, transpose=True))
+                         / grad_scale)
     complementarity = float((mu * np.abs(lam - quotients)).max() / (1.0 + abs(lam)))
 
     tol_active = 1e-8 * (1.0 + abs(lam))
@@ -630,6 +699,25 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     )
 
 
+def _spectral_norm(jac: np.ndarray, m: int, n: int) -> float:
+    """|J|_2 of J on an (m*n, 3m) band, from the top eigenvalue of J^T J.
+
+    Ordered node-major (flat index i*m + k), J^T J is a band of half-width
+    2(2m - 1); ``scipy.linalg.eig_banded`` finds its largest eigenvalue alone.
+    """
+    big = m * n
+    sparse = model.band_csc(jac, m, n)
+    gram = (sparse.T @ sparse).tocoo()
+    rows, cols = (gram.row % n) * m + gram.row // n, (gram.col % n) * m + gram.col // n
+    width = min(2 * (2 * m - 1), big - 1)
+    upper = rows <= cols
+    band = np.zeros((width + 1, big))
+    band[width + rows[upper] - cols[upper], cols[upper]] = gram.data[upper]
+    top = scipy.linalg.eig_banded(band, eigvals_only=True, select="i",
+                                  select_range=(big - 1, big - 1))
+    return float(np.sqrt(max(top[0], 0.0)))
+
+
 def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
              options: SolverOptions | None = None) -> MinimaxCertificate:
     """Solve lambda_r* = sup over the open cone of min_i R(u, eta_i).
@@ -637,12 +725,16 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
     Runs ``n_starts`` SLP instances (the torsion-profile default start plus
     seeded random cone perturbations, or ``u0`` if given).  For a nonlinear
     problem with ``polish=True`` each start stops at the loose gain
-    ``_LOOSE_GAIN``, every converged start is polished on the bordered fold
-    system (a failed polish is retried once from the start resumed at
-    ``tol_kkt``), and the largest polished value wins; ``polish_failed`` means
-    no start polished.  Otherwise the best SLP point at ``tol_kkt`` is kept.
-    ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported in the
-    certificate status, not raised.
+    ``_LOOSE_GAIN``, every converged start is polished by Newton on the
+    minimally augmented fold system (a failed polish is retried once from the
+    start resumed at ``tol_kkt``), and the largest polished value wins;
+    ``polish_failed`` means no start polished.  Otherwise the best SLP point
+    at ``tol_kkt`` is kept.  ``cone_collapse`` and ``unbounded_ascent``
+    outcomes are reported in the certificate status, not raised.  The
+    polish and the certificate factor sparse bordered matrices of J and take
+    no SVD: ``sigma_min`` is an upper bound from the bordered null vectors,
+    which is all the singularity test needs, and ``jac_norm`` comes from
+    ``scipy.linalg.eig_banded``.
     """
     options = options or SolverOptions()
     if spec.q >= 1.0 and not spec.diagnostic:

@@ -8,7 +8,8 @@ checked by sampling; they cannot be proved for black-box callables.
 
 The Galerkin Jacobian is block-tridiagonal (each of its m x m blocks is a
 tridiagonal matrix), so ``jacobian_parts`` assembles it on an (m*n, 3m)
-band; dense matrices are expanded only on request.
+band; ``band_csc`` turns a band, optionally bordered by one row and column,
+into a sparse matrix, and dense matrices are expanded only on request.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import mesh_fem
 from .mesh_fem import Coefficient, Mesh1D
@@ -185,7 +187,7 @@ def g_tt_values(spec: ProblemSpec, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return spec.q * (spec.q - 1.0) * a * np.power(t, spec.q - 2.0)
 
 
-def _field_quadrature(spec: ProblemSpec, mesh: Mesh1D, values: np.ndarray):
+def quadrature_samples(spec: ProblemSpec, mesh: Mesh1D, values: np.ndarray):
     """Quadrature samples of P1 fields with coefficients ``values``.
 
     ``values`` is (m, n) for one field or (S, m, n) for a stack of S fields.
@@ -200,17 +202,18 @@ def _field_quadrature(spec: ProblemSpec, mesh: Mesh1D, values: np.ndarray):
     return x, tq.swapaxes(0, -3).reshape(spec.m, -1), shape
 
 
-def eval_residual_terms(spec: ProblemSpec, mesh: Mesh1D, u):
+def eval_residual_terms(spec: ProblemSpec, mesh: Mesh1D, u, samples=None):
     """Load vectors (<f(u), psi_i>, <g(u), psi_i>), each of shape (m, n_interior).
 
     ``u`` is an FEField, or coefficients (S, m, n_interior) of a stack of S
     fields; a stack is sampled in one call to each reaction callback, and
-    its loads come back shaped (S, m, n_interior).
+    its loads come back shaped (S, m, n_interior).  ``samples`` passes the
+    ``quadrature_samples`` of ``u`` when the caller already holds them.
     """
     values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
     if not np.all(values >= 0.0):
         raise ConeError("residual terms require a field in the closed cone")
-    x, t, shape = _field_quadrature(spec, mesh, values)
+    x, t, shape = quadrature_samples(spec, mesh, values) if samples is None else samples
     fv = np.asarray(spec.f(x, t), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise ValueError("reaction sample is not finite")
@@ -255,6 +258,63 @@ def band_to_dense(band: np.ndarray, m: int, n: int) -> np.ndarray:
     return dense
 
 
+def band_matvec(band: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """B x, or B^T x, for an (m*n, 3m) band B (layout of ``band_pattern``), flat."""
+    big, width = band.shape
+    m = width // 3
+    n = big // m
+    blocks = band.reshape(m, n, m, 3)  # [k, i, l, s] couples (k, i) with (l, i + s - 1)
+    if not transpose:
+        padded = np.zeros((m, n + 2))
+        padded[:, 1:-1] = x.reshape(m, n)
+        neighbours = np.stack([padded[:, s:s + n] for s in range(3)], axis=-1)
+        return np.einsum("kils,lis->ki", blocks, neighbours).ravel()
+    terms = np.einsum("kils,ki->lis", blocks, x.reshape(m, n))
+    out = np.zeros((m, n + 2))
+    for s in range(3):
+        out[:, s:s + n] += terms[:, :, s]
+    return out[:, 1:-1].ravel()
+
+
+@functools.lru_cache(maxsize=16)
+def _csc_layout(m: int, n: int, bordered: bool):
+    """Compressed-column structure of an (m*n, 3m) band, optionally bordered.
+
+    The values of ``band_csc`` are laid out as the band entries in
+    ``band_pattern`` order, then (if bordered) the border column, the border
+    row and the corner; ``order`` permutes them into column-major order.
+    Returns read-only (band index, order, row indices, column pointers) and
+    the matrix size.
+    """
+    index, rows, cols = band_pattern(m, n)
+    big = m * n
+    if bordered:
+        rows = np.concatenate([rows, np.arange(big), np.full(big + 1, big)])
+        cols = np.concatenate([cols, np.full(big, big), np.arange(big + 1)])
+    size = big + int(bordered)
+    order = np.lexsort((rows, cols))
+    layout = (index, order, rows[order].astype(np.int32),
+              np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32))
+    for a in layout:
+        a.flags.writeable = False
+    return layout + (size,)
+
+
+def band_csc(band: np.ndarray, m: int, n: int, col: np.ndarray | None = None,
+             row: np.ndarray | None = None, corner: float = 0.0) -> scipy.sparse.csc_array:
+    """Sparse matrix of an (m*n, 3m) band (layout of ``band_pattern``) in CSC form.
+
+    With ``col`` and ``row`` it is the bordered (m*n + 1)-square matrix
+    [B col; row^T corner].  The structure is built once per (m, n); each
+    call only gathers the values.
+    """
+    index, order, indices, indptr, size = _csc_layout(m, n, col is not None)
+    values = band.ravel()[index]
+    if col is not None:
+        values = np.concatenate([values, col, row, [corner]])
+    return scipy.sparse.csc_array((values[order], indices, indptr), shape=(size, size))
+
+
 def _block_diagonal_band(rows: np.ndarray) -> np.ndarray:
     """(m*n, 3m) band of a block-diagonal matrix from its (m, n, 3) block bands."""
     m, n, _ = rows.shape
@@ -281,6 +341,10 @@ class JacobianParts:
     mass_f_band: np.ndarray
     mass_g_band: np.ndarray
 
+    def jacobian_band(self, lam: float) -> np.ndarray:
+        """Band of J(u, lambda) = stiffness - mass_f - lambda * mass_g."""
+        return self.stiffness_band - self.mass_f_band - lam * self.mass_g_band
+
     @functools.cached_property
     def stiffness(self) -> np.ndarray:
         return band_to_dense(self.stiffness_band, self.m, self.n)
@@ -295,20 +359,22 @@ class JacobianParts:
 
 
 def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
-                   blocks: tuple | None = None) -> JacobianParts:
+                   blocks: tuple | None = None, samples=None) -> JacobianParts:
     """Assemble the stiffness, reaction-mass and parameter-mass bands at u.
 
     Block (k, l) of the reaction mass is the tridiagonal mass matrix weighted
     by df^k/dt_l evaluated along u; the parameter mass is block diagonal with
     weights dg^k/dt_k.  Only the diagonals are assembled.  Requires u in the
     open cone (the parameter-term linearization is singular on the boundary).
+    ``samples`` passes the ``quadrature_samples`` of ``u`` when the caller
+    already holds them.
     """
     require_open_cone(u, "jacobian assembly")
     m, n = spec.m, mesh.n_interior
     if blocks is None:
         blocks = stiffness_blocks(spec, mesh)
 
-    x, t, shape = _field_quadrature(spec, mesh, u.values)
+    x, t, shape = quadrature_samples(spec, mesh, u.values) if samples is None else samples
     fj = np.asarray(spec.f_jac(x, t), dtype=float).reshape((m, m) + shape)
     if not np.all(np.isfinite(fj)):
         raise ValueError("reaction Jacobian sample is not finite")
@@ -330,51 +396,47 @@ def eval_jacobian(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float) -> np
 
     Component blocks are ordered k-major: flat index = k * n_interior + i.
     """
-    parts = jacobian_parts(spec, mesh, u)
-    return parts.stiffness - parts.mass_f - lam * parts.mass_g
+    return band_to_dense(jacobian_parts(spec, mesh, u).jacobian_band(lam), spec.m, mesh.n_interior)
 
 
 def adjoint_curvature(spec: ProblemSpec, mesh: Mesh1D, u: FEField, w: np.ndarray,
-                      lam: float) -> np.ndarray:
-    """Derivative in u of the adjoint action u -> J(u, lambda)^T w.
+                      v: np.ndarray, lam: float) -> np.ndarray:
+    """Directional second derivative C(w) v = d/de J(u + e v, lambda)^T w, flat.
 
-    Uses the analytic reaction Hessian when the problem supplies one;
-    otherwise central finite differences column by column.
+    C(w) is the Hessian of u -> w . F(u, lambda), so it is symmetric and
+    C(w) v is also the gradient of u -> w^T J(u, lambda) v.  With the
+    analytic reaction Hessian it is one load vector with the weight
+    sum_{k,l} d2f^k/dt_l dt_s w^k v^l + lambda g^s_tt w^s v^s in component s.
+    Without one it is a central difference of J^T w between two band
+    assemblies at u +- e v, with e small enough that both stay in the cone.
     """
     require_open_cone(u, "adjoint curvature")
     m, n = spec.m, mesh.n_interior
-    big = m * n
+    w = np.asarray(w, dtype=float).reshape(m, n)
+    v = np.asarray(v, dtype=float).reshape(m, n)
     if spec.f_hess is not None:
-        x, t, shape = _field_quadrature(spec, mesh, u.values)
+        x, t, shape = quadrature_samples(spec, mesh, u.values)
         fh = np.asarray(spec.f_hess(x, t), dtype=float).reshape((m, m, m) + shape)
         gtt = g_tt_values(spec, x, t).reshape((m,) + shape)
-        wq = mesh_fem.values_at_quadrature(mesh, np.asarray(w).reshape(m, n))
-        # weight of block (l, s): sum_k d2f^k/dt_l dt_s * w_hat^k
-        fweight = np.einsum("kls...,k...->ls...", fh, wq)
-        gweight = gtt * wq
-        fdiag, foff = mesh_fem.weighted_mass(mesh, fweight)
-        gdiag, goff = mesh_fem.weighted_mass(mesh, gweight)
-        out = np.zeros((big, big))
-        for l in range(m):
-            sl = slice(l * n, (l + 1) * n)
-            out[sl, sl] -= lam * mesh_fem.tridiag_to_dense(gdiag[l], goff[l])
-            for s in range(m):
-                ts = slice(s * n, (s + 1) * n)
-                out[sl, ts] -= mesh_fem.tridiag_to_dense(fdiag[l, s], foff[l, s])
-        return out
+        wq = mesh_fem.values_at_quadrature(mesh, w)
+        vq = mesh_fem.values_at_quadrature(mesh, v)
+        weight = np.einsum("kls...,k...,l...->s...", fh, wq, vq) + lam * gtt * wq * vq
+        return -mesh_fem.quadrature_loads(mesh, weight).ravel()
 
-    eps = 1e-6 * (1.0 + u.sup_norm)
-    base = u.flatten()
-    out = np.zeros((big, big))
-    for j in range(big):
-        up, dn = base.copy(), base.copy()
-        up[j] += eps
-        dn[j] = max(dn[j] - eps, 0.5 * dn[j])
-        step = up[j] - dn[j]
-        jp = eval_jacobian(spec, mesh, FEField.from_flat(mesh, m, up), lam)
-        jm = eval_jacobian(spec, mesh, FEField.from_flat(mesh, m, dn), lam)
-        out[:, j] = (jp.T @ w - jm.T @ w) / step
-    return out
+    size = np.abs(v).max()
+    if size == 0.0:
+        return np.zeros(m * n)
+    moving = v != 0.0
+    step = min(1e-6 * (1.0 + u.sup_norm) / size,
+               0.5 * float((u.values[moving] / np.abs(v[moving])).min()))
+
+    def adjoint_action(e):
+        # the stiffness does not depend on u; leaving it out keeps its O(1/h)
+        # entries out of the difference
+        parts = jacobian_parts(spec, mesh, FEField(mesh, u.values + e * v))
+        return band_matvec(parts.mass_f_band + lam * parts.mass_g_band, w.ravel(), transpose=True)
+
+    return (adjoint_action(-step) - adjoint_action(step)) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------
@@ -616,52 +678,62 @@ def cooperative_product(m: int = 2, q: float = 0.5, beta=2.0, alpha=0.5,
         return np.stack([mesh_fem._sample(bf, np.asarray(x, dtype=float))
                          for bf in b_funcs])
 
-    def f(x, t):
-        bs = _b_samples(x)
+    # the coupling factors of f^k, in the order they multiply its own power
+    couplings = [[j for j in range(m) if j != k and alpha_t[k, j] != 0.0] for k in range(m)]
+
+    def _factors(x, t):
+        """b samples, 1 + t and every power (1 + t_j)^alpha_kj, computed once per call."""
+        shifted = 1.0 + t
+        powers = {(k, j): np.power(shifted[j], alpha_t[k, j])
+                  for k in range(m) for j in couplings[k]}
+        return _b_samples(x), shifted, powers
+
+    def _coupled(k, prod, powers):
+        for j in couplings[k]:
+            prod = prod * powers[k, j]
+        return prod
+
+    def _values(t, bs, powers):
         out = np.empty_like(t)
         for k in range(m):
-            prod = np.power(t[k], beta_t[k])
-            for j in range(m):
-                if j != k and alpha_t[k, j] != 0.0:
-                    prod = prod * np.power(1.0 + t[j], alpha_t[k, j])
-            out[k] = bs[k] * prod
+            out[k] = bs[k] * _coupled(k, np.power(t[k], beta_t[k]), powers)
         return out
 
+    def _own_derivative(k, t, bs, powers):
+        """df^k/dt_k."""
+        return _coupled(k, bs[k] * beta_t[k] * np.power(t[k], beta_t[k] - 1.0), powers)
+
+    def f(x, t):
+        bs, _, powers = _factors(x, t)
+        return _values(t, bs, powers)
+
     def f_jac(x, t):
-        fv = f(x, t)
-        bs = _b_samples(x)
+        bs, shifted, powers = _factors(x, t)
+        fv = _values(t, bs, powers)
         out = np.zeros((m, m) + t.shape[1:])
         for k in range(m):
-            own = bs[k] * beta_t[k] * np.power(t[k], beta_t[k] - 1.0)
-            for j in range(m):
-                if j != k and alpha_t[k, j] != 0.0:
-                    own = own * np.power(1.0 + t[j], alpha_t[k, j])
-            out[k, k] = own
-            for l in range(m):
-                if l != k and alpha_t[k, l] != 0.0:
-                    out[k, l] = fv[k] * alpha_t[k, l] / (1.0 + t[l])
+            out[k, k] = _own_derivative(k, t, bs, powers)
+            for l in couplings[k]:
+                out[k, l] = fv[k] * alpha_t[k, l] / shifted[l]
         return out
 
     def f_hess(x, t):
-        fv = f(x, t)
-        fj = f_jac(x, t)
+        bs, shifted, powers = _factors(x, t)
+        fv = _values(t, bs, powers)
         out = np.zeros((m, m, m) + t.shape[1:])
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(m):
-                out[k, k, k] = fj[k, k] * (beta_t[k] - 1.0) / np.maximum(t[k], 1e-300)
-                for l in range(m):
-                    if l == k:
-                        continue
+                own = _own_derivative(k, t, bs, powers)
+                out[k, k, k] = own * (beta_t[k] - 1.0) / np.maximum(t[k], 1e-300)
+                for l in couplings[k]:
                     al = alpha_t[k, l]
-                    if al != 0.0:
-                        cross = fj[k, k] * al / (1.0 + t[l])
-                        out[k, k, l] = cross
-                        out[k, l, k] = cross
-                        out[k, l, l] = fv[k] * al * (al - 1.0) / (1.0 + t[l]) ** 2
-                    for s in range(m):
-                        if s != k and s != l and alpha_t[k, s] != 0.0 and al != 0.0:
-                            out[k, l, s] = fv[k] * al * alpha_t[k, s] / (
-                                (1.0 + t[l]) * (1.0 + t[s]))
+                    cross = own * al / shifted[l]
+                    out[k, k, l] = cross
+                    out[k, l, k] = cross
+                    out[k, l, l] = fv[k] * al * (al - 1.0) / shifted[l] ** 2
+                    for s in couplings[k]:
+                        if s != l:
+                            out[k, l, s] = fv[k] * al * alpha_t[k, s] / (shifted[l] * shifted[s])
         return out
 
     gamma0 = float(beta_t.min())

@@ -41,6 +41,7 @@ class GalerkinTerms:
     f_load: np.ndarray
     g_load: np.ndarray
     blocks: tuple
+    samples: tuple  # model.quadrature_samples of u, reused by model.jacobian_parts
 
     def quotients(self) -> np.ndarray:
         """Per-direction quotients R(u, eta_i), flat (component-major).
@@ -68,8 +69,10 @@ def galerkin_terms(spec: ProblemSpec, mesh: Mesh1D, u,
         blocks = model.stiffness_blocks(spec, mesh)
     values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
     action = np.stack([blocks[k].matvec(values[..., k, :]) for k in range(spec.m)], axis=-2)
-    f_load, g_load = model.eval_residual_terms(spec, mesh, values)
-    return GalerkinTerms(stiff_action=action, f_load=f_load, g_load=g_load, blocks=blocks)
+    samples = model.quadrature_samples(spec, mesh, values)
+    f_load, g_load = model.eval_residual_terms(spec, mesh, values, samples)
+    return GalerkinTerms(stiff_action=action, f_load=f_load, g_load=g_load, blocks=blocks,
+                         samples=samples)
 
 
 def rayleigh_quotient(spec: ProblemSpec, mesh: Mesh1D, u: FEField, v: FEField,
@@ -147,14 +150,17 @@ def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
     N_i the stiffness-minus-reaction pairing and D_i = <g(u), eta_i>:
         grad R_i = [row_i(A - f_u-mass) - R_i row_i(g_u-mass)] / D_i,
     entry by entry on the band.  The denominators are checked here;
-    ``quotients`` passes R_i when the caller already holds them.
+    ``quotients`` passes R_i when the caller already holds them.  Without
+    ``parts`` the bands are assembled from the quadrature samples ``terms``
+    already took, and ``model.jacobian_parts`` checks the cone.
     ``model.band_to_dense`` expands the stencil to the dense gradient matrix.
     """
-    model.require_open_cone(u, "quotient gradient")
     if terms is None:
         terms = galerkin_terms(spec, mesh, u)
     if parts is None:
-        parts = model.jacobian_parts(spec, mesh, u, blocks=terms.blocks)
+        parts = model.jacobian_parts(spec, mesh, u, blocks=terms.blocks, samples=terms.samples)
+    else:
+        model.require_open_cone(u, "quotient gradient")
     denom = terms.g_load.ravel()
     if np.any(denom <= TOL_DENOM):
         raise DenominatorError("a direction pairing <g(u), eta_i> is not positive")

@@ -245,6 +245,69 @@ class TestTwoPhaseMaximize:
         assert cert.status == "polish_failed"
         assert not cert.valid
 
+    def test_cold_default_solve_at_n512_is_certified(self):
+        spec = scalar_power(0.5, 2.0)
+        mesh = build_mesh(512)
+        cert = maximize(spec, mesh)
+        assert cert.valid and cert.status == "polished"
+        assert verify_certificate(spec, mesh, cert).valid
+
+
+def fold_case(name):
+    spec, n = {
+        "scalar_power-n64": (scalar_power(0.5, 2.0), 64),
+        "cooperative_product-m3-n32": (builtin_problem("cooperative_product", {"m": 3}), 32),
+        "linear_diagnostic-m1-n32": (linear_diagnostic(), 32),
+        "scalar_power-no-hessian-n64": (dataclasses.replace(scalar_power(0.5, 2.0), f_hess=None),
+                                        64),
+        # one unknown: J itself vanishes at the fold
+        "scalar_power-q0.3-n2": (scalar_power(0.3, 3.0), 2),
+    }[name]
+    return spec, build_mesh(n)
+
+
+class TestBandedFoldSystem:
+    """Polish and certificate on the band: no SVD, no dense solve, no dense matrix."""
+
+    @pytest.mark.parametrize("name", ["scalar_power-n64", "cooperative_product-m3-n32",
+                                      "linear_diagnostic-m1-n32", "scalar_power-no-hessian-n64",
+                                      "scalar_power-q0.3-n2"])
+    def test_maximize_runs_without_dense_linear_algebra(self, name, monkeypatch):
+        spec, mesh = fold_case(name)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense linear algebra in maximize")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", dense)
+            patch.setattr(np.linalg, "solve", dense)
+            patch.setattr(model, "band_to_dense", dense)
+            patch.setattr(model, "eval_jacobian", dense)
+            for view in ("stiffness", "mass_f", "mass_g"):
+                patch.setattr(model.JacobianParts, view, property(dense))
+            cert = maximize(spec, mesh)
+        assert cert.valid and cert.status == "polished" and cert.starts_agree
+        assert verify_certificate(spec, mesh, cert).valid  # the audit's dense SVD
+        if name == "scalar_power-no-hessian-n64":
+            with_hessian = maximize(scalar_power(0.5, 2.0), mesh)
+            assert abs(cert.lambda_star - with_hessian.lambda_star) <= 1e-10
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_certificate_norms_against_dense_svd(self, m, n):
+        spec = scalar_power(0.5, 2.0) if m == 1 else builtin_problem("cooperative_product",
+                                                                     {"m": m})
+        mesh = build_mesh(n)
+        u = np.random.default_rng(m * n).uniform(0.5, 1.5, m * mesh.n_interior)
+        lam = 4.0
+        cert = minimax_solver._certificate(spec, mesh, u, lam, "polished", 0, 0, True, 0.0,
+                                           SolverOptions(), model.stiffness_blocks(spec, mesh))
+        svals = np.linalg.svd(model.eval_jacobian(spec, mesh, FEField.from_flat(mesh, m, u), lam),
+                              compute_uv=False)
+        assert abs(cert.jac_norm - svals[0]) <= 1e-12 * svals[0]
+        # an upper bound from the bordered null vectors, up to the dense SVD's rounding
+        assert cert.sigma_min >= svals[-1] * (1.0 - 1e-12)
+
 
 def row_form(dense):
     """Row-wise ``(start, index, value)`` of the nonzeros of a dense matrix."""

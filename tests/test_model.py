@@ -214,24 +214,138 @@ class TestJacobian:
         bottom_left = parts.mass_f[n:, :n]
         assert np.abs(top_right - bottom_left).max() > 1e-8
 
-    def test_adjoint_curvature_matches_fd_fallback(self):
+    @pytest.mark.parametrize("spec", [
+        scalar_power(0.5, 2.0),
+        cooperative_product(m=2, beta=(2.0, 3.0), alpha=0.7),
+        cooperative_product(m=3, alpha=[[0.0, 0.4, 0.0], [0.3, 0.0, 0.6], [0.5, 0.2, 0.0]]),
+    ], ids=["scalar_power", "cooperative_product-m2", "cooperative_product-m3"])
+    def test_adjoint_curvature_matches_fd_fallback(self, spec):
         import dataclasses
 
-        mesh = build_mesh(6)
-        spec = scalar_power(0.5, 2.0)
+        mesh = build_mesh(9)
+        m, n = spec.m, mesh.n_interior
         rng = np.random.default_rng(3)
-        u = random_interior_field(mesh, 1, rng)
-        w = rng.standard_normal(mesh.n_interior)
-        analytic = model.adjoint_curvature(spec, mesh, u, w, 0.7)
+        u = random_interior_field(mesh, m, rng)
+        w = rng.standard_normal(m * n)
+        v = rng.uniform(0.2, 1.0, m * n)
+        lam = 0.7
+        analytic = model.adjoint_curvature(spec, mesh, u, w, v, lam)
+        scale = np.abs(analytic).max()
+        assert scale > 0.0
+        # the vector is the dense curvature matrix d/du (J(u, lam)^T w) times v
+        expected = dense_adjoint_curvature(spec, mesh, u, w, lam) @ v
+        assert np.abs(analytic - expected).max() <= 1e-13 * scale
         no_hess = dataclasses.replace(spec, f_hess=None)
-        fd = model.adjoint_curvature(no_hess, mesh, u, w, 0.7)
-        assert np.abs(analytic - fd).max() <= 1e-5 * max(np.abs(analytic).max(), 1.0)
+        fd = model.adjoint_curvature(no_hess, mesh, u, w, v, lam)
+        assert np.abs(analytic - fd).max() <= 1e-6 * scale
+
+
+def dense_adjoint_curvature(spec, mesh, u, w, lam):
+    """The (m*n, m*n) matrix d/du (J(u, lam)^T w), block by block from ``weighted_mass``.
+
+    Block (l, s) is minus the mass matrix weighted by
+    sum_k d2f^k/dt_l dt_s w^k, and block (l, l) also by lam g^l_tt w^l.
+    """
+    m, n = spec.m, mesh.n_interior
+    xq, _, _, _ = mesh_fem.element_quadrature(mesh)
+    tq = mesh_fem.values_at_quadrature(mesh, u.values).reshape(m, -1)
+    fh = spec.f_hess(xq.ravel(), tq).reshape((m, m, m) + xq.shape)
+    gtt = model.g_tt_values(spec, xq.ravel(), tq).reshape((m,) + xq.shape)
+    wq = mesh_fem.values_at_quadrature(mesh, w.reshape(m, n))
+    fweight = np.einsum("kls...,k...->ls...", fh, wq)
+    out = np.zeros((m * n, m * n))
+    for l in range(m):
+        sl = slice(l * n, (l + 1) * n)
+        gmass = mesh_fem.weighted_mass(mesh, gtt[l] * wq[l])
+        out[sl, sl] -= lam * mesh_fem.tridiag_to_dense(*gmass)
+        for s in range(m):
+            out[sl, s * n:(s + 1) * n] -= mesh_fem.tridiag_to_dense(
+                *mesh_fem.weighted_mass(mesh, fweight[l, s]))
+    return out
 
 
 def residual_of(spec, mesh, u, lam):
     from minimax_fold.rayleigh import residual
 
     return residual(spec, mesh, u, lam)
+
+
+def looped_cooperative_callbacks(m, beta, alpha, b):
+    """``cooperative_product``'s f, f_jac and f_hess as first written: f_jac
+    calls f, f_hess calls both, and every power is taken where it is used."""
+    beta_t = np.array([float(v) for v in beta])
+    alpha_t = np.asarray(alpha, dtype=float).copy()
+    np.fill_diagonal(alpha_t, 0.0)
+
+    def b_samples(x):
+        return np.stack([mesh_fem._sample(bf, np.asarray(x, dtype=float)) for bf in b])
+
+    def f(x, t):
+        bs = b_samples(x)
+        out = np.empty_like(t)
+        for k in range(m):
+            prod = np.power(t[k], beta_t[k])
+            for j in range(m):
+                if j != k and alpha_t[k, j] != 0.0:
+                    prod = prod * np.power(1.0 + t[j], alpha_t[k, j])
+            out[k] = bs[k] * prod
+        return out
+
+    def f_jac(x, t):
+        fv = f(x, t)
+        bs = b_samples(x)
+        out = np.zeros((m, m) + t.shape[1:])
+        for k in range(m):
+            own = bs[k] * beta_t[k] * np.power(t[k], beta_t[k] - 1.0)
+            for j in range(m):
+                if j != k and alpha_t[k, j] != 0.0:
+                    own = own * np.power(1.0 + t[j], alpha_t[k, j])
+            out[k, k] = own
+            for l in range(m):
+                if l != k and alpha_t[k, l] != 0.0:
+                    out[k, l] = fv[k] * alpha_t[k, l] / (1.0 + t[l])
+        return out
+
+    def f_hess(x, t):
+        fv = f(x, t)
+        fj = f_jac(x, t)
+        out = np.zeros((m, m, m) + t.shape[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(m):
+                out[k, k, k] = fj[k, k] * (beta_t[k] - 1.0) / np.maximum(t[k], 1e-300)
+                for l in range(m):
+                    if l == k:
+                        continue
+                    al = alpha_t[k, l]
+                    if al != 0.0:
+                        cross = fj[k, k] * al / (1.0 + t[l])
+                        out[k, k, l] = cross
+                        out[k, l, k] = cross
+                        out[k, l, l] = fv[k] * al * (al - 1.0) / (1.0 + t[l]) ** 2
+                    for s in range(m):
+                        if s != k and s != l and alpha_t[k, s] != 0.0 and al != 0.0:
+                            out[k, l, s] = fv[k] * al * alpha_t[k, s] / (
+                                (1.0 + t[l]) * (1.0 + t[s]))
+        return out
+
+    return f, f_jac, f_hess
+
+
+class TestCooperativeProductCallbacks:
+    @pytest.mark.parametrize("m, beta, alpha", [
+        (1, (2.0,), [[0.0]]),
+        (2, (2.0, 3.0), [[0.0, 0.7], [0.0, 0.0]]),
+        (3, (2.0, 2.5, 3.0), [[0.0, 0.4, 0.0], [0.3, 0.0, 0.6], [0.5, 0.2, 0.0]]),
+    ])
+    def test_bit_identical_to_looped_formulas(self, m, beta, alpha):
+        b = [1.0, lambda x: 1.0 + x, 2.0][:m]
+        spec = cooperative_product(m=m, beta=beta, alpha=np.array(alpha), b=b)
+        reference = looped_cooperative_callbacks(m, beta, alpha, b)
+        rng = np.random.default_rng(m)
+        x = rng.uniform(0.0, 1.0, 40)
+        t = rng.uniform(1e-3, 3.0, (m, 40))
+        for got, expected in zip((spec.f, spec.f_jac, spec.f_hess), reference):
+            assert np.array_equal(got(x, t), expected(x, t))
 
 
 class TestConditionD:

@@ -291,3 +291,23 @@ class TestGradientStencil:
         again = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, parts=parts,
                                             quotients=terms.quotients())
         assert np.array_equal(again, stencil)
+
+    def test_reused_samples_give_identical_bands(self, name, n_interior):
+        spec, mesh, u, terms, parts = stencil_case(name, n_interior)
+        reused = model.jacobian_parts(spec, mesh, u, blocks=terms.blocks, samples=terms.samples)
+        for band in ("stiffness_band", "mass_f_band", "mass_g_band"):
+            assert np.array_equal(getattr(reused, band), getattr(parts, band))
+
+    def test_sparse_matrices_match_dense(self, name, n_interior):
+        spec, mesh, u, terms, parts = stencil_case(name, n_interior)
+        m, n = spec.m, n_interior
+        dense = parts.stiffness - parts.mass_f - 1.7 * parts.mass_g
+        band = parts.jacobian_band(1.7)
+        assert np.array_equal(model.band_to_dense(band, m, n), dense)
+        assert np.array_equal(model.eval_jacobian(spec, mesh, u, 1.7), dense)
+        assert np.array_equal(model.band_csc(band, m, n).toarray(), dense)
+        rng = np.random.default_rng(0)
+        col, row = rng.standard_normal((2, m * n))
+        bordered = model.band_csc(band, m, n, col, row, 0.5)
+        assert np.array_equal(bordered.toarray(),
+                              np.block([[dense, col[:, None]], [row[None, :], 0.5]]))
