@@ -42,6 +42,7 @@ from .minimax_solver import (
     NewtonResult,
     SolverOptions,
     continuation_sweep,
+    continue_certificate,
     maximize,
     newton_solve,
     recover_adjoint,

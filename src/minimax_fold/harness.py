@@ -25,6 +25,7 @@ from .minimax_solver import (
     MinimaxCertificate,
     SolverOptions,
     continuation_sweep,
+    continue_certificate,
     maximize,
 )
 from .model import FEField, ProblemSpec, builtin_problem
@@ -90,6 +91,8 @@ class RunConfig:
         if any(n < 2 for n in sizes):
             raise ConfigError("mesh sizes must be >= 2")
         object.__setattr__(self, "mesh_sizes", sizes)
+        if self.study == "refine" and len(sizes) < 3:
+            raise ConfigError("the refine study needs at least 3 mesh sizes")
         if self.study == "perturb":
             # the two-sided example perturbs scalar_power(q, gamma) by kappa u^gamma1
             if self.problem_name != "scalar_power":
@@ -151,6 +154,7 @@ class RefinementRow:
     u_diff_sup: Optional[float]
     sigma_min: float
     in_window: Optional[bool]
+    start: str
 
 
 @dataclass(frozen=True)
@@ -170,25 +174,29 @@ class RefinementTable:
 
 
 def refinement_study(config: RunConfig) -> RefinementTable:
-    """Run maximize per mesh size with warm starts interpolated from coarse."""
-    if len(config.mesh_sizes) < 3:
-        raise ConfigError("refinement study needs at least 3 mesh sizes")
+    """Solve per mesh size by nested iteration: one multistart, then continuation.
+
+    The first size, and any size after an invalid certificate, runs the full
+    ``maximize`` multistart.  Every other size continues the previous
+    certificate (``continue_certificate``): its field, interpolated onto the
+    finer mesh, starts the fold polish.  Each row records its ``start``:
+    ``multistart``, ``continued`` or ``fallback``.
+    """
     spec = config.spec()
     rows = []
     certs = []
     prev_cert: Optional[MinimaxCertificate] = None
     for n in config.mesh_sizes:
         mesh = config.mesh(n)
-        u0 = None
+        coarse_on_fine = None if prev_cert is None else prev_cert.u_star.transfer_to(mesh)
         if prev_cert is not None and prev_cert.valid:
-            warm = prev_cert.u_star.transfer_to(mesh)
-            if warm.interior:
-                u0 = warm
-        cert = maximize(spec, mesh, u0=u0, options=config.solver)
+            cert, start = continue_certificate(spec, mesh, prev_cert, config.solver,
+                                               warm=coarse_on_fine)
+        else:
+            cert, start = maximize(spec, mesh, options=config.solver), "multistart"
         delta = None if prev_cert is None else abs(cert.lambda_star - prev_cert.lambda_star)
         u_diff = None
-        if prev_cert is not None:
-            coarse_on_fine = prev_cert.u_star.transfer_to(mesh)
+        if coarse_on_fine is not None:
             u_diff = float(np.abs(coarse_on_fine.values - cert.u_star.values).max())
         in_window = None
         if config.lambda_window is not None:
@@ -196,7 +204,8 @@ def refinement_study(config: RunConfig) -> RefinementTable:
             in_window = bool(lo < cert.lambda_star < hi)
         rows.append(RefinementRow(n=n, h=mesh.h_max, lambda_star=cert.lambda_star,
                                   delta_prev=delta, u_diff_sup=u_diff,
-                                  sigma_min=cert.sigma_min, in_window=in_window))
+                                  sigma_min=cert.sigma_min, in_window=in_window,
+                                  start=start))
         certs.append(cert)
         prev_cert = cert
     return RefinementTable(rows=tuple(rows), certificates=tuple(certs))
@@ -472,9 +481,9 @@ def run(config: RunConfig) -> int:
             table = refinement_study(config)
             write_csv(out / "table.csv",
                       ["n", "h", "lambda_star", "delta_prev", "u_diff_sup",
-                       "sigma_min", "in_window"],
+                       "sigma_min", "in_window", "start"],
                       [(r.n, r.h, r.lambda_star, r.delta_prev, r.u_diff_sup,
-                        r.sigma_min, r.in_window) for r in table.rows])
+                        r.sigma_min, r.in_window, r.start) for r in table.rows])
             write_certificate(out / "certificate.json", table.certificates[-1])
             write_csv(plot_dir / "convergence.csv",
                       ["h", "lambda_star", "delta_prev"],
@@ -502,10 +511,10 @@ def run(config: RunConfig) -> int:
                                         config.perturb_kappas, mesh, options=config.solver)
             write_csv(out / "table.csv",
                       ["kappa", "lambda_base", "lambda_pert", "shift",
-                       "lower_shift", "upper_shift", "analytic_cap", "bounds_hold"],
+                       "lower_shift", "upper_shift", "analytic_cap", "bounds_hold", "start"],
                       [(r.kappa_norm, r.lambda_base, r.lambda_pert,
                         r.lambda_pert - r.lambda_base, r.lower_shift, r.upper_shift,
-                        r.analytic_cap, r.bounds_hold) for r in reports])
+                        r.analytic_cap, r.bounds_hold, r.start) for r in reports])
             write_certificate(out / "certificate.json", reports[0].base_cert)
             write_csv(plot_dir / "shift_vs_kappa.csv", ["kappa", "shift"],
                       [(r.kappa_norm, r.lambda_base - r.lambda_pert) for r in reports])

@@ -39,6 +39,11 @@ multipliers are recovered through kappa_i = mu_i / <g(u*), eta_i>, and an
 upper bound on sigma_min(J); |J|_2 comes from the top eigenvalue of the
 banded J^T J.  No SVD is taken and no dense matrix is built.
 
+``continue_certificate`` is nested iteration on top of ``maximize``: it
+carries a VALID certificate to a finer mesh or a nearby problem by one fold
+polish from its field, guarded by one SLP step, with the full multistart as
+the fallback.
+
 Everything is deterministic for fixed options and seed: fixed iteration
 order, seeded multi-starts, no timing dependence.
 """
@@ -104,7 +109,9 @@ class MinimaxCertificate:
     eigenvalue of J^T J (``scipy.linalg.eig_banded`` on its band).
     ``valid`` requires all four residuals below ``tol_cert``, sigma_min below
     1e-6 * |J|_2 (or J itself at assembly roundoff), and both fields inside
-    their cones.
+    their cones.  ``starts_agree`` and ``lambda_spread_starts`` describe the
+    multistart of ``maximize``; a certificate from ``continue_certificate``
+    carries those of the multistart its chain started from.
     """
 
     lambda_star: float
@@ -734,7 +741,9 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
     polish and the certificate factor sparse bordered matrices of J and take
     no SVD: ``sigma_min`` is an upper bound from the bordered null vectors,
     which is all the singularity test needs, and ``jac_norm`` comes from
-    ``scipy.linalg.eig_banded``.
+    ``scipy.linalg.eig_banded``.  ``starts_agree`` compares the values of
+    this call's starts.  To carry a VALID certificate to a finer mesh or a
+    nearby problem without a new multistart, use ``continue_certificate``.
     """
     options = options or SolverOptions()
     if spec.q >= 1.0 and not spec.diagnostic:
@@ -812,6 +821,57 @@ def _agreement(lams, lam_best: float, options: SolverOptions):
     """Spread of the multi-start values and whether it is within tolerance."""
     spread = float(max(lams) - min(lams)) if len(lams) > 1 else 0.0
     return spread, spread <= options.multistart_rel_tol * (1.0 + abs(lam_best))
+
+
+def continue_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertificate,
+                         options: SolverOptions | None = None,
+                         warm: FEField | None = None) -> tuple[MinimaxCertificate, str]:
+    """Carry a VALID certificate to a new mesh or a nearby problem: nested iteration.
+
+    Returns ``(certificate, start)``.  In the two-phase mode ``cert.u_star`` is
+    interpolated onto ``mesh`` (``warm``, when the caller has it already) and
+    the fold polish starts there at the inner minimum of that field; one SLP
+    run at ``_LOOSE_GAIN`` from the polished point must then stop on its first
+    LP, so no ascent direction leads to another branch.  Such a certificate
+    is ``continued``: its ``starts_agree`` and ``lambda_spread_starts`` are
+    those of ``cert``, the multistart the chain started from.  Should the
+    field leave the cone, the polish fail, the guard ascend or the
+    certificate be invalid, the full ``maximize`` runs instead and the start
+    is ``fallback``.  The linear diagnostic mode and ``polish=False`` run the
+    full ``maximize`` (``multistart``).  Raises ``ValueError`` unless
+    ``cert.valid``.
+    """
+    if not cert.valid:
+        raise ValueError("continuation requires a VALID certificate")
+    options = options or SolverOptions()
+    if not options.polish or spec.diagnostic:
+        return maximize(spec, mesh, options=options), "multistart"
+    if warm is None:
+        warm = cert.u_star.transfer_to(mesh)
+    new = _continued(spec, mesh, cert, warm, options)
+    if new is not None and new.valid:
+        return new, "continued"
+    return maximize(spec, mesh, options=options), "fallback"
+
+
+def _continued(spec, mesh, cert, warm, options) -> Optional[MinimaxCertificate]:
+    """Certificate polished from ``warm``, or None at the first step that fails."""
+    blocks = model.stiffness_blocks(spec, mesh)
+    try:
+        lam0 = rayleigh.inner_min(spec, mesh, warm,
+                                  rayleigh.galerkin_terms(spec, mesh, warm, blocks)).value
+    except (model.ConeError, rayleigh.DenominatorError):
+        return None
+    polished = _fold_polish(spec, mesh, warm.flatten(), lam0, blocks, options.tol_cert)
+    if not polished.ok:
+        return None
+    # guard against a branch switch: the SLP must find no ascent from the polished point
+    guard = _slp(spec, mesh, polished.u, options, blocks, _LOOSE_GAIN)
+    if guard.status != "converged" or guard.iterations != 1:
+        return None
+    return _certificate(spec, mesh, polished.u.flatten(), polished.lam, "polished",
+                        guard.iterations, polished.iterations, cert.starts_agree,
+                        cert.lambda_spread_starts, options, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mesh_fem, model, rayleigh
 from .mesh_fem import Coefficient, Mesh1D
-from .minimax_solver import MinimaxCertificate, SolverOptions, maximize
+from .minimax_solver import MinimaxCertificate, SolverOptions, continue_certificate, maximize
 from .model import FEField, ProblemSpec
 
 
@@ -76,7 +76,9 @@ class PerturbationReport:
     |kappa|_inf |u*_base|_inf^(gamma1 - q) on the decrease of the extreme
     value.  The dual-side assumption (existence of a minimax-realizing dual
     field) is not provable numerically; both bounds here come from the primal
-    estimate applied in the two directions.
+    estimate applied in the two directions.  ``start`` is how the perturbed
+    solve began (``continue_certificate``): ``continued`` from the base
+    certificate, ``fallback`` to the full multistart, or ``multistart``.
     """
 
     lambda_base: float
@@ -87,6 +89,7 @@ class PerturbationReport:
     bounds_hold: bool
     kappa_norm: float
     u_star_sup: float
+    start: str
     base_cert: Optional[MinimaxCertificate] = field(default=None, repr=False)
     pert_cert: Optional[MinimaxCertificate] = field(default=None, repr=False)
 
@@ -96,9 +99,11 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
                       tol: float = 1e-8) -> tuple:
     """Two-sided estimates for a kappa sequence, one ``PerturbationReport`` each.
 
-    The base scalar problem (kappa = 0) is solved once and shared; each kappa
-    adds one perturbed solve.  Raises ``RuntimeError`` when a certificate is
-    not VALID.
+    The base scalar problem (kappa = 0) is solved once by the full multistart
+    and shared.  Each kappa then continues the base certificate on the same
+    mesh (``continue_certificate``: a fold polish from the base maximizer,
+    the full multistart only as a fallback).  Raises ``RuntimeError`` when a
+    certificate is not VALID.
     """
     if not (0.0 < q < 1.0 and gamma > 1.0 and gamma1 > 1.0):
         raise ValueError("need 0 < q < 1 and gamma, gamma1 > 1")
@@ -114,7 +119,7 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
             if np.isscalar(kappa) else kappa
         kappa_norm = float(np.abs(kappa_fn(np.linspace(0.0, 1.0, 513))).max())
         pert_spec = model.perturbed_scalar(q=q, gamma=gamma, gamma1=gamma1, kappa=kappa_fn)
-        pert_cert = maximize(pert_spec, mesh, options=options)
+        pert_cert, start = continue_certificate(pert_spec, mesh, base_cert, options)
         if not pert_cert.valid:
             raise RuntimeError(f"solver failure: perturbed status {pert_cert.status!r}")
 
@@ -143,6 +148,7 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
             bounds_hold=bounds_hold,
             kappa_norm=kappa_norm,
             u_star_sup=float(u_sup),
+            start=start,
             base_cert=base_cert,
             pert_cert=pert_cert,
         ))

@@ -1,10 +1,11 @@
+import csv
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from minimax_fold import cli, harness, model, perturbation
+from minimax_fold import cli, harness, minimax_solver, model, perturbation
 from minimax_fold.harness import (
     ConfigError,
     RunConfig,
@@ -33,6 +34,11 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def read_table(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def fast_config(**kw):
@@ -99,22 +105,27 @@ class TestRunSolve:
         assert abs(recomputed - cert.lambda_star) <= 1e-10 * (1.0 + abs(cert.lambda_star))
 
     def test_perturb_study_solves_base_once(self, tmp_path, monkeypatch):
-        # one base solve shared by both kappas, plus one perturbed solve each
+        # one base multistart shared by both kappas; each perturbed solve
+        # continues the base certificate instead of running its own multistart
         calls = count_calls(monkeypatch, perturbation, "maximize")
         config = fast_config(study="perturb", out_dir=str(tmp_path),
                              perturb_kappas=(0.1, 0.01))
         assert harness.run(config) == 0
-        assert len(calls) == 3
+        assert len(calls) == 1
         lines = (tmp_path / "table.csv").read_text().splitlines()
         assert len(lines) == 3
+        assert [row["start"] for row in read_table(tmp_path / "table.csv")] \
+            == ["continued", "continued"]
 
     def test_byte_identical_reruns(self, tmp_path):
-        c1 = fast_config(out_dir=str(tmp_path / "a"))
-        c2 = fast_config(out_dir=str(tmp_path / "b"))
-        harness.run(c1)
-        harness.run(c2)
-        for name in ("certificate.json", "table.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        for study, sizes in (("solve", (16,)), ("refine", (8, 16, 32)), ("perturb", (16,))):
+            runs = [tmp_path / study / rerun for rerun in ("a", "b")]
+            for out in runs:
+                assert harness.run(fast_config(study=study, mesh_sizes=sizes,
+                                               out_dir=str(out))) == 0
+            for name in ("certificate.json", "table.csv"):
+                assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), \
+                    (study, name)
 
     def test_svg_emission(self, tmp_path):
         config = fast_config(out_dir=str(tmp_path), svg=True)
@@ -128,6 +139,7 @@ class TestRefinementStudy:
         config = RunConfig(problem_name="linear_diagnostic", study="refine",
                            mesh_sizes=(8, 16, 32), solver=SolverOptions(n_starts=2))
         table = refinement_study(config)
+        assert all(c.valid for c in table.certificates)
         for row in table.rows:
             assert abs(row.lambda_star - closed_form_eigenvalue(row.n)) \
                 <= 1e-8 * row.lambda_star
@@ -137,11 +149,19 @@ class TestRefinementStudy:
 
     def test_needs_three_sizes(self):
         with pytest.raises(ConfigError, match="3 mesh sizes"):
-            refinement_study(fast_config(study="refine", mesh_sizes=(8, 16)))
+            RunConfig(study="refine", mesh_sizes=(8, 16))
+
+    @pytest.mark.parametrize("flags", [["--sizes", "8", "16"], ["--n", "64"]])
+    def test_fewer_than_three_sizes_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert cli.main(["refine"] + flags + ["--out", str(out)]) == harness.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scalar_power_cauchy_by_n128(self):
         config = fast_config(study="refine", mesh_sizes=(32, 64, 128))
         table = refinement_study(config)
+        assert all(c.valid for c in table.certificates)
         deltas = [r.delta_prev for r in table.rows if r.delta_prev is not None]
         assert deltas[-1] < deltas[0]
         lam = table.rows[-1].lambda_star
@@ -153,6 +173,65 @@ class TestRefinementStudy:
                            lambda_window=(9.0, 11.0))
         table = refinement_study(config)
         assert all(r.in_window for r in table.rows)
+
+
+class TestNestedRefinement:
+    """One multistart on the coarsest mesh, then continuation at every finer size."""
+
+    @pytest.mark.parametrize("name, params, sizes", [
+        ("scalar_power", {"q": 0.5, "gamma": 2.0}, (8, 16, 32, 64)),
+        ("cooperative_product", {"m": 3}, (16, 32, 64)),
+    ])
+    def test_chain_matches_independent_multistart(self, monkeypatch, name, params, sizes):
+        calls = count_calls(monkeypatch, harness, "maximize")
+        config = RunConfig(problem_name=name, problem_params=params, study="refine",
+                           mesh_sizes=sizes)
+        table = refinement_study(config)
+        assert len(calls) == 1
+        assert [r.start for r in table.rows] == ["multistart"] + ["continued"] * (len(sizes) - 1)
+        spec = config.spec()
+        for row, cert in zip(table.rows, table.certificates):
+            mesh = config.mesh(row.n)
+            assert cert.valid and cert.status == "polished"
+            assert verify_certificate(spec, mesh, cert).valid
+            full = minimax_solver.maximize(spec, mesh, options=config.solver)
+            assert full.valid
+            assert abs(cert.lambda_star - full.lambda_star) <= 1e-12 * full.lambda_star
+
+    def test_failed_polish_falls_back_to_multistart(self, monkeypatch):
+        real_polish = minimax_solver._fold_polish
+        failed = []
+
+        def fail_first_at_n16(spec, mesh, *args, **kwargs):
+            result = real_polish(spec, mesh, *args, **kwargs)
+            if mesh.n_elements == 16 and not failed:
+                failed.append(result)
+                return dataclasses.replace(result, reason="no_decrease")
+            return result
+
+        monkeypatch.setattr(minimax_solver, "_fold_polish", fail_first_at_n16)
+        config = fast_config(study="refine", mesh_sizes=(8, 16, 32))
+        table = refinement_study(config)
+        assert len(failed) == 1
+        assert [r.start for r in table.rows] == ["multistart", "fallback", "continued"]
+        plain = minimax_solver.maximize(config.spec(), config.mesh(16), options=config.solver)
+        assert json.dumps(table.certificates[1].to_dict()) == json.dumps(plain.to_dict())
+
+    def test_linear_diagnostic_runs_multistart_at_every_size(self):
+        config = RunConfig(problem_name="linear_diagnostic", study="refine",
+                           mesh_sizes=(8, 16, 32), solver=SolverOptions(n_starts=2))
+        table = refinement_study(config)
+        assert [r.start for r in table.rows] == ["multistart"] * 3
+        for row in table.rows:
+            full = minimax_solver.maximize(config.spec(), config.mesh(row.n),
+                                           options=config.solver)
+            assert row.lambda_star == full.lambda_star
+
+    def test_start_column_in_table(self, tmp_path):
+        config = fast_config(study="refine", mesh_sizes=(8, 16, 32), out_dir=str(tmp_path))
+        assert harness.run(config) == 0
+        assert [row["start"] for row in read_table(tmp_path / "table.csv")] \
+            == ["multistart", "continued", "continued"]
 
 
 class TestConditionU:

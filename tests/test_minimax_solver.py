@@ -169,6 +169,64 @@ class TestMaximizeScalarPower:
         assert np.all(cert.v_star.values > 0.0)
 
 
+class TestContinueCertificate:
+    def test_requires_valid_certificate(self, scalar_cert):
+        bad = dataclasses.replace(scalar_cert, valid=False)
+        with pytest.raises(ValueError, match="VALID"):
+            minimax_solver.continue_certificate(scalar_power(0.5, 2.0), build_mesh(48), bad)
+
+    def test_continued_certificate_carries_the_multistart_agreement(self, scalar_cert):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(48)
+        cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, FAST)
+        assert start == "continued"
+        assert cert.valid and cert.status == "polished" and cert.iterations == 1
+        assert cert.starts_agree == scalar_cert.starts_agree
+        assert cert.lambda_spread_starts == scalar_cert.lambda_spread_starts
+        assert verify_certificate(spec, mesh, cert).valid
+
+    @pytest.mark.parametrize("refusal", ["guard_ascends", "field_leaves_cone"])
+    def test_refused_continuation_falls_back(self, scalar_cert, monkeypatch, refusal):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(48)
+        warm = scalar_cert.u_star.transfer_to(mesh)
+        guards = []
+        if refusal == "guard_ascends":
+            real_slp = minimax_solver._slp
+
+            def ascending_guard(*args, **kwargs):
+                state = real_slp(*args, **kwargs)
+                if not guards:  # the first SLP run is the guard
+                    guards.append(state)
+                    state = dataclasses.replace(state, iterations=2)
+                return state
+
+            monkeypatch.setattr(minimax_solver, "_slp", ascending_guard)
+        else:
+            values = warm.values.copy()
+            values[0, 0] = -values[0, 0]
+            warm = FEField(mesh, values)
+        cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, FAST,
+                                                          warm=warm)
+        assert start == "fallback"
+        if refusal == "guard_ascends":  # the guard ran, and only the patch made it ascend
+            assert guards[0].status == "converged" and guards[0].iterations == 1
+        monkeypatch.undo()
+        full = maximize(spec, mesh, options=FAST)
+        assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
+
+    @pytest.mark.parametrize("polish", [True, False])
+    def test_single_phase_modes_run_the_multistart(self, scalar_cert, diagnostic_cert,
+                                                   polish):
+        # the linear diagnostic mode, and polish=False for a nonlinear problem
+        spec, prev = (linear_diagnostic(), diagnostic_cert) if polish \
+            else (scalar_power(0.5, 2.0), scalar_cert)
+        mesh = build_mesh(32)
+        options = dataclasses.replace(FAST, polish=polish)
+        cert, start = minimax_solver.continue_certificate(spec, mesh, prev, options)
+        assert start == "multistart"
+        full = maximize(spec, mesh, options=options)
+        assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
+
+
 class TestTwoPhaseMaximize:
     """Loose SLP starts, every candidate finished by the fold polish."""
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minimax_fold import perturbation, rayleigh
+from minimax_fold import model, perturbation, rayleigh
 from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.minimax_solver import SolverOptions, maximize
 from minimax_fold.model import FEField, scalar_power
@@ -12,6 +12,7 @@ from minimax_fold.perturbation import (
     psi_loads,
     two_sided_example,
 )
+from minimax_fold.verification import verify_certificate
 
 FAST = SolverOptions(n_starts=3)
 MESH = build_mesh(24)
@@ -146,6 +147,18 @@ class TestTwoSidedExample:
             two_sided_example(0.5, 2.0, 3.0, (0.1, 0.01), MESH,
                               options=SolverOptions(n_starts=1, max_iters=1))
         assert solved == ["scalar_power"]
+
+    def test_large_kappa_continues_from_base(self):
+        mesh = build_mesh(64)
+        (report,) = two_sided_example(0.5, 2.0, 3.0, [1.0], mesh)
+        assert report.start == "continued"
+        assert report.pert_cert.valid and report.bounds_hold
+        assert verify_certificate(model.perturbed_scalar(0.5, 2.0, 3.0, 1.0), mesh,
+                                  report.pert_cert).valid
+        full = maximize(model.perturbed_scalar(0.5, 2.0, 3.0, 1.0), mesh)
+        assert full.valid
+        assert abs(report.lambda_pert - full.lambda_star) <= 1e-12 * full.lambda_star
+        assert report.lambda_pert == pytest.approx(7.691558, rel=1e-6)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
