@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import mesh_fem, model, rayleigh, svgplot
-from .mesh_fem import Mesh1D, build_mesh, distance_to_boundary
+from .mesh_fem import Mesh1D, build_mesh, distance_to_boundary, mesh_from_nodes
 from .minimax_solver import (
     ContinuationResult,
     MinimaxCertificate,
@@ -174,13 +174,14 @@ class RefinementTable:
 
 
 def refinement_study(config: RunConfig) -> RefinementTable:
-    """Solve per mesh size by nested iteration: one multistart, then continuation.
+    """Solve per mesh size by nested iteration: one ``maximize``, then continuation.
 
-    The first size, and any size after an invalid certificate, runs the full
-    ``maximize`` multistart.  Every other size continues the previous
-    certificate (``continue_certificate``): its field, interpolated onto the
-    finer mesh, starts the fold polish.  Each row records its ``start``:
-    ``multistart``, ``continued`` or ``fallback``.
+    The first size, and any size after an invalid certificate, runs
+    ``maximize``.  Every other size continues the previous certificate
+    (``continue_certificate``): its field, interpolated onto the finer mesh,
+    starts the fold polish.  Each row records its certificate's ``start``:
+    ``multistart`` or ``nested`` (from ``maximize``), ``continued`` or
+    ``fallback``.
     """
     spec = config.spec()
     rows = []
@@ -190,10 +191,10 @@ def refinement_study(config: RunConfig) -> RefinementTable:
         mesh = config.mesh(n)
         coarse_on_fine = None if prev_cert is None else prev_cert.u_star.transfer_to(mesh)
         if prev_cert is not None and prev_cert.valid:
-            cert, start = continue_certificate(spec, mesh, prev_cert, config.solver,
-                                               warm=coarse_on_fine)
+            cert, _ = continue_certificate(spec, mesh, prev_cert, config.solver,
+                                           warm=coarse_on_fine)
         else:
-            cert, start = maximize(spec, mesh, options=config.solver), "multistart"
+            cert = maximize(spec, mesh, options=config.solver)
         delta = None if prev_cert is None else abs(cert.lambda_star - prev_cert.lambda_star)
         u_diff = None
         if coarse_on_fine is not None:
@@ -205,7 +206,7 @@ def refinement_study(config: RunConfig) -> RefinementTable:
         rows.append(RefinementRow(n=n, h=mesh.h_max, lambda_star=cert.lambda_star,
                                   delta_prev=delta, u_diff_sup=u_diff,
                                   sigma_min=cert.sigma_min, in_window=in_window,
-                                  start=start))
+                                  start=cert.start))
         certs.append(cert)
         prev_cert = cert
     return RefinementTable(rows=tuple(rows), certificates=tuple(certs))
@@ -400,10 +401,7 @@ def load_certificate(path):
         raise ConfigError(f"unsupported certificate schema {data.get('schema')!r}")
     spec = builtin_problem(data["problem"]["name"], data["problem"]["params"])
     if "nodes" in data["mesh"]:
-        nodes = np.asarray(data["mesh"]["nodes"], dtype=float)
-        mesh = Mesh1D(nodes=nodes, element_sizes=np.diff(nodes),
-                      h_max=float(data["mesh"]["h_max"]),
-                      quasi_uniformity=float(data["mesh"]["quasi_uniformity"]))
+        mesh = mesh_from_nodes(np.asarray(data["mesh"]["nodes"], dtype=float))
     else:
         mesh = build_mesh(int(data["mesh"]["n_elements"]))
     u = FEField(mesh, np.asarray(data["u_star"], dtype=float))
@@ -427,6 +425,7 @@ def load_certificate(path):
         distance_to_boundary=float(data["distance_to_boundary"]),
         problem=data["problem"], mesh_info=data["mesh"],
         options=None,
+        start=data.get("start", "multistart"),  # older files predate the field
     )
     return spec, mesh, cert
 
@@ -460,11 +459,12 @@ def run(config: RunConfig) -> int:
             write_certificate(out / "certificate.json", cert)
             write_csv(out / "table.csv",
                       ["n", "h", "lambda_star", "primal", "adjoint", "stationarity",
-                       "complementarity", "sigma_min", "jac_norm", "valid", "status"],
+                       "complementarity", "sigma_min", "jac_norm", "valid", "status", "start"],
                       [(mesh.n_elements, mesh.h_max, cert.lambda_star,
                         cert.primal_residual, cert.adjoint_residual,
                         cert.stationarity_residual, cert.complementarity_residual,
-                        cert.sigma_min, cert.jac_norm, cert.valid, cert.status)])
+                        cert.sigma_min, cert.jac_norm, cert.valid, cert.status,
+                        cert.start)])
             quotients = rayleigh.inner_min(spec, mesh, cert.u_star).quotients
             write_csv(plot_dir / "quotients.csv", ["direction", "quotient"],
                       list(enumerate(quotients)))

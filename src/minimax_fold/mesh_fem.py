@@ -121,14 +121,22 @@ def build_mesh(n_elements: int, grading: str = "uniform", ratio: float | None = 
         nodes[0], nodes[-1] = 0.0, 1.0
     else:
         raise ValueError(f"unknown grading {grading!r}")
+    return mesh_from_nodes(nodes)
+
+
+def mesh_from_nodes(nodes: np.ndarray) -> Mesh1D:
+    """Mesh on the given nodes, with element sizes and kappa computed from them.
+
+    ``mesh_from_nodes(mesh.nodes[::2])`` is the mesh with every other node of
+    ``mesh``: a geometric mesh of ratio r halves to one of ratio r^2.
+    """
     h = np.diff(nodes)
     h_max = float(h.max())
-    kappa = float(h_max / h.min())
     return Mesh1D(
         nodes=_freeze(nodes),
         element_sizes=_freeze(h),
         h_max=h_max,
-        quasi_uniformity=kappa,
+        quasi_uniformity=float(h_max / h.min()),
     )
 
 

@@ -25,9 +25,10 @@ rejected step re-solves with the same rows.  For nonlinear problems
    bordered system [J b; c^T 0][v; s] = [0; 1] and its transpose (Govaerts,
    Numerical Methods for Bifurcations of Dynamical Equilibria, SIAM 2000,
    ch. 3).  Each iterate takes one sparse LU of that (m*n + 1)-square
-   matrix, which also gives the Newton step.  The polish drives the
-   certificate residuals to roundoff (pure SLP stalls near the fold at
-   quotient spreads of order (distance)^2 and cannot reach the
+   matrix, with linear fill, which also gives the Newton step.  The polish
+   drives the residuals to the rounding error of their own evaluation, eps
+   times the magnitudes of the terms they sum (pure SLP stalls near the fold
+   at quotient spreads of order (distance)^2 and cannot reach the
    singular-value tolerance).  A start whose polish fails is resumed by the
    SLP at ``tol_kkt`` and polished once more.
 
@@ -39,10 +40,14 @@ multipliers are recovered through kappa_i = mu_i / <g(u*), eta_i>, and an
 upper bound on sigma_min(J); |J|_2 comes from the top eigenvalue of the
 banded J^T J.  No SVD is taken and no dense matrix is built.
 
-``continue_certificate`` is nested iteration on top of ``maximize``: it
-carries a VALID certificate to a finer mesh or a nearby problem by one fold
-polish from its field, guarded by one SLP step, with the full multistart as
-the fallback.
+On a mesh that halves to at least ``_COARSE_ELEMENTS`` elements the
+two-phase ``maximize`` is nested iteration (Hackbusch, Multi-Grid Methods and
+Applications, Springer 1985, ch. 5): the multistart runs on the coarsest
+mesh, and its fold is carried up each doubling by one polish, guarded by one
+SLP step on the target mesh, with the multistart on the target mesh as the
+fallback.  ``continue_certificate`` does the same for one step: it carries a
+VALID certificate to a finer mesh or a nearby problem.  Each certificate
+records which path made it in ``start``.
 
 Everything is deterministic for fixed options and seed: fixed iteration
 order, seeded multi-starts, no timing dependence.
@@ -50,7 +55,7 @@ order, seeded multi-starts, no timing dependence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -59,7 +64,7 @@ from scipy.optimize._highspy import _core as _highs
 from scipy.sparse.linalg import splu
 
 from . import model, rayleigh
-from .mesh_fem import Mesh1D
+from .mesh_fem import Mesh1D, mesh_from_nodes
 from .model import FEField, ProblemSpec
 
 
@@ -109,9 +114,15 @@ class MinimaxCertificate:
     eigenvalue of J^T J (``scipy.linalg.eig_banded`` on its band).
     ``valid`` requires all four residuals below ``tol_cert``, sigma_min below
     1e-6 * |J|_2 (or J itself at assembly roundoff), and both fields inside
-    their cones.  ``starts_agree`` and ``lambda_spread_starts`` describe the
-    multistart of ``maximize``; a certificate from ``continue_certificate``
-    carries those of the multistart its chain started from.
+    their cones.  ``start`` names the path that made the certificate:
+    ``multistart`` (the multistart on its own mesh), ``nested`` (a multistart
+    on a coarse mesh, polished up each doubling), ``fallback`` (a refused
+    nested or continued path, then the multistart on its own mesh) or
+    ``continued`` (``continue_certificate``).  ``starts_agree`` and
+    ``lambda_spread_starts`` describe the multistart the certificate's chain
+    started from: for ``nested`` the coarse one, for ``continued`` that of the
+    certificate it continued.  Files written before ``start`` existed load as
+    ``multistart``.
     """
 
     lambda_star: float
@@ -136,6 +147,7 @@ class MinimaxCertificate:
     problem: dict = field(default_factory=dict)
     mesh_info: dict = field(default_factory=dict)
     options: Optional[SolverOptions] = None
+    start: str = "multistart"
 
     def to_dict(self) -> dict:
         """JSON-serializable snapshot (schema ``mf-cert/1``)."""
@@ -163,6 +175,7 @@ class MinimaxCertificate:
             "polish_iterations": self.polish_iterations,
             "starts_agree": self.starts_agree,
             "lambda_spread_starts": self.lambda_spread_starts,
+            "start": self.start,
             "distance_to_boundary": self.distance_to_boundary,
             "options": None if self.options is None else vars(self.options).copy(),
         }
@@ -414,16 +427,21 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
 # bordered fold polish
 
 
+# unit roundoff: the polish holds each residual to _EPS times the magnitudes
+# of the terms it is summed from
+_EPS = float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class PolishResult:
     """Outcome of the fold polish.
 
-    ``reason`` is ``converged`` (residuals at the 1e-13 floor),
-    ``roundoff_floor`` (no damped step decreases the residual any more, and
-    every scaled residual is at most 1e-3 * tol_cert), or a failure:
-    ``no_decrease``, ``singular_system`` or ``max_iter``.  ``u`` and ``lam``
-    are the last accepted iterate either way; ``residual`` is its largest
-    scaled residual.
+    ``reason`` is ``converged`` (the largest scaled residual is at the
+    rounding error of its own evaluation, ``roundoff``) or a failure:
+    ``no_decrease`` (no damped step decreases the residual, which stalls
+    above ``roundoff``), ``singular_system`` or ``max_iter``.  ``u`` and
+    ``lam`` are the last accepted iterate either way; ``residual`` is its
+    largest scaled residual and ``roundoff`` the estimate it is held to.
     """
 
     reason: str
@@ -431,10 +449,17 @@ class PolishResult:
     lam: float
     iterations: int
     residual: float
+    roundoff: float
 
     @property
     def ok(self) -> bool:
-        return self.reason in ("converged", "roundoff_floor")
+        return self.reason == "converged"
+
+
+def _at_roundoff(residuals, roundoff) -> bool:
+    """Stop test of the fold polish: the largest scaled residual is at the
+    largest rounding-error estimate of the residuals' evaluation."""
+    return max(residuals) <= max(roundoff)
 
 
 def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarray):
@@ -444,9 +469,12 @@ def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarra
     [J b; c^T 0][v; s] = [0; 1] and, from the transposed factors,
     [J^T c; b^T 0][w; s] = [0; 1].  s vanishes exactly where J is singular,
     and there v and w span its right and left null spaces.  A singular
-    bordered matrix raises ``RuntimeError``.
+    bordered matrix raises ``RuntimeError``.  Threshold pivoting
+    (``diag_pivot_thresh=0.1``) keeps the COLAMD order, so L+U stay within a
+    small multiple of the band; partial pivoting pulls the dense border up and
+    fills quadratically in m*n.
     """
-    lu = splu(model.band_csc(jac, m, n, b, c))
+    lu = splu(model.band_csc(jac, m, n, b, c), diag_pivot_thresh=0.1)
     unit = np.zeros(m * n + 1)
     unit[-1] = 1.0
     x = lu.solve(unit)
@@ -491,7 +519,7 @@ def _newton_step(lu, v: np.ndarray, s: float, residual: np.ndarray, g: np.ndarra
 
 
 def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float,
-                 blocks, tol_cert: float, max_iter: int = 20) -> PolishResult:
+                 blocks, max_iter: int = 20) -> PolishResult:
     """Newton on the minimally augmented fold system G(u, lam) = [F(u, lam); s(u, lam)].
 
     Each iterate takes one sparse LU of the bordered matrix [J b; c^T 0]
@@ -499,8 +527,17 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float
     ``_newton_step`` solves the Newton system with s_u = -C(w) v
     (``model.adjoint_curvature``) and s_lam = w^T M_g v on the same factors.
     No LU of J alone is taken, so a singular J needs no special case.  The
-    borders are the normalized all-ones vector at the SLP point, then the
+    borders are the normalized all-ones vector at the start, then the
     normalized w and v found there, fixed for the rest of the polish.
+
+    The stop allows for roundoff, not a fixed floor: the primal residual
+    K u - F - lam G cancels terms of size |K||u| + |F| + |lam||G| (from
+    O(1/h) to O(h), so its floor grows like n^2), and the adjoint residual
+    J^T w terms of size |J|^T |w|.  The polish is ``converged`` once the
+    largest scaled residual is at eps times the largest of these magnitudes
+    (``_at_roundoff``) and the last step shrank it less than tenfold, or when
+    no damped step decreases a residual at that level.  A residual that stalls
+    above it is ``no_decrease``.
     """
     m, n = spec.m, mesh.n_interior
     big = m * n
@@ -514,18 +551,26 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float
         jac = parts.jacobian_band(lam_val)
         return (u, terms, parts, jac) + _bordered_solve(jac, m, n, b, c)
 
-    def scaled_residuals(terms_x, jac_x, w_x, lam_x):
-        adjoint = (np.abs(model.band_matvec(jac_x, w_x, transpose=True)).max()
-                   / max(scale2 * np.abs(w_x).max(), 1e-300))
-        return np.abs(terms_x.residual(lam_x)).max() / scale1, adjoint
+    def measure(flat_x, terms_x, parts_x, jac_x, w_x, lam_x):
+        """Scaled (primal, adjoint) residuals and the eps multiples of the
+        componentwise magnitudes they are computed from, on the same scales."""
+        w_scale = max(scale2 * np.abs(w_x).max(), 1e-300)
+        primal_mag = (model.band_matvec(np.abs(parts_x.stiffness_band), flat_x)
+                      + np.abs(terms_x.f_load.ravel())
+                      + abs(lam_x) * np.abs(terms_x.g_load.ravel()))
+        adjoint_mag = model.band_matvec(np.abs(jac_x), np.abs(w_x), transpose=True)
+        residuals = (np.abs(terms_x.residual(lam_x)).max() / scale1,
+                     np.abs(model.band_matvec(jac_x, w_x, transpose=True)).max() / w_scale)
+        return residuals, (_EPS * primal_mag.max() / scale1, _EPS * adjoint_mag.max() / w_scale)
 
     # the fold's null vectors lie in the open cone, so the all-ones border
-    # finds them at the SLP point; they border every later solve
+    # finds them at the start; they border every later solve
     b = c = np.full(big, 1.0 / np.sqrt(big))
     try:
         u, terms, parts, jac, lu, v, w, s = assemble(flat, lam)
     except RuntimeError:
-        return PolishResult("singular_system", FEField.from_flat(mesh, m, flat), lam, 0, np.inf)
+        return PolishResult("singular_system", FEField.from_flat(mesh, m, flat), lam, 0, np.inf,
+                            np.inf)
     b, c = w / np.linalg.norm(w), v / np.linalg.norm(v)
     scale1 = max(np.abs(terms.stiff_action).max(), np.abs(terms.f_load).max(),
                  abs(lam) * np.abs(terms.g_load).max(), 1e-300)
@@ -533,18 +578,19 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float
     # vanishes at the fold of a problem with one unknown
     scale2 = max(np.abs(parts.stiffness_band).max(), np.abs(parts.mass_f_band).max(),
                  abs(lam) * np.abs(parts.mass_g_band).max(), 1e-300)
-    primal, adjoint = scaled_residuals(terms, jac, w, lam)
+    residuals, roundoff = measure(flat, terms, parts, jac, w, lam)
 
     def result(reason, iterations):
-        scaled = float(max(primal, adjoint))
-        if reason == "no_decrease" and scaled <= 1e-3 * tol_cert:
-            # every trial step is lost in roundoff, far below the certificate level
-            reason = "roundoff_floor"
+        if reason == "no_decrease" and _at_roundoff(residuals, roundoff):
+            reason = "converged"  # rounding noise, which no step can decrease
         return PolishResult(reason, FEField.from_flat(mesh, m, flat), lam, iterations,
-                            scaled)
+                            float(max(residuals)), float(max(roundoff)))
 
+    previous = np.inf  # largest scaled residual before the last accepted step
     for iters in range(1, max_iter + 1):
-        if primal <= 1e-13 and adjoint <= 1e-13:
+        # a residual still shrinking tenfold per step is Newton error, which
+        # moves lambda by about as much, even at the roundoff level
+        if _at_roundoff(residuals, roundoff) and 10.0 * max(residuals) > previous:
             return result("converged", iters - 1)
 
         s_u = -model.adjoint_curvature(spec, mesh, u, w, v, lam)
@@ -563,12 +609,13 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float
                 trial = assemble(flat_t, lam_t)
             except RuntimeError:
                 return result("singular_system", iters - 1)
-            scaled_t = scaled_residuals(trial[1], trial[3], trial[6], lam_t)
-            if (max(scaled_t) < max(primal, adjoint) * (1.0 - 1e-4 * damp)
-                    or max(scaled_t) < 1e-13):
-                flat, lam = flat_t, lam_t
+            residuals_t, roundoff_t = measure(flat_t, trial[1], trial[2], trial[3], trial[6],
+                                              lam_t)
+            if (max(residuals_t) < max(residuals) * (1.0 - 1e-4 * damp)
+                    or _at_roundoff(residuals_t, roundoff_t)):
+                flat, lam, previous = flat_t, lam_t, max(residuals)
                 u, terms, parts, jac, lu, v, w, s = trial
-                primal, adjoint = scaled_t
+                residuals, roundoff = residuals_t, roundoff_t
                 accepted = True
                 break
         if not accepted:
@@ -725,41 +772,70 @@ def _spectral_norm(jac: np.ndarray, m: int, n: int) -> float:
     return float(np.sqrt(max(top[0], 0.0)))
 
 
+# elements of the coarsest mesh of the nested path: ``maximize`` runs its
+# multistart on the target mesh itself when that has fewer than twice as many
+_COARSE_ELEMENTS = 16
+
+
 def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
              options: SolverOptions | None = None) -> MinimaxCertificate:
     """Solve lambda_r* = sup over the open cone of min_i R(u, eta_i).
 
-    Runs ``n_starts`` SLP instances (the torsion-profile default start plus
-    seeded random cone perturbations, or ``u0`` if given).  For a nonlinear
-    problem with ``polish=True`` each start stops at the loose gain
-    ``_LOOSE_GAIN``, every converged start is polished by Newton on the
+    The multistart runs ``n_starts`` SLP instances (the torsion-profile
+    default start plus seeded random cone perturbations, or ``u0`` if given).
+    For a nonlinear problem with ``polish=True`` each start stops at the loose
+    gain ``_LOOSE_GAIN``, every converged start is polished by Newton on the
     minimally augmented fold system (a failed polish is retried once from the
     start resumed at ``tol_kkt``), and the largest polished value wins;
     ``polish_failed`` means no start polished.  Otherwise the best SLP point
     at ``tol_kkt`` is kept.  ``cone_collapse`` and ``unbounded_ascent``
-    outcomes are reported in the certificate status, not raised.  The
-    polish and the certificate factor sparse bordered matrices of J and take
-    no SVD: ``sigma_min`` is an upper bound from the bordered null vectors,
-    which is all the singularity test needs, and ``jac_norm`` comes from
-    ``scipy.linalg.eig_banded``.  ``starts_agree`` compares the values of
-    this call's starts.  To carry a VALID certificate to a finer mesh or a
-    nearby problem without a new multistart, use ``continue_certificate``.
+    outcomes are reported in the certificate status, not raised.
+
+    In the two-phase mode without ``u0``, a mesh that halves (every other
+    node) to at least ``_COARSE_ELEMENTS`` elements is solved by nested
+    iteration: the multistart runs on the coarsest such mesh, its fold is
+    interpolated up each doubling and polished once per level, and on
+    ``mesh`` itself the polish is followed by one guard SLP that must stop on
+    its first LP (as in ``continue_certificate``).  Such a certificate has
+    ``start`` ``nested``; its ``starts_agree`` and ``lambda_spread_starts``
+    describe the coarse multistart, and ``iterations`` and
+    ``polish_iterations`` the target level.  Should any step fail, the
+    multistart runs on ``mesh`` and ``start`` is ``fallback``.  Every other
+    call runs the multistart on ``mesh`` (``multistart``).
+
+    The polish and the certificate factor sparse bordered matrices of J and
+    take no SVD: ``sigma_min`` is an upper bound from the bordered null
+    vectors, which is all the singularity test needs, and ``jac_norm`` comes
+    from ``scipy.linalg.eig_banded``.  To carry a VALID certificate to a
+    finer mesh or a nearby problem, use ``continue_certificate``.
     """
     options = options or SolverOptions()
     if spec.q >= 1.0 and not spec.diagnostic:
         raise ValueError("the solver requires q < 1 (or the linear diagnostic mode)")
-    blocks = model.stiffness_blocks(spec, mesh)
     xs = np.linspace(0.0, 1.0, 33)
     for co in spec.a_coeff:
         samples = np.broadcast_to(np.asarray(co(xs) if callable(co) else co, dtype=float), xs.shape)
         if np.any(samples <= 0.0):
             raise ValueError("parameter-term coefficient must be positive (hypothesis h1)")
-
     if u0 is not None:
         model.require_open_cone(u0, "maximize start")
-        first = u0
-    else:
-        first = default_start(spec, mesh, blocks)
+
+    meshes = [mesh]
+    while meshes[0].n_elements % 2 == 0 and meshes[0].n_elements // 2 >= _COARSE_ELEMENTS:
+        meshes.insert(0, mesh_from_nodes(meshes[0].nodes[::2]))
+    if u0 is not None or not options.polish or spec.diagnostic or len(meshes) == 1:
+        return _multistart(spec, mesh, u0, options)
+    nested = _nested(spec, meshes, options)
+    if nested is not None:
+        return nested
+    return replace(_multistart(spec, mesh, None, options), start="fallback")
+
+
+def _multistart(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField],
+                options: SolverOptions) -> MinimaxCertificate:
+    """The multistart of ``maximize`` on ``mesh`` itself."""
+    blocks = model.stiffness_blocks(spec, mesh)
+    first = u0 if u0 is not None else default_start(spec, mesh, blocks)
 
     # randomized cone starts: inverse stiffness of random positive loads gives
     # smooth strictly positive shapes (discrete maximum principle)
@@ -780,7 +856,7 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
     if two_phase and converged:
         polished, unpolished = [], []  # (PolishResult, SLP iterations), _SLPState
         for r in converged:
-            result = _fold_polish(spec, mesh, r.u, r.lam, blocks, options.tol_cert)
+            result = _fold_polish(spec, mesh, r.u, r.lam, blocks)
             if not result.ok:
                 # retry, not downgrade: finish the start at tol_kkt, polish again
                 loose_iterations = r.iterations
@@ -788,7 +864,7 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
                          blocks, options.tol_kkt)
                 r.iterations += loose_iterations
                 if r.status == "converged":
-                    result = _fold_polish(spec, mesh, r.u, r.lam, blocks, options.tol_cert)
+                    result = _fold_polish(spec, mesh, r.u, r.lam, blocks)
                 if not result.ok:
                     unpolished.append(r)
                     continue
@@ -823,23 +899,42 @@ def _agreement(lams, lam_best: float, options: SolverOptions):
     return spread, spread <= options.multistart_rel_tol * (1.0 + abs(lam_best))
 
 
+def _nested(spec, meshes, options) -> Optional[MinimaxCertificate]:
+    """Nested iteration from ``meshes[0]`` up to ``meshes[-1]``, or None at the
+    first step that fails."""
+    coarse = _multistart(spec, meshes[0], None, options)
+    if not coarse.valid:
+        return None
+    u, lam = coarse.u_star, coarse.lambda_star
+    for mesh in meshes[1:-1]:
+        polished = _polish_from(spec, mesh, u.transfer_to(mesh), lam,
+                                model.stiffness_blocks(spec, mesh))
+        if polished is None:
+            return None
+        u, lam = polished.u, polished.lam
+    cert = _continued(spec, meshes[-1], coarse, u.transfer_to(meshes[-1]), lam, options)
+    if cert is None or not cert.valid:
+        return None
+    return replace(cert, start="nested")
+
+
 def continue_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertificate,
                          options: SolverOptions | None = None,
                          warm: FEField | None = None) -> tuple[MinimaxCertificate, str]:
     """Carry a VALID certificate to a new mesh or a nearby problem: nested iteration.
 
-    Returns ``(certificate, start)``.  In the two-phase mode ``cert.u_star`` is
-    interpolated onto ``mesh`` (``warm``, when the caller has it already) and
-    the fold polish starts there at the inner minimum of that field; one SLP
-    run at ``_LOOSE_GAIN`` from the polished point must then stop on its first
-    LP, so no ascent direction leads to another branch.  Such a certificate
-    is ``continued``: its ``starts_agree`` and ``lambda_spread_starts`` are
-    those of ``cert``, the multistart the chain started from.  Should the
-    field leave the cone, the polish fail, the guard ascend or the
-    certificate be invalid, the full ``maximize`` runs instead and the start
-    is ``fallback``.  The linear diagnostic mode and ``polish=False`` run the
-    full ``maximize`` (``multistart``).  Raises ``ValueError`` unless
-    ``cert.valid``.
+    Returns ``(certificate, start)``, and the certificate's ``start`` is the
+    same label.  In the two-phase mode ``cert.u_star`` is interpolated onto
+    ``mesh`` (``warm``, when the caller has it already) and the fold polish
+    starts there at ``cert.lambda_star``; one SLP run at
+    ``_LOOSE_GAIN`` from the polished point must then stop on its first LP, so
+    no ascent direction leads to another branch.  Such a certificate is
+    ``continued``: its ``starts_agree`` and ``lambda_spread_starts`` are those
+    of ``cert``, the multistart the chain started from.  Should the field
+    leave the cone, the polish fail, the guard ascend or the certificate be
+    invalid, ``maximize`` runs instead and the start is ``fallback``.  The
+    linear diagnostic mode and ``polish=False`` run ``maximize``
+    (``multistart``).  Raises ``ValueError`` unless ``cert.valid``.
     """
     if not cert.valid:
         raise ValueError("continuation requires a VALID certificate")
@@ -848,22 +943,28 @@ def continue_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertifica
         return maximize(spec, mesh, options=options), "multistart"
     if warm is None:
         warm = cert.u_star.transfer_to(mesh)
-    new = _continued(spec, mesh, cert, warm, options)
-    if new is not None and new.valid:
-        return new, "continued"
-    return maximize(spec, mesh, options=options), "fallback"
+    new, start = _continued(spec, mesh, cert, warm, cert.lambda_star, options), "continued"
+    if new is None or not new.valid:
+        new, start = maximize(spec, mesh, options=options), "fallback"
+    return replace(new, start=start), start
 
 
-def _continued(spec, mesh, cert, warm, options) -> Optional[MinimaxCertificate]:
-    """Certificate polished from ``warm``, or None at the first step that fails."""
-    blocks = model.stiffness_blocks(spec, mesh)
+def _polish_from(spec, mesh, warm, lam0, blocks) -> Optional[PolishResult]:
+    """Fold polish from the field ``warm`` and the value ``lam0``, or None when
+    the field is outside the open cone or the polish fails."""
     try:
-        lam0 = rayleigh.inner_min(spec, mesh, warm,
-                                  rayleigh.galerkin_terms(spec, mesh, warm, blocks)).value
-    except (model.ConeError, rayleigh.DenominatorError):
+        model.require_open_cone(warm, "fold polish start")
+    except model.ConeError:
         return None
-    polished = _fold_polish(spec, mesh, warm.flatten(), lam0, blocks, options.tol_cert)
-    if not polished.ok:
+    polished = _fold_polish(spec, mesh, warm.flatten(), lam0, blocks)
+    return polished if polished.ok else None
+
+
+def _continued(spec, mesh, cert, warm, lam0, options) -> Optional[MinimaxCertificate]:
+    """Certificate polished from ``(warm, lam0)``, or None at the first step that fails."""
+    blocks = model.stiffness_blocks(spec, mesh)
+    polished = _polish_from(spec, mesh, warm, lam0, blocks)
+    if polished is None:
         return None
     # guard against a branch switch: the SLP must find no ascent from the polished point
     guard = _slp(spec, mesh, polished.u, options, blocks, _LOOSE_GAIN)

@@ -78,7 +78,7 @@ class PerturbationReport:
     field) is not provable numerically; both bounds here come from the primal
     estimate applied in the two directions.  ``start`` is how the perturbed
     solve began (``continue_certificate``): ``continued`` from the base
-    certificate, ``fallback`` to the full multistart, or ``multistart``.
+    certificate, ``fallback`` to ``maximize``, or ``multistart``.
     """
 
     lambda_base: float
@@ -99,10 +99,10 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
                       tol: float = 1e-8) -> tuple:
     """Two-sided estimates for a kappa sequence, one ``PerturbationReport`` each.
 
-    The base scalar problem (kappa = 0) is solved once by the full multistart
-    and shared.  Each kappa then continues the base certificate on the same
-    mesh (``continue_certificate``: a fold polish from the base maximizer,
-    the full multistart only as a fallback).  Raises ``RuntimeError`` when a
+    The base scalar problem (kappa = 0) is solved once by ``maximize`` and
+    shared.  Each kappa then continues the base certificate on the same mesh
+    (``continue_certificate``: a fold polish from the base maximizer, with
+    ``maximize`` only as a fallback).  Raises ``RuntimeError`` when a
     certificate is not VALID.
     """
     if not (0.0 < q < 1.0 and gamma > 1.0 and gamma1 > 1.0):

@@ -118,14 +118,41 @@ class TestRunSolve:
             == ["continued", "continued"]
 
     def test_byte_identical_reruns(self, tmp_path):
-        for study, sizes in (("solve", (16,)), ("refine", (8, 16, 32)), ("perturb", (16,))):
-            runs = [tmp_path / study / rerun for rerun in ("a", "b")]
+        for study, sizes in (("solve", (16,)), ("solve", (64,)), ("refine", (8, 16, 32)),
+                             ("perturb", (16,))):
+            runs = [tmp_path / f"{study}{sizes[-1]}" / rerun for rerun in ("a", "b")]
             for out in runs:
                 assert harness.run(fast_config(study=study, mesh_sizes=sizes,
                                                out_dir=str(out))) == 0
             for name in ("certificate.json", "table.csv"):
                 assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), \
                     (study, name)
+
+    def test_start_column_names_the_path(self, tmp_path):
+        for n, start in ((16, "multistart"), (64, "nested")):
+            out = tmp_path / str(n)
+            assert harness.run(fast_config(mesh_sizes=(n,), out_dir=str(out))) == 0
+            assert [row["start"] for row in read_table(out / "table.csv")] == [start]
+            assert json.loads((out / "certificate.json").read_text())["start"] == start
+            assert load_certificate(out / "certificate.json")[2].start == start
+
+    def test_certificate_without_start_loads_as_multistart(self, tmp_path):
+        harness.run(fast_config(out_dir=str(tmp_path)))
+        path = tmp_path / "certificate.json"
+        data = json.loads(path.read_text())
+        del data["start"]  # written before the field existed
+        path.write_text(json.dumps(data))
+        spec, mesh, cert = load_certificate(path)
+        assert cert.start == "multistart"
+        assert verify_certificate(spec, mesh, cert).valid
+
+    def test_solve_at_n1024_is_certified(self, tmp_path):
+        argv = ["solve", "--problem", "scalar_power", "--q", "0.5", "--gamma", "2",
+                "--n", "1024", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        spec, mesh, cert = load_certificate(tmp_path / "certificate.json")
+        assert cert.valid and cert.status == "polished" and cert.start == "nested"
+        assert verify_certificate(spec, mesh, cert).valid
 
     def test_svg_emission(self, tmp_path):
         config = fast_config(out_dir=str(tmp_path), svg=True)
@@ -215,7 +242,9 @@ class TestNestedRefinement:
         assert len(failed) == 1
         assert [r.start for r in table.rows] == ["multistart", "fallback", "continued"]
         plain = minimax_solver.maximize(config.spec(), config.mesh(16), options=config.solver)
-        assert json.dumps(table.certificates[1].to_dict()) == json.dumps(plain.to_dict())
+        # the certificate records its path; every other field is the plain multistart's
+        assert json.dumps(table.certificates[1].to_dict()) \
+            == json.dumps(dataclasses.replace(plain, start="fallback").to_dict())
 
     def test_linear_diagnostic_runs_multistart_at_every_size(self):
         config = RunConfig(problem_name="linear_diagnostic", study="refine",

@@ -211,7 +211,9 @@ class TestContinueCertificate:
             assert guards[0].status == "converged" and guards[0].iterations == 1
         monkeypatch.undo()
         full = maximize(spec, mesh, options=FAST)
-        assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
+        # the certificate records its path; every other field is the plain maximize's
+        assert json.dumps(cert.to_dict()) \
+            == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
 
     @pytest.mark.parametrize("polish", [True, False])
     def test_single_phase_modes_run_the_multistart(self, scalar_cert, diagnostic_cert,
@@ -253,8 +255,7 @@ class TestTwoPhaseMaximize:
         slp = minimax_solver._slp(spec, mesh, start, options, blocks,
                                   minimax_solver._LOOSE_GAIN)
         assert slp.status == "converged"
-        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks,
-                                             options.tol_cert)
+        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks)
         assert result.reason in ("converged", "roundoff_floor")
         assert result.ok
         assert result.residual <= 1e-3 * options.tol_cert
@@ -266,8 +267,7 @@ class TestTwoPhaseMaximize:
         start = minimax_solver.default_start(spec, mesh, blocks)
         slp = minimax_solver._slp(spec, mesh, start, FAST, blocks,
                                   minimax_solver._LOOSE_GAIN)
-        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks,
-                                             FAST.tol_cert, max_iter=0)
+        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks, max_iter=0)
         assert result.reason == "max_iter" and not result.ok
 
     def test_failed_polish_is_retried_after_tight_slp(self, monkeypatch):
@@ -311,6 +311,137 @@ class TestTwoPhaseMaximize:
         assert verify_certificate(spec, mesh, cert).valid
 
 
+class TestRoundoffStop:
+    """The polish stops at the rounding error of its residual evaluation."""
+
+    def test_stop_test_against_synthetic_residuals(self):
+        roundoff = (1e-12, 4e-16)  # (primal, adjoint) estimates
+        assert minimax_solver._at_roundoff((9e-13, 3e-16), roundoff)
+        assert minimax_solver._at_roundoff((2e-16, 9e-13), roundoff)  # merit vs largest estimate
+        assert not minimax_solver._at_roundoff((1.1e-12, 3e-16), roundoff)
+        assert not minimax_solver._at_roundoff((2e-16, 2e-12), roundoff)
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_polish_ends_at_its_roundoff_estimate(self, n):
+        spec = scalar_power(0.5, 2.0)
+        mesh = build_mesh(n)
+        coarse = maximize(spec, build_mesh(64))
+        result = minimax_solver._fold_polish(spec, mesh, coarse.u_star.transfer_to(mesh).flatten(),
+                                             coarse.lambda_star, model.stiffness_blocks(spec, mesh))
+        assert result.ok and result.reason == "converged"
+        assert result.residual <= result.roundoff < SolverOptions().tol_cert
+
+    def test_stalled_polish_above_the_estimate_is_a_failure(self, monkeypatch):
+        spec = scalar_power(0.5, 2.0)
+        mesh = build_mesh(24)
+        blocks = model.stiffness_blocks(spec, mesh)
+        start = minimax_solver.default_start(spec, mesh, blocks)
+        slp = minimax_solver._slp(spec, mesh, start, FAST, blocks, minimax_solver._LOOSE_GAIN)
+        # a stop test that never passes: the polish runs into its stall
+        monkeypatch.setattr(minimax_solver, "_at_roundoff", lambda residuals, roundoff: False)
+        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks)
+        assert result.reason in ("no_decrease", "max_iter") and not result.ok
+        assert result.residual < 1e-12  # it reached roundoff all the same
+
+
+def solve_cold_case(name):
+    problem, params, n = {
+        "scalar_power-n64": ("scalar_power", {"q": 0.5, "gamma": 2.0}, 64),
+        "scalar_power-n128": ("scalar_power", {"q": 0.5, "gamma": 2.0}, 128),
+        "scalar_power-q0.3-n64": ("scalar_power", {"q": 0.3, "gamma": 3.0}, 64),
+        "cooperative_product-m2-n64": ("cooperative_product", {"m": 2}, 64),
+        "cooperative_product-m3-n64": ("cooperative_product", {"m": 3}, 64),
+        "cooperative_product-m3-n256": ("cooperative_product", {"m": 3}, 256),
+    }[name]
+    return builtin_problem(problem, params), build_mesh(n)
+
+
+class TestNestedMaximize:
+    """Multistart on a 16-element mesh, one polish per doubling, guard on the target."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["scalar_power-n64", "scalar_power-n128",
+                                      "scalar_power-q0.3-n64", "cooperative_product-m2-n64",
+                                      "cooperative_product-m3-n64",
+                                      "cooperative_product-m3-n256"])
+    def test_matches_the_full_multistart(self, name, seed):
+        spec, mesh = solve_cold_case(name)
+        options = SolverOptions(seed=seed)
+        cert = maximize(spec, mesh, options=options)
+        full = minimax_solver._multistart(spec, mesh, None, options)
+        assert cert.start == "nested" and full.start == "multistart"
+        assert cert.valid and cert.status == "polished" and full.valid
+        assert abs(cert.lambda_star - full.lambda_star) <= 1e-12 * full.lambda_star
+        assert verify_certificate(spec, mesh, cert).valid
+
+    def test_coarse_multistart_and_target_iterations(self, monkeypatch):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(64)
+        real = minimax_solver._multistart
+        coarse = []
+
+        def record(*args):
+            coarse.append(real(*args))
+            return coarse[-1]
+
+        monkeypatch.setattr(minimax_solver, "_multistart", record)
+        cert = maximize(spec, mesh)
+        assert [c.mesh_info["n_elements"] for c in coarse] == [16]  # one multistart
+        assert cert.starts_agree == coarse[0].starts_agree
+        assert cert.lambda_spread_starts == coarse[0].lambda_spread_starts
+        assert cert.iterations == 1  # the guard SLP on the target mesh
+        assert cert.polish_iterations > 0
+
+    def test_failed_intermediate_polish_falls_back(self, monkeypatch):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(64)  # levels 16, 32, 64
+        real_polish = minimax_solver._fold_polish
+        failed = []
+
+        def fail_first_at_n32(spec, mesh, *args, **kwargs):
+            result = real_polish(spec, mesh, *args, **kwargs)
+            if mesh.n_elements == 32 and not failed:
+                failed.append(result)
+                return dataclasses.replace(result, reason="no_decrease")
+            return result
+
+        monkeypatch.setattr(minimax_solver, "_fold_polish", fail_first_at_n32)
+        cert = maximize(spec, mesh, options=FAST)
+        assert len(failed) == 1 and cert.start == "fallback"
+        monkeypatch.undo()
+        full = minimax_solver._multistart(spec, mesh, None, FAST)
+        # the certificate records its path; every other field is the full multistart's
+        assert json.dumps(cert.to_dict()) \
+            == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
+
+    @pytest.mark.parametrize("case", ["n24", "linear_diagnostic", "polish_off", "u0"])
+    def test_other_paths_run_the_multistart_on_the_target(self, case):
+        spec, mesh, options, u0 = scalar_power(0.5, 2.0), build_mesh(64), FAST, None
+        if case == "n24":
+            mesh = build_mesh(24)  # halves to 12 < 16 elements
+        elif case == "linear_diagnostic":
+            spec = linear_diagnostic()
+        elif case == "polish_off":
+            options = dataclasses.replace(FAST, polish=False)
+        else:
+            u0 = minimax_solver.default_start(spec, mesh)
+        cert = maximize(spec, mesh, u0=u0, options=options)
+        assert cert.start == "multistart"
+        full = minimax_solver._multistart(spec, mesh, u0, options)
+        assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
+
+    def test_graded_mesh_is_nested(self):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(64, grading="geometric", ratio=1.02)
+        cert = maximize(spec, mesh)
+        assert cert.start == "nested"
+        assert cert.valid and verify_certificate(spec, mesh, cert).valid
+        assert cert.mesh_info["nodes"] == mesh.nodes.tolist()
+
+    def test_coarsening_keeps_every_other_node(self):
+        mesh = build_mesh(64, grading="geometric", ratio=1.02)
+        coarse = mesh_fem.mesh_from_nodes(mesh.nodes[::2])
+        assert coarse.n_elements == 32
+        assert np.allclose(coarse.element_sizes[1:] / coarse.element_sizes[:-1], 1.02 ** 2)
+
+
 def fold_case(name):
     spec, n = {
         "scalar_power-n64": (scalar_power(0.5, 2.0), 64),
@@ -349,6 +480,27 @@ class TestBandedFoldSystem:
         if name == "scalar_power-no-hessian-n64":
             with_hessian = maximize(scalar_power(0.5, 2.0), mesh)
             assert abs(cert.lambda_star - with_hessian.lambda_star) <= 1e-10
+
+    @pytest.mark.parametrize("name,params,n", [
+        ("scalar_power", {"q": 0.5, "gamma": 2.0}, 1024),
+        ("cooperative_product", {"m": 3}, 512),
+    ])
+    def test_bordered_lu_fill_is_linear(self, name, params, n):
+        spec, mesh = builtin_problem(name, params), build_mesh(n)
+        cert = maximize(spec, mesh)
+        assert cert.valid
+        big = spec.m * mesh.n_interior
+        parts = model.jacobian_parts(spec, mesh, cert.u_star)
+        jac = parts.jacobian_band(cert.lambda_star)
+        ones = np.full(big, 1.0 / np.sqrt(big))
+        lu, v, w, s = minimax_solver._bordered_solve(jac, spec.m, mesh.n_interior, ones, ones)
+        bordered = model.band_csc(jac, spec.m, mesh.n_interior, ones, ones)
+        assert lu.L.nnz + lu.U.nnz <= 2 * bordered.nnz
+        # the solve keeps its accuracy: [J b; c^T 0][v; s] = [0; 1]
+        x = np.append(v, s)
+        rhs = np.zeros(big + 1)
+        rhs[-1] = 1.0
+        assert np.abs(bordered @ x - rhs).max() <= 1e-13 * abs(bordered).max() * np.abs(x).max()
 
     @pytest.mark.parametrize("n", [16, 24])
     @pytest.mark.parametrize("m", [1, 2, 3])
