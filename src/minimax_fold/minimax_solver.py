@@ -7,12 +7,15 @@ quotients are linearized and the LP
                     |du|_inf <= trust radius,  u + du above the cone floor
 
 is solved; the LP duals are the running Fritz John multiplier estimates and a
-ratio test adapts the trust radius.  Each SLP run keeps one HiGHS instance
-(``WarmLP``) and solves every LP from the previous optimal basis.  The LP
-rows are read off the banded gradient stencil (``LPRows``), and each iterate
-is assembled once: an accepted trial point brings its terms along, and a
-rejected step re-solves with the same rows.  For nonlinear problems
-``maximize`` works in two phases:
+ratio test adapts the trust radius.  The starts of a multistart advance in
+lockstep: each round every running start solves one LP, and the fields the
+round needs are assembled as one stack, which costs little more than one
+field on the small meshes the multistart runs on.  The starts share one
+HiGHS instance, and each solves every LP from its own previous optimal
+basis (``WarmLP``).  The LP rows are read off the banded gradient stencil
+(``LPRows``), and each iterate is assembled once: an accepted trial point
+brings its terms along, and a rejected step re-solves with the same rows.
+For nonlinear problems ``maximize`` works in two phases:
 
 1. every start runs the SLP only to the loose gain tolerance ``_LOOSE_GAIN``,
    which is enough to land in the contraction basin of the fold;
@@ -195,33 +198,42 @@ def torsion_start(spec: ProblemSpec, mesh: Mesh1D, blocks=None) -> FEField:
     return FEField(mesh, vals)
 
 
-def amplitude_line_search(spec: ProblemSpec, mesh: Mesh1D, shape: FEField,
-                          blocks=None) -> FEField:
+def amplitude_line_search(spec: ProblemSpec, mesh: Mesh1D, shape, blocks=None):
     """Pick t maximizing lambda_r(t * shape) over a fixed log grid.
 
-    The 25 amplitudes are assembled as one stack of fields.  An amplitude is
-    skipped where ``rayleigh.inner_min`` would reject it: a field outside the
-    open cone or below its relative floor, or a pairing <g, eta_i> that is
-    not positive.
+    ``shape`` is an FEField, or coefficients (S, m, n_interior) of S shapes,
+    which are searched together and come back as a stack of scaled shapes.
+    The 25 amplitudes of every shape are assembled as one stack of fields.
+    An amplitude is skipped where ``rayleigh.inner_min`` would reject it: a
+    field outside the open cone or below its relative floor, or a pairing
+    <g, eta_i> that is not positive.  A shape with a negative coefficient has
+    no amplitude in the cone and comes back normalized.
     """
-    base = shape.values / shape.sup_norm
+    values = shape.values if isinstance(shape, FEField) else np.asarray(shape, dtype=float)
+    shapes = values.reshape((-1,) + values.shape[-2:])
+    base = shapes / np.abs(shapes).max(axis=(1, 2), keepdims=True)
     amplitudes = np.geomspace(1e-3, 1e3, 25)
-    fields = amplitudes[:, None, None] * base
-    try:
-        terms = rayleigh.galerkin_terms(spec, mesh, fields, blocks)
-    except model.ConeError:  # a negative coefficient: no amplitude lies in the cone
-        return FEField(mesh, base)
-    low = fields.min(axis=(1, 2))
-    usable = ((low > 0.0)
-              & ~(low < model.CONE_FLOOR_REL * np.abs(fields).max(axis=(1, 2)))
-              & ~np.any(terms.g_load <= rayleigh.TOL_DENOM, axis=(1, 2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = terms.quotients().min(axis=1)
-    best_val, best_t = -np.inf, 1.0
-    for t, val, ok in zip(amplitudes, values, usable):
-        if ok and val > best_val:
-            best_val, best_t = val, t
-    return FEField(mesh, best_t * base)
+    best = np.ones(len(base))
+    closed = np.flatnonzero(np.all(base >= 0.0, axis=(1, 2)))
+    if closed.size:
+        fields = amplitudes[:, None, None] * base[closed, None]  # (shapes, amplitudes, m, n)
+        terms = rayleigh.galerkin_terms(spec, mesh, fields.reshape((-1,) + base.shape[1:]),
+                                        blocks)
+        low = fields.min(axis=(2, 3))
+        usable = ((low > 0.0)
+                  & ~(low < model.CONE_FLOOR_REL * np.abs(fields).max(axis=(2, 3)))
+                  & ~np.any(terms.g_load <= rayleigh.TOL_DENOM, axis=(1, 2)).reshape(low.shape))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = terms.quotients().min(axis=1).reshape(low.shape)
+        # the first amplitude of the largest usable value, as a loop with ">" picks
+        score = np.where(usable & (lam > -np.inf), lam, -np.inf)
+        pick = score.argmax(axis=1)
+        found = score[np.arange(closed.size), pick] > -np.inf
+        best[closed[found]] = amplitudes[pick[found]]
+    scaled = best[:, None, None] * base
+    if isinstance(shape, FEField):
+        return FEField(mesh, scaled[0])
+    return scaled.reshape(values.shape)
 
 
 def default_start(spec: ProblemSpec, mesh: Mesh1D, blocks=None) -> FEField:
@@ -246,20 +258,28 @@ class _SLPState:
     mu_lp: Optional[np.ndarray]
 
 
+def _new_highs():
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    return highs
+
+
 class WarmLP:
-    """HiGHS instance for a sequence of same-shape LPs
+    """Chain of same-shape LPs
 
         min cost . x   s.t.   a_ub x <= b_ub,   lower <= x <= upper,
 
-    each solved from the previous optimal basis.  It calls scipy's bundled
-    HiGHS bindings (the private ``scipy.optimize._highspy._core``) directly,
-    which skips the input checking and conversion that scipy's public LP
-    front end repeats on every call.
+    each solved from the previous optimal basis of the chain.  Chains may
+    share one HiGHS instance (``highs``; by default each gets its own): every
+    solve passes the chain's model and basis to the instance before it runs.
+    It calls scipy's bundled HiGHS bindings (the private
+    ``scipy.optimize._highspy._core``) directly, which skips the input
+    checking and conversion that scipy's public LP front end repeats on every
+    call.
     """
 
-    def __init__(self):
-        self._highs = _highs._Highs()
-        self._highs.setOptionValue("output_flag", False)
+    def __init__(self, highs=None):
+        self._highs = _new_highs() if highs is None else highs
         self._basis = None
 
     def solve(self, cost: np.ndarray, a_ub, b_ub: np.ndarray,
@@ -328,99 +348,143 @@ class LPRows:
         return np.searchsorted(self._rows[keep], self._row_ids), self._cols[keep], value[keep]
 
 
-def _terms_at(spec, mesh, flat, blocks):
-    """Galerkin terms and direction quotients at the flat field ``flat``."""
-    terms = rayleigh.galerkin_terms(spec, mesh, FEField.from_flat(mesh, spec.m, flat), blocks)
-    return terms, terms.quotients()
+@dataclass
+class _SLPRun:
+    """Working state of one start of ``_slp``: its iterate with terms,
+    quotients and LP rows, its LP chain, trust radius and stop status."""
+
+    flat: np.ndarray
+    lp: WarmLP
+    terms: Optional[rayleigh.GalerkinTerms] = None
+    quotients: Optional[np.ndarray] = None
+    a_ub: Optional[tuple] = None
+    scale0: float = 0.0
+    trust: float = 0.0
+    lam: float = 0.0
+    lam_prev: float = 0.0
+    grew: int = 0
+    mu_lp: Optional[np.ndarray] = None
+    status: Optional[str] = None  # None while the start runs
+    iterations: int = 0
+    scale_u: float = 0.0  # sup norm of the iterate at the top of the round
+    floor: float = 0.0  # cone floor of the round
 
 
-def _slp(spec: ProblemSpec, mesh: Mesh1D, u0: FEField, options: SolverOptions,
-         blocks, gain_tol: float) -> _SLPState:
-    """SLP from u0 until the scaled predicted gain is at most ``gain_tol``.
+def _assemble(spec, mesh, blocks, flats):
+    """``(terms, quotients)`` of each flat field, from one stacked assembly."""
+    if not flats:
+        return []
+    terms = rayleigh.galerkin_terms(spec, mesh, np.stack(flats).reshape(len(flats), spec.m, -1),
+                                    blocks)
+    quotients = terms.quotients()
+    return [(terms[i], quotients[i]) for i in range(len(flats))]
 
-    Each iterate is assembled once: an accepted trial point brings its terms
-    and quotients along, and a rejected step or failed LP only shrinks the
-    trust radius and solves again with the same constraint rows.
+
+def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
+         blocks, gain_tol: float) -> list:
+    """SLP from each field in ``starts`` until its scaled predicted gain is at
+    most ``gain_tol``; one ``_SLPState`` per start.
+
+    The starts advance in lockstep, one round per iteration: every live start
+    solves one LP, and the fields that need terms at one step of the round
+    (the start points, the floor re-clamps, the trial points) are assembled
+    as one stack, as are the constraint rows of the starts whose iterate
+    changed.  A start's arithmetic never mixes with another's, so each
+    result is bit-identical to running that start alone.  Each iterate is
+    assembled once: an accepted trial point brings its terms and quotients
+    along, and a rejected step or failed LP only shrinks the trust radius
+    and solves again with the same constraint rows.  The starts share one
+    HiGHS instance, and each solves from its own previous basis.
     """
     m, n = spec.m, mesh.n_interior
     big = m * n
-    flat = u0.flatten()
-    scale0 = float(np.abs(flat).max())
-    trust = options.trust_radius_init * scale0
-    terms, quotients = _terms_at(spec, mesh, flat, blocks)
-    lam = float(quotients.min())
-    lp = WarmLP()
+    highs = _new_highs()
     lp_rows = LPRows(m, n)
-    a_ub = None  # constraint rows of the current iterate
     cost = np.zeros(big + 1)
     cost[-1] = -1.0
-    mu_lp = None
-    lam_prev = lam
-    grew = 0
-    status = "max_iters"
-    it = 0
+    runs = [_SLPRun(flat=u0.flatten(), lp=WarmLP(highs)) for u0 in starts]
+    for run, (terms, quotients) in zip(runs, _assemble(spec, mesh, blocks,
+                                                      [r.flat for r in runs])):
+        run.terms, run.quotients = terms, quotients
+        run.scale0 = float(np.abs(run.flat).max())
+        run.trust = options.trust_radius_init * run.scale0
+        run.lam = run.lam_prev = float(run.quotients.min())
 
     for it in range(1, options.max_iters + 1):
-        scale_u = float(np.abs(flat).max())
-        if scale_u < options.collapse_threshold * scale0 and lam <= gain_tol:
-            status = "cone_collapse"
+        live = [r for r in runs if r.status is None]
+        if not live:
             break
-        if scale_u > options.growth_threshold * scale0 and grew >= 5:
-            status = "unbounded_ascent"
-            break
+        clamped = []
+        for r in live:
+            r.iterations = it
+            r.scale_u = float(np.abs(r.flat).max())
+            if r.scale_u < options.collapse_threshold * r.scale0 and r.lam <= gain_tol:
+                r.status = "cone_collapse"
+            elif r.scale_u > options.growth_threshold * r.scale0 and r.grew >= 5:
+                r.status = "unbounded_ascent"
+            else:
+                # the relative cone floor rises with the iterate scale; re-clamp
+                r.floor = model.CONE_FLOOR_REL * r.scale_u
+                if np.any(r.flat < r.floor):
+                    r.flat = np.maximum(r.flat, r.floor)
+                    r.a_ub = None
+                    clamped.append(r)
+        for r, (terms, quotients) in zip(clamped, _assemble(spec, mesh, blocks,
+                                                            [r.flat for r in clamped])):
+            r.terms, r.quotients = terms, quotients
+        live = [r for r in live if r.status is None]
 
-        # the relative cone floor rises with the iterate scale; re-clamp
-        floor = model.CONE_FLOOR_REL * scale_u
-        if np.any(flat < floor):
-            flat = np.maximum(flat, floor)
-            terms, quotients = _terms_at(spec, mesh, flat, blocks)
-            a_ub = None
-        if a_ub is None:
-            lam = float(quotients.min())
-            stencil = rayleigh.quotient_gradients(spec, mesh, FEField.from_flat(mesh, m, flat),
-                                                  terms=terms, quotients=quotients)
-            a_ub = lp_rows.of(stencil)
+        fresh = [r for r in live if r.a_ub is None]
+        if fresh:
+            for r in fresh:
+                r.lam = float(r.quotients.min())
+            stencils = rayleigh.quotient_gradients(
+                spec, mesh, np.stack([r.flat.reshape(m, n) for r in fresh]),
+                terms=rayleigh.GalerkinTerms.stack([r.terms for r in fresh]),
+                quotients=np.stack([r.quotients for r in fresh]))
+            for r, stencil in zip(fresh, stencils):
+                r.a_ub = lp_rows.of(stencil)
 
-        lower = np.append(np.maximum(-trust, floor - flat), -np.inf)
-        upper = np.append(np.full(big, trust), np.inf)
-        res = lp.solve(cost, a_ub, quotients, lower, upper)
-        if res is None:
-            trust *= 0.5
-            if trust < 1e-13 * scale_u:
-                status = "stalled"
-                break
-            continue
-        x, row_dual = res
-        delta = x[:-1]
-        predicted = float(x[-1]) - lam
-        raw = np.abs(row_dual)
-        tot = raw.sum()
-        if tot > 0:
-            mu_lp = raw / tot
+        trials = []
+        for r in live:
+            lower = np.append(np.maximum(-r.trust, r.floor - r.flat), -np.inf)
+            upper = np.append(np.full(big, r.trust), np.inf)
+            res = r.lp.solve(cost, r.a_ub, r.quotients, lower, upper)
+            if res is None:
+                r.trust *= 0.5
+                if r.trust < 1e-13 * r.scale_u:
+                    r.status = "stalled"
+                continue
+            x, row_dual = res
+            delta = x[:-1]
+            predicted = float(x[-1]) - r.lam
+            raw = np.abs(row_dual)
+            tot = raw.sum()
+            if tot > 0:
+                r.mu_lp = raw / tot
+            if predicted <= gain_tol * (1.0 + abs(r.lam)):
+                r.status = "converged"
+                continue
+            trials.append((r, delta, predicted, np.maximum(r.flat + delta, r.floor)))
 
-        if predicted <= gain_tol * (1.0 + abs(lam)):
-            status = "converged"
-            break
+        assembled = _assemble(spec, mesh, blocks, [trial for _, _, _, trial in trials])
+        for (r, delta, predicted, trial), (trial_terms, trial_quotients) in zip(trials, assembled):
+            lam_trial = float(trial_quotients.min())
+            rho = (lam_trial - r.lam) / predicted
+            if rho >= 0.05:
+                r.flat, r.terms, r.quotients = trial, trial_terms, trial_quotients
+                r.a_ub = None
+                r.grew = r.grew + 1 if lam_trial > r.lam_prev else 0
+                r.lam_prev = r.lam = lam_trial
+                if rho > 0.7 and np.abs(delta).max() > 0.9 * r.trust:
+                    r.trust = min(2.0 * r.trust, 10.0 * max(r.scale_u, np.abs(r.flat).max()))
+            else:
+                r.trust *= 0.5
+                if r.trust < 1e-13 * r.scale_u:
+                    r.status = "stalled"
 
-        trial = np.maximum(flat + delta, floor)
-        trial_terms, trial_quotients = _terms_at(spec, mesh, trial, blocks)
-        lam_trial = float(trial_quotients.min())
-        rho = (lam_trial - lam) / predicted
-        if rho >= 0.05:
-            flat, terms, quotients = trial, trial_terms, trial_quotients
-            a_ub = None
-            grew = grew + 1 if lam_trial > lam_prev else 0
-            lam_prev = lam_trial
-            lam = lam_trial
-            if rho > 0.7 and np.abs(delta).max() > 0.9 * trust:
-                trust = min(2.0 * trust, 10.0 * max(scale_u, np.abs(flat).max()))
-        else:
-            trust *= 0.5
-            if trust < 1e-13 * scale_u:
-                status = "stalled"
-                break
-
-    return _SLPState(u=flat, lam=lam, status=status, iterations=it, mu_lp=mu_lp)
+    return [_SLPState(u=r.flat, lam=r.lam, status=r.status or "max_iters",
+                      iterations=r.iterations, mu_lp=r.mu_lp) for r in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +845,9 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
              options: SolverOptions | None = None) -> MinimaxCertificate:
     """Solve lambda_r* = sup over the open cone of min_i R(u, eta_i).
 
-    The multistart runs ``n_starts`` SLP instances (the torsion-profile
-    default start plus seeded random cone perturbations, or ``u0`` if given).
+    The multistart runs ``n_starts`` SLP starts in lockstep (the
+    torsion-profile default start, or ``u0`` if given, plus seeded random
+    cone perturbations).
     For a nonlinear problem with ``polish=True`` each start stops at the loose
     gain ``_LOOSE_GAIN``, every converged start is polished by Newton on the
     minimally augmented fold system (a failed polish is retried once from the
@@ -835,33 +900,25 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField],
                 options: SolverOptions) -> MinimaxCertificate:
     """The multistart of ``maximize`` on ``mesh`` itself."""
     blocks = model.stiffness_blocks(spec, mesh)
-    first = u0 if u0 is not None else default_start(spec, mesh, blocks)
-
-    # randomized cone starts: inverse stiffness of random positive loads gives
-    # smooth strictly positive shapes (discrete maximum principle)
-    rng = np.random.default_rng(options.seed)
-    starts = [first]
-    for _ in range(max(options.n_starts - 1, 0)):
-        loads = np.abs(rng.standard_normal(first.values.shape)) + 0.05
-        shape = np.stack([blocks[k].solve(loads[k]) for k in range(spec.m)])
-        if np.any(shape <= 0.0):
-            shape = np.abs(shape) + 1e-6
-        starts.append(amplitude_line_search(spec, mesh, FEField(mesh, shape), blocks))
-
     two_phase = options.polish and not spec.diagnostic
     gain_tol = _LOOSE_GAIN if two_phase else options.tol_kkt
-    results = [_slp(spec, mesh, s, options, blocks, gain_tol) for s in starts]
+    results = _slp(spec, mesh, _starts(spec, mesh, u0, options, blocks), options, blocks,
+                   gain_tol)
     converged = [r for r in results if r.status == "converged"]
 
     if two_phase and converged:
+        first = [_fold_polish(spec, mesh, r.u, r.lam, blocks) for r in converged]
+        # retry, not downgrade: finish every start whose polish failed at
+        # tol_kkt, in one SLP call, and polish it again
+        failed = [FEField.from_flat(mesh, spec.m, r.u)
+                  for r, result in zip(converged, first) if not result.ok]
+        resumed = iter(_slp(spec, mesh, failed, options, blocks, options.tol_kkt)
+                       if failed else [])
         polished, unpolished = [], []  # (PolishResult, SLP iterations), _SLPState
-        for r in converged:
-            result = _fold_polish(spec, mesh, r.u, r.lam, blocks)
+        for r, result in zip(converged, first):
             if not result.ok:
-                # retry, not downgrade: finish the start at tol_kkt, polish again
                 loose_iterations = r.iterations
-                r = _slp(spec, mesh, FEField.from_flat(mesh, spec.m, r.u), options,
-                         blocks, options.tol_kkt)
+                r = next(resumed)
                 r.iterations += loose_iterations
                 if r.status == "converged":
                     result = _fold_polish(spec, mesh, r.u, r.lam, blocks)
@@ -891,6 +948,28 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField],
                 status = "polished"  # SLP is quadratically convergent in the linear mode
     return _certificate(spec, mesh, best.u, best.lam, status, best.iterations, 0,
                         agree, spread, options, blocks, mu_lp=mu_lp)
+
+
+def _starts(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField], options: SolverOptions,
+            blocks) -> list:
+    """The ``n_starts`` start fields of the multistart: ``u0`` or the default
+    start, then seeded random shapes, all but ``u0`` scaled by one stacked
+    ``amplitude_line_search``."""
+    shapes = [] if u0 is not None else [torsion_start(spec, mesh, blocks).values]
+    # randomized cone starts: inverse stiffness of random positive loads gives
+    # smooth strictly positive shapes (discrete maximum principle)
+    rng = np.random.default_rng(options.seed)
+    for _ in range(max(options.n_starts - 1, 0)):
+        loads = np.abs(rng.standard_normal((spec.m, mesh.n_interior))) + 0.05
+        shape = np.stack([blocks[k].solve(loads[k]) for k in range(spec.m)])
+        if np.any(shape <= 0.0):
+            shape = np.abs(shape) + 1e-6
+        shapes.append(shape)
+    starts = [] if u0 is None else [u0]
+    if shapes:
+        starts += [FEField(mesh, values)
+                   for values in amplitude_line_search(spec, mesh, np.stack(shapes), blocks)]
+    return starts
 
 
 def _agreement(lams, lam_best: float, options: SolverOptions):
@@ -967,7 +1046,7 @@ def _continued(spec, mesh, cert, warm, lam0, options) -> Optional[MinimaxCertifi
     if polished is None:
         return None
     # guard against a branch switch: the SLP must find no ascent from the polished point
-    guard = _slp(spec, mesh, polished.u, options, blocks, _LOOSE_GAIN)
+    guard, = _slp(spec, mesh, [polished.u], options, blocks, _LOOSE_GAIN)
     if guard.status != "converged" or guard.iterations != 1:
         return None
     return _certificate(spec, mesh, polished.u.flatten(), polished.lam, "polished",

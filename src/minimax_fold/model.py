@@ -151,15 +151,21 @@ class FEField:
         return FEField(mesh, np.full((m, mesh.n_interior), float(value)))
 
 
-def require_open_cone(u: FEField, context: str = "operation") -> None:
-    """Reject fields outside the open cone or below the relative floor."""
-    if not u.interior:
+def require_open_cone(u, context: str = "operation") -> None:
+    """Reject fields outside the open cone or below the relative floor.
+
+    ``u`` is an FEField, or coefficients (S, m, n_interior) of a stack of S
+    fields; each field of a stack is held to the floor of its own sup norm.
+    """
+    values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
+    low = np.atleast_1d(values.min(axis=(-2, -1)))
+    floor = CONE_FLOOR_REL * np.atleast_1d(np.abs(values).max(axis=(-2, -1)))
+    if not np.all(low > 0.0):
         raise ConeError(f"{context} requires a field in the open cone")
-    floor = CONE_FLOOR_REL * u.sup_norm
-    if u.values.min() < floor:
-        raise ConeError(
-            f"{context}: coefficient {u.values.min():.3e} below cone floor {floor:.3e}"
-        )
+    below = np.flatnonzero(low < floor)
+    if below.size:
+        i = below[0]
+        raise ConeError(f"{context}: coefficient {low[i]:.3e} below cone floor {floor[i]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +257,14 @@ def band_pattern(m: int, n: int):
 
 
 def band_to_dense(band: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Dense (m*n, m*n) matrix of an (m*n, 3m) band (layout of ``band_pattern``)."""
+    """Dense (m*n, m*n) matrix of an (m*n, 3m) band (layout of ``band_pattern``).
+
+    A stack of bands (S, m*n, 3m) gives a stack of matrices (S, m*n, m*n).
+    """
     index, rows, cols = band_pattern(m, n)
-    dense = np.zeros((m * n, m * n))
-    dense[rows, cols] = band.ravel()[index]
+    lead = band.shape[:-2]
+    dense = np.zeros(lead + (m * n, m * n))
+    dense[..., rows, cols] = band.reshape(lead + (-1,))[..., index]
     return dense
 
 
@@ -316,12 +326,12 @@ def band_csc(band: np.ndarray, m: int, n: int, col: np.ndarray | None = None,
 
 
 def _block_diagonal_band(rows: np.ndarray) -> np.ndarray:
-    """(m*n, 3m) band of a block-diagonal matrix from its (m, n, 3) block bands."""
-    m, n, _ = rows.shape
-    band = np.zeros((m, n, m, 3))
-    own = np.arange(m)
-    band[own, :, own] = rows
-    return band.reshape(m * n, 3 * m)
+    """(..., m*n, 3m) band of a block-diagonal matrix from its (..., m, n, 3) block bands."""
+    lead, (m, n, _) = rows.shape[:-3], rows.shape[-3:]
+    band = np.zeros(lead + (m, n, m, 3))
+    for k in range(m):
+        band[..., k, :, k, :] = rows[..., k, :, :]
+    return band.reshape(lead + (m * n, 3 * m))
 
 
 @dataclass(frozen=True)
@@ -330,9 +340,10 @@ class JacobianParts:
 
     Each ``*_band`` array is (m*n, 3m) in the layout of ``band_pattern``:
     entry (k*n + i, 3*l + s) couples unknown (k, i) with (l, i + s - 1), and
-    entries whose neighbour lies outside the mesh are zero.  ``stiffness``,
-    ``mass_f`` and ``mass_g`` are the dense (m*n, m*n) matrices, expanded on
-    first access for the callers that factorize or multiply densely.
+    entries whose neighbour lies outside the mesh are zero; the parts of a
+    stack of S fields have (S, m*n, 3m) bands.  ``stiffness``, ``mass_f`` and
+    ``mass_g`` are the dense (m*n, m*n) matrices, expanded on first access for
+    the callers that factorize or multiply densely.
     """
 
     m: int
@@ -358,7 +369,7 @@ class JacobianParts:
         return band_to_dense(self.mass_g_band, self.m, self.n)
 
 
-def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
+def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u,
                    blocks: tuple | None = None, samples=None) -> JacobianParts:
     """Assemble the stiffness, reaction-mass and parameter-mass bands at u.
 
@@ -366,15 +377,19 @@ def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
     by df^k/dt_l evaluated along u; the parameter mass is block diagonal with
     weights dg^k/dt_k.  Only the diagonals are assembled.  Requires u in the
     open cone (the parameter-term linearization is singular on the boundary).
-    ``samples`` passes the ``quadrature_samples`` of ``u`` when the caller
-    already holds them.
+    ``u`` is an FEField, or coefficients (S, m, n_interior) of a stack of S
+    fields, assembled in one call to each reaction callback, with bands equal
+    to those of each field alone.  ``samples`` passes the
+    ``quadrature_samples`` of ``u`` when the caller already holds them.
     """
     require_open_cone(u, "jacobian assembly")
     m, n = spec.m, mesh.n_interior
     if blocks is None:
         blocks = stiffness_blocks(spec, mesh)
+    values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
+    lead = values.shape[:-2]
 
-    x, t, shape = quadrature_samples(spec, mesh, u.values) if samples is None else samples
+    x, t, shape = quadrature_samples(spec, mesh, values) if samples is None else samples
     fj = np.asarray(spec.f_jac(x, t), dtype=float).reshape((m, m) + shape)
     if not np.all(np.isfinite(fj)):
         raise ValueError("reaction Jacobian sample is not finite")
@@ -382,13 +397,14 @@ def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
 
     # one weighted-mass pass for the m*m reaction blocks and the m parameter blocks
     weights = np.concatenate([fj.reshape((m * m,) + shape), gt])
-    rows = mesh_fem.tridiag_band(*mesh_fem.weighted_mass(mesh, weights))
-    mass_f = rows[:m * m].reshape(m, m, n, 3).transpose(0, 2, 1, 3).reshape(m * n, 3 * m)
+    rows = np.moveaxis(mesh_fem.tridiag_band(*mesh_fem.weighted_mass(mesh, weights)), 0, -3)
+    mass_f = rows[..., :m * m, :, :].reshape(lead + (m, m, n, 3)).swapaxes(-3, -2)
+    stiffness = np.broadcast_to(np.stack([blk.band for blk in blocks]), lead + (m, n, 3))
     return JacobianParts(
         m=m, n=n,
-        stiffness_band=_block_diagonal_band(np.stack([blk.band for blk in blocks])),
-        mass_f_band=mass_f,
-        mass_g_band=_block_diagonal_band(rows[m * m:]))
+        stiffness_band=_block_diagonal_band(stiffness),
+        mass_f_band=mass_f.reshape(lead + (m * n, 3 * m)),
+        mass_g_band=_block_diagonal_band(rows[..., m * m:, :, :]))
 
 
 def eval_jacobian(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float) -> np.ndarray:

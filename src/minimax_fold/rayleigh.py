@@ -13,6 +13,7 @@ node and the two neighbouring nodes, so the gradients are kept as an
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,9 @@ class GalerkinTerms:
     """Assembled pairings at a fixed field u (all shapes (m, n_interior)).
 
     For a stack of fields every array gains a leading stack axis, and
-    ``quotients``/``residual`` return one flat row per field.
+    ``quotients``/``residual`` return one flat row per field.  ``terms[i]``
+    is field i of a stack, and ``GalerkinTerms.stack`` joins single fields
+    back into one; both only move the arrays.
     """
 
     stiff_action: np.ndarray  # (A_k u^k)_i = a^k(u^k, psi_i)
@@ -56,6 +59,26 @@ class GalerkinTerms:
 
     def _flat(self, a: np.ndarray) -> np.ndarray:
         return a.reshape(a.shape[:-2] + (-1,))
+
+    def __getitem__(self, i: int) -> GalerkinTerms:
+        x, t, shape = self.samples
+        points = t.shape[1] // shape[0]
+        return GalerkinTerms(stiff_action=self.stiff_action[i], f_load=self.f_load[i],
+                             g_load=self.g_load[i], blocks=self.blocks,
+                             samples=(x[:points], t[:, i * points:(i + 1) * points], shape[1:]))
+
+    @staticmethod
+    def stack(fields: Sequence[GalerkinTerms]) -> GalerkinTerms:
+        """Join the terms of single fields into those ``galerkin_terms`` gives for their stack."""
+        x, _, shape = fields[0].samples
+        return GalerkinTerms(
+            stiff_action=np.stack([f.stiff_action for f in fields]),
+            f_load=np.stack([f.f_load for f in fields]),
+            g_load=np.stack([f.g_load for f in fields]),
+            blocks=fields[0].blocks,
+            samples=(np.tile(x, len(fields)),
+                     np.concatenate([f.samples[1] for f in fields], axis=1),
+                     (len(fields),) + shape))
 
 
 def galerkin_terms(spec: ProblemSpec, mesh: Mesh1D, u,
@@ -138,11 +161,16 @@ def residual(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float,
     return terms.residual(lam).reshape(terms.g_load.shape)
 
 
-def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
+def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u,
                        terms: GalerkinTerms | None = None,
                        parts: model.JacobianParts | None = None,
                        quotients: np.ndarray | None = None) -> np.ndarray:
     """All direction gradients as an (m*n, 3m) stencil on the Jacobian band.
+
+    ``u`` is an FEField, or coefficients (S, m, n_interior) of a stack of S
+    fields, which gives an (S, m*n, 3m) stack of stencils equal to those of
+    each field alone; ``terms``, ``parts`` and ``quotients`` are then stacks
+    too.
 
     Entry (k*n + i, 3*l + s) is dR_{k,i}/du_{l,i+s-1}, the derivative of
     u -> R(u, eta_{k,i}) in the coefficient of component l at node i + s - 1;
@@ -161,13 +189,13 @@ def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
         parts = model.jacobian_parts(spec, mesh, u, blocks=terms.blocks, samples=terms.samples)
     else:
         model.require_open_cone(u, "quotient gradient")
-    denom = terms.g_load.ravel()
+    denom = terms._flat(terms.g_load)
     if np.any(denom <= TOL_DENOM):
         raise DenominatorError("a direction pairing <g(u), eta_i> is not positive")
     if quotients is None:
         quotients = terms.quotients()
     jac_a = parts.stiffness_band - parts.mass_f_band
-    return (jac_a - quotients[:, None] * parts.mass_g_band) / denom[:, None]
+    return (jac_a - quotients[..., None] * parts.mass_g_band) / denom[..., None]
 
 
 def grad_u_inner_quotient(spec: ProblemSpec, mesh: Mesh1D, u: FEField,

@@ -193,11 +193,11 @@ class TestContinueCertificate:
             real_slp = minimax_solver._slp
 
             def ascending_guard(*args, **kwargs):
-                state = real_slp(*args, **kwargs)
+                states = real_slp(*args, **kwargs)
                 if not guards:  # the first SLP run is the guard
-                    guards.append(state)
-                    state = dataclasses.replace(state, iterations=2)
-                return state
+                    guards.append(states[0])
+                    states = [dataclasses.replace(states[0], iterations=2)]
+                return states
 
             monkeypatch.setattr(minimax_solver, "_slp", ascending_guard)
         else:
@@ -252,8 +252,8 @@ class TestTwoPhaseMaximize:
         options = SolverOptions()
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.default_start(spec, mesh, blocks)
-        slp = minimax_solver._slp(spec, mesh, start, options, blocks,
-                                  minimax_solver._LOOSE_GAIN)
+        slp, = minimax_solver._slp(spec, mesh, [start], options, blocks,
+                                   minimax_solver._LOOSE_GAIN)
         assert slp.status == "converged"
         result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks)
         assert result.reason in ("converged", "roundoff_floor")
@@ -265,8 +265,8 @@ class TestTwoPhaseMaximize:
         mesh = build_mesh(24)
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.default_start(spec, mesh, blocks)
-        slp = minimax_solver._slp(spec, mesh, start, FAST, blocks,
-                                  minimax_solver._LOOSE_GAIN)
+        slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks,
+                                   minimax_solver._LOOSE_GAIN)
         result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks, max_iter=0)
         assert result.reason == "max_iter" and not result.ok
 
@@ -336,7 +336,7 @@ class TestRoundoffStop:
         mesh = build_mesh(24)
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.default_start(spec, mesh, blocks)
-        slp = minimax_solver._slp(spec, mesh, start, FAST, blocks, minimax_solver._LOOSE_GAIN)
+        slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks, minimax_solver._LOOSE_GAIN)
         # a stop test that never passes: the polish runs into its stall
         monkeypatch.setattr(minimax_solver, "_at_roundoff", lambda residuals, roundoff: False)
         result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks)
@@ -589,14 +589,76 @@ class TestWarmLP:
         real_slp = minimax_solver._slp
 
         def recording_slp(*args, **kwargs):
-            state = real_slp(*args, **kwargs)
-            statuses.append(state.status)
-            return state
+            states = real_slp(*args, **kwargs)
+            statuses.extend(state.status for state in states)
+            return states
 
         monkeypatch.setattr(minimax_solver, "_slp", recording_slp)
         cert = maximize(linear_diagnostic(), build_mesh(64))
         assert cert.valid
         assert statuses == ["converged"] * SolverOptions().n_starts
+
+
+class TestLockstepSLP:
+    """Starts advanced together end as each start run alone, bit for bit.
+
+    Every one-start run has its own HiGHS instance, so this also checks the
+    instance the stack shares.
+    """
+
+    @pytest.mark.parametrize("name,params,n,gain,max_iters", [
+        ("scalar_power", {}, 16, minimax_solver._LOOSE_GAIN, 400),
+        ("cooperative_product", {"m": 2}, 16, minimax_solver._LOOSE_GAIN, 400),
+        ("cooperative_product", {"m": 3}, 16, minimax_solver._LOOSE_GAIN, 400),
+        ("linear_diagnostic", {}, 32, SolverOptions().tol_kkt, 400),
+        ("scalar_power", {}, 16, minimax_solver._LOOSE_GAIN, 3),
+        # some starts converge, the others reach the cap a round later
+        ("scalar_power", {}, 16, minimax_solver._LOOSE_GAIN, 12),
+    ], ids=["scalar_power", "cooperative_product-m2", "cooperative_product-m3",
+            "linear_diagnostic-n32", "max_iters3", "max_iters12"])
+    def test_stack_equals_each_start_alone(self, name, params, n, gain, max_iters):
+        spec = builtin_problem(name, params)
+        mesh = build_mesh(n)
+        options = SolverOptions(max_iters=max_iters)
+        blocks = model.stiffness_blocks(spec, mesh)
+        starts = minimax_solver._starts(spec, mesh, None, options, blocks)
+        assert len(starts) == 8
+        stack = minimax_solver._slp(spec, mesh, starts, options, blocks, gain)
+        for start, state in zip(starts, stack, strict=True):
+            alone, = minimax_solver._slp(spec, mesh, [start], options, blocks, gain)
+            assert np.array_equal(state.u, alone.u)
+            assert state.lam == alone.lam
+            assert state.status == alone.status
+            assert state.iterations == alone.iterations
+            assert np.array_equal(state.mu_lp, alone.mu_lp)
+        if max_iters != 3:  # the starts stop in different rounds
+            assert len({(s.status, s.iterations) for s in stack}) > 1
+
+    def test_multistart_builds_its_starts_as_one_stack(self, monkeypatch):
+        spec = builtin_problem("cooperative_product", {"m": 3})
+        mesh = build_mesh(16)
+        options = SolverOptions()
+        blocks = model.stiffness_blocks(spec, mesh)
+        searches = []
+        real_search = minimax_solver.amplitude_line_search
+
+        def recording_search(spec, mesh, shape, blocks=None):
+            searches.append(np.shape(shape))
+            return real_search(spec, mesh, shape, blocks)
+
+        monkeypatch.setattr(minimax_solver, "amplitude_line_search", recording_search)
+        starts = minimax_solver._starts(spec, mesh, None, options, blocks)
+        assert searches == [(8, 3, mesh.n_interior)]
+        # each start has the amplitude a search of its shape alone gives
+        rng = np.random.default_rng(options.seed)
+        expected = [real_search(spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks),
+                                blocks)]
+        for _ in range(options.n_starts - 1):
+            loads = np.abs(rng.standard_normal((spec.m, mesh.n_interior))) + 0.05
+            shape = np.stack([blocks[k].solve(loads[k]) for k in range(spec.m)])
+            expected.append(real_search(spec, mesh, FEField(mesh, shape), blocks))
+        for start, alone in zip(starts, expected, strict=True):
+            assert np.array_equal(start.values, alone.values)
 
 
 class TestSLPAssembly:
@@ -606,7 +668,7 @@ class TestSLPAssembly:
         """``_slp`` at ``tol_kkt`` from the default start, set up before any patching."""
         start = minimax_solver.default_start(spec, mesh)
         blocks = model.stiffness_blocks(spec, mesh)
-        return lambda: minimax_solver._slp(spec, mesh, start, SolverOptions(), blocks, 1e-9)
+        return lambda: minimax_solver._slp(spec, mesh, [start], SolverOptions(), blocks, 1e-9)[0]
 
     def test_one_assembly_per_point_none_after_rejection(self, monkeypatch):
         events = []  # ("terms", field bytes) or ("lp", b_ub, solved)
@@ -614,7 +676,7 @@ class TestSLPAssembly:
         real_solve = minimax_solver.WarmLP.solve
 
         def counting_terms(spec, mesh, u, blocks=None):
-            events.append(("terms", u.values.tobytes()))
+            events.extend(("terms", field.tobytes()) for field in np.asarray(u))
             return real_terms(spec, mesh, u, blocks)
 
         def recording_solve(self, cost, a_ub, b_ub, lower, upper):
@@ -687,6 +749,21 @@ class TestAmplitudeLineSearch:
         got = minimax_solver.amplitude_line_search(spec, mesh, shape, blocks)
         expected = looped_line_search(spec, mesh, shape, blocks)
         assert np.array_equal(got.values, expected.values)
+
+    def test_stack_of_shapes_matches_the_loop_per_shape(self):
+        spec = builtin_problem("cooperative_product", {"m": 2})
+        mesh = build_mesh(16)
+        blocks = model.stiffness_blocks(spec, mesh)
+        shapes = np.random.default_rng(7).uniform(0.2, 1.0, (5, 2, mesh.n_interior))
+        shapes[1, 0, :8] = 1e-10  # small amplitudes fall under the cone floor
+        shapes[3, 1, 4] = -0.5  # outside the cone: this shape alone falls back
+        got = minimax_solver.amplitude_line_search(spec, mesh, shapes, blocks)
+        assert got.shape == shapes.shape
+        for values, shape in zip(got, shapes, strict=True):
+            expected = looped_line_search(spec, mesh, FEField(mesh, shape), blocks)
+            assert np.array_equal(values, expected.values)
+        assert np.array_equal(got[3], shapes[3] / np.abs(shapes[3]).max())
+        assert not np.array_equal(got[0], shapes[0] / np.abs(shapes[0]).max())
 
 
 class TestSolverStressModes:

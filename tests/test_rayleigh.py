@@ -298,6 +298,41 @@ class TestGradientStencil:
         for band in ("stiffness_band", "mass_f_band", "mass_g_band"):
             assert np.array_equal(getattr(reused, band), getattr(parts, band))
 
+    def test_stacked_assembly_matches_each_field(self, name, n_interior):
+        spec, mesh, _, _, _ = stencil_case(name, n_interior)
+        stack = np.random.default_rng(n_interior + 10).uniform(0.5, 1.5,
+                                                               (4, spec.m, n_interior))
+        terms = rayleigh.galerkin_terms(spec, mesh, stack)
+        parts = model.jacobian_parts(spec, mesh, stack, blocks=terms.blocks,
+                                     samples=terms.samples)
+        stencils = rayleigh.quotient_gradients(spec, mesh, stack, terms=terms, parts=parts)
+        assert stencils.shape == (4, spec.m * n_interior, 3 * spec.m)
+        for i, values in enumerate(stack):
+            u = FEField(mesh, values)
+            alone = model.jacobian_parts(spec, mesh, u)
+            for band in ("stiffness_band", "mass_f_band", "mass_g_band"):
+                assert np.array_equal(getattr(parts, band)[i], getattr(alone, band))
+            assert np.array_equal(stencils[i], rayleigh.quotient_gradients(spec, mesh, u))
+        # fields taken apart and joined again give the same terms and stencils
+        joined = rayleigh.GalerkinTerms.stack([terms[i] for i in range(len(stack))])
+        for a, b in zip(joined.samples[:2], terms.samples[:2]):
+            assert np.array_equal(a, b)
+        assert joined.samples[2] == terms.samples[2]
+        assert np.array_equal(rayleigh.quotient_gradients(spec, mesh, stack, terms=joined),
+                              stencils)
+
+    def test_stack_checks_every_field(self, name, n_interior):
+        spec, mesh, u, _, _ = stencil_case(name, n_interior)
+        below = u.values.copy()
+        # positive, but under the relative floor; a lone coefficient is its own sup norm
+        below[-1, -1] = 1e-14 * below.max() if below.size > 1 else 0.0
+        with pytest.raises(model.ConeError):
+            rayleigh.quotient_gradients(spec, mesh, np.stack([u.values, below]))
+        # each field is held to its own floor: a tiny field is in the cone, but
+        # its pairings <g(u), eta_i> vanish
+        with pytest.raises(DenominatorError):
+            rayleigh.quotient_gradients(spec, mesh, np.stack([u.values, 1e-30 * u.values]))
+
     def test_sparse_matrices_match_dense(self, name, n_interior):
         spec, mesh, u, terms, parts = stencil_case(name, n_interior)
         m, n = spec.m, n_interior
