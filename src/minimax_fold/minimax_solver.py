@@ -537,12 +537,20 @@ def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarra
     (``diag_pivot_thresh=0.1``) keeps the COLAMD order, so L+U stay within a
     small multiple of the band; partial pivoting pulls the dense border up and
     fills quadratically in m*n.
+
+    A stack of S bands (S, m*n, 3m) with borders (S, m*n) takes one LU of
+    the block-diagonal matrix of the S bordered matrices
+    (``model.band_csc``); block i of it is system i, and ``v``, ``w`` and
+    ``s`` hold one row (entry) per system.  No arithmetic crosses blocks, so
+    each system's vectors equal those of its own LU.
     """
     lu = splu(model.band_csc(jac, m, n, b, c), diag_pivot_thresh=0.1)
-    unit = np.zeros(m * n + 1)
-    unit[-1] = 1.0
-    x = lu.solve(unit)
-    return lu, x[:-1], lu.solve(unit, trans="T")[:-1], float(x[-1])
+    size = m * n + 1
+    unit = np.zeros(lu.shape[0])
+    unit[size - 1::size] = 1.0
+    x = lu.solve(unit).reshape(jac.shape[:-2] + (size,))
+    w = lu.solve(unit, trans="T").reshape(x.shape)[..., :-1]
+    return lu, x[..., :-1], w, x[..., -1]
 
 
 def _fold_borders(jac: np.ndarray, m: int, n: int):
@@ -557,21 +565,18 @@ def _fold_borders(jac: np.ndarray, m: int, n: int):
     return w / np.linalg.norm(w), v / np.linalg.norm(v)
 
 
-def _newton_step(lu, v: np.ndarray, s: float, residual: np.ndarray, g: np.ndarray,
-                 s_u: np.ndarray, s_lam: float) -> np.ndarray:
+def _newton_step(x: np.ndarray, v: np.ndarray, s: float, s_u: np.ndarray,
+                 s_lam: float) -> np.ndarray:
     """Newton step [du; dlam] on [F; s] from the bordered LU taken at the iterate.
 
     Solves [J, -g; s_u^T, s_lam][du; dlam] = -[F; s] by block elimination
     (Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
     SIAM 2000, ch. 3).  With [J b; c^T 0][x_1; t_1] = [-F; 0] and
-    [J b; c^T 0][x_2; t_2] = [g; 0], du = x_1 + dlam x_2 + beta v solves the
-    first block row when t_1 + dlam t_2 + beta s = 0, and the last row gives
-    the second equation for (dlam, beta).
+    [J b; c^T 0][x_2; t_2] = [g; 0] (the two columns of ``x``),
+    du = x_1 + dlam x_2 + beta v solves the first block row when
+    t_1 + dlam t_2 + beta s = 0, and the last row gives the second equation
+    for (dlam, beta).
     """
-    rhs = np.zeros((residual.size + 1, 2))
-    rhs[:-1, 0] = -residual
-    rhs[:-1, 1] = g
-    x = lu.solve(rhs)
     x1, t1, x2, t2 = x[:-1, 0], x[-1, 0], x[:-1, 1], x[-1, 1]
     # [t2, s; s_u.x2 + s_lam, s_u.v] [dlam; beta] = [-t1; -s - s_u.x1]
     a21, a22, r2 = s_u @ x2 + s_lam, s_u @ v, -s - s_u @ x1
@@ -582,9 +587,128 @@ def _newton_step(lu, v: np.ndarray, s: float, residual: np.ndarray, g: np.ndarra
         return np.append(x1 + dlam * x2 + beta * v, dlam)
 
 
-def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float,
-                 blocks, max_iter: int = 20) -> PolishResult:
-    """Newton on the minimally augmented fold system G(u, lam) = [F(u, lam); s(u, lam)].
+@dataclass
+class _PolishPoint:
+    """One iterate of the fold polish: its terms and Jacobian parts, the
+    bordered factors there, and its residuals.  ``lu`` factors a stack of
+    bordered systems, of which this iterate's is block ``block``.
+    ``residuals`` are the scaled (primal, adjoint) residuals and ``roundoff``
+    the eps multiples of the componentwise magnitudes they are computed from,
+    on the (primal, Jacobian) ``scales``."""
+
+    flat: np.ndarray
+    lam: float
+    terms: rayleigh.GalerkinTerms
+    parts: model.JacobianParts
+    primal: np.ndarray  # Galerkin residual F(u, lam), flat
+    lu: object
+    block: int
+    v: np.ndarray
+    w: np.ndarray
+    s: float
+    scales: tuple
+    residuals: tuple
+    roundoff: tuple
+
+
+def _largest(*stacks) -> np.ndarray:
+    """Largest magnitude in each field of the stacks, at least 1e-300."""
+    return np.maximum(np.maximum.reduce([np.abs(a).max(axis=(-2, -1)) for a in stacks]), 1e-300)
+
+
+def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None) -> list:
+    """The ``_PolishPoint`` of each field and value, bordered by its ``(b, c)``
+    and measured on its ``scales`` (by default its own), from one stacked
+    assembly and one block-diagonal LU; None for a point whose bordered
+    matrix is singular.
+
+    Should the stacked LU fail, each system is factored alone (as a stack of
+    one) to find the singular ones; the others keep their own factors.
+    """
+    m, n = spec.m, mesh.n_interior
+    count = len(flats)
+    values = np.stack(flats).reshape(count, m, n)
+    lam = np.array(lams)
+    terms = rayleigh.galerkin_terms(spec, mesh, values, blocks)
+    parts = model.jacobian_parts(spec, mesh, values, blocks=blocks, samples=terms.samples)
+    jac = parts.jacobian_band(lam[:, None, None])
+    b, c = (np.stack(border) for border in zip(*borders))
+    try:
+        lu, v, w, s = _bordered_solve(jac, m, n, b, c)
+        factors = [(lu, i) for i in range(count)]
+    except RuntimeError:
+        factors, v, w, s = [], np.zeros_like(b), np.zeros_like(b), np.zeros(count)
+        for i in range(count):
+            try:
+                lu, v[i:i + 1], w[i:i + 1], s[i:i + 1] = _bordered_solve(
+                    jac[i:i + 1], m, n, b[i:i + 1], c[i:i + 1])
+                factors.append((lu, 0))
+            except RuntimeError:
+                factors.append(None)
+
+    if scales is None:
+        # the Jacobian scale is the magnitude of the matrices J is assembled
+        # from, not of J itself, which vanishes at the fold of a problem with
+        # one unknown
+        lam_abs = np.abs(lam)[:, None, None]
+        scales = list(zip(_largest(terms.stiff_action, terms.f_load, lam_abs * terms.g_load),
+                          _largest(parts.stiffness_band, parts.mass_f_band,
+                                   lam_abs * parts.mass_g_band)))
+    scale1, scale2 = (np.array(column) for column in zip(*scales))
+    primal = terms.residual(lam[:, None, None])
+    w_scale = np.maximum(scale2 * np.abs(w).max(axis=1), 1e-300)
+    primal_mag = (model.band_matvec(np.abs(parts.stiffness_band), values)
+                  + np.abs(terms.f_load.reshape(count, -1))
+                  + np.abs(lam)[:, None] * np.abs(terms.g_load.reshape(count, -1)))
+    adjoint_mag = model.band_matvec(np.abs(jac), np.abs(w), transpose=True)
+    residuals = zip(np.abs(primal).max(axis=1) / scale1,
+                    np.abs(model.band_matvec(jac, w, transpose=True)).max(axis=1) / w_scale)
+    roundoff = zip(_EPS * primal_mag.max(axis=1) / scale1,
+                   _EPS * adjoint_mag.max(axis=1) / w_scale)
+    return [None if f is None else _PolishPoint(flats[i], lams[i], terms[i], parts[i], primal[i],
+                                                *f, v[i], w[i], float(s[i]), scales[i], r, e)
+            for i, (f, r, e) in enumerate(zip(factors, residuals, roundoff))]
+
+
+def _newton_steps(points: list, s_u: np.ndarray, s_lam: list) -> list:
+    """``_newton_step`` at each point, with one solve per shared factorization."""
+    size = points[0].flat.size + 1
+    steps = [None] * len(points)
+    shared = {}
+    for i, p in enumerate(points):
+        shared.setdefault(id(p.lu), []).append(i)
+    for group in shared.values():
+        lu = points[group[0]].lu
+        rhs = np.zeros((lu.shape[0], 2))
+        for i in group:
+            p = points[i]
+            rows = rhs[p.block * size:(p.block + 1) * size]
+            rows[:-1, 0] = -p.primal
+            rows[:-1, 1] = p.terms.g_load.ravel()
+        x = lu.solve(rhs)
+        for i in group:
+            p = points[i]
+            steps[i] = _newton_step(x[p.block * size:(p.block + 1) * size], p.v, p.s, s_u[i],
+                                    s_lam[i])
+    return steps
+
+
+@dataclass
+class _PolishRun:
+    """Working state of one start of ``_fold_polish``: its current point, its
+    fixed borders, and its result once it stops."""
+
+    point: Optional[_PolishPoint] = None
+    b: Optional[np.ndarray] = None
+    c: Optional[np.ndarray] = None
+    previous: float = np.inf  # largest scaled residual before the last accepted step
+    result: Optional[PolishResult] = None  # None while the start runs
+
+
+def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks,
+                 max_iter: int = 20) -> list:
+    """Newton on the minimally augmented fold system G(u, lam) = [F(u, lam); s(u, lam)]
+    from each start ``(flat0, lam0)``; one ``PolishResult`` per start.
 
     Each iterate takes one sparse LU of the bordered matrix [J b; c^T 0]
     (``_bordered_solve``), which gives s and the null vectors v, w, and
@@ -601,90 +725,97 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, flat0: np.ndarray, lam0: float
     largest scaled residual is at eps times the largest of these magnitudes
     (``_at_roundoff``) and the last step shrank it less than tenfold, or when
     no damped step decreases a residual at that level.  A residual that stalls
-    above it is ``no_decrease``.
+    above it is ``no_decrease``.  A damped trial outside the open cone or
+    below its floor (``model.in_open_cone``) is skipped for the next damping.
+
+    The starts are polished together, one Newton round at a time: the
+    curvatures of a round are one stacked call, and the first iterates and
+    the trials at each damping level are each one stacked assembly with one
+    block-diagonal LU (``_polish_points``).  Every start keeps its own borders,
+    scales, damping and stop test, and its arithmetic never mixes with
+    another's, so each ends where, and as, it would alone; a singular system
+    ends only its own start.
     """
     m, n = spec.m, mesh.n_interior
     big = m * n
-    flat = np.array(flat0, dtype=float)
-    lam = float(lam0)
+    flats = [np.array(flat0, dtype=float) for flat0, _ in starts]
+    lams = [float(lam0) for _, lam0 in starts]
 
-    def assemble(flat_u, lam_val):
-        u = FEField.from_flat(mesh, m, flat_u)
-        terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
-        parts = model.jacobian_parts(spec, mesh, u, blocks=blocks, samples=terms.samples)
-        jac = parts.jacobian_band(lam_val)
-        return (u, terms, parts, jac) + _bordered_solve(jac, m, n, b, c)
-
-    def measure(flat_x, terms_x, parts_x, jac_x, w_x, lam_x):
-        """Scaled (primal, adjoint) residuals and the eps multiples of the
-        componentwise magnitudes they are computed from, on the same scales."""
-        w_scale = max(scale2 * np.abs(w_x).max(), 1e-300)
-        primal_mag = (model.band_matvec(np.abs(parts_x.stiffness_band), flat_x)
-                      + np.abs(terms_x.f_load.ravel())
-                      + abs(lam_x) * np.abs(terms_x.g_load.ravel()))
-        adjoint_mag = model.band_matvec(np.abs(jac_x), np.abs(w_x), transpose=True)
-        residuals = (np.abs(terms_x.residual(lam_x)).max() / scale1,
-                     np.abs(model.band_matvec(jac_x, w_x, transpose=True)).max() / w_scale)
-        return residuals, (_EPS * primal_mag.max() / scale1, _EPS * adjoint_mag.max() / w_scale)
+    def finish(run, reason, iterations):
+        p = run.point
+        if reason == "no_decrease" and _at_roundoff(p.residuals, p.roundoff):
+            reason = "converged"  # rounding noise, which no step can decrease
+        run.result = PolishResult(reason, FEField.from_flat(mesh, m, p.flat), p.lam, iterations,
+                                  float(max(p.residuals)), float(max(p.roundoff)))
 
     # the fold's null vectors lie in the open cone, so the all-ones border
     # finds them at the start; they border every later solve
-    b = c = np.full(big, 1.0 / np.sqrt(big))
-    try:
-        u, terms, parts, jac, lu, v, w, s = assemble(flat, lam)
-    except RuntimeError:
-        return PolishResult("singular_system", FEField.from_flat(mesh, m, flat), lam, 0, np.inf,
-                            np.inf)
-    b, c = w / np.linalg.norm(w), v / np.linalg.norm(v)
-    scale1 = max(np.abs(terms.stiff_action).max(), np.abs(terms.f_load).max(),
-                 abs(lam) * np.abs(terms.g_load).max(), 1e-300)
-    # the magnitude of the matrices J is assembled from, not of J itself, which
-    # vanishes at the fold of a problem with one unknown
-    scale2 = max(np.abs(parts.stiffness_band).max(), np.abs(parts.mass_f_band).max(),
-                 abs(lam) * np.abs(parts.mass_g_band).max(), 1e-300)
-    residuals, roundoff = measure(flat, terms, parts, jac, w, lam)
+    ones = np.full(big, 1.0 / np.sqrt(big))
+    runs = []
+    for flat, lam, p in zip(flats, lams, _polish_points(spec, mesh, blocks, flats, lams,
+                                                        [(ones, ones)] * len(starts))):
+        if p is None:
+            runs.append(_PolishRun(result=PolishResult(
+                "singular_system", FEField.from_flat(mesh, m, flat), lam, 0, np.inf, np.inf)))
+        else:
+            runs.append(_PolishRun(point=p, b=p.w / np.linalg.norm(p.w),
+                                   c=p.v / np.linalg.norm(p.v)))
 
-    def result(reason, iterations):
-        if reason == "no_decrease" and _at_roundoff(residuals, roundoff):
-            reason = "converged"  # rounding noise, which no step can decrease
-        return PolishResult(reason, FEField.from_flat(mesh, m, flat), lam, iterations,
-                            float(max(residuals)), float(max(roundoff)))
-
-    previous = np.inf  # largest scaled residual before the last accepted step
     for iters in range(1, max_iter + 1):
-        # a residual still shrinking tenfold per step is Newton error, which
-        # moves lambda by about as much, even at the roundoff level
-        if _at_roundoff(residuals, roundoff) and 10.0 * max(residuals) > previous:
-            return result("converged", iters - 1)
+        live = []
+        for run in (r for r in runs if r.result is None):
+            p = run.point
+            # a residual still shrinking tenfold per step is Newton error, which
+            # moves lambda by about as much, even at the roundoff level
+            if _at_roundoff(p.residuals, p.roundoff) and 10.0 * max(p.residuals) > run.previous:
+                finish(run, "converged", iters - 1)
+            else:
+                live.append(run)
+        if not live:
+            break
 
-        s_u = -model.adjoint_curvature(spec, mesh, u, w, v, lam)
-        s_lam = float(w @ model.band_matvec(parts.mass_g_band, v))
-        step = _newton_step(lu, v, s, terms.residual(lam), terms.g_load.ravel(), s_u, s_lam)
-        if not np.all(np.isfinite(step)):
-            return result("singular_system", iters - 1)
+        points = [r.point for r in live]
+        v, w = np.stack([p.v for p in points]), np.stack([p.w for p in points])
+        s_u = -model.adjoint_curvature(spec, mesh, np.stack([p.flat for p in points]).reshape(
+            len(points), m, n), w, v, np.array([p.lam for p in points]))
+        mass_g_v = model.band_matvec(np.stack([p.parts.mass_g_band for p in points]), v)
+        s_lam = [float(w_i @ mv_i) for w_i, mv_i in zip(w, mass_g_v)]
+        pending = []
+        for run, step in zip(live, _newton_steps(points, s_u, s_lam)):
+            if np.all(np.isfinite(step)):
+                pending.append((run, step))
+            else:
+                finish(run, "singular_system", iters - 1)
 
-        accepted = False
         for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            flat_t = flat + damp * step[:big]
-            if np.any(flat_t <= 0.0):
-                continue
-            lam_t = lam + damp * float(step[-1])
-            try:
-                trial = assemble(flat_t, lam_t)
-            except RuntimeError:
-                return result("singular_system", iters - 1)
-            residuals_t, roundoff_t = measure(flat_t, trial[1], trial[2], trial[3], trial[6],
-                                              lam_t)
-            if (max(residuals_t) < max(residuals) * (1.0 - 1e-4 * damp)
-                    or _at_roundoff(residuals_t, roundoff_t)):
-                flat, lam, previous = flat_t, lam_t, max(residuals)
-                u, terms, parts, jac, lu, v, w, s = trial
-                residuals, roundoff = residuals_t, roundoff_t
-                accepted = True
+            if not pending:
                 break
-        if not accepted:
-            return result("no_decrease", iters - 1)
-    return result("max_iter", max_iter)
+            flats_t = [run.point.flat + damp * step[:big] for run, step in pending]
+            inside = model.in_open_cone(np.stack(flats_t).reshape(len(pending), m, n))
+            trials = [(run, flat_t, run.point.lam + damp * float(step[-1]))
+                      for (run, step), flat_t, ok in zip(pending, flats_t, inside) if ok]
+            if not trials:
+                continue
+            done = set()
+            for (run, _, _), trial in zip(trials, _polish_points(
+                    spec, mesh, blocks, [t[1] for t in trials], [t[2] for t in trials],
+                    [(t[0].b, t[0].c) for t in trials], [t[0].point.scales for t in trials])):
+                p = run.point
+                if trial is None:
+                    finish(run, "singular_system", iters - 1)
+                    done.add(id(run))
+                elif (max(trial.residuals) < max(p.residuals) * (1.0 - 1e-4 * damp)
+                        or _at_roundoff(trial.residuals, trial.roundoff)):
+                    run.previous, run.point = max(p.residuals), trial
+                    done.add(id(run))
+            pending = [(run, step) for run, step in pending if id(run) not in done]
+        for run, _ in pending:
+            finish(run, "no_decrease", iters - 1)
+
+    for run in runs:
+        if run.result is None:
+            finish(run, "max_iter", max_iter)
+    return [run.result for run in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +983,9 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
     gain ``_LOOSE_GAIN``, every converged start is polished by Newton on the
     minimally augmented fold system (a failed polish is retried once from the
     start resumed at ``tol_kkt``), and the largest polished value wins;
-    ``polish_failed`` means no start polished.  Otherwise the best SLP point
+    ``polish_failed`` means no start polished.  The converged starts are
+    polished together in lockstep, as are the resumed ones (``_fold_polish``),
+    and each ends where, and as, it would alone.  Otherwise the best SLP point
     at ``tol_kkt`` is kept.  ``cone_collapse`` and ``unbounded_ascent``
     outcomes are reported in the certificate status, not raised.
 
@@ -907,13 +1040,15 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField],
     converged = [r for r in results if r.status == "converged"]
 
     if two_phase and converged:
-        first = [_fold_polish(spec, mesh, r.u, r.lam, blocks) for r in converged]
+        first = _fold_polish(spec, mesh, [(r.u, r.lam) for r in converged], blocks)
         # retry, not downgrade: finish every start whose polish failed at
-        # tol_kkt, in one SLP call, and polish it again
+        # tol_kkt, in one SLP call, and polish those that converge, together
         failed = [FEField.from_flat(mesh, spec.m, r.u)
                   for r, result in zip(converged, first) if not result.ok]
-        resumed = iter(_slp(spec, mesh, failed, options, blocks, options.tol_kkt)
-                       if failed else [])
+        resumed = _slp(spec, mesh, failed, options, blocks, options.tol_kkt) if failed else []
+        retry = [(r.u, r.lam) for r in resumed if r.status == "converged"]
+        again = iter(_fold_polish(spec, mesh, retry, blocks) if retry else [])
+        resumed = iter(resumed)
         polished, unpolished = [], []  # (PolishResult, SLP iterations), _SLPState
         for r, result in zip(converged, first):
             if not result.ok:
@@ -921,7 +1056,7 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField],
                 r = next(resumed)
                 r.iterations += loose_iterations
                 if r.status == "converged":
-                    result = _fold_polish(spec, mesh, r.u, r.lam, blocks)
+                    result = next(again)
                 if not result.ok:
                     unpolished.append(r)
                     continue
@@ -1035,7 +1170,7 @@ def _polish_from(spec, mesh, warm, lam0, blocks) -> Optional[PolishResult]:
         model.require_open_cone(warm, "fold polish start")
     except model.ConeError:
         return None
-    polished = _fold_polish(spec, mesh, warm.flatten(), lam0, blocks)
+    polished, = _fold_polish(spec, mesh, [(warm.flatten(), lam0)], blocks)
     return polished if polished.ok else None
 
 

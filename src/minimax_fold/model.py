@@ -151,15 +151,27 @@ class FEField:
         return FEField(mesh, np.full((m, mesh.n_interior), float(value)))
 
 
+def _cone_bounds(u):
+    """Smallest coefficient and relative cone floor of each field of ``u``."""
+    values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
+    low = np.atleast_1d(values.min(axis=(-2, -1)))
+    return low, CONE_FLOOR_REL * np.atleast_1d(np.abs(values).max(axis=(-2, -1)))
+
+
+def in_open_cone(u) -> np.ndarray:
+    """Per field of ``u`` (as in ``require_open_cone``), whether that check
+    accepts it: one bool per field of a stack, one in all for an FEField."""
+    low, floor = _cone_bounds(u)
+    return (low > 0.0) & (low >= floor)
+
+
 def require_open_cone(u, context: str = "operation") -> None:
     """Reject fields outside the open cone or below the relative floor.
 
     ``u`` is an FEField, or coefficients (S, m, n_interior) of a stack of S
     fields; each field of a stack is held to the floor of its own sup norm.
     """
-    values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
-    low = np.atleast_1d(values.min(axis=(-2, -1)))
-    floor = CONE_FLOOR_REL * np.atleast_1d(np.abs(values).max(axis=(-2, -1)))
+    low, floor = _cone_bounds(u)
     if not np.all(low > 0.0):
         raise ConeError(f"{context} requires a field in the open cone")
     below = np.flatnonzero(low < floor)
@@ -269,42 +281,59 @@ def band_to_dense(band: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """B x, or B^T x, for an (m*n, 3m) band B (layout of ``band_pattern``), flat."""
-    big, width = band.shape
+    """B x, or B^T x, for an (m*n, 3m) band B (layout of ``band_pattern``), flat.
+
+    A stack of bands (S, m*n, 3m) and vectors (S, m*n) gives the (S, m*n)
+    products, each equal to that of its band alone.
+    """
+    lead = band.shape[:-2]
+    big, width = band.shape[-2:]
     m = width // 3
     n = big // m
-    blocks = band.reshape(m, n, m, 3)  # [k, i, l, s] couples (k, i) with (l, i + s - 1)
+    blocks = band.reshape(lead + (m, n, m, 3))  # [k, i, l, s] couples (k, i) with (l, i + s - 1)
+    x = x.reshape(lead + (m, n))
     if not transpose:
-        padded = np.zeros((m, n + 2))
-        padded[:, 1:-1] = x.reshape(m, n)
-        neighbours = np.stack([padded[:, s:s + n] for s in range(3)], axis=-1)
-        return np.einsum("kils,lis->ki", blocks, neighbours).ravel()
-    terms = np.einsum("kils,ki->lis", blocks, x.reshape(m, n))
-    out = np.zeros((m, n + 2))
+        padded = np.zeros(lead + (m, n + 2))
+        padded[..., 1:-1] = x
+        neighbours = np.stack([padded[..., s:s + n] for s in range(3)], axis=-1)
+        return np.einsum("...kils,...lis->...ki", blocks, neighbours).reshape(lead + (big,))
+    terms = np.einsum("...kils,...ki->...lis", blocks, x)
+    out = np.zeros(lead + (m, n + 2))
     for s in range(3):
-        out[:, s:s + n] += terms[:, :, s]
-    return out[:, 1:-1].ravel()
+        out[..., s:s + n] += terms[..., s]
+    return out[..., 1:-1].reshape(lead + (big,))
 
 
-@functools.lru_cache(maxsize=16)
-def _csc_layout(m: int, n: int, bordered: bool):
-    """Compressed-column structure of an (m*n, 3m) band, optionally bordered.
+@functools.lru_cache(maxsize=64)
+def _csc_layout(m: int, n: int, bordered: bool, count: int = 1):
+    """Compressed-column structure of the block-diagonal matrix of ``count``
+    (m*n, 3m) bands, each optionally bordered.
 
-    The values of ``band_csc`` are laid out as the band entries in
-    ``band_pattern`` order, then (if bordered) the border column, the border
-    row and the corner; ``order`` permutes them into column-major order.
-    Returns read-only (band index, order, row indices, column pointers) and
-    the matrix size.
+    ``band_csc`` lays its values out as the raveled bands, then (if
+    bordered) the border columns, the border rows and the corners; ``gather``
+    picks the matrix entries from there in column-major order.  Block i's
+    row indices and column pointers are block 0's offset by i times the block
+    size and its number of entries.  Returns read-only (gather, row indices,
+    column pointers) and the block size.
     """
     index, rows, cols = band_pattern(m, n)
     big = m * n
+    block = np.arange(count)[:, None]
+    positions = index + 3 * m * big * block
     if bordered:
         rows = np.concatenate([rows, np.arange(big), np.full(big + 1, big)])
         cols = np.concatenate([cols, np.full(big, big), np.arange(big + 1)])
+        tail = 3 * m * big * count
+        positions = np.concatenate([positions, tail + big * block + np.arange(big),
+                                    tail + big * (count + block) + np.arange(big),
+                                    tail + 2 * big * count + block], axis=1)
     size = big + int(bordered)
     order = np.lexsort((rows, cols))
-    layout = (index, order, rows[order].astype(np.int32),
-              np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32))
+    indptr = np.searchsorted(cols[order], np.arange(size + 1))
+    layout = (positions[:, order].ravel(),
+              (rows[order] + size * block).ravel().astype(np.int32),
+              np.append((indptr[:-1] + indptr[-1] * block).ravel(),
+                        count * indptr[-1]).astype(np.int32))
     for a in layout:
         a.flags.writeable = False
     return layout + (size,)
@@ -315,14 +344,18 @@ def band_csc(band: np.ndarray, m: int, n: int, col: np.ndarray | None = None,
     """Sparse matrix of an (m*n, 3m) band (layout of ``band_pattern``) in CSC form.
 
     With ``col`` and ``row`` it is the bordered (m*n + 1)-square matrix
-    [B col; row^T corner].  The structure is built once per (m, n); each
-    call only gathers the values.
+    [B col; row^T corner].  A stack of S bands (S, m*n, 3m), with borders
+    (S, m*n), gives the block-diagonal matrix of the S matrices, in stack
+    order.  The structure is built once per (m, n) and stack size; each call
+    only gathers the values.
     """
-    index, order, indices, indptr, size = _csc_layout(m, n, col is not None)
-    values = band.ravel()[index]
+    count = math.prod(band.shape[:-2])
+    gather, indices, indptr, size = _csc_layout(m, n, col is not None, count)
+    values = band.ravel()
     if col is not None:
-        values = np.concatenate([values, col, row, [corner]])
-    return scipy.sparse.csc_array((values[order], indices, indptr), shape=(size, size))
+        values = np.concatenate([values, np.ravel(col), np.ravel(row), np.full(count, corner)])
+    return scipy.sparse.csc_array((values[gather], indices, indptr),
+                                  shape=(count * size, count * size))
 
 
 def _block_diagonal_band(rows: np.ndarray) -> np.ndarray:
@@ -352,9 +385,17 @@ class JacobianParts:
     mass_f_band: np.ndarray
     mass_g_band: np.ndarray
 
-    def jacobian_band(self, lam: float) -> np.ndarray:
-        """Band of J(u, lambda) = stiffness - mass_f - lambda * mass_g."""
+    def jacobian_band(self, lam) -> np.ndarray:
+        """Band of J(u, lambda) = stiffness - mass_f - lambda * mass_g.
+
+        For a stack, ``lam`` may be one value per field, shaped (S, 1, 1).
+        """
         return self.stiffness_band - self.mass_f_band - lam * self.mass_g_band
+
+    def __getitem__(self, i: int) -> JacobianParts:
+        """Parts of field i of a stack."""
+        return JacobianParts(m=self.m, n=self.n, stiffness_band=self.stiffness_band[i],
+                             mass_f_band=self.mass_f_band[i], mass_g_band=self.mass_g_band[i])
 
     @functools.cached_property
     def stiffness(self) -> np.ndarray:
@@ -415,8 +456,8 @@ def eval_jacobian(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float) -> np
     return band_to_dense(jacobian_parts(spec, mesh, u).jacobian_band(lam), spec.m, mesh.n_interior)
 
 
-def adjoint_curvature(spec: ProblemSpec, mesh: Mesh1D, u: FEField, w: np.ndarray,
-                      v: np.ndarray, lam: float) -> np.ndarray:
+def adjoint_curvature(spec: ProblemSpec, mesh: Mesh1D, u, w: np.ndarray,
+                      v: np.ndarray, lam) -> np.ndarray:
     """Directional second derivative C(w) v = d/de J(u + e v, lambda)^T w, flat.
 
     C(w) is the Hessian of u -> w . F(u, lambda), so it is symmetric and
@@ -425,34 +466,52 @@ def adjoint_curvature(spec: ProblemSpec, mesh: Mesh1D, u: FEField, w: np.ndarray
     sum_{k,l} d2f^k/dt_l dt_s w^k v^l + lambda g^s_tt w^s v^s in component s.
     Without one it is a central difference of J^T w between two band
     assemblies at u +- e v, with e small enough that both stay in the cone.
+
+    ``u`` is an FEField, or coefficients (S, m, n_interior) of a stack of S
+    fields; then ``w`` and ``v`` hold one vector per field, ``lam`` one value
+    per field, and the (S, m*n) result one row per field, equal to that
+    field's curvature alone.  A stack is sampled, or assembled at its 2S
+    difference points, in one call.
     """
     require_open_cone(u, "adjoint curvature")
     m, n = spec.m, mesh.n_interior
-    w = np.asarray(w, dtype=float).reshape(m, n)
-    v = np.asarray(v, dtype=float).reshape(m, n)
+    values = u.values if isinstance(u, FEField) else np.asarray(u, dtype=float)
+    lead = values.shape[:-2]
+    w = np.asarray(w, dtype=float).reshape(lead + (m, n))
+    v = np.asarray(v, dtype=float).reshape(lead + (m, n))
+    lam = np.asarray(lam, dtype=float).reshape(lead + (1, 1))
     if spec.f_hess is not None:
-        x, t, shape = quadrature_samples(spec, mesh, u.values)
+        x, t, shape = quadrature_samples(spec, mesh, values)
         fh = np.asarray(spec.f_hess(x, t), dtype=float).reshape((m, m, m) + shape)
         gtt = g_tt_values(spec, x, t).reshape((m,) + shape)
-        wq = mesh_fem.values_at_quadrature(mesh, w)
-        vq = mesh_fem.values_at_quadrature(mesh, v)
+        # component axis first, as the samples of a stack are laid out
+        wq = np.moveaxis(mesh_fem.values_at_quadrature(mesh, w), -3, 0)
+        vq = np.moveaxis(mesh_fem.values_at_quadrature(mesh, v), -3, 0)
         weight = np.einsum("kls...,k...,l...->s...", fh, wq, vq) + lam * gtt * wq * vq
-        return -mesh_fem.quadrature_loads(mesh, weight).ravel()
+        loads = mesh_fem.quadrature_loads(mesh, np.moveaxis(weight, 0, -3))
+        return -loads.reshape(lead + (m * n,))
 
-    size = np.abs(v).max()
-    if size == 0.0:
-        return np.zeros(m * n)
-    moving = v != 0.0
-    step = min(1e-6 * (1.0 + u.sup_norm) / size,
-               0.5 * float((u.values[moving] / np.abs(v[moving])).min()))
-
-    def adjoint_action(e):
-        # the stiffness does not depend on u; leaving it out keeps its O(1/h)
-        # entries out of the difference
-        parts = jacobian_parts(spec, mesh, FEField(mesh, u.values + e * v))
-        return band_matvec(parts.mass_f_band + lam * parts.mass_g_band, w.ravel(), transpose=True)
-
-    return (adjoint_action(-step) - adjoint_action(step)) / (2.0 * step)
+    fields, ws, vs, lams = (a.reshape((-1,) + a.shape[-2:]) for a in (values, w, v, lam))
+    steps = np.zeros(len(fields))
+    for i, (field_i, v_i) in enumerate(zip(fields, vs)):
+        size = np.abs(v_i).max()
+        if size > 0.0:
+            moving = v_i != 0.0
+            steps[i] = min(1e-6 * (1.0 + np.abs(field_i).max()) / size,
+                           0.5 * float((field_i[moving] / np.abs(v_i[moving])).min()))
+    out = np.zeros((len(fields), m * n))  # a field with v = 0 has no curvature
+    moved = np.flatnonzero(steps)
+    if moved.size:
+        # both difference points of every field in one assembly; the stiffness
+        # does not depend on u, and leaving it out keeps its O(1/h) entries out
+        # of the difference
+        e = steps[moved, None, None]
+        parts = jacobian_parts(spec, mesh, np.concatenate([fields[moved] + (-e) * vs[moved],
+                                                           fields[moved] + e * vs[moved]]))
+        weighted = parts.mass_f_band + np.concatenate([lams[moved]] * 2) * parts.mass_g_band
+        action = band_matvec(weighted, np.concatenate([ws[moved]] * 2), transpose=True)
+        out[moved] = (action[:moved.size] - action[moved.size:]) / (2.0 * steps[moved, None])
+    return out.reshape(lead + (m * n,))
 
 
 # ---------------------------------------------------------------------------

@@ -230,11 +230,11 @@ class TestNestedRefinement:
         failed = []
 
         def fail_first_at_n16(spec, mesh, *args, **kwargs):
-            result = real_polish(spec, mesh, *args, **kwargs)
+            results = real_polish(spec, mesh, *args, **kwargs)
             if mesh.n_elements == 16 and not failed:
-                failed.append(result)
-                return dataclasses.replace(result, reason="no_decrease")
-            return result
+                failed.append(results[0])
+                results[0] = dataclasses.replace(results[0], reason="no_decrease")
+            return results
 
         monkeypatch.setattr(minimax_solver, "_fold_polish", fail_first_at_n16)
         config = fast_config(study="refine", mesh_sizes=(8, 16, 32))

@@ -255,8 +255,8 @@ class TestTwoPhaseMaximize:
         slp, = minimax_solver._slp(spec, mesh, [start], options, blocks,
                                    minimax_solver._LOOSE_GAIN)
         assert slp.status == "converged"
-        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks)
-        assert result.reason in ("converged", "roundoff_floor")
+        result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
+        assert result.reason == "converged"
         assert result.ok
         assert result.residual <= 1e-3 * options.tol_cert
 
@@ -267,7 +267,7 @@ class TestTwoPhaseMaximize:
         start = minimax_solver.default_start(spec, mesh, blocks)
         slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks,
                                    minimax_solver._LOOSE_GAIN)
-        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks, max_iter=0)
+        result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks, max_iter=0)
         assert result.reason == "max_iter" and not result.ok
 
     def test_failed_polish_is_retried_after_tight_slp(self, monkeypatch):
@@ -279,10 +279,12 @@ class TestTwoPhaseMaximize:
         calls = []
 
         def fail_once(*args, **kwargs):
-            result = real_polish(*args, **kwargs)
-            calls.append(result)
-            return dataclasses.replace(result, reason="no_decrease") if len(calls) == 1 \
-                else result
+            results = real_polish(*args, **kwargs)
+            first = not calls
+            calls.extend(results)
+            if first:
+                results[0] = dataclasses.replace(results[0], reason="no_decrease")
+            return results
 
         monkeypatch.setattr(minimax_solver, "_fold_polish", fail_once)
         cert = maximize(spec, mesh, options=options)
@@ -296,7 +298,8 @@ class TestTwoPhaseMaximize:
         real_polish = minimax_solver._fold_polish
 
         def always_fail(*args, **kwargs):
-            return dataclasses.replace(real_polish(*args, **kwargs), reason="no_decrease")
+            return [dataclasses.replace(result, reason="no_decrease")
+                    for result in real_polish(*args, **kwargs)]
 
         monkeypatch.setattr(minimax_solver, "_fold_polish", always_fail)
         cert = maximize(scalar_power(0.5, 2.0), build_mesh(12), options=FAST)
@@ -309,6 +312,119 @@ class TestTwoPhaseMaximize:
         cert = maximize(spec, mesh)
         assert cert.valid and cert.status == "polished"
         assert verify_certificate(spec, mesh, cert).valid
+
+
+LOCKSTEP_CASES = {
+    "scalar_power": ("scalar_power", {"q": 0.5, "gamma": 2.0}),
+    "cooperative_product-m2": ("cooperative_product", {"m": 2}),
+    "cooperative_product-m3": ("cooperative_product", {"m": 3}),
+}
+
+
+def lockstep_case(name):
+    """Eight polish starts on 16 elements: five loose SLP endpoints of the
+    multistart and three of its start fields at their inner minimum, which
+    end in other rounds and for other reasons."""
+    spec, mesh = builtin_problem(*LOCKSTEP_CASES[name]), build_mesh(16)
+    blocks = model.stiffness_blocks(spec, mesh)
+    options = SolverOptions()
+    fields = minimax_solver._starts(spec, mesh, None, options, blocks)
+    loose = minimax_solver._slp(spec, mesh, fields, options, blocks, minimax_solver._LOOSE_GAIN)
+    starts = [(r.u, r.lam) for r in loose[:5]]
+    starts += [(f.flatten(), float(rayleigh.galerkin_terms(spec, mesh, f, blocks).quotients().min()))
+               for f in fields[5:]]
+    return spec, mesh, blocks, starts
+
+
+def assert_same_polish(stacked, alone):
+    assert len(stacked) == len(alone)
+    for a, b in zip(stacked, alone):
+        assert (a.reason, a.iterations, a.lam, a.residual, a.roundoff) \
+            == (b.reason, b.iterations, b.lam, b.residual, b.roundoff)
+        assert np.array_equal(a.u.values, b.u.values)
+
+
+class TestLockstepPolish:
+    """A stack of starts polishes each one bit for bit as it would alone."""
+
+    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
+    def test_stack_of_eight_equals_each_start_alone(self, name):
+        spec, mesh, blocks, starts = lockstep_case(name)
+        stacked = minimax_solver._fold_polish(spec, mesh, starts, blocks)
+        alone = [minimax_solver._fold_polish(spec, mesh, [start], blocks)[0] for start in starts]
+        assert_same_polish(stacked, alone)
+        assert sum(r.ok for r in stacked) >= 5
+        # the starts stop in different rounds
+        assert len({r.iterations for r in stacked}) > 1
+
+    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
+    def test_block_lu_equals_each_system_alone(self, name):
+        spec, mesh, blocks, starts = lockstep_case(name)
+        m, n = spec.m, mesh.n_interior
+        values = np.stack([flat for flat, _ in starts]).reshape(len(starts), m, n)
+        jac = model.jacobian_parts(spec, mesh, values, blocks=blocks).jacobian_band(
+            np.array([lam for _, lam in starts])[:, None, None])
+        rng = np.random.default_rng(4)
+        b, c = rng.uniform(0.5, 1.0, (2, len(starts), m * n))
+        _, v, w, s = minimax_solver._bordered_solve(jac, m, n, b, c)
+        for i in range(len(starts)):
+            _, v_i, w_i, s_i = minimax_solver._bordered_solve(jac[i], m, n, b[i], c[i])
+            assert np.array_equal(v[i], v_i) and np.array_equal(w[i], w_i) and s[i] == s_i
+
+    def test_singular_system_ends_only_its_start(self, monkeypatch):
+        spec, mesh, blocks, starts = lockstep_case("cooperative_product-m2")
+        m, n = spec.m, mesh.n_interior
+        size = m * n + 1
+        # the border row c of start 2 after its first solve marks its systems
+        u = FEField.from_flat(mesh, m, starts[2][0])
+        jac = model.jacobian_parts(spec, mesh, u, blocks=blocks).jacobian_band(starts[2][1])
+        ones = np.full(m * n, 1.0 / np.sqrt(m * n))
+        _, v, _, _ = minimax_solver._bordered_solve(jac, m, n, ones, ones)
+        marked = v / np.linalg.norm(v)
+        real_splu = minimax_solver.splu
+
+        def splu(a, **kwargs):
+            dense = a.toarray()
+            for k in range(0, dense.shape[0], size):
+                if np.array_equal(dense[k + size - 1, k:k + size - 1], marked):
+                    raise RuntimeError("Factor is exactly singular")
+            return real_splu(a, **kwargs)
+
+        monkeypatch.setattr(minimax_solver, "splu", splu)
+        stacked = minimax_solver._fold_polish(spec, mesh, starts, blocks)
+        alone = [minimax_solver._fold_polish(spec, mesh, [start], blocks)[0] for start in starts]
+        assert_same_polish(stacked, alone)
+        assert stacked[2].reason == "singular_system" and stacked[2].iterations == 0
+        assert all(r.reason != "singular_system" for i, r in enumerate(stacked) if i != 2)
+        assert sum(r.ok for r in stacked) >= 4
+
+    def test_trial_below_the_cone_floor_is_damped(self, monkeypatch):
+        spec, mesh, blocks, starts = lockstep_case("scalar_power")
+        marked = starts[1][0]
+        real_steps = minimax_solver._newton_steps
+        below = []
+
+        def steps_to_the_floor(points, s_u, s_lam):
+            steps = real_steps(points, s_u, s_lam)
+            for p, step in zip(points, steps):
+                if np.array_equal(p.flat, marked):
+                    # the full step puts node 0 at 1e-14 of the largest coefficient
+                    trial = p.flat + step[:-1]
+                    step[0] = 1e-14 * trial.max() - p.flat[0]
+                    below.append(p.flat + step[:-1])
+            return steps
+
+        monkeypatch.setattr(minimax_solver, "_newton_steps", steps_to_the_floor)
+        stacked = minimax_solver._fold_polish(spec, mesh, starts, blocks)
+        alone = [minimax_solver._fold_polish(spec, mesh, [start], blocks)[0] for start in starts]
+        assert_same_polish(stacked, alone)
+        trial = below[0].reshape(spec.m, -1)
+        assert trial.min() > 0.0 and not model.in_open_cone(trial).any()
+        with pytest.raises(model.ConeError):
+            model.jacobian_parts(spec, mesh, trial)
+        # the damped steps of the forced step gain nothing; the other starts converge
+        assert stacked[1].reason == "no_decrease"
+        assert sum(r.ok for r in stacked) >= 4
 
 
 class TestRoundoffStop:
@@ -326,8 +442,9 @@ class TestRoundoffStop:
         spec = scalar_power(0.5, 2.0)
         mesh = build_mesh(n)
         coarse = maximize(spec, build_mesh(64))
-        result = minimax_solver._fold_polish(spec, mesh, coarse.u_star.transfer_to(mesh).flatten(),
-                                             coarse.lambda_star, model.stiffness_blocks(spec, mesh))
+        result, = minimax_solver._fold_polish(
+            spec, mesh, [(coarse.u_star.transfer_to(mesh).flatten(), coarse.lambda_star)],
+            model.stiffness_blocks(spec, mesh))
         assert result.ok and result.reason == "converged"
         assert result.residual <= result.roundoff < SolverOptions().tol_cert
 
@@ -339,7 +456,7 @@ class TestRoundoffStop:
         slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks, minimax_solver._LOOSE_GAIN)
         # a stop test that never passes: the polish runs into its stall
         monkeypatch.setattr(minimax_solver, "_at_roundoff", lambda residuals, roundoff: False)
-        result = minimax_solver._fold_polish(spec, mesh, slp.u, slp.lam, blocks)
+        result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
         assert result.reason in ("no_decrease", "max_iter") and not result.ok
         assert result.residual < 1e-12  # it reached roundoff all the same
 
@@ -397,11 +514,11 @@ class TestNestedMaximize:
         failed = []
 
         def fail_first_at_n32(spec, mesh, *args, **kwargs):
-            result = real_polish(spec, mesh, *args, **kwargs)
+            results = real_polish(spec, mesh, *args, **kwargs)
             if mesh.n_elements == 32 and not failed:
-                failed.append(result)
-                return dataclasses.replace(result, reason="no_decrease")
-            return result
+                failed.append(results[0])
+                results[0] = dataclasses.replace(results[0], reason="no_decrease")
+            return results
 
         monkeypatch.setattr(minimax_solver, "_fold_polish", fail_first_at_n32)
         cert = maximize(spec, mesh, options=FAST)

@@ -188,6 +188,15 @@ class TestJacobian:
         with pytest.raises(ConeError):
             eval_jacobian(spec, mesh, FEField(mesh, np.array([[1.0, 0.0, 1.0]])), 1.0)
 
+    def test_cone_mask_is_the_assembly_check(self):
+        # per field: inside, on the boundary, positive but below the relative floor
+        fields = np.array([[[1.0, 0.5, 1.0]], [[1.0, 0.0, 1.0]], [[1.0, 1e-14, 1.0]]])
+        assert model.in_open_cone(fields).tolist() == [True, False, False]
+        model.require_open_cone(fields[0])
+        for field in fields[1:]:
+            with pytest.raises(ConeError):
+                model.require_open_cone(field)
+
     def test_block_structure_mirrors_reaction_jacobian(self):
         # stiffness and parameter-mass blocks are symmetric; the (k, l)
         # reaction block is the mass matrix weighted by df^k/dt_l pointwise
@@ -238,6 +247,33 @@ class TestJacobian:
         no_hess = dataclasses.replace(spec, f_hess=None)
         fd = model.adjoint_curvature(no_hess, mesh, u, w, v, lam)
         assert np.abs(analytic - fd).max() <= 1e-6 * scale
+
+
+    @pytest.mark.parametrize("spec", [
+        scalar_power(0.5, 2.0),
+        cooperative_product(m=2, beta=(2.0, 3.0), alpha=0.7),
+        cooperative_product(m=3, alpha=[[0.0, 0.4, 0.0], [0.3, 0.0, 0.6], [0.5, 0.2, 0.0]]),
+    ], ids=["scalar_power", "cooperative_product-m2", "cooperative_product-m3"])
+    @pytest.mark.parametrize("hessian", [True, False], ids=["analytic", "no_hess"])
+    def test_adjoint_curvature_of_a_stack_equals_each_field(self, spec, hessian):
+        import dataclasses
+
+        if not hessian:
+            spec = dataclasses.replace(spec, f_hess=None)
+        mesh = build_mesh(9)
+        m, n = spec.m, mesh.n_interior
+        rng = np.random.default_rng(5)
+        u = np.stack([random_interior_field(mesh, m, rng).values for _ in range(4)])
+        w = rng.standard_normal((4, m * n))
+        v = rng.uniform(0.2, 1.0, (4, m * n))
+        v[3] = 0.0  # a field with no curvature direction
+        lam = np.array([0.7, 1.3, 2.0, 0.4])
+        stacked = model.adjoint_curvature(spec, mesh, u, w, v, lam)
+        assert stacked.shape == (4, m * n)
+        for i in range(4):
+            alone = model.adjoint_curvature(spec, mesh, FEField(mesh, u[i]), w[i], v[i], lam[i])
+            assert np.array_equal(stacked[i], alone)
+        assert not np.any(stacked[3])
 
 
 def dense_adjoint_curvature(spec, mesh, u, w, lam):

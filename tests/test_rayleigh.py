@@ -2,6 +2,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 
 from minimax_fold import mesh_fem, model, rayleigh
@@ -346,3 +347,18 @@ class TestGradientStencil:
         bordered = model.band_csc(band, m, n, col, row, 0.5)
         assert np.array_equal(bordered.toarray(),
                               np.block([[dense, col[:, None]], [row[None, :], 0.5]]))
+
+    def test_stacked_band_csc_is_block_diagonal(self, name, n_interior):
+        spec, mesh, u, terms, parts = stencil_case(name, n_interior)
+        m, n = spec.m, n_interior
+        lams = np.array([0.3, 1.7, 4.0])
+        bands = parts.jacobian_band(lams[:, None, None])
+        rng = np.random.default_rng(1)
+        cols, rows = rng.standard_normal((2, 3, m * n))
+        plain = model.band_csc(bands, m, n)
+        assert np.array_equal(plain.toarray(), scipy.sparse.block_diag(
+            [model.band_csc(band, m, n) for band in bands]).toarray())
+        bordered = model.band_csc(bands, m, n, cols, rows, 0.5)
+        assert bordered.has_canonical_format
+        assert np.array_equal(bordered.toarray(), scipy.sparse.block_diag(
+            [model.band_csc(b, m, n, c, r, 0.5) for b, c, r in zip(bands, cols, rows)]).toarray())
