@@ -32,16 +32,16 @@ For nonlinear problems ``maximize`` works in two phases:
    drives the residuals to the rounding error of their own evaluation, eps
    times the magnitudes of the terms they sum (pure SLP stalls near the fold
    at quotient spreads of order (distance)^2 and cannot reach the
-   singular-value tolerance).  A start whose polish fails is resumed by the
-   SLP at ``tol_kkt`` and polished once more.
+   singular-value tolerance).
 
 ``lambda*`` is the largest polished value, and the multi-start agreement is
-judged on the polished values.  The linear diagnostic mode and ``polish=False``
-run a single SLP phase at ``tol_kkt``.  The certificate works on the band as
-well: two bordered solves give the adjoint null vector, from which the final
-multipliers are recovered through kappa_i = mu_i / <g(u*), eta_i>, and an
-upper bound on sigma_min(J); |J|_2 comes from the top eigenvalue of the
-banded J^T J.  No SVD is taken and no dense matrix is built.
+judged on the polished values; ``polish_failed`` means no start polished.  The
+linear diagnostic mode and ``polish=False`` run a single SLP phase at
+``tol_kkt``.  The certificate works on the band as well: two bordered solves
+give the adjoint null vector, from which the final multipliers are recovered
+through kappa_i = mu_i / <g(u*), eta_i>, and an upper bound on sigma_min(J);
+|J|_2 comes from the top eigenvalue of the banded J^T J.  No SVD is taken and
+no dense matrix is built, in the Newton and continuation oracles either.
 
 On a mesh that halves to at least ``_COARSE_ELEMENTS`` elements the
 two-phase ``maximize`` is nested iteration (Hackbusch, Multi-Grid Methods and
@@ -77,9 +77,8 @@ class SolverOptions:
 
     ``trust_radius_init`` is relative to the sup norm of the start field.
     ``tol_kkt`` bounds the scaled predicted LP gain at SLP termination where
-    the SLP has to finish the job: in the linear diagnostic mode, with
-    ``polish=False``, and when a start whose fold polish failed is resumed
-    before a second polish.  Otherwise each start stops at the loose gain
+    the SLP has to finish the job: in the linear diagnostic mode and with
+    ``polish=False``.  Otherwise each start stops at the loose gain
     ``_LOOSE_GAIN`` and the polish finishes it.  ``tol_cert`` is the relative
     residual level a certificate must meet to be flagged VALID.  ``n_starts``
     randomized cone starts are run and the best local maximum is kept;
@@ -234,10 +233,6 @@ def amplitude_line_search(spec: ProblemSpec, mesh: Mesh1D, shape, blocks=None):
     if isinstance(shape, FEField):
         return FEField(mesh, scaled[0])
     return scaled.reshape(values.shape)
-
-
-def default_start(spec: ProblemSpec, mesh: Mesh1D, blocks=None) -> FEField:
-    return amplitude_line_search(spec, mesh, torsion_start(spec, mesh, blocks), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -948,23 +943,30 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     )
 
 
-def _spectral_norm(jac: np.ndarray, m: int, n: int) -> float:
-    """|J|_2 of J on an (m*n, 3m) band, from the top eigenvalue of J^T J.
+def _node_major_eigenvalue(sym, m: int, n: int, width: int, index: int) -> float:
+    """Eigenvalue ``index`` (ascending) of a symmetric sparse (m*n)-square matrix.
 
-    Ordered node-major (flat index i*m + k), J^T J is a band of half-width
-    2(2m - 1); ``scipy.linalg.eig_banded`` finds its largest eigenvalue alone.
+    ``sym`` is ordered k-major (flat index k*n + i), as the band is.  Ordered
+    node-major (i*m + k) instead, it is a band of half-width ``width``, whose
+    upper band ``scipy.linalg.eig_banded`` takes to find that one eigenvalue.
     """
     big = m * n
-    sparse = model.band_csc(jac, m, n)
-    gram = (sparse.T @ sparse).tocoo()
-    rows, cols = (gram.row % n) * m + gram.row // n, (gram.col % n) * m + gram.col // n
-    width = min(2 * (2 * m - 1), big - 1)
+    coo = sym.tocoo()
+    rows, cols = (coo.row % n) * m + coo.row // n, (coo.col % n) * m + coo.col // n
+    width = min(width, big - 1)
     upper = rows <= cols
     band = np.zeros((width + 1, big))
-    band[width + rows[upper] - cols[upper], cols[upper]] = gram.data[upper]
-    top = scipy.linalg.eig_banded(band, eigvals_only=True, select="i",
-                                  select_range=(big - 1, big - 1))
-    return float(np.sqrt(max(top[0], 0.0)))
+    band[width + rows[upper] - cols[upper], cols[upper]] = coo.data[upper]
+    return float(scipy.linalg.eig_banded(band, eigvals_only=True, select="i",
+                                         select_range=(index, index))[0])
+
+
+def _spectral_norm(jac: np.ndarray, m: int, n: int) -> float:
+    """|J|_2 of J on an (m*n, 3m) band, from the top eigenvalue of J^T J, a
+    node-major band of half-width 2(2m - 1)."""
+    sparse = model.band_csc(jac, m, n)
+    top = _node_major_eigenvalue(sparse.T @ sparse, m, n, 2 * (2 * m - 1), m * n - 1)
+    return float(np.sqrt(max(top, 0.0)))
 
 
 # elements of the coarsest mesh of the nested path: ``maximize`` runs its
@@ -972,26 +974,25 @@ def _spectral_norm(jac: np.ndarray, m: int, n: int) -> float:
 _COARSE_ELEMENTS = 16
 
 
-def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
+def maximize(spec: ProblemSpec, mesh: Mesh1D,
              options: SolverOptions | None = None) -> MinimaxCertificate:
     """Solve lambda_r* = sup over the open cone of min_i R(u, eta_i).
 
     The multistart runs ``n_starts`` SLP starts in lockstep (the
-    torsion-profile default start, or ``u0`` if given, plus seeded random
-    cone perturbations).
+    torsion-profile start plus seeded random cone perturbations).
     For a nonlinear problem with ``polish=True`` each start stops at the loose
-    gain ``_LOOSE_GAIN``, every converged start is polished by Newton on the
-    minimally augmented fold system (a failed polish is retried once from the
-    start resumed at ``tol_kkt``), and the largest polished value wins;
-    ``polish_failed`` means no start polished.  The converged starts are
-    polished together in lockstep, as are the resumed ones (``_fold_polish``),
-    and each ends where, and as, it would alone.  Otherwise the best SLP point
-    at ``tol_kkt`` is kept.  ``cone_collapse`` and ``unbounded_ascent``
-    outcomes are reported in the certificate status, not raised.
+    gain ``_LOOSE_GAIN``, every converged start is polished once by Newton on
+    the minimally augmented fold system, and the largest polished value wins;
+    ``polish_failed`` means no start polished, and the certificate is then
+    that of the best loose SLP point.  The converged starts are polished
+    together in lockstep (``_fold_polish``), and each ends where, and as, it
+    would alone.  Otherwise the best SLP point at ``tol_kkt`` is kept.
+    ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported in the
+    certificate status, not raised.
 
-    In the two-phase mode without ``u0``, a mesh that halves (every other
-    node) to at least ``_COARSE_ELEMENTS`` elements is solved by nested
-    iteration: the multistart runs on the coarsest such mesh, its fold is
+    In the two-phase mode, a mesh that halves (every other node) to at
+    least ``_COARSE_ELEMENTS`` elements is solved by nested iteration: the
+    multistart runs on the coarsest such mesh, its fold is
     interpolated up each doubling and polished once per level, and on
     ``mesh`` itself the polish is followed by one guard SLP that must stop on
     its first LP (as in ``continue_certificate``).  Such a certificate has
@@ -1015,62 +1016,38 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D, u0: FEField | None = None,
         samples = np.broadcast_to(np.asarray(co(xs) if callable(co) else co, dtype=float), xs.shape)
         if np.any(samples <= 0.0):
             raise ValueError("parameter-term coefficient must be positive (hypothesis h1)")
-    if u0 is not None:
-        model.require_open_cone(u0, "maximize start")
 
     meshes = [mesh]
     while meshes[0].n_elements % 2 == 0 and meshes[0].n_elements // 2 >= _COARSE_ELEMENTS:
         meshes.insert(0, mesh_from_nodes(meshes[0].nodes[::2]))
-    if u0 is not None or not options.polish or spec.diagnostic or len(meshes) == 1:
-        return _multistart(spec, mesh, u0, options)
+    if not options.polish or spec.diagnostic or len(meshes) == 1:
+        return _multistart(spec, mesh, options)
     nested = _nested(spec, meshes, options)
     if nested is not None:
         return nested
-    return replace(_multistart(spec, mesh, None, options), start="fallback")
+    return replace(_multistart(spec, mesh, options), start="fallback")
 
 
-def _multistart(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField],
-                options: SolverOptions) -> MinimaxCertificate:
+def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> MinimaxCertificate:
     """The multistart of ``maximize`` on ``mesh`` itself."""
     blocks = model.stiffness_blocks(spec, mesh)
     two_phase = options.polish and not spec.diagnostic
     gain_tol = _LOOSE_GAIN if two_phase else options.tol_kkt
-    results = _slp(spec, mesh, _starts(spec, mesh, u0, options, blocks), options, blocks,
-                   gain_tol)
+    results = _slp(spec, mesh, _starts(spec, mesh, options, blocks), options, blocks, gain_tol)
     converged = [r for r in results if r.status == "converged"]
 
     if two_phase and converged:
-        first = _fold_polish(spec, mesh, [(r.u, r.lam) for r in converged], blocks)
-        # retry, not downgrade: finish every start whose polish failed at
-        # tol_kkt, in one SLP call, and polish those that converge, together
-        failed = [FEField.from_flat(mesh, spec.m, r.u)
-                  for r, result in zip(converged, first) if not result.ok]
-        resumed = _slp(spec, mesh, failed, options, blocks, options.tol_kkt) if failed else []
-        retry = [(r.u, r.lam) for r in resumed if r.status == "converged"]
-        again = iter(_fold_polish(spec, mesh, retry, blocks) if retry else [])
-        resumed = iter(resumed)
-        polished, unpolished = [], []  # (PolishResult, SLP iterations), _SLPState
-        for r, result in zip(converged, first):
-            if not result.ok:
-                loose_iterations = r.iterations
-                r = next(resumed)
-                r.iterations += loose_iterations
-                if r.status == "converged":
-                    result = next(again)
-                if not result.ok:
-                    unpolished.append(r)
-                    continue
-            polished.append((result, r.iterations))
+        polished = [(result, r.iterations) for r, result in zip(
+            converged, _fold_polish(spec, mesh, [(r.u, r.lam) for r in converged], blocks))
+            if result.ok]
         if polished:
             best, slp_iterations = max(polished, key=lambda p: p[0].lam)
             spread, agree = _agreement([p.lam for p, _ in polished], best.lam, options)
             return _certificate(spec, mesh, best.u.flatten(), best.lam, "polished",
                                 slp_iterations, best.iterations, agree, spread,
                                 options, blocks)
-        # no start polished: report the best tight SLP point with its LP duals
-        results = unpolished
-        converged = [r for r in results if r.status == "converged"]
 
+    # the best SLP point; when no start polished, it keeps its LP duals
     best = max(converged or results, key=lambda r: r.lam)
     spread, agree = _agreement([r.lam for r in converged], best.lam, options)
     status, mu_lp = best.status, best.mu_lp
@@ -1085,12 +1062,11 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField],
                         agree, spread, options, blocks, mu_lp=mu_lp)
 
 
-def _starts(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField], options: SolverOptions,
-            blocks) -> list:
-    """The ``n_starts`` start fields of the multistart: ``u0`` or the default
-    start, then seeded random shapes, all but ``u0`` scaled by one stacked
+def _starts(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions, blocks) -> list:
+    """The ``n_starts`` start fields of the multistart: the torsion profile,
+    then seeded random shapes, all scaled by one stacked
     ``amplitude_line_search``."""
-    shapes = [] if u0 is not None else [torsion_start(spec, mesh, blocks).values]
+    shapes = [torsion_start(spec, mesh, blocks).values]
     # randomized cone starts: inverse stiffness of random positive loads gives
     # smooth strictly positive shapes (discrete maximum principle)
     rng = np.random.default_rng(options.seed)
@@ -1100,11 +1076,8 @@ def _starts(spec: ProblemSpec, mesh: Mesh1D, u0: Optional[FEField], options: Sol
         if np.any(shape <= 0.0):
             shape = np.abs(shape) + 1e-6
         shapes.append(shape)
-    starts = [] if u0 is None else [u0]
-    if shapes:
-        starts += [FEField(mesh, values)
-                   for values in amplitude_line_search(spec, mesh, np.stack(shapes), blocks)]
-    return starts
+    return [FEField(mesh, values)
+            for values in amplitude_line_search(spec, mesh, np.stack(shapes), blocks)]
 
 
 def _agreement(lams, lam_best: float, options: SolverOptions):
@@ -1116,7 +1089,7 @@ def _agreement(lams, lam_best: float, options: SolverOptions):
 def _nested(spec, meshes, options) -> Optional[MinimaxCertificate]:
     """Nested iteration from ``meshes[0]`` up to ``meshes[-1]``, or None at the
     first step that fails."""
-    coarse = _multistart(spec, meshes[0], None, options)
+    coarse = _multistart(spec, meshes[0], options)
     if not coarse.valid:
         return None
     u, lam = coarse.u_star, coarse.lambda_star
@@ -1209,6 +1182,14 @@ class NewtonOptions:
     damping_steps: int = 25
 
 
+def _band_at(spec, mesh, flat, lam, terms, blocks) -> np.ndarray:
+    """Band of J(u, lam) at the flat field u whose Galerkin terms are ``terms``,
+    from one ``jacobian_parts`` on their quadrature samples."""
+    parts = model.jacobian_parts(spec, mesh, flat.reshape(spec.m, mesh.n_interior),
+                                 blocks=blocks, samples=terms.samples)
+    return parts.jacobian_band(lam)
+
+
 def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
                  options: NewtonOptions | None = None,
                  blocks=None) -> NewtonResult:
@@ -1218,33 +1199,33 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
     field; iterates are clamped at the relative cone floor.  The zero field
     solves the residual identically (f and g vanish on the cone boundary), so
     iterates that collapse toward it are reported as failures, never as
-    solutions.
+    solutions.  Each iterate is assembled once, and its Jacobian band is
+    factored by one sparse LU.
     """
     options = options or NewtonOptions()
     model.require_open_cone(u0, "newton start")
     if blocks is None:
         blocks = model.stiffness_blocks(spec, mesh)
-    m = spec.m
+    m, n = spec.m, mesh.n_interior
     flat = u0.flatten()
     scale0 = float(np.abs(flat).max())
 
     def res_norm(fl):
-        u = FEField.from_flat(mesh, m, fl)
-        r = rayleigh.residual(spec, mesh, u, lam,
-                              rayleigh.galerkin_terms(spec, mesh, u, blocks))
-        return float(np.abs(r).max()), r
+        terms = rayleigh.galerkin_terms(spec, mesh, fl.reshape(m, n), blocks)
+        r = terms.residual(lam)
+        return float(np.abs(r).max()), r, terms
 
-    norm, r = res_norm(flat)
+    norm, r, terms = res_norm(flat)
     for it in range(1, options.max_iters + 1):
         if np.abs(flat).max() < 1e-10 * scale0:
             return NewtonResult(False, None, norm, it - 1, "collapsed_to_zero")
         if norm < options.tol:
             return NewtonResult(True, FEField.from_flat(mesh, m, flat), norm, it - 1, "converged")
-        u = FEField.from_flat(mesh, m, flat)
         try:
-            jac = model.eval_jacobian(spec, mesh, u, lam)
-            step = np.linalg.solve(jac, -r.ravel())
-        except (np.linalg.LinAlgError, model.ConeError):
+            lu = splu(model.band_csc(_band_at(spec, mesh, flat, lam, terms, blocks), m, n),
+                      diag_pivot_thresh=0.1)
+            step = lu.solve(-r)
+        except (RuntimeError, model.ConeError):
             return NewtonResult(False, None, norm, it - 1, "jacobian_singular")
         if not np.all(np.isfinite(step)):
             return NewtonResult(False, None, norm, it - 1, "jacobian_singular")
@@ -1255,9 +1236,9 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
             trial = flat + damp * step
             floor = model.CONE_FLOOR_REL * max(np.abs(trial).max(), 1e-300)
             trial = np.maximum(trial, floor)
-            trial_norm, trial_r = res_norm(trial)
+            trial_norm, trial_r, trial_terms = res_norm(trial)
             if trial_norm < norm * (1.0 - 1e-4 * damp):
-                flat, norm, r = trial, trial_norm, trial_r
+                flat, norm, r, terms = trial, trial_norm, trial_r, trial_terms
                 accepted = True
                 break
             damp *= 0.5
@@ -1332,48 +1313,59 @@ class ContinuationResult:
         return self.fold_lambda is not None
 
 
-def _tangent(spec, mesh, u, lam, prev, blocks):
-    """Unit tangent of the solution branch at (u, lambda), oriented along prev."""
-    big = u.values.size
-    jac = model.eval_jacobian(spec, mesh, u, lam)
-    _, g_load = model.eval_residual_terms(spec, mesh, u)
-    mat = np.zeros((big + 1, big + 1))
-    mat[:big, :big] = jac
-    mat[:big, -1] = -g_load.ravel()
-    mat[-1, :] = prev
-    rhs = np.zeros(big + 1)
+def _arclength_solve(jac: np.ndarray, m: int, n: int, g_load: np.ndarray, row: np.ndarray,
+                     rhs: np.ndarray) -> np.ndarray:
+    """Solve [J, -g; row^T] x = rhs, with ``jac`` the band of J, ``g_load``
+    the flat parameter load and ``row`` the (m*n + 1)-long last row.
+
+    One sparse LU of the bordered matrix, with the threshold pivoting of
+    ``_bordered_solve``; a singular matrix raises ``RuntimeError``.
+    """
+    lu = splu(model.band_csc(jac, m, n, -g_load, row[:-1], row[-1]), diag_pivot_thresh=0.1)
+    return lu.solve(rhs)
+
+
+def _tangent(jac, m, n, g_load, prev):
+    """Unit tangent of the solution branch at a point with Jacobian band
+    ``jac`` and parameter load ``g_load``, oriented along prev."""
+    rhs = np.zeros(prev.size)
     rhs[-1] = 1.0
-    tan = np.linalg.solve(mat, rhs)
+    tan = _arclength_solve(jac, m, n, g_load, prev, rhs)
     tan /= np.linalg.norm(tan)
     if tan @ prev < 0:
         tan = -tan
     return tan
 
 
+def _stability(jac: np.ndarray, m: int, n: int) -> float:
+    """Smallest eigenvalue of the symmetric part (J + J^T) / 2 of J on its
+    band, a node-major band of half-width 2m - 1."""
+    sparse = model.band_csc(jac, m, n)
+    return _node_major_eigenvalue(0.5 * (sparse + sparse.T), m, n, 2 * m - 1, 0)
+
+
 def _corrector(spec, mesh, z_pred, tangent, options, blocks):
-    """Newton on [F(u, lam); tangent . (z - z_pred)] = 0."""
-    m = spec.m
-    big = z_pred.size - 1
+    """Newton on [F(u, lam); tangent . (z - z_pred)] = 0.
+
+    Returns the corrected point with its Galerkin terms, or None when an
+    iterate leaves the open cone (``model.in_open_cone``), the bordered
+    matrix is singular or the iterations run out.
+    """
+    m, n = spec.m, mesh.n_interior
     z = z_pred.copy()
     for _ in range(options.corrector_iters):
-        flat = np.maximum(z[:big], 1e-300)
-        u = FEField.from_flat(mesh, m, flat)
-        if not u.interior:
+        flat, lam = z[:-1], z[-1]
+        if not model.in_open_cone(flat.reshape(m, n)).all():
             return None
-        lam = float(z[-1])
-        terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
+        terms = rayleigh.galerkin_terms(spec, mesh, flat.reshape(m, n), blocks)
         res = terms.residual(lam)
-        aug = np.concatenate([res, [tangent @ (z - z_pred)]])
+        aug = np.append(res, tangent @ (z - z_pred))
         if np.abs(res).max() < options.corrector_tol and abs(aug[-1]) < 1e-12:
-            return z
-        jac = model.eval_jacobian(spec, mesh, u, lam)
-        mat = np.zeros((big + 1, big + 1))
-        mat[:big, :big] = jac
-        mat[:big, -1] = -terms.g_load.ravel()
-        mat[-1, :] = tangent
+            return z, terms
         try:
-            step = np.linalg.solve(mat, -aug)
-        except np.linalg.LinAlgError:
+            step = _arclength_solve(_band_at(spec, mesh, flat, lam, terms, blocks), m, n,
+                                    terms.g_load.ravel(), tangent, -aug)
+        except RuntimeError:
             return None
         if not np.all(np.isfinite(step)):
             return None
@@ -1388,11 +1380,13 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
     The branch starts from a Newton solution at a small parameter value and
     is traced until the tangent's lambda component changes sign (a fold) or
     the step collapses.  Intended as an oracle independent of the minimax
-    maximization.
+    maximization.  Each branch point is assembled once; its tangent and the
+    corrector steps take one sparse LU each of the bordered matrix
+    [J, -g; t^T], and its stability value comes from ``eig_banded``.
     """
     options = options or ContinuationOptions()
     blocks = model.stiffness_blocks(spec, mesh)
-    m, big = spec.m, spec.m * mesh.n_interior
+    m, n = spec.m, mesh.n_interior
 
     lam0 = 0.05 * lambda_max_guess
     start = None
@@ -1406,24 +1400,18 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
         return ContinuationResult((), None, None, "no_start")
 
     z = np.concatenate([start.flatten(), [lam0]])
-    prev = np.zeros(big + 1)
+    prev = np.zeros(z.size)
     prev[-1] = 1.0
+    terms = rayleigh.galerkin_terms(spec, mesh, start, blocks)
+    jac = _band_at(spec, mesh, z[:-1], z[-1], terms, blocks)
     try:
-        tan = _tangent(spec, mesh, start, lam0, prev, blocks)
-    except np.linalg.LinAlgError:
+        tan = _tangent(jac, m, n, terms.g_load.ravel(), prev)
+    except RuntimeError:
         return ContinuationResult((), None, None, "tangent_failed")
 
-    def record(zv):
-        u = FEField.from_flat(mesh, m, zv[:big])
-        jac = model.eval_jacobian(spec, mesh, u, zv[-1])
-        sym = 0.5 * (jac + jac.T)
-        stab = float(np.linalg.eigvalsh(sym)[0])
-        return u, stab
-
-    points = []
-    u_rec, stab = record(z)
     arclength = 0.0
-    points.append(BranchPoint(float(z[-1]), u_rec, stab, arclength))
+    points = [BranchPoint(float(z[-1]), FEField.from_flat(mesh, m, z[:-1]),
+                          _stability(jac, m, n), arclength)]
 
     ds = options.ds_init * max(1.0, start.sup_norm)
     ds_max = options.ds_max * max(1.0, start.sup_norm)
@@ -1432,25 +1420,25 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
     fold_u = None
 
     for _ in range(options.max_steps):
-        z_new = None
+        corrected = None
         while ds >= options.ds_min:
-            cand = _corrector(spec, mesh, z + ds * tan, tan, options, blocks)
-            if cand is not None:
-                z_new = cand
+            corrected = _corrector(spec, mesh, z + ds * tan, tan, options, blocks)
+            if corrected is not None:
                 break
             ds *= 0.5
-        if z_new is None:
+        if corrected is None:
             status = "step_collapse"
             break
-        u_new = FEField.from_flat(mesh, m, z_new[:big])
+        z_new, terms = corrected
+        jac = _band_at(spec, mesh, z_new[:-1], z_new[-1], terms, blocks)
         try:
-            tan_new = _tangent(spec, mesh, u_new, float(z_new[-1]), tan, blocks)
-        except np.linalg.LinAlgError:
+            tan_new = _tangent(jac, m, n, terms.g_load.ravel(), tan)
+        except RuntimeError:
             status = "tangent_failed"
             break
         arclength += float(np.linalg.norm(z_new - z))
-        u_rec, stab = record(z_new)
-        points.append(BranchPoint(float(z_new[-1]), u_rec, stab, arclength))
+        points.append(BranchPoint(float(z_new[-1]), FEField.from_flat(mesh, m, z_new[:-1]),
+                                  _stability(jac, m, n), arclength))
 
         if tan[-1] > 0.0 and tan_new[-1] < 0.0:
             fold_lambda, fold_u = _refine_fold(spec, mesh, z, tan, ds, options, blocks)
@@ -1468,24 +1456,25 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
 
 def _refine_fold(spec, mesh, z_before, tan_before, ds, options, blocks):
     """Bisection on the arclength step until the tangent lambda-slope vanishes."""
-    m, big = spec.m, z_before.size - 1
+    m, n = spec.m, mesh.n_interior
     z_lo, tan_lo = z_before, tan_before
     step = ds
     for _ in range(80):
         if step < max(options.ds_min, 1e-14) or abs(tan_lo[-1]) < 1e-9:
             break
-        cand = _corrector(spec, mesh, z_lo + step * tan_lo, tan_lo, options, blocks)
-        if cand is None:
+        corrected = _corrector(spec, mesh, z_lo + step * tan_lo, tan_lo, options, blocks)
+        if corrected is None:
             step *= 0.5
             continue
+        cand, terms = corrected
         try:
-            tan_c = _tangent(spec, mesh, FEField.from_flat(mesh, m, cand[:big]),
-                             float(cand[-1]), tan_lo, blocks)
-        except np.linalg.LinAlgError:
+            tan_c = _tangent(_band_at(spec, mesh, cand[:-1], cand[-1], terms, blocks), m, n,
+                             terms.g_load.ravel(), tan_lo)
+        except RuntimeError:
             step *= 0.5
             continue
         if tan_c[-1] > 0.0:
             z_lo, tan_lo = cand, tan_c
         else:
             step *= 0.5
-    return float(z_lo[-1]), FEField.from_flat(mesh, m, z_lo[:big])
+    return float(z_lo[-1]), FEField.from_flat(mesh, m, z_lo[:-1])

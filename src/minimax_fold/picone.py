@@ -133,9 +133,9 @@ def ps_energy_diagnostic(spec: ProblemSpec, mesh: Mesh1D,
     a_vv = sum(float(v.values[k] @ blocks[k].matvec(v.values[k])) for k in range(spec.m))
     v_hat = FEField(mesh, v.values / np.sqrt(a_vv))
     chi = (1.0 + spec.q) / 2.0
-    parts = model.jacobian_parts(spec, mesh, u, blocks=blocks)
+    parts = model.jacobian_parts(spec, mesh, u, blocks=blocks, samples=terms.samples)
     v_flat = v_hat.values.ravel()
-    fu_vv = float(v_flat @ parts.mass_f @ v_flat)
+    fu_vv = float(v_flat @ model.band_matvec(parts.mass_f_band, v_flat))
     with np.errstate(divide="ignore"):
         w = v_hat.values**2 / u.values  # nodal quotient v^2/u
     f_w = float((w * terms.f_load).sum())

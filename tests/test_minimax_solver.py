@@ -143,15 +143,6 @@ class TestMaximizeScalarPower:
             value = rayleigh.inner_min(spec, mesh, sol.u).value
             assert value <= scalar_cert.lambda_star + 1e-8
 
-    def test_ill_conditioned_start_reaches_same_value(self, scalar_cert):
-        mesh = build_mesh(24)
-        spec = scalar_power(0.5, 2.0)
-        vals = np.full((1, mesh.n_interior), 1.0)
-        vals[0, mesh.n_interior // 2] = 1e3
-        cert = maximize(spec, mesh, u0=FEField(mesh, vals),
-                        options=dataclasses.replace(FAST, n_starts=1))
-        assert abs(cert.lambda_star - scalar_cert.lambda_star) <= 1e-6 * scalar_cert.lambda_star
-
     def test_determinism_bit_identical(self):
         mesh = build_mesh(12)
         spec = scalar_power(0.5, 2.0)
@@ -251,7 +242,8 @@ class TestTwoPhaseMaximize:
         mesh = build_mesh(128)
         options = SolverOptions()
         blocks = model.stiffness_blocks(spec, mesh)
-        start = minimax_solver.default_start(spec, mesh, blocks)
+        start = minimax_solver.amplitude_line_search(
+            spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
         slp, = minimax_solver._slp(spec, mesh, [start], options, blocks,
                                    minimax_solver._LOOSE_GAIN)
         assert slp.status == "converged"
@@ -264,35 +256,12 @@ class TestTwoPhaseMaximize:
         spec = scalar_power(0.5, 2.0)
         mesh = build_mesh(24)
         blocks = model.stiffness_blocks(spec, mesh)
-        start = minimax_solver.default_start(spec, mesh, blocks)
+        start = minimax_solver.amplitude_line_search(
+            spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
         slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks,
                                    minimax_solver._LOOSE_GAIN)
         result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks, max_iter=0)
         assert result.reason == "max_iter" and not result.ok
-
-    def test_failed_polish_is_retried_after_tight_slp(self, monkeypatch):
-        spec = scalar_power(0.5, 2.0)
-        mesh = build_mesh(24)
-        options = SolverOptions(n_starts=1)
-        reference = maximize(spec, mesh, options=options)
-        real_polish = minimax_solver._fold_polish
-        calls = []
-
-        def fail_once(*args, **kwargs):
-            results = real_polish(*args, **kwargs)
-            first = not calls
-            calls.extend(results)
-            if first:
-                results[0] = dataclasses.replace(results[0], reason="no_decrease")
-            return results
-
-        monkeypatch.setattr(minimax_solver, "_fold_polish", fail_once)
-        cert = maximize(spec, mesh, options=options)
-        assert len(calls) == 2
-        assert cert.valid and cert.status == "polished"
-        assert abs(cert.lambda_star - reference.lambda_star) <= 1e-12 * reference.lambda_star
-        # the retry resumed the SLP at tol_kkt on top of the loose iterations
-        assert cert.iterations > reference.iterations
 
     def test_no_polished_start_reports_polish_failed(self, monkeypatch):
         real_polish = minimax_solver._fold_polish
@@ -328,7 +297,7 @@ def lockstep_case(name):
     spec, mesh = builtin_problem(*LOCKSTEP_CASES[name]), build_mesh(16)
     blocks = model.stiffness_blocks(spec, mesh)
     options = SolverOptions()
-    fields = minimax_solver._starts(spec, mesh, None, options, blocks)
+    fields = minimax_solver._starts(spec, mesh, options, blocks)
     loose = minimax_solver._slp(spec, mesh, fields, options, blocks, minimax_solver._LOOSE_GAIN)
     starts = [(r.u, r.lam) for r in loose[:5]]
     starts += [(f.flatten(), float(rayleigh.galerkin_terms(spec, mesh, f, blocks).quotients().min()))
@@ -452,7 +421,8 @@ class TestRoundoffStop:
         spec = scalar_power(0.5, 2.0)
         mesh = build_mesh(24)
         blocks = model.stiffness_blocks(spec, mesh)
-        start = minimax_solver.default_start(spec, mesh, blocks)
+        start = minimax_solver.amplitude_line_search(
+            spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
         slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks, minimax_solver._LOOSE_GAIN)
         # a stop test that never passes: the polish runs into its stall
         monkeypatch.setattr(minimax_solver, "_at_roundoff", lambda residuals, roundoff: False)
@@ -485,7 +455,7 @@ class TestNestedMaximize:
         spec, mesh = solve_cold_case(name)
         options = SolverOptions(seed=seed)
         cert = maximize(spec, mesh, options=options)
-        full = minimax_solver._multistart(spec, mesh, None, options)
+        full = minimax_solver._multistart(spec, mesh, options)
         assert cert.start == "nested" and full.start == "multistart"
         assert cert.valid and cert.status == "polished" and full.valid
         assert abs(cert.lambda_star - full.lambda_star) <= 1e-12 * full.lambda_star
@@ -524,25 +494,23 @@ class TestNestedMaximize:
         cert = maximize(spec, mesh, options=FAST)
         assert len(failed) == 1 and cert.start == "fallback"
         monkeypatch.undo()
-        full = minimax_solver._multistart(spec, mesh, None, FAST)
+        full = minimax_solver._multistart(spec, mesh, FAST)
         # the certificate records its path; every other field is the full multistart's
         assert json.dumps(cert.to_dict()) \
             == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
 
-    @pytest.mark.parametrize("case", ["n24", "linear_diagnostic", "polish_off", "u0"])
+    @pytest.mark.parametrize("case", ["n24", "linear_diagnostic", "polish_off"])
     def test_other_paths_run_the_multistart_on_the_target(self, case):
-        spec, mesh, options, u0 = scalar_power(0.5, 2.0), build_mesh(64), FAST, None
+        spec, mesh, options = scalar_power(0.5, 2.0), build_mesh(64), FAST
         if case == "n24":
             mesh = build_mesh(24)  # halves to 12 < 16 elements
         elif case == "linear_diagnostic":
             spec = linear_diagnostic()
-        elif case == "polish_off":
-            options = dataclasses.replace(FAST, polish=False)
         else:
-            u0 = minimax_solver.default_start(spec, mesh)
-        cert = maximize(spec, mesh, u0=u0, options=options)
+            options = dataclasses.replace(FAST, polish=False)
+        cert = maximize(spec, mesh, options=options)
         assert cert.start == "multistart"
-        full = minimax_solver._multistart(spec, mesh, u0, options)
+        full = minimax_solver._multistart(spec, mesh, options)
         assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
 
     def test_graded_mesh_is_nested(self):
@@ -738,7 +706,7 @@ class TestLockstepSLP:
         mesh = build_mesh(n)
         options = SolverOptions(max_iters=max_iters)
         blocks = model.stiffness_blocks(spec, mesh)
-        starts = minimax_solver._starts(spec, mesh, None, options, blocks)
+        starts = minimax_solver._starts(spec, mesh, options, blocks)
         assert len(starts) == 8
         stack = minimax_solver._slp(spec, mesh, starts, options, blocks, gain)
         for start, state in zip(starts, stack, strict=True):
@@ -764,7 +732,7 @@ class TestLockstepSLP:
             return real_search(spec, mesh, shape, blocks)
 
         monkeypatch.setattr(minimax_solver, "amplitude_line_search", recording_search)
-        starts = minimax_solver._starts(spec, mesh, None, options, blocks)
+        starts = minimax_solver._starts(spec, mesh, options, blocks)
         assert searches == [(8, 3, mesh.n_interior)]
         # each start has the amplitude a search of its shape alone gives
         rng = np.random.default_rng(options.seed)
@@ -782,9 +750,10 @@ class TestSLPAssembly:
     """Each SLP iterate is assembled once, on the band."""
 
     def slp_start(self, spec, mesh):
-        """``_slp`` at ``tol_kkt`` from the default start, set up before any patching."""
-        start = minimax_solver.default_start(spec, mesh)
+        """``_slp`` at ``tol_kkt`` from the torsion-profile start, set up before any patching."""
         blocks = model.stiffness_blocks(spec, mesh)
+        start = minimax_solver.amplitude_line_search(
+            spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
         return lambda: minimax_solver._slp(spec, mesh, [start], SolverOptions(), blocks, 1e-9)[0]
 
     def test_one_assembly_per_point_none_after_rejection(self, monkeypatch):
@@ -899,12 +868,6 @@ class TestSolverStressModes:
                         options=dataclasses.replace(FAST, n_starts=1, polish=False))
         assert cert.status == "unbounded_ascent"
         assert not cert.valid
-
-    def test_rejects_boundary_start(self):
-        mesh = build_mesh(8)
-        with pytest.raises(model.ConeError):
-            maximize(scalar_power(0.5, 2.0), mesh,
-                     u0=FEField(mesh, np.zeros((1, mesh.n_interior))))
 
 
 class TestRecoverAdjoint:
@@ -1075,3 +1038,142 @@ class TestContinuation:
         d1 = abs(folds[1] - folds[0])
         d2 = abs(folds[2] - folds[1])
         assert d2 <= d1  # consistent with first order in h or better
+
+
+ORACLE_CASES = {
+    "scalar_power-n24": ("scalar_power", {"q": 0.5, "gamma": 2.0}, 24),
+    "cooperative_product-m2-n16": ("cooperative_product", {"m": 2}, 16),
+    "cooperative_product-m3-n16": ("cooperative_product", {"m": 3}, 16),
+}
+
+
+def oracle_point(name, lam=3.0):
+    """A Newton solution on the stable branch (every fold is above lambda = 3),
+    its Galerkin terms and its Jacobian band."""
+    problem, params, n = ORACLE_CASES[name]
+    spec, mesh = builtin_problem(problem, params), build_mesh(n)
+    blocks = model.stiffness_blocks(spec, mesh)
+    sol = newton_multistart(spec, mesh, lam, n_starts=10, blocks=blocks)
+    assert sol.converged
+    terms = rayleigh.galerkin_terms(spec, mesh, sol.u, blocks)
+    jac = minimax_solver._band_at(spec, mesh, sol.u.flatten(), lam, terms, blocks)
+    return spec, mesh, blocks, sol.u, lam, terms, jac
+
+
+def dense_bordered(spec, mesh, u, lam, row):
+    """The dense reference [J, -g; row^T] from ``eval_jacobian``."""
+    big = u.values.size
+    mat = np.zeros((big + 1, big + 1))
+    mat[:big, :big] = model.eval_jacobian(spec, mesh, u, lam)
+    mat[:big, -1] = -model.eval_residual_terms(spec, mesh, u)[1].ravel()
+    mat[-1] = row
+    return mat
+
+
+class TestBandedOracles:
+    """Newton and continuation on the band: one assembly per point, sparse LU,
+    ``eig_banded``; the dense matrices are references only."""
+
+    @pytest.mark.parametrize("name,guess", [("scalar_power-n24", 12.0),
+                                            ("cooperative_product-m2-n16", 10.0)])
+    def test_oracles_run_without_dense_linear_algebra(self, name, guess, monkeypatch):
+        problem, params, n = ORACLE_CASES[name]
+        spec, mesh = builtin_problem(problem, params), build_mesh(n)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense linear algebra in an oracle")
+
+        with monkeypatch.context() as patch:
+            for module, attr in ((np.linalg, "solve"), (np.linalg, "eigvalsh"),
+                                 (model, "eval_jacobian"), (model, "band_to_dense")):
+                patch.setattr(module, attr, dense)
+            for view in ("stiffness", "mass_f", "mass_g"):
+                patch.setattr(model.JacobianParts, view, property(dense))
+            sweep = continuation_sweep(spec, mesh, lambda_max_guess=guess)
+            newton = newton_multistart(spec, mesh, 0.5 * guess)
+        assert sweep.status == "fold_found" and sweep.fold_found
+        assert sweep.points[0].stability_indicator > 0 > sweep.points[-1].stability_indicator
+        assert newton.converged
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_newton_step_matches_dense_solve(self, name, monkeypatch):
+        spec, mesh, blocks, u, lam, _, _ = oracle_point(name)
+        u0 = FEField(mesh, 1.05 * u.values)  # a full step stays inside the cone
+        dense = np.linalg.solve(model.eval_jacobian(spec, mesh, u0, lam),
+                                -rayleigh.residual(spec, mesh, u0, lam).ravel())
+        fields = []  # the start, then its full-step trial
+        real_terms = rayleigh.galerkin_terms
+
+        def recording_terms(spec, mesh, u, blocks=None):
+            fields.append(np.array(u, dtype=float).ravel())
+            return real_terms(spec, mesh, u, blocks)
+
+        monkeypatch.setattr(rayleigh, "galerkin_terms", recording_terms)
+        newton_solve(spec, mesh, lam, u0, minimax_solver.NewtonOptions(max_iters=1),
+                     blocks=blocks)
+        step = fields[1] - fields[0]
+        assert np.abs(step - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_tangent_and_stability_match_dense(self, name):
+        spec, mesh, _, u, lam, terms, jac = oracle_point(name)
+        m, n = spec.m, mesh.n_interior
+        prev = np.zeros(m * n + 1)
+        prev[-1] = 1.0
+        for _ in range(2):  # along the lambda axis, then along the first tangent
+            tan = minimax_solver._tangent(jac, m, n, terms.g_load.ravel(), prev)
+            rhs = np.zeros(m * n + 1)
+            rhs[-1] = 1.0
+            ref = np.linalg.solve(dense_bordered(spec, mesh, u, lam, prev), rhs)
+            ref /= np.linalg.norm(ref)
+            ref = -ref if ref @ prev < 0 else ref
+            assert np.abs(tan - ref).max() <= 1e-12
+            prev = 0.5 * tan + 0.5 * prev
+        sym = model.eval_jacobian(spec, mesh, u, lam)
+        ref = np.linalg.eigvalsh(0.5 * (sym + sym.T))[0]
+        assert ref > 0.0  # the stable branch
+        assert abs(minimax_solver._stability(jac, m, n) - ref) <= 1e-12 * abs(ref)
+
+    def test_singular_bordered_matrix_gives_its_named_failure(self, monkeypatch):
+        spec, mesh, blocks, u, lam, terms, jac = oracle_point("scalar_power-n24")
+        m, n = spec.m, mesh.n_interior
+        z = np.append(u.flatten(), lam)
+        zero_row = np.zeros(m * n + 1)  # [J, -g; 0] is singular whatever J is
+        with pytest.raises(RuntimeError):
+            minimax_solver._tangent(jac, m, n, terms.g_load.ravel(), zero_row)
+        options = minimax_solver.ContinuationOptions()
+        predicted = z + 0.1 * np.append(np.zeros(m * n), 1.0)  # off the branch
+        assert minimax_solver._corrector(spec, mesh, predicted, zero_row, options,
+                                         blocks) is None
+
+        real_splu = minimax_solver.splu
+
+        def singular(size):
+            def factor(matrix, **kwargs):
+                if matrix.shape[0] == size:
+                    raise RuntimeError("Factor is exactly singular")
+                return real_splu(matrix, **kwargs)
+            return factor
+
+        # every bordered LU fails: the first tangent of the sweep
+        monkeypatch.setattr(minimax_solver, "splu", singular(m * n + 1))
+        sweep = continuation_sweep(spec, mesh, lambda_max_guess=12.0)
+        assert sweep.status == "tangent_failed" and sweep.points == ()
+        # every LU of J fails: the Newton step
+        monkeypatch.setattr(minimax_solver, "splu", singular(m * n))
+        result = newton_solve(spec, mesh, lam, FEField(mesh, 1.05 * u.values), blocks=blocks)
+        assert not result.converged and result.reason == "jacobian_singular"
+
+    @pytest.mark.parametrize("node", [-0.5, 1e-14])
+    def test_corrector_iterate_outside_the_cone_returns_none(self, node):
+        # a node below zero, or positive but under the relative cone floor
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(16)
+        cert = maximize(spec, mesh, options=FAST)
+        assert cert.valid
+        z = np.append(cert.u_star.flatten(), cert.lambda_star)
+        z[0] = node * cert.u_star.sup_norm
+        tangent = np.zeros(z.size)
+        tangent[-1] = 1.0
+        assert minimax_solver._corrector(spec, mesh, z, tangent,
+                                         minimax_solver.ContinuationOptions(),
+                                         model.stiffness_blocks(spec, mesh)) is None

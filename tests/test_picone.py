@@ -119,6 +119,27 @@ class TestPSEnergyDiagnostic:
         assert report.energy_margin > 0.0
         assert report.nondeg_margin > 0.0
 
+    def test_reads_the_band_not_the_dense_mass(self, cert, monkeypatch):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(24)
+
+        def dense(self):
+            raise AssertionError("dense Jacobian view in the energy diagnostic")
+
+        for view in ("stiffness", "mass_f", "mass_g"):
+            monkeypatch.setattr(model.JacobianParts, view, property(dense))
+        report = ps_energy_diagnostic(spec, mesh, cert)
+        monkeypatch.undo()
+        # dense reference: v^T M_f v - chi <f(u), v^2 / u> at the unit-energy v
+        u = cert.u_star.values
+        v = cert.v_star.values / np.sqrt(float(
+            cert.v_star.values[0] @ model.stiffness_blocks(spec, mesh)[0].matvec(
+                cert.v_star.values[0])))
+        fu_vv = float(v.ravel() @ model.jacobian_parts(spec, mesh, cert.u_star).mass_f
+                      @ v.ravel())
+        f_load, _ = model.eval_residual_terms(spec, mesh, cert.u_star)
+        expected = fu_vv - report.chi * float((v**2 / u * f_load).sum())
+        assert abs(report.nondeg_rhs - expected) <= 1e-12 * abs(expected)
+
     def test_certificate_fields_pass_picone(self, cert):
         spec = scalar_power(0.5, 2.0)
         mesh = build_mesh(24)
