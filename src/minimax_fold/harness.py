@@ -111,7 +111,7 @@ class RunConfig:
             raise ConfigError(f"unknown solver options: {sorted(unknown)}")
         solver = SolverOptions(**solver_map)
         if "seed" in data:
-            solver = replace(solver, seed=int(data.pop("seed")))
+            solver = replace(solver, seed=data.pop("seed"))
         problem = data.pop("problem", {})
         window = data.pop("lambda_window", None)
         try:

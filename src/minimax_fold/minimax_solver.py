@@ -40,17 +40,21 @@ linear diagnostic mode and ``polish=False`` run a single SLP phase at
 ``tol_kkt``.  The certificate works on the band as well: two bordered solves
 give the adjoint null vector, from which the final multipliers are recovered
 through kappa_i = mu_i / <g(u*), eta_i>, and an upper bound on sigma_min(J);
-|J|_2 comes from the top eigenvalue of the banded J^T J.  No SVD is taken and
-no dense matrix is built, in the Newton and continuation oracles either.
+|J|_2 comes from the top eigenvalue of the banded J^T J.  The same
+multipliers bound the gain of the SLP's LP at u* by weak duality
+(``_ascent_bound``), so a VALID certificate also shows, without solving that
+LP, that it predicts no gain above ``_LOOSE_GAIN``.  No SVD is taken and no
+dense matrix is built, in the Newton and continuation oracles either.
 
 On a mesh that halves to at least ``_COARSE_ELEMENTS`` elements the
 two-phase ``maximize`` is nested iteration (Hackbusch, Multi-Grid Methods and
 Applications, Springer 1985, ch. 5): the multistart runs on the coarsest
-mesh, and its fold is carried up each doubling by one polish, guarded by one
-SLP step on the target mesh, with the multistart on the target mesh as the
-fallback.  ``continue_certificate`` does the same for one step: it carries a
-VALID certificate to a finer mesh or a nearby problem.  Each certificate
-records which path made it in ``start``.
+mesh, and its fold is carried up each doubling by one polish; on the target
+mesh the certificate, with its no-ascent bound, must be VALID, or the
+multistart runs on the target mesh as the fallback.  The SLP and HiGHS thus
+run only in a multistart.  ``continue_certificate`` does the same for one
+step: it carries a VALID certificate to a finer mesh or a nearby problem.
+Each certificate records which path made it in ``start``.
 
 Everything is deterministic for fixed options and seed: fixed iteration
 order, seeded multi-starts, no timing dependence.
@@ -58,6 +62,8 @@ order, seeded multi-starts, no timing dependence.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -83,6 +89,9 @@ class SolverOptions:
     residual level a certificate must meet to be flagged VALID.  ``n_starts``
     randomized cone starts are run and the best local maximum is kept;
     disagreement beyond ``multistart_rel_tol`` is flagged, not resolved.
+    Construction raises ``ValueError`` unless ``max_iters`` and ``n_starts``
+    are integers >= 1, ``seed`` an integer >= 0, every tolerance, threshold
+    and ``trust_radius_init`` a finite number > 0, and ``polish`` a bool.
     """
 
     max_iters: int = 400
@@ -95,6 +104,23 @@ class SolverOptions:
     multistart_rel_tol: float = 1e-6
     collapse_threshold: float = 1e-8
     growth_threshold: float = 1e8
+
+    def __post_init__(self):
+        for name, least in (("max_iters", 1), ("n_starts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < least:
+                raise ValueError(f"solver option {name} must be an integer >= {least}, "
+                                 f"not {value!r}")
+        for name in ("tol_kkt", "tol_cert", "trust_radius_init", "multistart_rel_tol",
+                     "collapse_threshold", "growth_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value) or value <= 0:
+                raise ValueError(f"solver option {name} must be a finite number > 0, "
+                                 f"not {value!r}")
+        if not isinstance(self.polish, bool):
+            raise ValueError(f"solver option polish must be a bool, not {self.polish!r}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +141,13 @@ class MinimaxCertificate:
     bordered solves, and ``jac_norm`` is |J|_2, the square root of the top
     eigenvalue of J^T J (``scipy.linalg.eig_banded`` on its band).
     ``valid`` requires all four residuals below ``tol_cert``, sigma_min below
-    1e-6 * |J|_2 (or J itself at assembly roundoff), and both fields inside
-    their cones.  ``start`` names the path that made the certificate:
+    1e-6 * |J|_2 (or J itself at assembly roundoff), both fields inside
+    their cones, and no ascent: the weak-duality bound ``_ascent_bound`` of
+    mu on the scaled gain of the LP the SLP would solve first from u*, on
+    its box of ``trust_radius_init`` and the cone floor, is at most
+    ``_LOOSE_GAIN``.  ``iterations`` counts the SLP rounds on the
+    certificate's own mesh, so it is 0 on ``nested`` and ``continued``
+    certificates.  ``start`` names the path that made the certificate:
     ``multistart`` (the multistart on its own mesh), ``nested`` (a multistart
     on a coarse mesh, polished up each doubling), ``fallback`` (a refused
     nested or continued path, then the multistart on its own mesh) or
@@ -548,18 +579,6 @@ def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarra
     return lu, x[..., :-1], w, x[..., -1]
 
 
-def _fold_borders(jac: np.ndarray, m: int, n: int):
-    """Borders ``(b, c)`` for bordered solves near a fold of J (a band).
-
-    The fold's null vectors lie in the open cone, so a first solve bordered
-    by the normalized all-ones vector finds them; b and c are its normalized
-    w and v.
-    """
-    ones = np.full(m * n, 1.0 / np.sqrt(m * n))
-    _, v, w, _ = _bordered_solve(jac, m, n, ones, ones)
-    return w / np.linalg.norm(w), v / np.linalg.norm(v)
-
-
 def _newton_step(x: np.ndarray, v: np.ndarray, s: float, s_u: np.ndarray,
                  s_lam: float) -> np.ndarray:
     """Newton step [du; dlam] on [F; s] from the bordered LU taken at the iterate.
@@ -843,20 +862,23 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
                  mu_lp: Optional[np.ndarray] = None) -> MinimaxCertificate:
     m, n = spec.m, mesh.n_interior
     u = FEField.from_flat(mesh, m, np.maximum(flat, 0.0))
-    terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
+    # borders as in the polish: all-ones, then the normalized w and v found with it
+    border = (np.full(m * n, 1.0 / np.sqrt(m * n)),) * 2
+    for _ in range(2):
+        p, = _polish_points(spec, mesh, blocks, [u.values.ravel()], [lam], [border])
+        if p is None:
+            raise RuntimeError("singular bordered matrix at the certificate point")
+        border = (p.w / np.linalg.norm(p.w), p.v / np.linalg.norm(p.v))
+    terms, parts, w = p.terms, p.parts, p.w
     denom = terms.g_load.ravel()
     quotients = terms.quotients()
-
-    parts = model.jacobian_parts(spec, mesh, u, blocks=blocks, samples=terms.samples)
     jac_band = parts.jacobian_band(lam)
-    _, v_null, w, _ = _bordered_solve(jac_band, m, n, *_fold_borders(jac_band, m, n))
     # |J x| / |x| bounds sigma_min(J) from above for any x
     sigma_min = float(min(
-        np.linalg.norm(model.band_matvec(jac_band, v_null)) / np.linalg.norm(v_null),
+        np.linalg.norm(model.band_matvec(jac_band, p.v)) / np.linalg.norm(p.v),
         np.linalg.norm(model.band_matvec(jac_band, w, transpose=True)) / np.linalg.norm(w)))
     jac_norm = _spectral_norm(jac_band, m, n)
-    jac_scale = max(np.abs(parts.stiffness_band).max(), np.abs(parts.mass_f_band).max(),
-                    abs(lam) * np.abs(parts.mass_g_band).max(), 1e-300)
+    jac_scale = p.scales[1]
 
     if mu_lp is not None and mu_lp.sum() > 0:
         # an unrefined point: the final LP duals are the multiplier estimate
@@ -878,10 +900,7 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     energy = sum(float(v_vals[k] @ blocks[k].matvec(v_vals[k])) for k in range(m))
     v_star = FEField(mesh, v_vals / np.sqrt(energy)) if energy > 0 else FEField(mesh, v_vals)
 
-    res_vec = terms.residual(lam)
-    primal_scale = max(np.abs(terms.stiff_action).max(), np.abs(terms.f_load).max(),
-                       abs(lam) * np.abs(terms.g_load).max(), 1e-300)
-    primal = float(np.abs(res_vec).max() / primal_scale)
+    primal = float(p.residuals[0])
 
     v_flat = v_star.values.ravel()
     adjoint = float(np.linalg.norm(model.band_matvec(jac_band, v_flat, transpose=True))
@@ -893,8 +912,9 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     row_mag = (np.linalg.norm(parts.stiffness_band - parts.mass_f_band, axis=1)
                + np.abs(quotients) * np.linalg.norm(parts.mass_g_band, axis=1)) / denom
     grad_scale = max(float(row_mag.max()), 1e-300)
-    stationarity = float(np.linalg.norm(model.band_matvec(stencil, mu, transpose=True))
-                         / grad_scale)
+    c = model.band_matvec(stencil, mu, transpose=True)  # S^T mu
+    stationarity = float(np.linalg.norm(c) / grad_scale)
+    ascent = _ascent_bound(u.values.ravel(), quotients, mu, c, options.trust_radius_init)
     complementarity = float((mu * np.abs(lam - quotients)).max() / (1.0 + abs(lam)))
 
     tol_active = 1e-8 * (1.0 + abs(lam))
@@ -907,6 +927,7 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
         status in ("converged", "polished")
         and primal < tol and adjoint < tol and stationarity < tol
         and complementarity < tol
+        and ascent <= _LOOSE_GAIN
         and singular_enough
         and w_cone_ok
         and u.interior
@@ -941,6 +962,23 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
                    "nodes": mesh.nodes.tolist()},
         options=options,
     )
+
+
+def _ascent_bound(flat, quotients, y, c, trust_radius_init) -> float:
+    """Weak-duality bound on the scaled gain of the first LP ``_slp`` solves from ``flat``.
+
+    For ``y`` on the simplex and ``c = S^T y`` (S the quotient gradients),
+    every step du in the LP's box l <= du <= t has min_i (R_i + S_i du) <=
+    y . R + c . du (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 13),
+    so the gain over q_min = min_i R_i is at most y . R - q_min + sum_j
+    max(c_j t, c_j l_j), scaled by 1 + |q_min| as ``_slp`` scales it.  The box
+    is that of ``_slp``: t = ``trust_radius_init`` |u|_inf, l_j = max(-t, floor - u_j).
+    """
+    scale, q_min = float(np.abs(flat).max()), float(quotients.min())
+    trust = trust_radius_init * scale
+    lower = np.maximum(-trust, model.CONE_FLOOR_REL * scale - flat)
+    return float((y @ quotients - q_min + np.maximum(c * trust, c * lower).sum())
+                 / (1.0 + abs(q_min)))
 
 
 def _node_major_eigenvalue(sym, m: int, n: int, width: int, index: int) -> float:
@@ -994,13 +1032,14 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     least ``_COARSE_ELEMENTS`` elements is solved by nested iteration: the
     multistart runs on the coarsest such mesh, its fold is
     interpolated up each doubling and polished once per level, and on
-    ``mesh`` itself the polish is followed by one guard SLP that must stop on
-    its first LP (as in ``continue_certificate``).  Such a certificate has
-    ``start`` ``nested``; its ``starts_agree`` and ``lambda_spread_starts``
-    describe the coarse multistart, and ``iterations`` and
-    ``polish_iterations`` the target level.  Should any step fail, the
-    multistart runs on ``mesh`` and ``start`` is ``fallback``.  Every other
-    call runs the multistart on ``mesh`` (``multistart``).
+    ``mesh`` itself the polished point must give a VALID certificate, whose
+    no-ascent bound replaces any SLP there (as in ``continue_certificate``).
+    Such a certificate has ``start`` ``nested``; its ``starts_agree`` and
+    ``lambda_spread_starts`` describe the coarse multistart,
+    ``polish_iterations`` the polish on ``mesh``, and ``iterations`` is 0.
+    Should any step fail, the multistart runs on ``mesh`` and ``start`` is
+    ``fallback``.  Every other call runs the multistart on ``mesh``
+    (``multistart``).
 
     The polish and the certificate factor sparse bordered matrices of J and
     take no SVD: ``sigma_min`` is an upper bound from the bordered null
@@ -1048,8 +1087,9 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> Mini
                                 options, blocks)
 
     # the best SLP point; when no start polished, it keeps its LP duals
-    best = max(converged or results, key=lambda r: r.lam)
-    spread, agree = _agreement([r.lam for r in converged], best.lam, options)
+    candidates = converged or results
+    best = max(candidates, key=lambda r: r.lam)
+    spread, agree = _agreement([r.lam for r in candidates], best.lam, options)
     status, mu_lp = best.status, best.mu_lp
     if status == "converged":
         if two_phase:
@@ -1070,7 +1110,7 @@ def _starts(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions, blocks) -> 
     # randomized cone starts: inverse stiffness of random positive loads gives
     # smooth strictly positive shapes (discrete maximum principle)
     rng = np.random.default_rng(options.seed)
-    for _ in range(max(options.n_starts - 1, 0)):
+    for _ in range(options.n_starts - 1):
         loads = np.abs(rng.standard_normal((spec.m, mesh.n_interior))) + 0.05
         shape = np.stack([blocks[k].solve(loads[k]) for k in range(spec.m)])
         if np.any(shape <= 0.0):
@@ -1113,15 +1153,16 @@ def continue_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertifica
     Returns ``(certificate, start)``, and the certificate's ``start`` is the
     same label.  In the two-phase mode ``cert.u_star`` is interpolated onto
     ``mesh`` (``warm``, when the caller has it already) and the fold polish
-    starts there at ``cert.lambda_star``; one SLP run at
-    ``_LOOSE_GAIN`` from the polished point must then stop on its first LP, so
-    no ascent direction leads to another branch.  Such a certificate is
-    ``continued``: its ``starts_agree`` and ``lambda_spread_starts`` are those
-    of ``cert``, the multistart the chain started from.  Should the field
-    leave the cone, the polish fail, the guard ascend or the certificate be
-    invalid, ``maximize`` runs instead and the start is ``fallback``.  The
-    linear diagnostic mode and ``polish=False`` run ``maximize``
-    (``multistart``).  Raises ``ValueError`` unless ``cert.valid``.
+    starts there at ``cert.lambda_star``.  The certificate of the polished
+    point must be VALID; its no-ascent bound shows that no SLP step leads
+    from there to another branch, so no SLP runs (``iterations`` is 0).
+    Such a certificate is ``continued``: its ``starts_agree`` and
+    ``lambda_spread_starts`` are those of ``cert``, the multistart the chain
+    started from.  Should the field leave the cone, the polish fail or the
+    certificate be invalid, an ascent left included, ``maximize`` runs
+    instead and the start is ``fallback``.  The linear diagnostic mode and
+    ``polish=False`` run ``maximize`` (``multistart``).  Raises
+    ``ValueError`` unless ``cert.valid``.
     """
     if not cert.valid:
         raise ValueError("continuation requires a VALID certificate")
@@ -1153,13 +1194,9 @@ def _continued(spec, mesh, cert, warm, lam0, options) -> Optional[MinimaxCertifi
     polished = _polish_from(spec, mesh, warm, lam0, blocks)
     if polished is None:
         return None
-    # guard against a branch switch: the SLP must find no ascent from the polished point
-    guard, = _slp(spec, mesh, [polished.u], options, blocks, _LOOSE_GAIN)
-    if guard.status != "converged" or guard.iterations != 1:
-        return None
-    return _certificate(spec, mesh, polished.u.flatten(), polished.lam, "polished",
-                        guard.iterations, polished.iterations, cert.starts_agree,
-                        cert.lambda_spread_starts, options, blocks)
+    return _certificate(spec, mesh, polished.u.flatten(), polished.lam, "polished", 0,
+                        polished.iterations, cert.starts_agree, cert.lambda_spread_starts,
+                        options, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,32 @@ class TestCLI:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--seed", "-1"], None),
+        ([], {"seed": 2.5}),
+        ([], {"solver": {"seed": True}}),
+        ([], {"solver": {"n_starts": "8"}}),
+        ([], {"solver": {"n_starts": 0}}),
+        ([], {"solver": {"max_iters": 2.5}}),
+        ([], {"solver": {"trust_radius_init": -0.25}}),
+        ([], {"solver": {"tol_cert": float("nan")}}),
+        ([], {"solver": {"growth_threshold": float("inf")}}),
+        ([], {"solver": {"multistart_rel_tol": 0.0}}),
+        ([], {"solver": {"polish": 1}}),
+    ], ids=["seed-flag-negative", "seed-key-float", "seed-bool", "n_starts-string",
+            "n_starts-zero", "max_iters-float", "trust_radius-negative", "tol_cert-nan",
+            "growth-inf", "rel_tol-zero", "polish-int"])
+    def test_bad_solver_option_exits_2(self, tmp_path, capsys, flags, config):
+        out = tmp_path / "out"
+        argv = ["solve", "--n", "16", "--out", str(out)] + flags
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_solver_seed_is_kept(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"solver": {"seed": 5}}))

@@ -170,7 +170,7 @@ class TestContinueCertificate:
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(48)
         cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, FAST)
         assert start == "continued"
-        assert cert.valid and cert.status == "polished" and cert.iterations == 1
+        assert cert.valid and cert.status == "polished" and cert.iterations == 0
         assert cert.starts_agree == scalar_cert.starts_agree
         assert cert.lambda_spread_starts == scalar_cert.lambda_spread_starts
         assert verify_certificate(spec, mesh, cert).valid
@@ -179,29 +179,38 @@ class TestContinueCertificate:
     def test_refused_continuation_falls_back(self, scalar_cert, monkeypatch, refusal):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(48)
         warm = scalar_cert.u_star.transfer_to(mesh)
-        guards = []
+        options = FAST
+        made = []
         if refusal == "guard_ascends":
-            real_slp = minimax_solver._slp
+            # a trust box this wide lets the residual stationarity S^T mu, of
+            # order 1e-13, buy an ascent above _LOOSE_GAIN in the duality bound
+            options = dataclasses.replace(FAST, trust_radius_init=1e12)
+            real_certificate = minimax_solver._certificate
 
-            def ascending_guard(*args, **kwargs):
-                states = real_slp(*args, **kwargs)
-                if not guards:  # the first SLP run is the guard
-                    guards.append(states[0])
-                    states = [dataclasses.replace(states[0], iterations=2)]
-                return states
+            def recording_certificate(*args, **kwargs):
+                made.append(real_certificate(*args, **kwargs))
+                return made[-1]
 
-            monkeypatch.setattr(minimax_solver, "_slp", ascending_guard)
+            monkeypatch.setattr(minimax_solver, "_certificate", recording_certificate)
         else:
             values = warm.values.copy()
             values[0, 0] = -values[0, 0]
             warm = FEField(mesh, values)
-        cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, FAST,
+        cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, options,
                                                           warm=warm)
         assert start == "fallback"
-        if refusal == "guard_ascends":  # the guard ran, and only the patch made it ascend
-            assert guards[0].status == "converged" and guards[0].iterations == 1
+        if refusal == "guard_ascends":  # the polish converged, and only the bound refused it
+            continued, tol = made[0], options.tol_cert
+            assert not continued.valid and continued.status == "polished"
+            assert max(continued.primal_residual, continued.adjoint_residual,
+                       continued.stationarity_residual,
+                       continued.complementarity_residual) < tol
+            blocks = model.stiffness_blocks(spec, mesh)
+            assert minimax_solver._certificate(spec, mesh, continued.u_star.flatten(),
+                                               continued.lambda_star, "polished", 0, 0, True,
+                                               0.0, FAST, blocks).valid
         monkeypatch.undo()
-        full = maximize(spec, mesh, options=FAST)
+        full = maximize(spec, mesh, options=options)
         # the certificate records its path; every other field is the plain maximize's
         assert json.dumps(cert.to_dict()) \
             == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
@@ -274,6 +283,12 @@ class TestTwoPhaseMaximize:
         cert = maximize(scalar_power(0.5, 2.0), build_mesh(12), options=FAST)
         assert cert.status == "polish_failed"
         assert not cert.valid
+
+    def test_agreement_without_a_converged_start_covers_every_start(self):
+        # best is then picked from every start, and the agreement is judged there
+        cert = maximize(scalar_power(0.5, 2.0), build_mesh(16), SolverOptions(max_iters=2))
+        assert cert.start == "multistart" and cert.status == "max_iters" and not cert.valid
+        assert cert.lambda_spread_starts > 0.0 and not cert.starts_agree
 
     def test_cold_default_solve_at_n512_is_certified(self):
         spec = scalar_power(0.5, 2.0)
@@ -444,7 +459,7 @@ def solve_cold_case(name):
 
 
 class TestNestedMaximize:
-    """Multistart on a 16-element mesh, one polish per doubling, guard on the target."""
+    """Multistart on a 16-element mesh, one polish per doubling, certificate on the target."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", ["scalar_power-n64", "scalar_power-n128",
@@ -475,7 +490,7 @@ class TestNestedMaximize:
         assert [c.mesh_info["n_elements"] for c in coarse] == [16]  # one multistart
         assert cert.starts_agree == coarse[0].starts_agree
         assert cert.lambda_spread_starts == coarse[0].lambda_spread_starts
-        assert cert.iterations == 1  # the guard SLP on the target mesh
+        assert cert.iterations == 0  # no SLP on the target mesh
         assert cert.polish_iterations > 0
 
     def test_failed_intermediate_polish_falls_back(self, monkeypatch):
@@ -513,6 +528,22 @@ class TestNestedMaximize:
         full = minimax_solver._multistart(spec, mesh, options)
         assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
 
+    def test_slp_runs_only_in_the_coarse_multistart(self, scalar_cert, monkeypatch):
+        spec = scalar_power(0.5, 2.0)
+        real_slp = minimax_solver._slp
+        meshes = []
+
+        def recording_slp(spec, mesh, *args):
+            meshes.append(mesh.n_elements)
+            return real_slp(spec, mesh, *args)
+
+        monkeypatch.setattr(minimax_solver, "_slp", recording_slp)
+        cert = maximize(spec, build_mesh(128))
+        assert cert.start == "nested" and meshes == [16]
+        meshes.clear()
+        cert, start = minimax_solver.continue_certificate(spec, build_mesh(48), scalar_cert, FAST)
+        assert start == "continued" and meshes == []
+
     def test_graded_mesh_is_nested(self):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(64, grading="geometric", ratio=1.02)
         cert = maximize(spec, mesh)
@@ -525,6 +556,87 @@ class TestNestedMaximize:
         coarse = mesh_fem.mesh_from_nodes(mesh.nodes[::2])
         assert coarse.n_elements == 32
         assert np.allclose(coarse.element_sizes[1:] / coarse.element_sizes[:-1], 1.02 ** 2)
+
+
+ASCENT_CASES = {
+    "scalar_power-n16": ("scalar_power", {"q": 0.5, "gamma": 2.0}, 16),
+    "cooperative_product-m2-n32": ("cooperative_product", {"m": 2}, 32),
+    "cooperative_product-m3-n64": ("cooperative_product", {"m": 3}, 64),
+    "linear_diagnostic-m2-n16": ("linear_diagnostic", {"m": 2}, 16),
+}
+
+# HiGHS's primal feasibility tolerance: an LP gain may exceed its true value
+# by about this much
+LP_FEASIBILITY = 1e-7
+
+
+def first_lp(spec, mesh, blocks, flat, options):
+    """``(quotients, stencil, gain, duals)`` of the LP ``_slp`` solves first
+    from ``flat``: its scaled gain over min_i R_i and its row duals, normalized."""
+    u = FEField.from_flat(mesh, spec.m, flat)
+    terms = rayleigh.galerkin_terms(spec, mesh, u, blocks)
+    quotients = terms.quotients()
+    stencil = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, quotients=quotients)
+    scale = np.abs(flat).max()
+    trust = options.trust_radius_init * scale
+    lower = np.append(np.maximum(-trust, model.CONE_FLOOR_REL * scale - flat), -np.inf)
+    upper = np.append(np.full(flat.size, trust), np.inf)
+    cost = np.zeros(flat.size + 1)
+    cost[-1] = -1.0
+    x, row_dual = minimax_solver.WarmLP().solve(
+        cost, minimax_solver.LPRows(spec.m, mesh.n_interior).of(stencil), quotients, lower, upper)
+    q_min = quotients.min()
+    return quotients, stencil, (x[-1] - q_min) / (1.0 + abs(q_min)), \
+        np.abs(row_dual) / np.abs(row_dual).sum()
+
+
+class TestAscentBound:
+    """The certificate's no-ascent bound is the weak-duality bound of the SLP's LP."""
+
+    @pytest.mark.parametrize("name", list(ASCENT_CASES))
+    def test_bound_covers_the_lp_gain_along_slp_paths(self, name):
+        problem, params, n = ASCENT_CASES[name]
+        spec, mesh = builtin_problem(problem, params), build_mesh(n)
+        blocks = model.stiffness_blocks(spec, mesh)
+        options = SolverOptions(n_starts=3)
+        starts = minimax_solver._starts(spec, mesh, options, blocks)
+        points = [f.flatten() for f in starts]
+        for rounds in (1, 2, 3):
+            points += [r.u for r in minimax_solver._slp(
+                spec, mesh, starts, dataclasses.replace(options, max_iters=rounds), blocks,
+                minimax_solver._LOOSE_GAIN)]
+        for i, flat in enumerate(points):
+            quotients, stencil, gain, duals = first_lp(spec, mesh, blocks, flat, options)
+            cert = minimax_solver._certificate(spec, mesh, flat, quotients.min(), "polished", 0, 0,
+                                               True, 0.0, options, blocks)
+            assert np.all(cert.mu >= 0.0)  # on the simplex, as weak duality needs
+            multipliers = [duals, cert.mu, np.full(flat.size, 1.0 / flat.size)]
+            bounds = [minimax_solver._ascent_bound(
+                flat, quotients, y, model.band_matvec(stencil, y, transpose=True),
+                options.trust_radius_init) for y in multipliers]
+            assert min(bounds) >= gain - LP_FEASIBILITY
+            # the LP's own duals attain its optimum: the bound is tight there
+            assert bounds[0] <= gain + LP_FEASIBILITY
+            if i < len(starts):  # a start point is far from stationary
+                assert min(bounds) > minimax_solver._LOOSE_GAIN
+
+    def test_valid_certificates_have_no_lp_ascent(self, scalar_cert):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(24)
+        _, _, gain, _ = first_lp(spec, mesh, model.stiffness_blocks(spec, mesh),
+                                 scalar_cert.u_star.flatten(), FAST)
+        assert scalar_cert.valid and gain <= minimax_solver._LOOSE_GAIN
+
+    def test_singular_bordered_matrix_at_the_certificate_point_raises(self, monkeypatch):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(16)
+        flat = np.ones(mesh.n_interior)
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(minimax_solver, "splu", singular)
+        with pytest.raises(RuntimeError, match="certificate point"):
+            minimax_solver._certificate(spec, mesh, flat, 1.0, "polished", 0, 0, True, 0.0,
+                                        FAST, model.stiffness_blocks(spec, mesh))
 
 
 def fold_case(name):
