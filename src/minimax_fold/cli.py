@@ -7,6 +7,7 @@ artifacts are kept), 4 hypothesis-check failure under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -14,7 +15,10 @@ from . import harness
 from .harness import EXIT_CONFIG, ConfigError, RunConfig
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built once per process:
+    ``parse_args`` returns a fresh namespace each time, so it is shared."""
     parser = argparse.ArgumentParser(
         prog="minimax-fold",
         description="Maximal fold values of cooperative elliptic systems by the "
@@ -103,8 +107,7 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
     except (ConfigError, ValueError, KeyError, TypeError) as exc:

@@ -166,11 +166,14 @@ class RefinementTable:
 
     @property
     def fitted_order(self) -> Optional[float]:
-        """Aitken-style convergence order from the last three usable differences."""
-        deltas = [r.delta_prev for r in self.rows if r.delta_prev not in (None, 0.0)]
-        if len(deltas) < 2:
+        """Convergence order p of delta ~ h^p from the last two usable
+        differences: the log of their ratio over the log of the ratio of the
+        ``h`` of the rows they belong to, exact for geometric mesh sizes."""
+        rows = [r for r in self.rows if r.delta_prev not in (None, 0.0)]
+        if len(rows) < 2:
             return None
-        return float(np.log2(abs(deltas[-2]) / abs(deltas[-1])))
+        a, b = rows[-2:]
+        return float(np.log2(abs(a.delta_prev) / abs(b.delta_prev)) / np.log2(a.h / b.h))
 
 
 def refinement_study(config: RunConfig) -> RefinementTable:

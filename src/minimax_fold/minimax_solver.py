@@ -62,19 +62,57 @@ order, seeded multi-starts, no timing dependence.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy
 import scipy.linalg
-from scipy.optimize._highspy import _core as _highs
 from scipy.sparse.linalg import splu
 
 from . import model, rayleigh
 from .mesh_fem import Mesh1D, mesh_from_nodes
 from .model import FEField, ProblemSpec
+
+
+def _load_highs_core():
+    """scipy's bundled HiGHS bindings, ``scipy.optimize._highspy._core``,
+    loaded from their file without running ``scipy.optimize``'s package
+    ``__init__``, which imports all of scipy.optimize (a third of the cold
+    start) although the solver calls nothing else in it.
+
+    The module is registered under its own name before it runs, so a later
+    ``import scipy.optimize`` finds and reuses it rather than loading the
+    extension a second time; an entry already in ``sys.modules`` is used as
+    it is.  That later import does not bind it as the attribute ``_core`` of
+    ``scipy.optimize._highspy``; imports by name, as scipy's own are, find it.
+    """
+    name = "scipy.optimize._highspy._core"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    found = importlib.machinery.PathFinder.find_spec(
+        "_core", [os.path.join(path, "optimize", "_highspy") for path in scipy.__path__])
+    if found is None:
+        raise ImportError(f"No module named {name!r}", name=name)
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_highs = _load_highs_core()
 
 
 @dataclass(frozen=True)
@@ -299,9 +337,9 @@ class WarmLP:
     share one HiGHS instance (``highs``; by default each gets its own): every
     solve passes the chain's model and basis to the instance before it runs.
     It calls scipy's bundled HiGHS bindings (the private
-    ``scipy.optimize._highspy._core``) directly, which skips the input
-    checking and conversion that scipy's public LP front end repeats on every
-    call.
+    ``scipy.optimize._highspy._core``, loaded by ``_load_highs_core`` without
+    importing ``scipy.optimize``) directly, which skips the input checking
+    and conversion that scipy's public LP front end repeats on every call.
     """
 
     def __init__(self, highs=None):
@@ -630,11 +668,21 @@ def _largest(*stacks) -> np.ndarray:
     return np.maximum(np.maximum.reduce([np.abs(a).max(axis=(-2, -1)) for a in stacks]), 1e-300)
 
 
-def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None) -> list:
+def _assemble_fold(spec, mesh, blocks, flats) -> tuple:
+    """Terms and Jacobian parts of the stack of fields ``flats``, from one
+    stacked assembly."""
+    values = np.stack(flats).reshape(len(flats), spec.m, mesh.n_interior)
+    terms = rayleigh.galerkin_terms(spec, mesh, values, blocks)
+    return terms, model.jacobian_parts(spec, mesh, values, blocks=blocks, samples=terms.samples)
+
+
+def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None,
+                   assembly=None) -> list:
     """The ``_PolishPoint`` of each field and value, bordered by its ``(b, c)``
     and measured on its ``scales`` (by default its own), from one stacked
-    assembly and one block-diagonal LU; None for a point whose bordered
-    matrix is singular.
+    assembly (``assembly``, the ``_assemble_fold`` of ``flats``, if given)
+    and one block-diagonal LU; None for a point whose bordered matrix is
+    singular.
 
     Should the stacked LU fail, each system is factored alone (as a stack of
     one) to find the singular ones; the others keep their own factors.
@@ -643,8 +691,7 @@ def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None) -> lis
     count = len(flats)
     values = np.stack(flats).reshape(count, m, n)
     lam = np.array(lams)
-    terms = rayleigh.galerkin_terms(spec, mesh, values, blocks)
-    parts = model.jacobian_parts(spec, mesh, values, blocks=blocks, samples=terms.samples)
+    terms, parts = _assemble_fold(spec, mesh, blocks, flats) if assembly is None else assembly
     jac = parts.jacobian_band(lam[:, None, None])
     b, c = (np.stack(border) for border in zip(*borders))
     try:
@@ -862,10 +909,13 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
                  mu_lp: Optional[np.ndarray] = None) -> MinimaxCertificate:
     m, n = spec.m, mesh.n_interior
     u = FEField.from_flat(mesh, m, np.maximum(flat, 0.0))
-    # borders as in the polish: all-ones, then the normalized w and v found with it
+    # borders as in the polish: all-ones, then the normalized w and v found with
+    # it, both on one assembly of the point
+    flats = [u.values.ravel()]
+    assembly = _assemble_fold(spec, mesh, blocks, flats)
     border = (np.full(m * n, 1.0 / np.sqrt(m * n)),) * 2
     for _ in range(2):
-        p, = _polish_points(spec, mesh, blocks, [u.values.ravel()], [lam], [border])
+        p, = _polish_points(spec, mesh, blocks, flats, [lam], [border], assembly=assembly)
         if p is None:
             raise RuntimeError("singular bordered matrix at the certificate point")
         border = (p.w / np.linalg.norm(p.w), p.v / np.linalg.norm(p.v))

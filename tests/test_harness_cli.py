@@ -202,6 +202,40 @@ class TestRefinementStudy:
         assert all(r.in_window for r in table.rows)
 
 
+def hand_built_table(sizes, zero_delta_at=None):
+    """Refinement rows of lambda_h = 10 + 3 h^2 on uniform meshes of ``sizes``,
+    optionally with one difference recorded as exactly zero."""
+    rows, prev = [], None
+    for i, n in enumerate(sizes):
+        h = 1.0 / n
+        lam = 10.0 + 3.0 * h * h
+        delta = None if prev is None else (0.0 if i == zero_delta_at else abs(lam - prev))
+        rows.append(harness.RefinementRow(n=n, h=h, lambda_star=lam, delta_prev=delta,
+                                          u_diff_sup=None, sigma_min=0.0, in_window=None,
+                                          start="multistart"))
+        prev = lam
+    return harness.RefinementTable(rows=tuple(rows), certificates=())
+
+
+class TestFittedOrder:
+    @pytest.mark.parametrize("sizes", [(8, 16, 32, 64), (8, 12, 18, 27)])
+    def test_recovers_order_two(self, sizes):
+        assert abs(hand_built_table(sizes).fitted_order - 2.0) <= 1e-12
+
+    def test_doubling_sizes_keep_the_log2_ratio_bits(self):
+        table = hand_built_table((8, 16, 32, 64))
+        deltas = [r.delta_prev for r in table.rows[1:]]
+        assert table.fitted_order == float(np.log2(deltas[-2] / deltas[-1]))
+
+    def test_pairs_each_difference_with_its_own_rows(self):
+        # the zero difference drops out; the two left are two ratios apart
+        table = hand_built_table((16, 24, 36, 54, 81), zero_delta_at=3)
+        assert abs(table.fitted_order - 2.0) <= 1e-12
+
+    def test_needs_two_usable_differences(self):
+        assert hand_built_table((8, 16, 32), zero_delta_at=2).fitted_order is None
+
+
 class TestNestedRefinement:
     """One multistart on the coarsest mesh, then continuation at every finer size."""
 

@@ -24,6 +24,7 @@ from minimax_fold.model import (
     scalar_power,
 )
 from minimax_fold.verification import verify_certificate
+from tests.test_harness_cli import count_calls
 from tests.test_rayleigh import (
     STENCIL_CASES,
     closed_form_eigenvalue,
@@ -714,6 +715,21 @@ class TestBandedFoldSystem:
         assert abs(cert.jac_norm - svals[0]) <= 1e-12 * svals[0]
         # an upper bound from the bordered null vectors, up to the dense SVD's rounding
         assert cert.sigma_min >= svals[-1] * (1.0 - 1e-12)
+
+
+class TestCertificateAssembly:
+    def test_one_assembly_for_both_borders(self, scalar_cert, monkeypatch):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(24)
+        args = (spec, mesh, scalar_cert.u_star.values.ravel(), scalar_cert.lambda_star,
+                scalar_cert.status, 0, 0, True, 0.0, FAST, model.stiffness_blocks(spec, mesh))
+        terms = count_calls(monkeypatch, rayleigh, "galerkin_terms")
+        parts = count_calls(monkeypatch, model, "jacobian_parts")
+        cert = minimax_solver._certificate(*args)
+        assert (len(terms), len(parts)) == (1, 1)
+        assert cert.valid
+        assert cert.sigma_min == scalar_cert.sigma_min
+        assert np.array_equal(cert.kappa, scalar_cert.kappa)
+        assert np.array_equal(cert.v_star.values, scalar_cert.v_star.values)
 
 
 def row_form(dense):
