@@ -1,0 +1,136 @@
+"""scipy's compiled kernels, called without importing scipy's subpackages.
+
+The solver calls one LP solver, three LAPACK routines and one sparse LU,
+all compiled extensions of scipy.  Importing them through their packages
+(``scipy.optimize``, ``scipy.linalg``, ``scipy.sparse``) runs each package's
+``__init__``, which together cost most of the library's cold start, while
+the solver needs nothing else from them.  So this module loads the three
+extensions from their files under their canonical names, and wraps each
+routine in a function that makes the call the public scipy function makes,
+with its arguments, checks and errors:
+
+  * ``solve_tridiagonal``: ``scipy.linalg.solve_banded((1, 1), ab, b)``;
+  * ``tridiagonal_eigenvalue``: ``scipy.linalg.eigh_tridiagonal`` with
+    ``eigvals_only=True, select="i"``;
+  * ``banded_eigenvalue``: ``scipy.linalg.eig_banded`` with
+    ``eigvals_only=True, select="i"``;
+  * ``splu``: ``scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.1)``.
+
+Non-finite input to the LAPACK wrappers raises ``ValueError``, as scipy's
+``check_finite`` does.  Only this module of the library imports scipy.
+"""
+
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+import numpy as np
+import scipy
+
+
+def _load_extension(name: str):
+    """The compiled extension module ``name`` (``scipy.<package>.<leaf>``),
+    loaded from its file without running its packages' ``__init__``.
+
+    The module is registered under its own name before it runs, so a later
+    import of its package finds and reuses it rather than loading the
+    extension a second time; an entry already in ``sys.modules`` is used as
+    it is.  That later import does not bind it as an attribute of its
+    package; imports by name, as scipy's own are, find it.  A missing file
+    raises ``ImportError`` naming the module.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    package, _, leaf = name.rpartition(".")
+    subdirs = package.split(".")[1:]
+    found = importlib.machinery.PathFinder.find_spec(
+        leaf, [os.path.join(path, *subdirs) for path in scipy.__path__])
+    if found is None:
+        raise ImportError(f"No module named {name!r}", name=name)
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_flapack = _load_extension("scipy.linalg._flapack")
+_superlu = _load_extension("scipy.sparse.linalg._dsolve._superlu")
+highs = _load_extension("scipy.optimize._highspy._core")
+
+# the options ``splu(A, diag_pivot_thresh=0.1)`` passes to SuperLU
+_SPLU_OPTIONS = {"DiagPivotThresh": 0.1, "ColPerm": None, "PanelSize": None, "Relax": None}
+
+
+def _finite(a) -> np.ndarray:
+    """``a`` as a float array; infs and NaNs raise ``ValueError``."""
+    return np.asarray_chkfinite(a, dtype=float)
+
+
+def _check_info(info: int, driver: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{driver} did not converge (LAPACK info={info})")
+
+
+def solve_tridiagonal(lower, diag, upper, b) -> np.ndarray:
+    """x with A x = b, for A tridiagonal with sub-, main and super-diagonals
+    ``lower``, ``diag`` and ``upper``; ``b`` is (n,) or (n, k).
+
+    LAPACK ``dgtsv`` (Gaussian elimination with partial pivoting); a
+    singular A raises ``LinAlgError``.
+    """
+    *_, x, info = _flapack.dgtsv(_finite(lower), _finite(diag), _finite(upper), _finite(b),
+                                 0, 0, 0, 0)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    _check_info(info, "gtsv")
+    return x
+
+
+def tridiagonal_eigenvalue(diag, off, index: int) -> float:
+    """Eigenvalue ``index`` (ascending, from 0) of the symmetric tridiagonal
+    matrix with diagonal ``diag`` and off-diagonal ``off``, by bisection
+    (LAPACK ``dstebz``)."""
+    _, w, _, _, info = _flapack.dstebz(_finite(diag), _finite(off), 2, 0.0, 1.0,
+                                       index + 1, index + 1, 0.0, "E")
+    _check_info(info, "stebz (eigh_tridiagonal)")
+    return float(w[0])
+
+
+def banded_eigenvalue(band, index: int) -> float:
+    """Eigenvalue ``index`` (ascending, from 0) of the symmetric matrix whose
+    upper band ``band`` holds entry (i, j) at ``band[width + i - j, j]``
+    (LAPACK ``dsbevx``)."""
+    w, _, _, _, info = _flapack.dsbevx(_finite(band), 0.0, 1.0, index + 1, index + 1,
+                                       compute_v=0, mmax=1, range=2, lower=0, overwrite_ab=0,
+                                       abstol=2 * _flapack.dlamch("s"))
+    _check_info(info, "sbevx")
+    return float(w[0])
+
+
+def _csc_array(*args, **kwargs):
+    """``scipy.sparse.csc_array``, imported only when a factor's ``L`` or
+    ``U`` is read."""
+    from scipy.sparse import csc_array
+    return csc_array(*args, **kwargs)
+
+
+def splu(a):
+    """SuperLU factors of the square CSC matrix ``a`` (``data``, ``indices``,
+    ``indptr``, ``shape``, ``nnz``; int32 indices, sorted within each column,
+    without duplicates), with the threshold pivoting ``DiagPivotThresh=0.1``.
+
+    Returns scipy's ``SuperLU`` object; a singular matrix raises ``RuntimeError``.
+    """
+    return _superlu.gstrf(a.shape[1], a.nnz, a.data, a.indices, a.indptr,
+                          csc_construct_func=_csc_array, ilu=False, options=_SPLU_OPTIONS)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
+
+from . import _kernels
 
 Coefficient = Union[float, int, Callable[[np.ndarray], np.ndarray]]
 
@@ -255,19 +256,15 @@ class OperatorMatrix:
         return y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Banded LU solve of A x = b."""
+        """Tridiagonal LU solve of A x = b."""
         b = np.asarray(b, dtype=float)
         if self.n == 1:
             if self.diag[0] == 0.0:
                 raise np.linalg.LinAlgError("singular operator matrix")
             return b / self.diag[0]
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.off
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.off
         try:
-            x = scipy.linalg.solve_banded((1, 1), ab, b)
-        except scipy.linalg.LinAlgError as exc:
+            x = _kernels.solve_tridiagonal(self.off, self.diag, self.off, b)
+        except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"singular operator matrix: {exc}") from exc
         if not np.all(np.isfinite(x)):
             raise np.linalg.LinAlgError("singular operator matrix (non-finite solve)")
@@ -284,24 +281,7 @@ class OperatorMatrix:
     def smallest_eigenvalue(self) -> float:
         if self.n == 1:
             return float(self.diag[0])
-        vals = scipy.linalg.eigh_tridiagonal(
-            self.diag, self.off, eigvals_only=True, select="i", select_range=(0, 0)
-        )
-        return float(vals[0])
-
-    def triplets(self):
-        """(row, col, value) triplets of all nonzero entries, 0-based."""
-        out = [(i, i, float(self.diag[i])) for i in range(self.n)]
-        for i in range(self.n - 1):
-            out.append((i, i + 1, float(self.off[i])))
-            out.append((i + 1, i, float(self.off[i])))
-        return out
-
-    def save_triplets(self, path) -> None:
-        """Plain-text export, one ``row col value`` line per nonzero."""
-        lines = [f"{i} {j} {v:.17e}" for i, j, v in self.triplets()]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return _kernels.tridiagonal_eigenvalue(self.diag, self.off, 0)
 
 
 def assemble_stiffness(mesh: Mesh1D, sigma: Coefficient, c: Coefficient,

@@ -62,57 +62,20 @@ order, seeded multi-starts, no timing dependence.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import functools
 import math
 import numbers
-import os
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy
-import scipy.linalg
-from scipy.sparse.linalg import splu
 
-from . import model, rayleigh
+from . import _kernels, model, rayleigh
+from ._kernels import splu
 from .mesh_fem import Mesh1D, mesh_from_nodes
 from .model import FEField, ProblemSpec
 
-
-def _load_highs_core():
-    """scipy's bundled HiGHS bindings, ``scipy.optimize._highspy._core``,
-    loaded from their file without running ``scipy.optimize``'s package
-    ``__init__``, which imports all of scipy.optimize (a third of the cold
-    start) although the solver calls nothing else in it.
-
-    The module is registered under its own name before it runs, so a later
-    ``import scipy.optimize`` finds and reuses it rather than loading the
-    extension a second time; an entry already in ``sys.modules`` is used as
-    it is.  That later import does not bind it as the attribute ``_core`` of
-    ``scipy.optimize._highspy``; imports by name, as scipy's own are, find it.
-    """
-    name = "scipy.optimize._highspy._core"
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    found = importlib.machinery.PathFinder.find_spec(
-        "_core", [os.path.join(path, "optimize", "_highspy") for path in scipy.__path__])
-    if found is None:
-        raise ImportError(f"No module named {name!r}", name=name)
-    spec = importlib.util.spec_from_file_location(name, found.origin)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module
-
-
-_highs = _load_highs_core()
+_highs = _kernels.highs
 
 
 @dataclass(frozen=True)
@@ -177,7 +140,7 @@ class MinimaxCertificate:
     ``sigma_min`` is the upper bound min(|J v|_2 / |v|_2, |J^T w|_2 / |w|_2)
     on the smallest singular value of J, from the null vectors v, w of the
     bordered solves, and ``jac_norm`` is |J|_2, the square root of the top
-    eigenvalue of J^T J (``scipy.linalg.eig_banded`` on its band).
+    eigenvalue of J^T J (LAPACK ``dsbevx`` on its band).
     ``valid`` requires all four residuals below ``tol_cert``, sigma_min below
     1e-6 * |J|_2 (or J itself at assembly roundoff), both fields inside
     their cones, and no ascent: the weak-duality bound ``_ascent_bound`` of
@@ -337,7 +300,7 @@ class WarmLP:
     share one HiGHS instance (``highs``; by default each gets its own): every
     solve passes the chain's model and basis to the instance before it runs.
     It calls scipy's bundled HiGHS bindings (the private
-    ``scipy.optimize._highspy._core``, loaded by ``_load_highs_core`` without
+    ``scipy.optimize._highspy._core``, which ``_kernels`` loads without
     importing ``scipy.optimize``) directly, which skips the input checking
     and conversion that scipy's public LP front end repeats on every call.
     """
@@ -597,10 +560,10 @@ def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarra
     [J b; c^T 0][v; s] = [0; 1] and, from the transposed factors,
     [J^T c; b^T 0][w; s] = [0; 1].  s vanishes exactly where J is singular,
     and there v and w span its right and left null spaces.  A singular
-    bordered matrix raises ``RuntimeError``.  Threshold pivoting
-    (``diag_pivot_thresh=0.1``) keeps the COLAMD order, so L+U stay within a
-    small multiple of the band; partial pivoting pulls the dense border up and
-    fills quadratically in m*n.
+    bordered matrix raises ``RuntimeError``.  The threshold pivoting of
+    ``_kernels.splu`` (``DiagPivotThresh=0.1``) keeps the COLAMD order, so
+    L+U stay within a small multiple of the band; partial pivoting pulls the
+    dense border up and fills quadratically in m*n.
 
     A stack of S bands (S, m*n, 3m) with borders (S, m*n) takes one LU of
     the block-diagonal matrix of the S bordered matrices
@@ -608,7 +571,7 @@ def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarra
     ``s`` hold one row (entry) per system.  No arithmetic crosses blocks, so
     each system's vectors equal those of its own LU.
     """
-    lu = splu(model.band_csc(jac, m, n, b, c), diag_pivot_thresh=0.1)
+    lu = splu(model.band_csc(jac, m, n, b, c))
     size = m * n + 1
     unit = np.zeros(lu.shape[0])
     unit[size - 1::size] = 1.0
@@ -1031,29 +994,77 @@ def _ascent_bound(flat, quotients, y, c, trust_radius_init) -> float:
                  / (1.0 + abs(q_min)))
 
 
-def _node_major_eigenvalue(sym, m: int, n: int, width: int, index: int) -> float:
-    """Eigenvalue ``index`` (ascending) of a symmetric sparse (m*n)-square matrix.
+def _node_major_slots(m: int, n: int):
+    """Slot (k*n + i, 3l + s) of an (m*n, 3m) band couples unknown (k, i)
+    with (l, i + s - 1).  Returns (m*n, 3m) arrays: whether that unknown lies
+    inside the mesh, and its node-major index (i + s - 1) m + l."""
+    neighbour = np.arange(m * n)[:, None] % n + np.tile(np.arange(3) - 1, m)
+    return (neighbour >= 0) & (neighbour < n), neighbour * m + np.repeat(np.arange(m), 3)
 
-    ``sym`` is ordered k-major (flat index k*n + i), as the band is.  Ordered
-    node-major (i*m + k) instead, it is a band of half-width ``width``, whose
-    upper band ``scipy.linalg.eig_banded`` takes to find that one eigenvalue.
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _gram_layout(m: int, n: int):
+    """Layout of the node-major upper band of J^T J, of half-width
+    min(2(2m - 1), m*n - 1), summed from an (m*n, 3m) band of J.
+
+    Entry (a, b) of J^T J is the sum over rows r of J[r, a] J[r, b].  Returns
+    the flat band indices of the two factors of each product with a at or
+    before b node-major, the flat index of (a, b) in the upper band, and the
+    band's shape.  The products come in ascending r, the order in which
+    scipy's sparse product J^T @ J sums them, so the sums keep its bits.
     """
-    big = m * n
-    coo = sym.tocoo()
-    rows, cols = (coo.row % n) * m + coo.row // n, (coo.col % n) * m + coo.col // n
-    width = min(width, big - 1)
-    upper = rows <= cols
-    band = np.zeros((width + 1, big))
-    band[width + rows[upper] - cols[upper], cols[upper]] = coo.data[upper]
-    return float(scipy.linalg.eig_banded(band, eigvals_only=True, select="i",
-                                         select_range=(index, index))[0])
+    big, width = m * n, min(2 * (2 * m - 1), m * n - 1)
+    inside, node = _node_major_slots(m, n)
+    r, p, q = np.nonzero(inside[:, :, None] & inside[:, None, :]
+                         & (node[:, :, None] <= node[:, None, :]))
+    target = (width + node[r, p] - node[r, q]) * big + node[r, q]
+    return _frozen(r * 3 * m + p, r * 3 * m + q, target) + ((width + 1, big),)
+
+
+@functools.lru_cache(maxsize=16)
+def _symmetric_layout(m: int, n: int):
+    """Layout of the node-major upper band of (J + J^T) / 2, of half-width
+    min(2m - 1, m*n - 1), from an (m*n, 3m) band of J: the flat band indices
+    of J[r, c] and J[c, r] for each (r, c) with r at or before c node-major,
+    the flat index of (r, c) in the upper band, and the band's shape."""
+    big, width = m * n, min(2 * m - 1, m * n - 1)
+    inside, node = _node_major_slots(m, n)
+    rows = np.arange(big)
+    row_node = (rows % n) * m + rows // n
+    r, slot = np.nonzero(inside & (row_node[:, None] <= node))
+    block, s = np.divmod(slot, 3)
+    col = block * n + r % n + s - 1
+    target = (width + row_node[r] - node[r, slot]) * big + node[r, slot]
+    return _frozen(r * 3 * m + slot, col * 3 * m + 3 * (r // n) + 2 - s, target) + ((width + 1, big),)
+
+
+def _gram_band(jac: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Node-major upper band of J^T J (``_gram_layout``) for J on an (m*n, 3m) band."""
+    first, second, target, shape = _gram_layout(m, n)
+    flat = jac.ravel()
+    band = np.bincount(target, weights=flat[first] * flat[second], minlength=math.prod(shape))
+    return band.reshape(shape)
+
+
+def _symmetric_band(jac: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Node-major upper band of (J + J^T) / 2 (``_symmetric_layout``) for J
+    on an (m*n, 3m) band."""
+    here, mirror, target, shape = _symmetric_layout(m, n)
+    flat = jac.ravel()
+    band = np.zeros(math.prod(shape))
+    band[target] = 0.5 * (flat[here] + flat[mirror])
+    return band.reshape(shape)
 
 
 def _spectral_norm(jac: np.ndarray, m: int, n: int) -> float:
-    """|J|_2 of J on an (m*n, 3m) band, from the top eigenvalue of J^T J, a
-    node-major band of half-width 2(2m - 1)."""
-    sparse = model.band_csc(jac, m, n)
-    top = _node_major_eigenvalue(sparse.T @ sparse, m, n, 2 * (2 * m - 1), m * n - 1)
+    """|J|_2 of J on an (m*n, 3m) band, from the top eigenvalue of J^T J."""
+    top = _kernels.banded_eigenvalue(_gram_band(jac, m, n), m * n - 1)
     return float(np.sqrt(max(top, 0.0)))
 
 
@@ -1094,8 +1105,8 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     The polish and the certificate factor sparse bordered matrices of J and
     take no SVD: ``sigma_min`` is an upper bound from the bordered null
     vectors, which is all the singularity test needs, and ``jac_norm`` comes
-    from ``scipy.linalg.eig_banded``.  To carry a VALID certificate to a
-    finer mesh or a nearby problem, use ``continue_certificate``.
+    from LAPACK ``dsbevx``.  To carry a VALID certificate to a finer mesh or
+    a nearby problem, use ``continue_certificate``.
     """
     options = options or SolverOptions()
     if spec.q >= 1.0 and not spec.diagnostic:
@@ -1309,8 +1320,7 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
         if norm < options.tol:
             return NewtonResult(True, FEField.from_flat(mesh, m, flat), norm, it - 1, "converged")
         try:
-            lu = splu(model.band_csc(_band_at(spec, mesh, flat, lam, terms, blocks), m, n),
-                      diag_pivot_thresh=0.1)
+            lu = splu(model.band_csc(_band_at(spec, mesh, flat, lam, terms, blocks), m, n))
             step = lu.solve(-r)
         except (RuntimeError, model.ConeError):
             return NewtonResult(False, None, norm, it - 1, "jacobian_singular")
@@ -1408,7 +1418,7 @@ def _arclength_solve(jac: np.ndarray, m: int, n: int, g_load: np.ndarray, row: n
     One sparse LU of the bordered matrix, with the threshold pivoting of
     ``_bordered_solve``; a singular matrix raises ``RuntimeError``.
     """
-    lu = splu(model.band_csc(jac, m, n, -g_load, row[:-1], row[-1]), diag_pivot_thresh=0.1)
+    lu = splu(model.band_csc(jac, m, n, -g_load, row[:-1], row[-1]))
     return lu.solve(rhs)
 
 
@@ -1425,10 +1435,8 @@ def _tangent(jac, m, n, g_load, prev):
 
 
 def _stability(jac: np.ndarray, m: int, n: int) -> float:
-    """Smallest eigenvalue of the symmetric part (J + J^T) / 2 of J on its
-    band, a node-major band of half-width 2m - 1."""
-    sparse = model.band_csc(jac, m, n)
-    return _node_major_eigenvalue(0.5 * (sparse + sparse.T), m, n, 2 * m - 1, 0)
+    """Smallest eigenvalue of the symmetric part (J + J^T) / 2 of J on its band."""
+    return _kernels.banded_eigenvalue(_symmetric_band(jac, m, n), 0)
 
 
 def _corrector(spec, mesh, z_pred, tangent, options, blocks):
@@ -1469,7 +1477,7 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
     the step collapses.  Intended as an oracle independent of the minimax
     maximization.  Each branch point is assembled once; its tangent and the
     corrector steps take one sparse LU each of the bordered matrix
-    [J, -g; t^T], and its stability value comes from ``eig_banded``.
+    [J, -g; t^T], and its stability value comes from LAPACK ``dsbevx``.
     """
     options = options or ContinuationOptions()
     blocks = model.stiffness_blocks(spec, mesh)

@@ -8,8 +8,9 @@ checked by sampling; they cannot be proved for black-box callables.
 
 The Galerkin Jacobian is block-tridiagonal (each of its m x m blocks is a
 tridiagonal matrix), so ``jacobian_parts`` assembles it on an (m*n, 3m)
-band; ``band_csc`` turns a band, optionally bordered by one row and column,
-into a sparse matrix, and dense matrices are expanded only on request.
+band; ``band_csc`` lays a band, optionally bordered by one row and column,
+out in compressed sparse columns (``CSCMatrix``) for the sparse LU, and dense
+matrices are expanded only on request.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import mesh_fem
 from .mesh_fem import Coefficient, Mesh1D
@@ -339,9 +339,25 @@ def _csc_layout(m: int, n: int, bordered: bool, count: int = 1):
     return layout + (size,)
 
 
+class CSCMatrix(NamedTuple):
+    """A square matrix in compressed sparse columns: column j holds the
+    values ``data[indptr[j]:indptr[j + 1]]`` in the rows ``indices[...]`` of
+    the same range.  The indices are int32, ascending within each column,
+    without duplicates."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
 def band_csc(band: np.ndarray, m: int, n: int, col: np.ndarray | None = None,
-             row: np.ndarray | None = None, corner: float = 0.0) -> scipy.sparse.csc_array:
-    """Sparse matrix of an (m*n, 3m) band (layout of ``band_pattern``) in CSC form.
+             row: np.ndarray | None = None, corner: float = 0.0) -> CSCMatrix:
+    """Compressed sparse columns of an (m*n, 3m) band (layout of ``band_pattern``).
 
     With ``col`` and ``row`` it is the bordered (m*n + 1)-square matrix
     [B col; row^T corner].  A stack of S bands (S, m*n, 3m), with borders
@@ -354,8 +370,7 @@ def band_csc(band: np.ndarray, m: int, n: int, col: np.ndarray | None = None,
     values = band.ravel()
     if col is not None:
         values = np.concatenate([values, np.ravel(col), np.ravel(row), np.full(count, corner)])
-    return scipy.sparse.csc_array((values[gather], indices, indptr),
-                                  shape=(count * size, count * size))
+    return CSCMatrix(values[gather], indices, indptr, (count * size, count * size))
 
 
 def _block_diagonal_band(rows: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""The library loads scipy's HiGHS core without importing ``scipy.optimize``.
+"""The library loads scipy's compiled kernels without importing scipy's subpackages.
 
-Importing a package runs its ``__init__`` first, and ``scipy.optimize``'s
-costs a third of the library's cold start, so ``minimax_solver`` loads the
-extension ``scipy.optimize._highspy._core`` from its file under its own name.
-Each test runs in a fresh interpreter, because the import order is the thing
-under test.
+Importing a package runs its ``__init__`` first, and those of
+``scipy.optimize``, ``scipy.linalg`` and ``scipy.sparse`` cost most of the
+library's cold start, so ``_kernels`` loads the extensions
+``scipy.optimize._highspy._core``, ``scipy.linalg._flapack`` and
+``scipy.sparse.linalg._dsolve._superlu`` from their files under their own
+names.  Each test runs in a fresh interpreter, because the import order is
+the thing under test.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,6 +17,7 @@ import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SUBPACKAGES = {"scipy.linalg", "scipy.sparse", "scipy.optimize"}
 
 # one warm-startable LP, solved and printed as the hex of its bits
 SOLVE_ONE_LP = """
@@ -37,17 +41,33 @@ def run_fresh(code: str, cwd=None) -> str:
     return proc.stdout
 
 
-def test_library_and_cli_never_import_scipy_optimize(tmp_path):
+def test_library_and_cli_import_no_scipy_subpackage(tmp_path):
     run_fresh(f"""
         import sys
         import minimax_fold
-        assert "scipy.optimize" not in sys.modules
+        assert not {SUBPACKAGES!r} & set(sys.modules)
         from minimax_fold import cli
         assert cli.main(["solve", "--n", "16", "--out", {str(tmp_path / "solve")!r}]) == 0
         assert cli.main(["refine", "--sizes", "8", "16", "32",
                          "--out", {str(tmp_path / "refine")!r}]) == 0
-        assert "scipy.optimize" not in sys.modules
+        assert cli.main(["perturb", "--q", "0.5", "--gamma", "2", "--gamma1", "3",
+                         "--kappa", "0.1", "--n", "16",
+                         "--out", {str(tmp_path / "perturb")!r}]) == 0
+        assert cli.main(["oracle", "--problem", "scalar_power", "--n", "16",
+                         "--out", {str(tmp_path / "oracle")!r}]) == 0
+        assert not {SUBPACKAGES!r} & set(sys.modules)
     """)
+
+
+def test_only_kernels_imports_scipy():
+    importers = []
+    for path in sorted((SRC / "minimax_fold").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.name)
+    assert set(importers) == {"_kernels.py"}
 
 
 def test_scipy_optimize_after_the_library_reuses_its_core():
@@ -91,4 +111,45 @@ def test_missing_core_raises_import_error_naming_it(tmp_path):
             assert exc.name == "scipy.optimize._highspy._core", exc
         else:
             raise AssertionError("imported without the HiGHS core")
+    """)
+
+
+# the library's LAPACK and SuperLU extensions, the ones scipy's own modules
+# hold, and a call through each of scipy's public functions
+SAME_KERNELS = """
+import sys
+import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg
+from scipy.sparse.linalg._dsolve import linsolve
+from minimax_fold import _kernels
+assert scipy.linalg.lapack._flapack is _kernels._flapack
+assert sys.modules["scipy.linalg._flapack"] is _kernels._flapack
+assert linsolve._superlu is _kernels._superlu
+assert sys.modules["scipy.sparse.linalg._dsolve._superlu"] is _kernels._superlu
+band = np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+assert np.allclose(scipy.linalg.eig_banded(band, eigvals_only=True),
+                   2.0 + np.sqrt(2.0) * np.array([-1.0, 0.0, 1.0]))
+lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array([[2.0, 1.0], [1.0, 3.0]]))
+assert np.allclose(lu.solve(np.array([3.0, 4.0])), [1.0, 1.0])
+"""
+
+
+def test_scipy_subpackages_and_the_library_share_their_kernels():
+    for first in ("import minimax_fold", "import scipy.linalg, scipy.sparse.linalg"):
+        run_fresh(first + "\n" + SAME_KERNELS)
+
+
+def test_missing_flapack_raises_import_error_naming_it(tmp_path):
+    run_fresh(f"""
+        import sys
+        import scipy, scipy.optimize, scipy.sparse.linalg
+        del sys.modules["scipy.linalg._flapack"]
+        scipy.__path__ = [{str(tmp_path)!r}]
+        try:
+            import minimax_fold
+        except ImportError as exc:
+            assert exc.name == "scipy.linalg._flapack", exc
+        else:
+            raise AssertionError("imported without scipy's LAPACK extension")
     """)

@@ -1,0 +1,138 @@
+"""The kernel wrappers give the bits of the public scipy functions they replace.
+
+Each wrapper in ``_kernels`` makes the call its scipy function makes, and
+the node-major bands of J^T J and (J + J^T) / 2 are filled in the order of
+scipy's sparse expressions, so every comparison here is exact.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+
+from minimax_fold import _kernels, minimax_solver, model
+from minimax_fold.mesh_fem import OperatorMatrix
+from tests.test_rayleigh import as_csc_array
+
+N_INTERIOR = [1, 2, 7, 64]
+SIZES = [(m, n) for m in (1, 2, 3) for n in N_INTERIOR]
+
+
+def tridiagonal_ab(lower, diag, upper):
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    return ab
+
+
+def old_node_major_band(sym, m, n, width):
+    """The upper band the solver built from a sparse symmetric matrix before
+    it filled the band directly."""
+    big = m * n
+    coo = sym.tocoo()
+    rows, cols = (coo.row % n) * m + coo.row // n, (coo.col % n) * m + coo.col // n
+    width = min(width, big - 1)
+    upper = rows <= cols
+    band = np.zeros((width + 1, big))
+    band[width + rows[upper] - cols[upper], cols[upper]] = coo.data[upper]
+    return band
+
+
+@pytest.mark.parametrize("n", N_INTERIOR)
+def test_tridiagonal_solve_matches_solve_banded(n):
+    rng = np.random.default_rng(n)
+    lower, upper = rng.standard_normal((2, n - 1))
+    diag = rng.uniform(2.0, 4.0, n)
+    operator = OperatorMatrix(diag, upper)
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        assert np.array_equal(operator.solve(b), scipy.linalg.solve_banded(
+            (1, 1), tridiagonal_ab(upper, diag, upper), b))
+        if n > 1:
+            assert np.array_equal(_kernels.solve_tridiagonal(lower, diag, upper, b),
+                                  scipy.linalg.solve_banded(
+                                      (1, 1), tridiagonal_ab(lower, diag, upper), b))
+
+
+@pytest.mark.parametrize("n", N_INTERIOR)
+def test_tridiagonal_eigenvalue_matches_eigh_tridiagonal(n):
+    rng = np.random.default_rng(n)
+    diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+    for index in {0, n // 2, n - 1}:
+        ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                            select_range=(index, index))[0]
+        if index == 0:
+            assert OperatorMatrix(diag, off).smallest_eigenvalue() == ref
+        if n > 1:
+            assert _kernels.tridiagonal_eigenvalue(diag, off, index) == ref
+
+
+@pytest.mark.parametrize("m, n", SIZES)
+def test_banded_eigenvalue_matches_eig_banded(m, n):
+    big = m * n
+    band = np.random.default_rng(big).standard_normal((min(2 * m, big), big))
+    for index in {0, big // 2, big - 1}:
+        assert _kernels.banded_eigenvalue(band, index) == scipy.linalg.eig_banded(
+            band, eigvals_only=True, select="i", select_range=(index, index))[0]
+
+
+@pytest.mark.parametrize("m, n", SIZES)
+def test_band_builders_match_the_sparse_expressions(m, n):
+    jac = np.random.default_rng(m * n).standard_normal((m * n, 3 * m))
+    sparse = as_csc_array(model.band_csc(jac, m, n))
+    assert np.array_equal(minimax_solver._gram_band(jac, m, n),
+                          old_node_major_band(sparse.T @ sparse, m, n, 2 * (2 * m - 1)))
+    assert np.array_equal(minimax_solver._symmetric_band(jac, m, n),
+                          old_node_major_band(0.5 * (sparse + sparse.T), m, n, 2 * m - 1))
+
+
+@pytest.mark.parametrize("m, n", SIZES)
+def test_splu_matches_scipy_splu(m, n):
+    rng = np.random.default_rng(m * n)
+    jac, borders = rng.standard_normal((3, m * n, 3 * m)), rng.standard_normal((2, 3, m * n))
+    for matrix in (model.band_csc(jac[0], m, n), model.band_csc(jac, m, n, *borders)):
+        ref = scipy.sparse.linalg.splu(as_csc_array(matrix), diag_pivot_thresh=0.1)
+        lu = _kernels.splu(matrix)
+        b = rng.standard_normal((matrix.shape[0], 2))
+        for trans in ("N", "T"):
+            assert np.array_equal(lu.solve(b, trans=trans), ref.solve(b, trans=trans))
+        assert np.array_equal(lu.perm_c, ref.perm_c) and np.array_equal(lu.perm_r, ref.perm_r)
+
+
+@pytest.mark.parametrize("m, n", SIZES)
+def test_stacked_band_csc_holds_the_arrays_of_block_diag(m, n):
+    rng = np.random.default_rng(m * n)
+    bands, borders = rng.standard_normal((3, m * n, 3 * m)), rng.standard_normal((2, 3, m * n))
+    stacked = model.band_csc(bands, m, n, *borders, 0.5)
+    ref = scipy.sparse.block_diag(
+        [as_csc_array(model.band_csc(b, m, n, c, r, 0.5)) for b, c, r in zip(bands, *borders)],
+        format="csc")
+    assert stacked.shape == ref.shape and stacked.nnz == ref.nnz
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(stacked, field), getattr(ref, field))
+    assert stacked.indices.dtype == stacked.indptr.dtype == np.int32
+
+
+def test_non_finite_input_raises_value_error():
+    ok, bad = np.ones(3), np.array([1.0, np.nan, 1.0])
+    with pytest.raises(ValueError):
+        _kernels.solve_tridiagonal(ok[:2], ok, ok[:2], bad)
+    with pytest.raises(ValueError):
+        _kernels.tridiagonal_eigenvalue(bad, ok[:2], 0)
+    with pytest.raises(ValueError):
+        _kernels.banded_eigenvalue(np.stack([bad, ok]), 0)
+
+
+def test_singular_tridiagonal_raises_lin_alg_error():
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.solve_tridiagonal(np.ones(1), np.ones(2), np.ones(1), np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match="singular operator matrix"):
+        OperatorMatrix(np.ones(2), np.ones(1)).solve(np.ones(2))
+
+
+def test_singular_bordered_matrix_raises_runtime_error():
+    m, n = 2, 3
+    zero, ones = np.zeros((m * n, 3 * m)), np.ones(m * n)
+    with pytest.raises(RuntimeError):
+        _kernels.splu(model.band_csc(zero, m, n, ones, ones))
+    with pytest.raises(RuntimeError):
+        minimax_solver._bordered_solve(zero, m, n, ones, ones)

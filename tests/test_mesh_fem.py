@@ -116,16 +116,6 @@ class TestAssembleStiffness:
         dense = oracle_stiffness(spec, mesh)[0]
         assert np.abs(a.to_dense() - dense).max() <= 1e-13 * np.abs(dense).max()
 
-    def test_triplet_export_roundtrips(self, tmp_path):
-        a = assemble_stiffness(build_mesh(4), 1.0, 0.0)
-        path = tmp_path / "matrix.txt"
-        a.save_triplets(path)
-        rebuilt = np.zeros((a.n, a.n))
-        for line in path.read_text().splitlines():
-            i, j, v = line.split()
-            rebuilt[int(i), int(j)] = float(v)
-        np.testing.assert_allclose(rebuilt, a.to_dense(), rtol=1e-15)
-
 
 class TestAssembleLoad:
     def test_constant_load_is_h(self):

@@ -27,6 +27,7 @@ from minimax_fold.verification import verify_certificate
 from tests.test_harness_cli import count_calls
 from tests.test_rayleigh import (
     STENCIL_CASES,
+    as_csc_array,
     closed_form_eigenvalue,
     dense_gradients,
     mass_matrix,
@@ -369,7 +370,7 @@ class TestLockstepPolish:
         real_splu = minimax_solver.splu
 
         def splu(a, **kwargs):
-            dense = a.toarray()
+            dense = as_csc_array(a).toarray()
             for k in range(0, dense.shape[0], size):
                 if np.array_equal(dense[k + size - 1, k:k + size - 1], marked):
                     raise RuntimeError("Factor is exactly singular")
@@ -692,7 +693,7 @@ class TestBandedFoldSystem:
         jac = parts.jacobian_band(cert.lambda_star)
         ones = np.full(big, 1.0 / np.sqrt(big))
         lu, v, w, s = minimax_solver._bordered_solve(jac, spec.m, mesh.n_interior, ones, ones)
-        bordered = model.band_csc(jac, spec.m, mesh.n_interior, ones, ones)
+        bordered = as_csc_array(model.band_csc(jac, spec.m, mesh.n_interior, ones, ones))
         assert lu.L.nnz + lu.U.nnz <= 2 * bordered.nnz
         # the solve keeps its accuracy: [J b; c^T 0][v; s] = [0; 1]
         x = np.append(v, s)

@@ -44,6 +44,12 @@ def stencil_case(name, n_interior):
     return spec, mesh, u, terms, model.jacobian_parts(spec, mesh, u, blocks=terms.blocks)
 
 
+def as_csc_array(matrix):
+    """scipy's ``csc_array`` of a ``model.CSCMatrix`` record."""
+    data, indices, indptr, shape = matrix
+    return scipy.sparse.csc_array((data, indices, indptr), shape=shape)
+
+
 def dense_gradients(terms, parts):
     """Direction gradients by the dense quotient rule, row i = grad R_i."""
     quotients = terms.quotients()
@@ -341,10 +347,10 @@ class TestGradientStencil:
         band = parts.jacobian_band(1.7)
         assert np.array_equal(model.band_to_dense(band, m, n), dense)
         assert np.array_equal(model.eval_jacobian(spec, mesh, u, 1.7), dense)
-        assert np.array_equal(model.band_csc(band, m, n).toarray(), dense)
+        assert np.array_equal(as_csc_array(model.band_csc(band, m, n)).toarray(), dense)
         rng = np.random.default_rng(0)
         col, row = rng.standard_normal((2, m * n))
-        bordered = model.band_csc(band, m, n, col, row, 0.5)
+        bordered = as_csc_array(model.band_csc(band, m, n, col, row, 0.5))
         assert np.array_equal(bordered.toarray(),
                               np.block([[dense, col[:, None]], [row[None, :], 0.5]]))
 
@@ -355,10 +361,11 @@ class TestGradientStencil:
         bands = parts.jacobian_band(lams[:, None, None])
         rng = np.random.default_rng(1)
         cols, rows = rng.standard_normal((2, 3, m * n))
-        plain = model.band_csc(bands, m, n)
+        plain = as_csc_array(model.band_csc(bands, m, n))
         assert np.array_equal(plain.toarray(), scipy.sparse.block_diag(
-            [model.band_csc(band, m, n) for band in bands]).toarray())
-        bordered = model.band_csc(bands, m, n, cols, rows, 0.5)
+            [as_csc_array(model.band_csc(band, m, n)) for band in bands]).toarray())
+        bordered = as_csc_array(model.band_csc(bands, m, n, cols, rows, 0.5))
         assert bordered.has_canonical_format
         assert np.array_equal(bordered.toarray(), scipy.sparse.block_diag(
-            [model.band_csc(b, m, n, c, r, 0.5) for b, c, r in zip(bands, cols, rows)]).toarray())
+            [as_csc_array(model.band_csc(b, m, n, c, r, 0.5))
+             for b, c, r in zip(bands, cols, rows)]).toarray())
