@@ -6,8 +6,9 @@ quotients are linearized and the LP
     max dlam  s.t.  R_i(u) + grad R_i(u) . du >= lambda + dlam,
                     |du|_inf <= trust radius,  u + du above the cone floor
 
-is solved; the LP duals are the running Fritz John multiplier estimates and a
-ratio test adapts the trust radius.  The starts of a multistart advance in
+is solved; the LP duals are the running Fritz John multiplier estimates, and
+the trust radius is scaled by the ratio of actual to predicted gain
+(``_trust_radius``).  The starts of a multistart advance in
 lockstep: each round every running start solves one LP, and the fields the
 round needs are assembled as one stack, which costs little more than one
 field on the small meshes the multistart runs on.  The starts share one
@@ -17,8 +18,9 @@ basis (``WarmLP``).  The LP rows are read off the banded gradient stencil
 brings its terms along, and a rejected step re-solves with the same rows.
 For nonlinear problems ``maximize`` works in two phases:
 
-1. every start runs the SLP only to the loose gain tolerance ``_LOOSE_GAIN``,
-   which is enough to land in the contraction basin of the fold;
+1. every start runs the SLP only until its scaled predicted gain is at most
+   ``_HANDOVER_GAIN``, which is enough to land in the contraction basin of
+   the fold: below it the SLP converges only linearly;
 2. every converged start is polished by Newton on the minimally augmented
    fold system
 
@@ -85,8 +87,8 @@ class SolverOptions:
     ``trust_radius_init`` is relative to the sup norm of the start field.
     ``tol_kkt`` bounds the scaled predicted LP gain at SLP termination where
     the SLP has to finish the job: in the linear diagnostic mode and with
-    ``polish=False``.  Otherwise each start stops at the loose gain
-    ``_LOOSE_GAIN`` and the polish finishes it.  ``tol_cert`` is the relative
+    ``polish=False``.  Otherwise each start hands over to the polish at the
+    gain ``_HANDOVER_GAIN``.  ``tol_cert`` is the relative
     residual level a certificate must meet to be flagged VALID.  ``n_starts``
     randomized cone starts are run and the best local maximum is kept;
     disagreement beyond ``multistart_rel_tol`` is flagged, not resolved.
@@ -271,9 +273,32 @@ def amplitude_line_search(spec: ProblemSpec, mesh: Mesh1D, shape, blocks=None):
 # SLP phase
 
 
-# scaled predicted-gain tolerance of the SLP phase before the fold polish; the
-# polish contracts from SLP points this close to the fold (5-11 SLP iterations)
+# scaled predicted gain at which each start of the two-phase multistart hands
+# over to the fold polish: the SLP's tail below it converges only linearly,
+# and the polish contracts from there in about as many Newton rounds
+_HANDOVER_GAIN = 3e-2
+
+# the certificate's no-ascent bound: the scaled gain that the first SLP step
+# from a VALID point may at most predict (``_ascent_bound``)
 _LOOSE_GAIN = 1e-3
+
+
+def _trust_radius(trust: float, rho: float, step: float, cap: float) -> float:
+    """Trust radius after a trial step of sup norm ``step`` and ratio ``rho``
+    (actual over predicted gain) on the radius ``trust``.
+
+    The factor f = clip(0.5 / (1 - rho), 0.1, 2) is 2 for every rho >= 0.75
+    (rho > 1 included).  A rejected step (rho < 0.05) sets the radius to
+    f min(trust, step), so the next LP is boxed below the step that failed;
+    an accepted one scales it by f when f < 1 (rho < 0.5), or when the step
+    reached 0.9 of the radius, and never past ``cap``.
+    """
+    factor = 2.0 if rho >= 0.75 else max(0.1, 0.5 / (1.0 - rho))
+    if rho < 0.05:
+        return factor * min(trust, step)
+    if factor < 1.0 or step > 0.9 * trust:
+        return min(factor * trust, cap)
+    return trust
 
 
 @dataclass
@@ -498,17 +523,15 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
         for (r, delta, predicted, trial), (trial_terms, trial_quotients) in zip(trials, assembled):
             lam_trial = float(trial_quotients.min())
             rho = (lam_trial - r.lam) / predicted
+            cap = 10.0 * max(r.scale_u, np.abs(trial).max())
+            r.trust = _trust_radius(r.trust, rho, float(np.abs(delta).max()), cap)
             if rho >= 0.05:
                 r.flat, r.terms, r.quotients = trial, trial_terms, trial_quotients
                 r.a_ub = None
                 r.grew = r.grew + 1 if lam_trial > r.lam_prev else 0
                 r.lam_prev = r.lam = lam_trial
-                if rho > 0.7 and np.abs(delta).max() > 0.9 * r.trust:
-                    r.trust = min(2.0 * r.trust, 10.0 * max(r.scale_u, np.abs(r.flat).max()))
-            else:
-                r.trust *= 0.5
-                if r.trust < 1e-13 * r.scale_u:
-                    r.status = "stalled"
+            elif r.trust < 1e-13 * r.scale_u:
+                r.status = "stalled"
 
     return [_SLPState(u=r.flat, lam=r.lam, status=r.status or "max_iters",
                       iterations=r.iterations, mu_lp=r.mu_lp) for r in runs]
@@ -562,14 +585,18 @@ def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarra
     and there v and w span its right and left null spaces.  A singular
     bordered matrix raises ``RuntimeError``.  The threshold pivoting of
     ``_kernels.splu`` (``DiagPivotThresh=0.1``) keeps the COLAMD order, so
-    L+U stay within a small multiple of the band; partial pivoting pulls the
-    dense border up and fills quadratically in m*n.
+    for one system L+U stay within a small multiple of the band; partial
+    pivoting pulls the dense border up and fills quadratically in m*n.
 
     A stack of S bands (S, m*n, 3m) with borders (S, m*n) takes one LU of
     the block-diagonal matrix of the S bordered matrices
     (``model.band_csc``); block i of it is system i, and ``v``, ``w`` and
     ``s`` hold one row (entry) per system.  No arithmetic crosses blocks, so
-    each system's vectors equal those of its own LU.
+    each system's vectors equal those of its own LU.  The fill of a stack is
+    not linear: on the 15 interior nodes of the coarse multistart meshes 8
+    systems fill exactly like 8 separate LUs, but from about 60 nodes per
+    component the stack fills far more (8 ``cooperative_product`` m=3
+    systems: 227,005 L+U entries against 18,304 at n=63).
     """
     lu = splu(model.band_csc(jac, m, n, b, c))
     size = m * n + 1
@@ -1079,11 +1106,11 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
 
     The multistart runs ``n_starts`` SLP starts in lockstep (the
     torsion-profile start plus seeded random cone perturbations).
-    For a nonlinear problem with ``polish=True`` each start stops at the loose
-    gain ``_LOOSE_GAIN``, every converged start is polished once by Newton on
-    the minimally augmented fold system, and the largest polished value wins;
-    ``polish_failed`` means no start polished, and the certificate is then
-    that of the best loose SLP point.  The converged starts are polished
+    For a nonlinear problem with ``polish=True`` each start stops at the
+    hand-over gain ``_HANDOVER_GAIN``, every converged start is polished
+    once by Newton on the minimally augmented fold system, and the largest
+    polished value wins; ``polish_failed`` means no start polished, and the
+    certificate is then that of the best loose SLP point.  The converged starts are polished
     together in lockstep (``_fold_polish``), and each ends where, and as, it
     would alone.  Otherwise the best SLP point at ``tol_kkt`` is kept.
     ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported in the
@@ -1132,7 +1159,7 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> Mini
     """The multistart of ``maximize`` on ``mesh`` itself."""
     blocks = model.stiffness_blocks(spec, mesh)
     two_phase = options.polish and not spec.diagnostic
-    gain_tol = _LOOSE_GAIN if two_phase else options.tol_kkt
+    gain_tol = _HANDOVER_GAIN if two_phase else options.tol_kkt
     results = _slp(spec, mesh, _starts(spec, mesh, options, blocks), options, blocks, gain_tol)
     converged = [r for r in results if r.status == "converged"]
 
@@ -1391,7 +1418,7 @@ class BranchPoint:
 @dataclass(frozen=True)
 class ContinuationOptions:
     ds_init: float = 0.1
-    ds_max: float = 0.5
+    ds_max: float = 2.0
     ds_min: float = 1e-10
     max_steps: int = 400
     corrector_tol: float = 1e-11
@@ -1470,13 +1497,17 @@ def _corrector(spec, mesh, z_pred, tangent, options, blocks):
 
 def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
                        options: ContinuationOptions | None = None) -> ContinuationResult:
-    """Pseudo-arclength continuation of the positive branch, fold by bisection.
+    """Pseudo-arclength continuation of the positive branch, fold by regula falsi.
 
     The branch starts from a Newton solution at a small parameter value and
     is traced until the tangent's lambda component changes sign (a fold) or
-    the step collapses.  Intended as an oracle independent of the minimax
-    maximization.  Each branch point is assembled once; its tangent and the
-    corrector steps take one sparse LU each of the bordered matrix
+    the step collapses.  The step grows 1.3-fold per point up to ``ds_max``
+    times the start's sup norm (Allgower and Georg, Introduction to
+    Numerical Continuation Methods, SIAM 2003, ch. 6) and halves when a
+    corrector fails.  The fold is then found inside the bracket of the last
+    two points (``_refine_fold``).  Intended as an oracle independent of the
+    minimax maximization.  Each branch point is assembled once; its tangent
+    and the corrector steps take one sparse LU each of the bordered matrix
     [J, -g; t^T], and its stability value comes from LAPACK ``dsbevx``.
     """
     options = options or ContinuationOptions()
@@ -1536,7 +1567,8 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
                                   _stability(jac, m, n), arclength))
 
         if tan[-1] > 0.0 and tan_new[-1] < 0.0:
-            fold_lambda, fold_u = _refine_fold(spec, mesh, z, tan, ds, options, blocks)
+            fold_lambda, fold_u = _refine_fold(spec, mesh, z, tan, z_new, tan_new, options,
+                                               blocks)
             status = "fold_found"
             z, tan = z_new, tan_new
             break
@@ -1549,27 +1581,64 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
     return ContinuationResult(tuple(points), fold_lambda, fold_u, status)
 
 
-def _refine_fold(spec, mesh, z_before, tan_before, ds, options, blocks):
-    """Bisection on the arclength step until the tangent lambda-slope vanishes."""
-    m, n = spec.m, mesh.n_interior
-    z_lo, tan_lo = z_before, tan_before
-    step = ds
+def _refine_fold(spec, mesh, z_lo, tan_lo, z_hi, tan_hi, options, blocks):
+    """Fold between the branch points ``z_lo`` and ``z_hi``, whose tangents'
+    lambda components are positive and negative: Illinois regula falsi on
+    that component (Dowell and Jarratt, BIT 11, 1971, 168-174).
+
+    The trial points lie on the chord from ``z_lo`` to ``z_hi``, each is
+    corrected in the hyperplane through it normal to the chord, and its
+    tangent is oriented along the chord.  The search stops once a point's
+    lambda component is below 1e-9 in magnitude or the bracket on the chord
+    is narrower than ``ds_min``; a failed corrector or tangent moves the
+    trial halfway toward the bracket's lower end.  Returns the lambda and
+    field of the point whose lambda component is smallest in magnitude.
+    """
+    chord = z_hi - z_lo
+    length = float(np.linalg.norm(chord))
+    chord /= length
+    width = max(options.ds_min, 1e-14)
+    s_lo, t_lo, s_hi, t_hi = 0.0, tan_lo[-1], length, tan_hi[-1]
+    best_t, best = (abs(t_lo), z_lo) if abs(t_lo) <= abs(t_hi) else (abs(t_hi), z_hi)
+    replaced = 0  # +1 (-1) when the last trial replaced the lower (upper) end
+    s = s_lo - t_lo * (s_hi - s_lo) / (t_hi - t_lo)
     for _ in range(80):
-        if step < max(options.ds_min, 1e-14) or abs(tan_lo[-1]) < 1e-9:
+        if best_t < 1e-9 or s_hi - s_lo < width:
             break
-        corrected = _corrector(spec, mesh, z_lo + step * tan_lo, tan_lo, options, blocks)
-        if corrected is None:
-            step *= 0.5
+        point = _chord_point(spec, mesh, z_lo + s * chord, chord, options, blocks)
+        if point is None:
+            s = 0.5 * (s_lo + s)
+            if s - s_lo < width:
+                break
             continue
-        cand, terms = corrected
-        try:
-            tan_c = _tangent(_band_at(spec, mesh, cand[:-1], cand[-1], terms, blocks), m, n,
-                             terms.g_load.ravel(), tan_lo)
-        except RuntimeError:
-            step *= 0.5
-            continue
-        if tan_c[-1] > 0.0:
-            z_lo, tan_lo = cand, tan_c
+        z, t = point
+        if abs(t) < best_t:
+            best_t, best = abs(t), z
+        if t > 0.0:
+            s_lo, t_lo = s, t
+            if replaced == 1:
+                t_hi *= 0.5
+            replaced = 1
         else:
-            step *= 0.5
-    return float(z_lo[-1]), FEField.from_flat(mesh, m, z_lo[:-1])
+            s_hi, t_hi = s, t
+            if replaced == -1:
+                t_lo *= 0.5
+            replaced = -1
+        s = s_lo - t_lo * (s_hi - s_lo) / (t_hi - t_lo)
+    return float(best[-1]), FEField.from_flat(mesh, spec.m, best[:-1])
+
+
+def _chord_point(spec, mesh, z_pred, chord, options, blocks):
+    """The branch point in the hyperplane through ``z_pred`` normal to
+    ``chord``, and its tangent's lambda component with the tangent oriented
+    along ``chord``; None when the corrector or the tangent fails."""
+    corrected = _corrector(spec, mesh, z_pred, chord, options, blocks)
+    if corrected is None:
+        return None
+    z, terms = corrected
+    try:
+        tan = _tangent(_band_at(spec, mesh, z[:-1], z[-1], terms, blocks), spec.m,
+                       mesh.n_interior, terms.g_load.ravel(), chord)
+    except RuntimeError:
+        return None
+    return z, float(tan[-1])

@@ -351,6 +351,10 @@ class TestOracleStudy:
         assert len(calls) == 1
         assert len((tmp_path / "plotdata" / "branch.csv").read_text().splitlines()) > 1
 
+    def test_oracle_branch_keeps_enough_points_to_plot(self, tmp_path):
+        assert cli.main(["oracle", "--n", "64", "--out", str(tmp_path)]) == 0
+        assert len(read_table(tmp_path / "plotdata" / "branch.csv")) >= 10
+
 
 class TestTimingsOnEveryExit:
     def test_invalid_certificate(self, tmp_path):

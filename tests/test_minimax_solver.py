@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -762,6 +763,7 @@ class TestWarmLP:
 
         monkeypatch.setattr(minimax_solver.WarmLP, "solve", recording_solve)
         maximize(scalar_power(0.5, 2.0), build_mesh(64))
+        maximize(builtin_problem("cooperative_product", {"m": 2}), build_mesh(64))
         assert len(recorded) > 50
         for (cost, a_ub, b_ub, lower, upper), result in recorded:
             reference = scipy.optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub,
@@ -873,6 +875,45 @@ class TestLockstepSLP:
             expected.append(real_search(spec, mesh, FEField(mesh, shape), blocks))
         for start, alone in zip(starts, expected, strict=True):
             assert np.array_equal(start.values, alone.values)
+
+
+class TestTrustRadius:
+    """The ratio-scaled trust-radius rule of ``_slp``."""
+
+    CAP = 100.0
+
+    @pytest.mark.parametrize("rho", [-50.0, -1.0, 0.0, 0.049])
+    @pytest.mark.parametrize("step", [1e-3, 0.5, 1.0])
+    def test_rejection_boxes_the_next_step_below_the_last(self, rho, step):
+        radius = minimax_solver._trust_radius(1.0, rho, step, self.CAP)
+        assert 0.0 < radius < step
+
+    @pytest.mark.parametrize("rho", [0.05, 0.2, 0.49])
+    @pytest.mark.parametrize("step", [0.1, 1.0])
+    def test_accepted_step_with_poor_ratio_shrinks(self, rho, step):
+        assert minimax_solver._trust_radius(1.0, rho, step, self.CAP) < 1.0
+
+    @pytest.mark.parametrize("rho", [0.76, 1.0, 3.0])
+    def test_good_step_at_the_bound_grows_at_most_twofold_under_the_cap(self, rho):
+        assert 1.0 < minimax_solver._trust_radius(1.0, rho, 0.95, self.CAP) <= 2.0
+        assert minimax_solver._trust_radius(1.0, rho, 1.0, 1.5) == 1.5
+        # inside the bound the radius stays
+        assert minimax_solver._trust_radius(1.0, rho, 0.5, self.CAP) == 1.0
+
+
+class TestLPBudget:
+    """LPs of one cold ``maximize`` on the solve-cold configurations."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name,params", [
+        ("scalar_power", {"q": 0.5, "gamma": 2.0}), ("scalar_power", {"q": 0.3, "gamma": 3.0}),
+        ("cooperative_product", {"m": 2}), ("cooperative_product", {"m": 3})])
+    def test_nonlinear_cold_solve_lp_count(self, name, params, seed, monkeypatch):
+        calls = count_calls(monkeypatch, minimax_solver.WarmLP, "solve")
+        cert = maximize(builtin_problem(name, params), build_mesh(64),
+                        options=SolverOptions(seed=seed))
+        assert cert.valid
+        assert len(calls) <= 75
 
 
 class TestSLPAssembly:
@@ -1167,6 +1208,72 @@ class TestContinuation:
         d1 = abs(folds[1] - folds[0])
         d2 = abs(folds[2] - folds[1])
         assert d2 <= d1  # consistent with first order in h or better
+
+
+FOLD_CASES = {
+    "scalar_power-n64": ("scalar_power", {"q": 0.5, "gamma": 2.0}, 64),
+    "scalar_power-n128": ("scalar_power", {"q": 0.5, "gamma": 2.0}, 128),
+    "scalar_power-n256": ("scalar_power", {"q": 0.5, "gamma": 2.0}, 256),
+    "scalar_power-q03-n64": ("scalar_power", {"q": 0.3, "gamma": 3.0}, 64),
+    "cooperative_product-m2-n128": ("cooperative_product", {"m": 2}, 128),
+    "cooperative_product-m3-n64": ("cooperative_product", {"m": 3}, 64),
+}
+
+
+def reference_entry(problem, params, n):
+    """The ``perfbench/reference.json`` entry (fold and minimax values) of a case."""
+    inner = ",".join(f"{k}={float(v) if k != 'm' else int(v)}" for k, v in sorted(params.items()))
+    table = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "reference.json").read_text())
+    return table[f"{problem}({inner})/n={n}"]
+
+
+def fold_sweep(name, monkeypatch, fail_first=False):
+    """``continuation_sweep`` of a ``FOLD_CASES`` entry, the number of
+    correctors its fold search ran, and the reference fold.  With
+    ``fail_first`` the first corrector of the fold search fails."""
+    problem, params, n = FOLD_CASES[name]
+    ref = reference_entry(problem, params, n)
+    in_search, correctors = [], []
+    real_refine, real_corrector = minimax_solver._refine_fold, minimax_solver._corrector
+
+    def refine(*args):
+        in_search.append(True)
+        return real_refine(*args)
+
+    def corrector(*args):
+        if in_search:
+            correctors.append(True)
+            if fail_first and len(correctors) == 1:
+                return None
+        return real_corrector(*args)
+
+    monkeypatch.setattr(minimax_solver, "_refine_fold", refine)
+    monkeypatch.setattr(minimax_solver, "_corrector", corrector)
+    sweep = continuation_sweep(builtin_problem(problem, params), build_mesh(n),
+                               lambda_max_guess=ref["minimax"])
+    return sweep, len(correctors), ref["fold"]
+
+
+class TestFoldSearch:
+    """Regula falsi on the tangent's lambda component inside the bracket."""
+
+    @pytest.mark.parametrize("name", ["scalar_power-n64", "cooperative_product-m3-n64"])
+    def test_fold_search_takes_few_correctors(self, name, monkeypatch):
+        sweep, correctors, _ = fold_sweep(name, monkeypatch)
+        assert sweep.status == "fold_found"
+        assert 0 < correctors <= 8
+
+    @pytest.mark.parametrize("name", list(FOLD_CASES))
+    def test_fold_agrees_with_reference(self, name, monkeypatch):
+        sweep, _, fold = fold_sweep(name, monkeypatch)
+        assert sweep.fold_found
+        assert abs(sweep.fold_lambda - fold) <= 1e-10 * fold
+
+    def test_fold_found_after_a_failed_corrector(self, monkeypatch):
+        sweep, correctors, fold = fold_sweep("scalar_power-n64", monkeypatch, fail_first=True)
+        assert sweep.fold_found and correctors > 1
+        assert abs(sweep.fold_lambda - fold) <= 1e-10 * fold
 
 
 ORACLE_CASES = {
