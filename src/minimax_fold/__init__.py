@@ -9,12 +9,9 @@ multipliers, residual norms).
 
 from .mesh_fem import (
     Mesh1D,
-    MMatrixReport,
     OperatorMatrix,
-    assemble_load,
     assemble_stiffness,
     build_mesh,
-    check_m_matrix,
     distance_to_boundary,
     nodal_interpolate,
     relative_interp_error,
@@ -30,10 +27,8 @@ from .model import (
 )
 from .rayleigh import (
     InnerMinResult,
-    grad_u_inner_quotient,
     inner_min,
     rayleigh_quotient,
-    residual,
 )
 from .minimax_solver import (
     BranchPoint,
@@ -45,12 +40,10 @@ from .minimax_solver import (
     continue_certificate,
     maximize,
     newton_solve,
-    recover_adjoint,
 )
 from .verification import CertificateAudit, verify_certificate
 from .picone import (
     PiconeGap,
-    componentwise_picone,
     discrete_picone_gap,
     ps_energy_diagnostic,
 )

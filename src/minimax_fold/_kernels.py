@@ -1,6 +1,6 @@
 """scipy's compiled kernels, called without importing scipy's subpackages.
 
-The solver calls one LP solver, three LAPACK routines and one sparse LU,
+The solver calls one LP solver, two LAPACK routines and one sparse LU,
 all compiled extensions of scipy.  Importing them through their packages
 (``scipy.optimize``, ``scipy.linalg``, ``scipy.sparse``) runs each package's
 ``__init__``, which together cost most of the library's cold start, while
@@ -10,8 +10,6 @@ routine in a function that makes the call the public scipy function makes,
 with its arguments, checks and errors:
 
   * ``solve_tridiagonal``: ``scipy.linalg.solve_banded((1, 1), ab, b)``;
-  * ``tridiagonal_eigenvalue``: ``scipy.linalg.eigh_tridiagonal`` with
-    ``eigvals_only=True, select="i"``;
   * ``banded_eigenvalue``: ``scipy.linalg.eig_banded`` with
     ``eigvals_only=True, select="i"``;
   * ``splu``: ``scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.1)``.
@@ -95,16 +93,6 @@ def solve_tridiagonal(lower, diag, upper, b) -> np.ndarray:
         raise np.linalg.LinAlgError("singular matrix")
     _check_info(info, "gtsv")
     return x
-
-
-def tridiagonal_eigenvalue(diag, off, index: int) -> float:
-    """Eigenvalue ``index`` (ascending, from 0) of the symmetric tridiagonal
-    matrix with diagonal ``diag`` and off-diagonal ``off``, by bisection
-    (LAPACK ``dstebz``)."""
-    _, w, _, _, info = _flapack.dstebz(_finite(diag), _finite(off), 2, 0.0, 1.0,
-                                       index + 1, index + 1, 0.0, "E")
-    _check_info(info, "stebz (eigh_tridiagonal)")
-    return float(w[0])
 
 
 def banded_eigenvalue(band, index: int) -> float:

@@ -100,6 +100,16 @@ class RunConfig:
                                   f"not {self.problem_name!r}")
             if not self.perturb_kappas:
                 raise ConfigError("the perturb study needs at least one kappa")
+        # the catalog's own checks decide which parameters are admissible
+        try:
+            spec = builtin_problem(self.problem_name, self.problem_params)
+            if self.study == "perturb":
+                for kappa in self.perturb_kappas:
+                    model.perturbed_scalar(spec.q, spec.params["gamma"],
+                                           self.perturb_gamma1, kappa)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "_spec", spec)
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
@@ -126,7 +136,7 @@ class RunConfig:
             raise ConfigError(f"bad configuration key: {exc}") from exc
 
     def spec(self) -> ProblemSpec:
-        return builtin_problem(self.problem_name, self.problem_params)
+        return self._spec
 
     def mesh(self, n: int) -> Mesh1D:
         return build_mesh(n, grading=self.grading, ratio=self.ratio)

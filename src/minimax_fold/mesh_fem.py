@@ -9,6 +9,8 @@ classical closed forms (stiffness (1/h)*tridiag(-1, 2, -1), mass
 (h/6)*tridiag(1, 4, 1)) are reproduced to roundoff on uniform meshes.
 Tridiagonal matrices are kept as diagonals or as row-wise bands
 (``tridiag_band``); ``tridiag_to_dense`` expands them for dense callers.
+Assembly checks the samples of sigma and c, not the spectrum: a negative c
+may leave the stiffness indefinite, and it is assembled all the same.
 """
 
 from __future__ import annotations
@@ -234,14 +236,11 @@ class OperatorMatrix:
     """Symmetric tridiagonal Galerkin matrix over interior nodes.
 
     Entry (i, j) is the bilinear form a(psi_j, psi_i) of one component
-    operator; ``coercive`` is a warning flag (smallest eigenvalue > 0), not a
-    validity condition.
+    operator.
     """
 
     diag: np.ndarray
     off: np.ndarray
-    component_index: int = 0
-    coercive: bool = True
 
     @property
     def n(self) -> int:
@@ -278,14 +277,8 @@ class OperatorMatrix:
         """Row-wise band (n, 3) of ``tridiag_band``, built once."""
         return tridiag_band(self.diag, self.off)
 
-    def smallest_eigenvalue(self) -> float:
-        if self.n == 1:
-            return float(self.diag[0])
-        return _kernels.tridiagonal_eigenvalue(self.diag, self.off, 0)
 
-
-def assemble_stiffness(mesh: Mesh1D, sigma: Coefficient, c: Coefficient,
-                       component_index: int = 0) -> OperatorMatrix:
+def assemble_stiffness(mesh: Mesh1D, sigma: Coefficient, c: Coefficient) -> OperatorMatrix:
     """Assemble integral(sigma psi_i' psi_j' + c psi_i psi_j) over interior nodes."""
     xq, wq, _, _ = element_quadrature(mesh)
     sig = _sample(sigma, xq)
@@ -306,56 +299,7 @@ def assemble_stiffness(mesh: Mesh1D, sigma: Coefficient, c: Coefficient,
     diag = diag_full[1:-1] + mass_diag
     off = -grad[1:-1] + mass_off
 
-    matrix = OperatorMatrix(diag=_freeze(diag), off=_freeze(off),
-                            component_index=component_index, coercive=True)
-    if matrix.smallest_eigenvalue() <= 0.0:
-        matrix = OperatorMatrix(diag=matrix.diag, off=matrix.off,
-                                component_index=component_index, coercive=False)
-    return matrix
-
-
-def assemble_load(mesh: Mesh1D, w: Coefficient) -> np.ndarray:
-    """Load vector <w, psi_i> by per-element Gauss quadrature."""
-    xq, _, _, _ = element_quadrature(mesh)
-    ws = _sample(w, xq)
-    if not np.all(np.isfinite(ws)):
-        raise ValueError("load sample is not finite")
-    return quadrature_loads(mesh, ws)
-
-
-@dataclass(frozen=True)
-class MMatrixReport:
-    """Sign pattern and positivity evidence for the maximum-principle implication.
-
-    ``omega`` solves A omega = 1-bar (the all-ones vector); the implication
-    "A theta >= 0, theta >= 0, theta != 0  =>  theta > 0" is reported as
-    holding iff the sign flags hold and omega is entrywise positive.
-    """
-
-    is_diag_positive: bool
-    is_offdiag_nonpositive: bool
-    omega: np.ndarray
-    is_omega_positive: bool
-    omega_sup_norm: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.is_diag_positive and self.is_offdiag_nonpositive and self.is_omega_positive
-
-
-def check_m_matrix(a: OperatorMatrix) -> MMatrixReport:
-    """Verify the M-matrix sign pattern of ``a`` and solve A omega = 1-bar."""
-    diag_ok = bool(np.all(a.diag > 0.0))
-    off_ok = bool(a.n == 1 or np.all(a.off <= 1e-14 * max(1.0, np.abs(a.diag).max())))
-    omega = a.solve(np.ones(a.n))
-    omega_ok = bool(np.all(omega > 0.0))
-    return MMatrixReport(
-        is_diag_positive=diag_ok,
-        is_offdiag_nonpositive=off_ok,
-        omega=_freeze(omega),
-        is_omega_positive=omega_ok,
-        omega_sup_norm=float(np.abs(omega).max()),
-    )
+    return OperatorMatrix(diag=_freeze(diag), off=_freeze(off))
 
 
 def nodal_interpolate(mesh: Mesh1D, u: Callable[[np.ndarray], np.ndarray],

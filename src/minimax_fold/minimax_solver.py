@@ -873,25 +873,6 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks,
 # certificate assembly
 
 
-def recover_adjoint(spec: ProblemSpec, mesh: Mesh1D, u_star: FEField,
-                    mu: np.ndarray) -> FEField:
-    """Adjoint field v* = sum_i [mu_i / <g(u*), eta_i>] eta_i, a(v*, v*) = 1."""
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu < -1e-15) or not np.isclose(mu.sum(), 1.0, atol=1e-8):
-        raise ValueError("multipliers must be nonnegative and sum to 1")
-    if not np.any(mu > 0.0):
-        raise ValueError("all multipliers vanish; adjoint direction undefined")
-    model.require_open_cone(u_star, "adjoint recovery")
-    _, g_load = model.eval_residual_terms(spec, mesh, u_star)
-    kappa = mu / g_load.ravel()
-    blocks = model.stiffness_blocks(spec, mesh)
-    vals = kappa.reshape(spec.m, mesh.n_interior)
-    energy = sum(float(vals[k] @ blocks[k].matvec(vals[k])) for k in range(spec.m))
-    if energy <= 0.0:
-        raise ValueError("adjoint candidate has nonpositive energy")
-    return FEField(mesh, vals / np.sqrt(energy))
-
-
 def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
                  status: str, iterations: int, polish_iterations: int,
                  starts_agree: bool, lambda_spread: float,
@@ -1429,7 +1410,6 @@ class ContinuationOptions:
 class ContinuationResult:
     points: tuple
     fold_lambda: Optional[float]
-    fold_u: Optional[FEField]
     status: str
 
     @property
@@ -1523,7 +1503,7 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
             break
         lam0 *= 0.5
     if start is None:
-        return ContinuationResult((), None, None, "no_start")
+        return ContinuationResult((), None, "no_start")
 
     z = np.concatenate([start.flatten(), [lam0]])
     prev = np.zeros(z.size)
@@ -1533,7 +1513,7 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
     try:
         tan = _tangent(jac, m, n, terms.g_load.ravel(), prev)
     except RuntimeError:
-        return ContinuationResult((), None, None, "tangent_failed")
+        return ContinuationResult((), None, "tangent_failed")
 
     arclength = 0.0
     points = [BranchPoint(float(z[-1]), FEField.from_flat(mesh, m, z[:-1]),
@@ -1543,7 +1523,6 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
     ds_max = options.ds_max * max(1.0, start.sup_norm)
     status = "max_steps"
     fold_lambda = None
-    fold_u = None
 
     for _ in range(options.max_steps):
         corrected = None
@@ -1567,8 +1546,7 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
                                   _stability(jac, m, n), arclength))
 
         if tan[-1] > 0.0 and tan_new[-1] < 0.0:
-            fold_lambda, fold_u = _refine_fold(spec, mesh, z, tan, z_new, tan_new, options,
-                                               blocks)
+            fold_lambda = _refine_fold(spec, mesh, z, tan, z_new, tan_new, options, blocks)
             status = "fold_found"
             z, tan = z_new, tan_new
             break
@@ -1578,7 +1556,7 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
             status = "left_window"
             break
 
-    return ContinuationResult(tuple(points), fold_lambda, fold_u, status)
+    return ContinuationResult(tuple(points), fold_lambda, status)
 
 
 def _refine_fold(spec, mesh, z_lo, tan_lo, z_hi, tan_hi, options, blocks):
@@ -1591,8 +1569,8 @@ def _refine_fold(spec, mesh, z_lo, tan_lo, z_hi, tan_hi, options, blocks):
     tangent is oriented along the chord.  The search stops once a point's
     lambda component is below 1e-9 in magnitude or the bracket on the chord
     is narrower than ``ds_min``; a failed corrector or tangent moves the
-    trial halfway toward the bracket's lower end.  Returns the lambda and
-    field of the point whose lambda component is smallest in magnitude.
+    trial halfway toward the bracket's lower end.  Returns the lambda of the
+    point whose tangent's lambda component is smallest in magnitude.
     """
     chord = z_hi - z_lo
     length = float(np.linalg.norm(chord))
@@ -1625,7 +1603,7 @@ def _refine_fold(spec, mesh, z_lo, tan_lo, z_hi, tan_hi, options, blocks):
                 t_lo *= 0.5
             replaced = -1
         s = s_lo - t_lo * (s_hi - s_lo) / (t_hi - t_lo)
-    return float(best[-1]), FEField.from_flat(mesh, spec.m, best[:-1])
+    return float(best[-1])
 
 
 def _chord_point(spec, mesh, z_pred, chord, options, blocks):

@@ -242,7 +242,7 @@ def eval_residual_terms(spec: ProblemSpec, mesh: Mesh1D, u, samples=None):
 
 def stiffness_blocks(spec: ProblemSpec, mesh: Mesh1D) -> tuple:
     return tuple(
-        mesh_fem.assemble_stiffness(mesh, spec.sigma[k], spec.c[k], component_index=k)
+        mesh_fem.assemble_stiffness(mesh, spec.sigma[k], spec.c[k])
         for k in range(spec.m)
     )
 
@@ -389,9 +389,9 @@ class JacobianParts:
     Each ``*_band`` array is (m*n, 3m) in the layout of ``band_pattern``:
     entry (k*n + i, 3*l + s) couples unknown (k, i) with (l, i + s - 1), and
     entries whose neighbour lies outside the mesh are zero; the parts of a
-    stack of S fields have (S, m*n, 3m) bands.  ``stiffness``, ``mass_f`` and
-    ``mass_g`` are the dense (m*n, m*n) matrices, expanded on first access for
-    the callers that factorize or multiply densely.
+    stack of S fields have (S, m*n, 3m) bands.  ``stiffness`` is the dense
+    (m*n, m*n) stiffness, expanded on first access; ``band_to_dense``
+    expands any of the bands.
     """
 
     m: int
@@ -415,14 +415,6 @@ class JacobianParts:
     @functools.cached_property
     def stiffness(self) -> np.ndarray:
         return band_to_dense(self.stiffness_band, self.m, self.n)
-
-    @functools.cached_property
-    def mass_f(self) -> np.ndarray:
-        return band_to_dense(self.mass_f_band, self.m, self.n)
-
-    @functools.cached_property
-    def mass_g(self) -> np.ndarray:
-        return band_to_dense(self.mass_g_band, self.m, self.n)
 
 
 def jacobian_parts(spec: ProblemSpec, mesh: Mesh1D, u,
@@ -547,14 +539,12 @@ class HypothesisCheck:
 class HypothesisReport:
     """Sampled verdicts for the five structural hypotheses.
 
-    ``growth_constant`` and ``growth_constant_jac`` are the fitted constants
-    of the growth bounds; they are reported, never asserted against a fixed
-    value.
+    ``growth_constant`` is the fitted constant of the growth bound; it is
+    reported, never asserted against a fixed value.
     """
 
     checks: tuple
     growth_constant: float
-    growth_constant_jac: float
 
     def __getitem__(self, key: str) -> HypothesisCheck:
         for chk in self.checks:
@@ -614,15 +604,11 @@ def check_hypotheses(spec: ProblemSpec, x_samples: np.ndarray | None = None,
     checks.append(HypothesisCheck("h1", "parameter term a_k within (a_0, a_1)",
                                   val >= -1e-12, val, wx, ()))
 
-    # h2: reaction nonnegative with finite fitted growth constants
+    # h2: reaction nonnegative with a finite fitted growth constant
     scale = np.power(tnorm, spec.gamma0 if not spec.diagnostic else 1.0) \
         + np.power(tnorm, spec.gamma if not spec.diagnostic else 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         c_fit = float(np.nanmax(np.abs(fv) / np.maximum(scale, 1e-300)))
-        c_fit_jac = float(np.nanmax(np.abs(fj) /
-                                    np.maximum(np.power(tnorm, spec.gamma0 - 1.0)
-                                               + np.power(tnorm, spec.gamma - 1.0), 1e-300))) \
-            if not spec.diagnostic else 0.0
     fmin = fv.min(axis=0)
     val, wx, wt = _argmin_sample(fmin, x_flat, t_flat)
     checks.append(HypothesisCheck("h2", "reaction nonnegative with fitted growth bound",
@@ -661,8 +647,7 @@ def check_hypotheses(spec: ProblemSpec, x_samples: np.ndarray | None = None,
     checks.append(HypothesisCheck("h5", "boundary degeneracy of the reaction",
                                   worst <= 1e-12, -worst, worst_x, worst_t))
 
-    return HypothesisReport(checks=tuple(checks), growth_constant=c_fit,
-                            growth_constant_jac=c_fit_jac)
+    return HypothesisReport(checks=tuple(checks), growth_constant=c_fit)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +700,9 @@ def perturbed_scalar(q: float = 0.5, gamma: float = 2.0, gamma1: float = 3.0,
     def kappa_at(x):
         return mesh_fem._sample(kappa, np.asarray(x, dtype=float))
 
+    if not np.all(np.isfinite(kappa_at(np.linspace(0.0, 1.0, 257)))):
+        raise ValueError("perturbation coefficient kappa must be finite")
+
     def f(x, t):
         return np.power(t, gamma) + kappa_at(x)[None] * np.power(t, gamma1)
 
@@ -747,6 +735,8 @@ def cooperative_product(m: int = 2, q: float = 0.5, beta=2.0, alpha=0.5,
     ``alpha`` is a scalar (applied to every off-diagonal pair) or an (m, m)
     array whose diagonal is ignored.
     """
+    if m < 1:
+        raise ValueError("component count m must be >= 1")
     if not 0.0 < q < 1.0:
         raise ValueError(f"exponent q must lie in (0, 1), got {q}")
     beta_t = np.array([float(v) for v in _as_tuple(beta, m)])

@@ -73,24 +73,6 @@ def discrete_picone_gap(a, u: np.ndarray, v: np.ndarray) -> PiconeGap:
 
 
 @dataclass(frozen=True)
-class ComponentwisePicone:
-    total: float
-    per_component: tuple
-
-
-def componentwise_picone(blocks, u: FEField, v: FEField) -> ComponentwisePicone:
-    """Sum of per-component Picone gaps for the block operators."""
-    gaps = []
-    for k, blk in enumerate(blocks):
-        try:
-            gaps.append(discrete_picone_gap(blk, u.values[k], v.values[k]))
-        except ValueError as exc:
-            raise ValueError(f"component {k}: {exc}") from exc
-    return ComponentwisePicone(total=float(sum(g.gap for g in gaps)),
-                               per_component=tuple(gaps))
-
-
-@dataclass(frozen=True)
 class PSEnergyReport:
     """Energy inequality and nondegeneracy functional at a certificate.
 

@@ -120,17 +120,12 @@ class InnerMinResult:
 
     ``quotients`` holds all m * n_interior per-direction values in flat
     (component-major) order; ``active_set`` collects the indices within
-    ``tol_active`` of the minimum.
+    1e-8 * (1 + |value|) of the minimum.
     """
 
     value: float
     quotients: np.ndarray
     active_set: np.ndarray
-    tol_active: float
-
-    @property
-    def spread(self) -> float:
-        return float(self.quotients.max() - self.value)
 
 
 def inner_min(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
@@ -147,18 +142,7 @@ def inner_min(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
     active = np.flatnonzero(quotients <= value + tol_active)
     q = quotients.copy()
     q.flags.writeable = False
-    return InnerMinResult(value=value, quotients=q, active_set=active,
-                          tol_active=tol_active)
-
-
-def residual(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float,
-             terms: GalerkinTerms | None = None) -> np.ndarray:
-    """Galerkin residual a^k(u^k, psi_i) - <f^k(u), psi_i> - lambda <g^k(u), psi_i>."""
-    if not u.nonnegative:
-        raise ConeError("residual requires a closed-cone field")
-    if terms is None:
-        terms = galerkin_terms(spec, mesh, u)
-    return terms.residual(lam).reshape(terms.g_load.shape)
+    return InnerMinResult(value=value, quotients=q, active_set=active)
 
 
 def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u,
@@ -181,7 +165,8 @@ def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u,
     ``quotients`` passes R_i when the caller already holds them.  Without
     ``parts`` the bands are assembled from the quadrature samples ``terms``
     already took, and ``model.jacobian_parts`` checks the cone.
-    ``model.band_to_dense`` expands the stencil to the dense gradient matrix.
+    ``model.band_pattern`` maps each stencil entry to its place in the dense
+    gradient matrix.
     """
     if terms is None:
         terms = galerkin_terms(spec, mesh, u)
@@ -197,12 +182,3 @@ def quotient_gradients(spec: ProblemSpec, mesh: Mesh1D, u,
     jac_a = parts.stiffness_band - parts.mass_f_band
     return (jac_a - quotients[..., None] * parts.mass_g_band) / denom[..., None]
 
-
-def grad_u_inner_quotient(spec: ProblemSpec, mesh: Mesh1D, u: FEField,
-                          index: int) -> np.ndarray:
-    """Analytic gradient of u -> R(u, eta_index), shape (m, n_interior)."""
-    stencil = quotient_gradients(spec, mesh, u)
-    if not 0 <= index < stencil.shape[0]:
-        raise IndexError(f"direction index {index} out of range")
-    grads = model.band_to_dense(stencil, spec.m, mesh.n_interior)
-    return grads[index].reshape(spec.m, mesh.n_interior)

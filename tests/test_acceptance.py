@@ -9,7 +9,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from minimax_fold import harness, rayleigh
+from minimax_fold import harness, model, rayleigh
 from minimax_fold.harness import RunConfig, condition_u_check
 from minimax_fold.mesh_fem import assemble_stiffness, build_mesh
 from minimax_fold.minimax_solver import (
@@ -190,7 +190,7 @@ def test_criterion_09_gradient_correctness():
     for _ in range(20):
         u = FEField(mesh, rng.uniform(0.4, 1.6, size=(1, n)))
         i = int(rng.integers(0, n))
-        grad = rayleigh.grad_u_inner_quotient(spec, mesh, u, i).ravel()
+        grad = model.band_to_dense(rayleigh.quotient_gradients(spec, mesh, u), 1, n)[i]
         eta = FEField(mesh, np.eye(n)[i][None, :])
         eps = 1e-5
         fd = np.zeros(n)

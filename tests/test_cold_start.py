@@ -11,6 +11,7 @@ the thing under test.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -68,6 +69,22 @@ def test_only_kernels_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(path.name)
     assert set(importers) == {"_kernels.py"}
+
+
+DENSE_NAMES = re.compile(r"band_to_dense|eval_jacobian"
+                         r"|np\.linalg\.(solve|svd|eig|eigh|eigvalsh|inv)\b")
+
+
+def test_dense_paths_stay_in_model_and_the_audit():
+    """Dense Jacobians and dense factorizations appear only in ``model.py``,
+    which keeps them as the tests' references, in ``verification.py``, the
+    independent audit, and in the package's re-export of ``eval_jacobian``."""
+    found = []
+    for path in sorted((SRC / "minimax_fold").glob("*.py")):
+        if path.name not in ("model.py", "verification.py"):
+            found += [(path.name, line.strip()) for line in path.read_text().splitlines()
+                      if DENSE_NAMES.search(line)]
+    assert found == [("__init__.py", "eval_jacobian,")]
 
 
 def test_scipy_optimize_after_the_library_reuses_its_core():

@@ -408,6 +408,24 @@ class TestCLI:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, library_call", [
+        ("solve --q 1.5", lambda: model.scalar_power(q=1.5)),
+        ("solve --gamma 0.5", lambda: model.scalar_power(gamma=0.5)),
+        ("solve --problem cooperative_product --m 0", lambda: model.cooperative_product(m=0)),
+        ("check --problem cooperative_product --q 2", lambda: model.cooperative_product(q=2.0)),
+        ("perturb --gamma1 0.5", lambda: model.perturbed_scalar(gamma1=0.5)),
+        ("perturb --kappa nan", lambda: model.perturbed_scalar(kappa=float("nan"))),
+    ], ids=lambda v: v if isinstance(v, str) else "library")
+    def test_bad_problem_parameters_exit_2_without_artifacts(self, args, library_call,
+                                                              tmp_path, capsys):
+        # the message is the catalog's own, from the same parameters
+        with pytest.raises(ValueError) as rejected:
+            library_call()
+        out = tmp_path / "out"
+        assert cli.main(args.split() + ["--out", str(out)]) == 2
+        assert f"configuration error: {rejected.value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_problem_exits_2(self, tmp_path):
         code = cli.main(["solve", "--problem", "mystery", "--out", str(tmp_path / "o")])
         assert code == 2

@@ -53,19 +53,6 @@ def test_tridiagonal_solve_matches_solve_banded(n):
                                       (1, 1), tridiagonal_ab(lower, diag, upper), b))
 
 
-@pytest.mark.parametrize("n", N_INTERIOR)
-def test_tridiagonal_eigenvalue_matches_eigh_tridiagonal(n):
-    rng = np.random.default_rng(n)
-    diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
-    for index in {0, n // 2, n - 1}:
-        ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                            select_range=(index, index))[0]
-        if index == 0:
-            assert OperatorMatrix(diag, off).smallest_eigenvalue() == ref
-        if n > 1:
-            assert _kernels.tridiagonal_eigenvalue(diag, off, index) == ref
-
-
 @pytest.mark.parametrize("m, n", SIZES)
 def test_banded_eigenvalue_matches_eig_banded(m, n):
     big = m * n
@@ -116,8 +103,6 @@ def test_non_finite_input_raises_value_error():
     ok, bad = np.ones(3), np.array([1.0, np.nan, 1.0])
     with pytest.raises(ValueError):
         _kernels.solve_tridiagonal(ok[:2], ok, ok[:2], bad)
-    with pytest.raises(ValueError):
-        _kernels.tridiagonal_eigenvalue(bad, ok[:2], 0)
     with pytest.raises(ValueError):
         _kernels.banded_eigenvalue(np.stack([bad, ok]), 0)
 

@@ -15,7 +15,6 @@ from minimax_fold.minimax_solver import (
     maximize,
     newton_multistart,
     newton_solve,
-    recover_adjoint,
 )
 from minimax_fold.model import (
     FEField,
@@ -672,8 +671,7 @@ class TestBandedFoldSystem:
             patch.setattr(np.linalg, "solve", dense)
             patch.setattr(model, "band_to_dense", dense)
             patch.setattr(model, "eval_jacobian", dense)
-            for view in ("stiffness", "mass_f", "mass_g"):
-                patch.setattr(model.JacobianParts, view, property(dense))
+            patch.setattr(model.JacobianParts, "stiffness", property(dense))
             cert = maximize(spec, mesh)
         assert cert.valid and cert.status == "polished" and cert.starts_agree
         assert verify_certificate(spec, mesh, cert).valid  # the audit's dense SVD
@@ -894,7 +892,7 @@ class TestTrustRadius:
         assert minimax_solver._trust_radius(1.0, rho, step, self.CAP) < 1.0
 
     @pytest.mark.parametrize("rho", [0.76, 1.0, 3.0])
-    def test_good_step_at_the_bound_grows_at_most_twofold_under_the_cap(self, rho):
+    def test_good_step_at_the_bound_at_most_doubles_under_the_cap(self, rho):
         assert 1.0 < minimax_solver._trust_radius(1.0, rho, 0.95, self.CAP) <= 2.0
         assert minimax_solver._trust_radius(1.0, rho, 1.0, 1.5) == 1.5
         # inside the bound the radius stays
@@ -966,8 +964,7 @@ class TestSLPAssembly:
 
         runs = [self.slp_start(spec, build_mesh(16))
                 for spec in (scalar_power(0.5, 2.0), builtin_problem("cooperative_product", {"m": 2}))]
-        for name in ("stiffness", "mass_f", "mass_g"):
-            monkeypatch.setattr(model.JacobianParts, name, property(dense_view))
+        monkeypatch.setattr(model.JacobianParts, "stiffness", property(dense_view))
         for run in runs:
             assert run().status == "converged"
 
@@ -1040,32 +1037,25 @@ class TestSolverStressModes:
         assert not cert.valid
 
 
-class TestRecoverAdjoint:
-    def test_single_active_index(self):
-        mesh = build_mesh(8)
-        spec = scalar_power(0.5, 2.0)
-        u = FEField.constant(mesh, 1, 1.0)
-        mu = np.zeros(mesh.n_interior)
-        mu[3] = 1.0
-        v = recover_adjoint(spec, mesh, u, mu)
-        assert np.flatnonzero(v.values.ravel()).tolist() == [3]
+class TestCertificateAdjoint:
+    """v* is kappa_i = mu_i / <g(u*), eta_i> scaled to a(v*, v*) = 1."""
 
     def test_normalization(self, scalar_cert):
-        spec = scalar_power(0.5, 2.0)
-        mesh = build_mesh(24)
-        v = recover_adjoint(spec, mesh, scalar_cert.u_star, scalar_cert.mu)
-        blocks = model.stiffness_blocks(spec, mesh)
-        energy = float(v.values[0] @ blocks[0].matvec(v.values[0]))
-        assert abs(energy - 1.0) < 1e-12
-        # both fields are a-normalized, so the a-inner product of the rays is 1
-        cos = float(v.values[0] @ blocks[0].matvec(scalar_cert.v_star.values[0]))
-        assert abs(cos - 1.0) < 1e-8
+        blocks = model.stiffness_blocks(scalar_power(0.5, 2.0), build_mesh(24))
+        v = scalar_cert.v_star.values[0]
+        assert abs(float(v @ blocks[0].matvec(v)) - 1.0) < 1e-12
 
-    def test_rejects_zero_multipliers(self):
-        mesh = build_mesh(8)
-        with pytest.raises(ValueError):
-            recover_adjoint(scalar_power(0.5, 2.0), mesh,
-                            FEField.constant(mesh, 1, 1.0), np.zeros(mesh.n_interior))
+    def test_parallel_to_kappa(self, scalar_cert):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(24)
+        mu = scalar_cert.mu
+        assert np.all(mu >= 0.0) and abs(mu.sum() - 1.0) < 1e-12
+        _, g_load = model.eval_residual_terms(spec, mesh, scalar_cert.u_star)
+        kappa = mu / g_load.ravel()
+        np.testing.assert_allclose(scalar_cert.kappa, kappa, rtol=1e-12)
+        v = scalar_cert.v_star.values.ravel()
+        scale = float(v @ kappa) / float(kappa @ kappa)
+        assert scale > 0.0
+        np.testing.assert_allclose(v, scale * kappa, rtol=1e-12, atol=0.0)
 
 
 def hand_built_linear_certificate(mesh):
@@ -1076,12 +1066,13 @@ def hand_built_linear_certificate(mesh):
     _, g_load = model.eval_residual_terms(spec, mesh, u)
     mu = vec * g_load.ravel()
     mu = mu / mu.sum()
-    v = recover_adjoint(spec, mesh, u, mu)
-    a = mesh_fem.assemble_stiffness(mesh, 1.0, 0.0).to_dense()
-    jac = a - lam1 * mass_matrix(mesh)
+    kappa = mu / g_load.ravel()
+    a = mesh_fem.assemble_stiffness(mesh, 1.0, 0.0)
+    v = FEField(mesh, kappa[None, :] / np.sqrt(float(kappa @ a.matvec(kappa))))
+    jac = a.to_dense() - lam1 * mass_matrix(mesh)
     svals = np.linalg.svd(jac, compute_uv=False)
     return spec, MinimaxCertificate(
-        lambda_star=lam1, u_star=u, v_star=v, mu=mu, kappa=mu / g_load.ravel(),
+        lambda_star=lam1, u_star=u, v_star=v, mu=mu, kappa=kappa,
         active_set=np.arange(mesh.n_interior),
         primal_residual=0.0, adjoint_residual=0.0, stationarity_residual=0.0,
         complementarity_residual=0.0, sigma_min=float(svals[-1]),
@@ -1158,7 +1149,7 @@ class TestNewton:
         mesh = build_mesh(24)
         spec = scalar_power(0.5, 2.0)
         result = newton_multistart(spec, mesh, 0.5 * scalar_cert.lambda_star, n_starts=12)
-        res = rayleigh.residual(spec, mesh, result.u, 0.5 * scalar_cert.lambda_star)
+        res = rayleigh.galerkin_terms(spec, mesh, result.u).residual(0.5 * scalar_cert.lambda_star)
         assert np.abs(res).max() <= 1e-10
 
     def test_fails_above_fold(self, scalar_cert):
@@ -1323,8 +1314,7 @@ class TestBandedOracles:
             for module, attr in ((np.linalg, "solve"), (np.linalg, "eigvalsh"),
                                  (model, "eval_jacobian"), (model, "band_to_dense")):
                 patch.setattr(module, attr, dense)
-            for view in ("stiffness", "mass_f", "mass_g"):
-                patch.setattr(model.JacobianParts, view, property(dense))
+            patch.setattr(model.JacobianParts, "stiffness", property(dense))
             sweep = continuation_sweep(spec, mesh, lambda_max_guess=guess)
             newton = newton_multistart(spec, mesh, 0.5 * guess)
         assert sweep.status == "fold_found" and sweep.fold_found
@@ -1336,7 +1326,7 @@ class TestBandedOracles:
         spec, mesh, blocks, u, lam, _, _ = oracle_point(name)
         u0 = FEField(mesh, 1.05 * u.values)  # a full step stays inside the cone
         dense = np.linalg.solve(model.eval_jacobian(spec, mesh, u0, lam),
-                                -rayleigh.residual(spec, mesh, u0, lam).ravel())
+                                -rayleigh.galerkin_terms(spec, mesh, u0).residual(lam))
         fields = []  # the start, then its full-step trial
         real_terms = rayleigh.galerkin_terms
 

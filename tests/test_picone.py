@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from minimax_fold import model
 from minimax_fold.mesh_fem import assemble_stiffness, build_mesh
 from minimax_fold.minimax_solver import SolverOptions, maximize
-from minimax_fold.model import FEField, linear_diagnostic, scalar_power
-from minimax_fold.picone import (
-    componentwise_picone,
-    discrete_picone_gap,
-    ps_energy_diagnostic,
-)
+from minimax_fold.model import linear_diagnostic, scalar_power
+from minimax_fold.picone import discrete_picone_gap, ps_energy_diagnostic
 
 
 def random_stiffness(rng, n_max=50):
@@ -76,35 +72,6 @@ class TestDiscretePiconeGap:
         assert abs(g2 - t**2 * g1) <= 1e-12 * max(abs(g2), abs(t**2 * g1), 1.0)
 
 
-class TestComponentwise:
-    def test_identical_blocks_at_equality(self):
-        mesh = build_mesh(8)
-        a = assemble_stiffness(mesh, 1.0, 0.0)
-        u = FEField.constant(mesh, 2, 1.0)
-        result = componentwise_picone((a, a), u, u)
-        assert result.total == pytest.approx(0.0, abs=1e-12)
-
-    def test_additivity_one_strict_component(self):
-        mesh = build_mesh(4)
-        a = assemble_stiffness(mesh, 1.0, 0.0)
-        v = np.ones(mesh.n_interior)
-        u_eq = v.copy()
-        u_strict = np.array([1.0, 0.2, 1.0])
-        total = componentwise_picone(
-            (a, a), FEField(mesh, np.stack([u_eq, u_strict])),
-            FEField(mesh, np.stack([v, v]))).total
-        single = discrete_picone_gap(a, u_strict, v).gap
-        assert total == pytest.approx(single, rel=1e-12)
-
-    def test_error_tagged_by_component(self):
-        mesh = build_mesh(4)
-        a = assemble_stiffness(mesh, 1.0, 0.0)
-        u = FEField.constant(mesh, 2, 1.0)
-        v = FEField(mesh, np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
-        with pytest.raises(ValueError, match="component 1"):
-            componentwise_picone((a, a), u, v)
-
-
 @pytest.fixture(scope="module")
 def cert():
     return maximize(scalar_power(0.5, 2.0), build_mesh(24),
@@ -125,8 +92,7 @@ class TestPSEnergyDiagnostic:
         def dense(self):
             raise AssertionError("dense Jacobian view in the energy diagnostic")
 
-        for view in ("stiffness", "mass_f", "mass_g"):
-            monkeypatch.setattr(model.JacobianParts, view, property(dense))
+        monkeypatch.setattr(model.JacobianParts, "stiffness", property(dense))
         report = ps_energy_diagnostic(spec, mesh, cert)
         monkeypatch.undo()
         # dense reference: v^T M_f v - chi <f(u), v^2 / u> at the unit-energy v
@@ -134,8 +100,9 @@ class TestPSEnergyDiagnostic:
         v = cert.v_star.values / np.sqrt(float(
             cert.v_star.values[0] @ model.stiffness_blocks(spec, mesh)[0].matvec(
                 cert.v_star.values[0])))
-        fu_vv = float(v.ravel() @ model.jacobian_parts(spec, mesh, cert.u_star).mass_f
-                      @ v.ravel())
+        mass_f = model.band_to_dense(model.jacobian_parts(spec, mesh, cert.u_star).mass_f_band,
+                                     1, mesh.n_interior)
+        fu_vv = float(v.ravel() @ mass_f @ v.ravel())
         f_load, _ = model.eval_residual_terms(spec, mesh, cert.u_star)
         expected = fu_vv - report.chi * float((v**2 / u * f_load).sum())
         assert abs(report.nondeg_rhs - expected) <= 1e-12 * abs(expected)
@@ -144,8 +111,9 @@ class TestPSEnergyDiagnostic:
         spec = scalar_power(0.5, 2.0)
         mesh = build_mesh(24)
         blocks = model.stiffness_blocks(spec, mesh)
-        result = componentwise_picone(blocks, cert.u_star, cert.v_star)
-        assert result.total >= -1e-12
+        total = sum(discrete_picone_gap(blk, u, v).gap
+                    for blk, u, v in zip(blocks, cert.u_star.values, cert.v_star.values))
+        assert total >= -1e-12
 
     def test_linear_diagnostic_not_applicable(self):
         mesh = build_mesh(8)

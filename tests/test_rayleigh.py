@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from minimax_fold import mesh_fem, model, rayleigh
 from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.model import FEField, cooperative_product, linear_diagnostic, scalar_power
-from minimax_fold.rayleigh import (
-    DenominatorError,
-    grad_u_inner_quotient,
-    inner_min,
-    rayleigh_quotient,
-    residual,
-)
+from minimax_fold.rayleigh import DenominatorError, inner_min, rayleigh_quotient
 
 
 def mass_matrix(mesh):
@@ -50,12 +44,18 @@ def as_csc_array(matrix):
     return scipy.sparse.csc_array((data, indices, indptr), shape=shape)
 
 
+def dense_parts(parts):
+    """The dense stiffness, reaction mass and parameter mass of ``parts``."""
+    return tuple(model.band_to_dense(band, parts.m, parts.n) for band in
+                 (parts.stiffness_band, parts.mass_f_band, parts.mass_g_band))
+
+
 def dense_gradients(terms, parts):
     """Direction gradients by the dense quotient rule, row i = grad R_i."""
     quotients = terms.quotients()
     denom = terms.g_load.ravel()
-    jac_a = parts.stiffness - parts.mass_f
-    return (jac_a - quotients[:, None] * parts.mass_g) / denom[:, None]
+    stiffness, mass_f, mass_g = dense_parts(parts)
+    return (stiffness - mass_f - quotients[:, None] * mass_g) / denom[:, None]
 
 
 def principal_eigenpair(mesh):
@@ -184,7 +184,7 @@ class TestResidual:
         mesh = build_mesh(8)
         spec = pure_product_spec()
         u = FEField(mesh, np.zeros((2, mesh.n_interior)))
-        np.testing.assert_allclose(residual(spec, mesh, u, 3.0), 0.0)
+        np.testing.assert_allclose(rayleigh.galerkin_terms(spec, mesh, u).residual(3.0), 0.0)
 
     def test_linear_diagnostic_matrix_form(self):
         mesh = build_mesh(8)
@@ -194,8 +194,8 @@ class TestResidual:
         lam = 3.7
         a = mesh_fem.assemble_stiffness(mesh, 1.0, 0.0)
         expected = a.matvec(u.values[0]) - lam * (mass_matrix(mesh) @ u.values[0])
-        np.testing.assert_allclose(residual(spec, mesh, u, lam)[0], expected,
-                                   rtol=1e-12, atol=1e-14)
+        got = rayleigh.galerkin_terms(spec, mesh, u).residual(lam)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
@@ -209,7 +209,7 @@ class TestResidual:
         result = inner_min(spec, mesh, u)
         _, g_load = model.eval_residual_terms(spec, mesh, u)
         expected = (result.quotients - lam) * g_load.ravel()
-        got = residual(spec, mesh, u, lam).ravel()
+        got = rayleigh.galerkin_terms(spec, mesh, u).residual(lam)
         scale = max(np.abs(got).max(), 1.0)
         assert np.abs(got - expected).max() <= 1e-12 * scale
 
@@ -223,7 +223,7 @@ class TestGradients:
         for trial in range(20):
             u = FEField(mesh, rng.uniform(0.4, 1.6, size=(1, n)))
             i = int(rng.integers(0, n))
-            grad = grad_u_inner_quotient(spec, mesh, u, i).ravel()
+            grad = model.band_to_dense(rayleigh.quotient_gradients(spec, mesh, u), 1, n)[i]
             eps = 1e-5
             fd = np.zeros(n)
             eta = FEField(mesh, np.eye(n)[i][None, :])
@@ -236,13 +236,6 @@ class TestGradients:
                          - rayleigh_quotient(spec, mesh, FEField(mesh, dn), eta)) / (2 * eps)
             rel = np.abs(fd - grad).max() / max(np.abs(grad).max(), 1e-300)
             assert rel <= 1e-5
-
-    def test_index_bounds(self):
-        mesh = build_mesh(4)
-        spec = scalar_power(0.5, 2.0)
-        u = FEField.constant(mesh, 1, 1.0)
-        with pytest.raises(IndexError):
-            grad_u_inner_quotient(spec, mesh, u, 99)
 
     def test_pure_power_scaling_of_quotient_pieces(self):
         # under u -> t u the three pieces scale as t, t^gamma and t^q
@@ -281,8 +274,8 @@ class TestGradientStencil:
                 mass_f[sl, l * n:(l + 1) * n] = mesh_fem.tridiag_to_dense(
                     *mesh_fem.weighted_mass(mesh, fj[k, l]))
         assert np.array_equal(parts.stiffness, stiff)
-        assert np.array_equal(parts.mass_f, mass_f)
-        assert np.array_equal(parts.mass_g, mass_g)
+        for got, expected in zip(dense_parts(parts), (stiff, mass_f, mass_g)):
+            assert np.array_equal(got, expected)
 
     def test_stencil_equals_dense_quotient_rule(self, name, n_interior):
         spec, mesh, u, terms, parts = stencil_case(name, n_interior)
@@ -343,7 +336,8 @@ class TestGradientStencil:
     def test_sparse_matrices_match_dense(self, name, n_interior):
         spec, mesh, u, terms, parts = stencil_case(name, n_interior)
         m, n = spec.m, n_interior
-        dense = parts.stiffness - parts.mass_f - 1.7 * parts.mass_g
+        stiffness, mass_f, mass_g = dense_parts(parts)
+        dense = stiffness - mass_f - 1.7 * mass_g
         band = parts.jacobian_band(1.7)
         assert np.array_equal(model.band_to_dense(band, m, n), dense)
         assert np.array_equal(model.eval_jacobian(spec, mesh, u, 1.7), dense)
