@@ -53,6 +53,21 @@ def test_tridiagonal_solve_matches_solve_banded(n):
                                       (1, 1), tridiagonal_ab(lower, diag, upper), b))
 
 
+@pytest.mark.parametrize("n", N_INTERIOR)
+def test_tridiagonal_eigenvalue_matches_eigh_tridiagonal(n):
+    # the symmetric tridiagonal matrix as the upper band of width 1 (the
+    # diagonal alone when n = 1)
+    rng = np.random.default_rng(n)
+    diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+    band = np.stack([np.concatenate([[0.0], off]), diag])[-min(n, 2):]
+    for index in {0, n // 2, n - 1}:
+        # dsbevx bisects a width-1 band to the absolute tolerance 2 * dlamch("s")
+        ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                            select_range=(index, index),
+                                            tol=2 * np.finfo(float).tiny)[0]
+        assert _kernels.banded_eigenvalue(band, index) == ref
+
+
 @pytest.mark.parametrize("m, n", SIZES)
 def test_banded_eigenvalue_matches_eig_banded(m, n):
     big = m * n

@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from minimax_fold.mesh_fem import (
     nodal_interpolate,
     relative_interp_error,
 )
+from minimax_fold.minimax_solver import torsion_start
+from minimax_fold.model import ConeError, FEField, eval_residual_terms, scalar_power
 
 
 def sin_load_exact(mesh):
@@ -134,6 +138,15 @@ class TestQuadratureLoads:
         load = load_at_quadrature(mesh, lambda x: np.sin(np.pi * x))
         np.testing.assert_allclose(load, sin_load_exact(mesh), atol=1e-6)
 
+    def test_rejects_nonfinite_sample(self):
+        # the reaction loads are assembled only from finite samples
+        mesh = build_mesh(4)
+        base = scalar_power(0.5, 2.0)
+        spec = dataclasses.replace(
+            base, f=lambda x, t: np.where(x < 0.5, np.nan, base.f(x, t)))
+        with pytest.raises(ValueError, match="reaction sample is not finite"):
+            eval_residual_terms(spec, mesh, FEField.constant(mesh, 1, 1.0))
+
 
 class TestMMatrix:
     """The sign pattern and A omega = 1-bar > 0 of the discrete maximum principle."""
@@ -145,6 +158,20 @@ class TestMMatrix:
         omega = assemble_stiffness(mesh, 1.0, 0.0).solve(np.ones(mesh.n_interior))
         x = mesh.interior_nodes
         np.testing.assert_allclose(omega, x * (1 - x) / (2 * 0.25), rtol=1e-12)
+
+    def test_identity_matrix(self):
+        mesh = build_mesh(6)
+        ident = OperatorMatrix(diag=np.ones(5), off=np.zeros(4))
+        omega = torsion_start(scalar_power(0.5, 2.0), mesh, (ident,))
+        assert np.array_equal(omega.values, np.ones((1, 5)))
+
+    def test_positive_offdiagonal_fails(self):
+        # A omega = 1-bar has omega = (-1/2, 3/4, -1/2): the torsion start
+        # leaves the open cone
+        bad = OperatorMatrix(diag=np.array([1.0, 4.0, 1.0]), off=np.full(2, 2.0))
+        np.testing.assert_allclose(bad.solve(np.ones(3)), [-0.5, 0.75, -0.5], rtol=1e-14)
+        with pytest.raises(ConeError, match="M-structured"):
+            torsion_start(scalar_power(0.5, 2.0), build_mesh(4), (bad,))
 
     def test_singular_matrix_raises(self):
         singular = OperatorMatrix(diag=np.zeros(1), off=np.zeros(0))
