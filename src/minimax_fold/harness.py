@@ -100,6 +100,10 @@ class RunConfig:
                                   f"not {self.problem_name!r}")
             if not self.perturb_kappas:
                 raise ConfigError("the perturb study needs at least one kappa")
+            dropped = sorted(set(self.problem_params) - {"q", "gamma"})
+            if dropped:
+                raise ConfigError("the perturb study takes the parameters q and gamma only, "
+                                  f"not {', '.join(dropped)}")
         # the catalog's own checks decide which parameters are admissible
         try:
             spec = builtin_problem(self.problem_name, self.problem_params)
@@ -412,7 +416,12 @@ def load_certificate(path):
     data = json.loads(Path(path).read_text())
     if data.get("schema") != "mf-cert/1":
         raise ConfigError(f"unsupported certificate schema {data.get('schema')!r}")
-    spec = builtin_problem(data["problem"]["name"], data["problem"]["params"])
+    params = data["problem"]["params"]
+    functions = sorted(key for key, value in params.items() if value == "callable")
+    if functions:
+        raise ConfigError("the certificate's problem has function coefficients "
+                          f"({', '.join(functions)}), which a file cannot restore")
+    spec = builtin_problem(data["problem"]["name"], params)
     if "nodes" in data["mesh"]:
         mesh = mesh_from_nodes(np.asarray(data["mesh"]["nodes"], dtype=float))
     else:
@@ -517,11 +526,9 @@ def run(config: RunConfig) -> int:
 
         elif config.study == "perturb":
             mesh = config.mesh(config.mesh_sizes[-1])
-            params = config.problem_params
-            q = float(params.get("q", 0.5))
-            gamma = float(params.get("gamma", 2.0))
-            reports = two_sided_example(q, gamma, config.perturb_gamma1,
-                                        config.perturb_kappas, mesh, options=config.solver)
+            reports = two_sided_example(float(spec.q), float(spec.params["gamma"]),
+                                        config.perturb_gamma1, config.perturb_kappas, mesh,
+                                        options=config.solver)
             write_csv(out / "table.csv",
                       ["kappa", "lambda_base", "lambda_pert", "shift",
                        "lower_shift", "upper_shift", "analytic_cap", "bounds_hold", "start"],

@@ -30,7 +30,9 @@ For nonlinear problems ``maximize`` works in two phases:
    bordered system [J b; c^T 0][v; s] = [0; 1] and its transpose (Govaerts,
    Numerical Methods for Bifurcations of Dynamical Equilibria, SIAM 2000,
    ch. 3).  Each iterate takes one sparse LU of that (m*n + 1)-square
-   matrix, with linear fill, which also gives the Newton step.  The polish
+   matrix, with linear fill, which also gives the Newton step.  The starts
+   are polished in lockstep too: each round assembles their fields as one
+   stack, and each start factors its own bordered matrix.  The polish
    drives the residuals to the rounding error of their own evaluation, eps
    times the magnitudes of the terms they sum (pure SLP stalls near the fold
    at quotient spreads of order (distance)^2 and cannot reach the
@@ -585,31 +587,18 @@ def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarra
     and there v and w span its right and left null spaces.  A singular
     bordered matrix raises ``RuntimeError``.  The threshold pivoting of
     ``_kernels.splu`` (``DiagPivotThresh=0.1``) keeps the COLAMD order, so
-    for one system L+U stay within a small multiple of the band; partial
-    pivoting pulls the dense border up and fills quadratically in m*n.
-
-    A stack of S bands (S, m*n, 3m) with borders (S, m*n) takes one LU of
-    the block-diagonal matrix of the S bordered matrices
-    (``model.band_csc``); block i of it is system i, and ``v``, ``w`` and
-    ``s`` hold one row (entry) per system.  No arithmetic crosses blocks, so
-    each system's vectors equal those of its own LU.  The fill of a stack is
-    not linear: on the 15 interior nodes of the coarse multistart meshes 8
-    systems fill exactly like 8 separate LUs, but from about 60 nodes per
-    component the stack fills far more (8 ``cooperative_product`` m=3
-    systems: 227,005 L+U entries against 18,304 at n=63).
+    L+U stay within a small multiple of the band; partial pivoting pulls
+    the dense border up and fills quadratically in m*n.
     """
     lu = splu(model.band_csc(jac, m, n, b, c))
-    size = m * n + 1
-    unit = np.zeros(lu.shape[0])
-    unit[size - 1::size] = 1.0
-    x = lu.solve(unit).reshape(jac.shape[:-2] + (size,))
-    w = lu.solve(unit, trans="T").reshape(x.shape)[..., :-1]
-    return lu, x[..., :-1], w, x[..., -1]
+    unit = np.zeros(m * n + 1)
+    unit[-1] = 1.0
+    x = lu.solve(unit)
+    return lu, x[:-1], lu.solve(unit, trans="T")[:-1], float(x[-1])
 
 
-def _newton_step(x: np.ndarray, v: np.ndarray, s: float, s_u: np.ndarray,
-                 s_lam: float) -> np.ndarray:
-    """Newton step [du; dlam] on [F; s] from the bordered LU taken at the iterate.
+def _newton_step(p: _PolishPoint, s_u: np.ndarray, s_lam: float) -> np.ndarray:
+    """Newton step [du; dlam] on [F; s] from the bordered LU taken at the point.
 
     Solves [J, -g; s_u^T, s_lam][du; dlam] = -[F; s] by block elimination
     (Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
@@ -619,7 +608,12 @@ def _newton_step(x: np.ndarray, v: np.ndarray, s: float, s_u: np.ndarray,
     t_1 + dlam t_2 + beta s = 0, and the last row gives the second equation
     for (dlam, beta).
     """
+    rhs = np.zeros((p.flat.size + 1, 2))
+    rhs[:-1, 0] = -p.primal
+    rhs[:-1, 1] = p.terms.g_load.ravel()
+    x = p.lu.solve(rhs)
     x1, t1, x2, t2 = x[:-1, 0], x[-1, 0], x[:-1, 1], x[-1, 1]
+    v, s = p.v, p.s
     # [t2, s; s_u.x2 + s_lam, s_u.v] [dlam; beta] = [-t1; -s - s_u.x1]
     a21, a22, r2 = s_u @ x2 + s_lam, s_u @ v, -s - s_u @ x1
     det = t2 * a22 - s * a21
@@ -632,11 +626,10 @@ def _newton_step(x: np.ndarray, v: np.ndarray, s: float, s_u: np.ndarray,
 @dataclass
 class _PolishPoint:
     """One iterate of the fold polish: its terms and Jacobian parts, the
-    bordered factors there, and its residuals.  ``lu`` factors a stack of
-    bordered systems, of which this iterate's is block ``block``.
-    ``residuals`` are the scaled (primal, adjoint) residuals and ``roundoff``
-    the eps multiples of the componentwise magnitudes they are computed from,
-    on the (primal, Jacobian) ``scales``."""
+    bordered factors there, and its residuals.  ``residuals`` are the scaled
+    (primal, adjoint) residuals and ``roundoff`` the eps multiples of the
+    componentwise magnitudes they are computed from, on the (primal,
+    Jacobian) ``scales``."""
 
     flat: np.ndarray
     lam: float
@@ -644,7 +637,6 @@ class _PolishPoint:
     parts: model.JacobianParts
     primal: np.ndarray  # Galerkin residual F(u, lam), flat
     lu: object
-    block: int
     v: np.ndarray
     w: np.ndarray
     s: float
@@ -671,11 +663,8 @@ def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None,
     """The ``_PolishPoint`` of each field and value, bordered by its ``(b, c)``
     and measured on its ``scales`` (by default its own), from one stacked
     assembly (``assembly``, the ``_assemble_fold`` of ``flats``, if given)
-    and one block-diagonal LU; None for a point whose bordered matrix is
+    and one bordered LU per point; None for a point whose bordered matrix is
     singular.
-
-    Should the stacked LU fail, each system is factored alone (as a stack of
-    one) to find the singular ones; the others keep their own factors.
     """
     m, n = spec.m, mesh.n_interior
     count = len(flats)
@@ -683,19 +672,15 @@ def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None,
     lam = np.array(lams)
     terms, parts = _assemble_fold(spec, mesh, blocks, flats) if assembly is None else assembly
     jac = parts.jacobian_band(lam[:, None, None])
-    b, c = (np.stack(border) for border in zip(*borders))
-    try:
-        lu, v, w, s = _bordered_solve(jac, m, n, b, c)
-        factors = [(lu, i) for i in range(count)]
-    except RuntimeError:
-        factors, v, w, s = [], np.zeros_like(b), np.zeros_like(b), np.zeros(count)
-        for i in range(count):
-            try:
-                lu, v[i:i + 1], w[i:i + 1], s[i:i + 1] = _bordered_solve(
-                    jac[i:i + 1], m, n, b[i:i + 1], c[i:i + 1])
-                factors.append((lu, 0))
-            except RuntimeError:
-                factors.append(None)
+    factors = []
+    for jac_i, (b, c) in zip(jac, borders):
+        try:
+            factors.append(_bordered_solve(jac_i, m, n, b, c))
+        except RuntimeError:
+            factors.append(None)
+    # the w of each (lu, v, w, s); a singular point gets no _PolishPoint, and
+    # its zero row only fills the stack
+    w = np.stack([np.zeros(m * n) if f is None else f[2] for f in factors])
 
     if scales is None:
         # the Jacobian scale is the magnitude of the matrices J is assembled
@@ -717,31 +702,8 @@ def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None,
     roundoff = zip(_EPS * primal_mag.max(axis=1) / scale1,
                    _EPS * adjoint_mag.max(axis=1) / w_scale)
     return [None if f is None else _PolishPoint(flats[i], lams[i], terms[i], parts[i], primal[i],
-                                                *f, v[i], w[i], float(s[i]), scales[i], r, e)
+                                                *f, scales[i], r, e)
             for i, (f, r, e) in enumerate(zip(factors, residuals, roundoff))]
-
-
-def _newton_steps(points: list, s_u: np.ndarray, s_lam: list) -> list:
-    """``_newton_step`` at each point, with one solve per shared factorization."""
-    size = points[0].flat.size + 1
-    steps = [None] * len(points)
-    shared = {}
-    for i, p in enumerate(points):
-        shared.setdefault(id(p.lu), []).append(i)
-    for group in shared.values():
-        lu = points[group[0]].lu
-        rhs = np.zeros((lu.shape[0], 2))
-        for i in group:
-            p = points[i]
-            rows = rhs[p.block * size:(p.block + 1) * size]
-            rows[:-1, 0] = -p.primal
-            rows[:-1, 1] = p.terms.g_load.ravel()
-        x = lu.solve(rhs)
-        for i in group:
-            p = points[i]
-            steps[i] = _newton_step(x[p.block * size:(p.block + 1) * size], p.v, p.s, s_u[i],
-                                    s_lam[i])
-    return steps
 
 
 @dataclass
@@ -781,8 +743,8 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks,
 
     The starts are polished together, one Newton round at a time: the
     curvatures of a round are one stacked call, and the first iterates and
-    the trials at each damping level are each one stacked assembly with one
-    block-diagonal LU (``_polish_points``).  Every start keeps its own borders,
+    the trials at each damping level are each one stacked assembly
+    (``_polish_points``).  Every start keeps its own bordered LU, borders,
     scales, damping and stop test, and its arithmetic never mixes with
     another's, so each ends where, and as, it would alone; a singular system
     ends only its own start.
@@ -832,7 +794,7 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks,
         mass_g_v = model.band_matvec(np.stack([p.parts.mass_g_band for p in points]), v)
         s_lam = [float(w_i @ mv_i) for w_i, mv_i in zip(w, mass_g_v)]
         pending = []
-        for run, step in zip(live, _newton_steps(points, s_u, s_lam)):
+        for run, step in zip(live, map(_newton_step, points, s_u, s_lam)):
             if np.all(np.isfinite(step)):
                 pending.append((run, step))
             else:

@@ -305,35 +305,24 @@ def band_matvec(band: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.
 
 
 @functools.lru_cache(maxsize=64)
-def _csc_layout(m: int, n: int, bordered: bool, count: int = 1):
-    """Compressed-column structure of the block-diagonal matrix of ``count``
-    (m*n, 3m) bands, each optionally bordered.
+def _csc_layout(m: int, n: int, bordered: bool):
+    """Compressed-column structure of an (m*n, 3m) band, optionally bordered.
 
-    ``band_csc`` lays its values out as the raveled bands, then (if
-    bordered) the border columns, the border rows and the corners; ``gather``
-    picks the matrix entries from there in column-major order.  Block i's
-    row indices and column pointers are block 0's offset by i times the block
-    size and its number of entries.  Returns read-only (gather, row indices,
-    column pointers) and the block size.
+    ``band_csc`` lays its values out as the raveled band, then (if
+    bordered) the border column, the border row and the corner; ``gather``
+    picks the matrix entries from there in column-major order.  Returns
+    read-only (gather, row indices, column pointers) and the matrix size.
     """
-    index, rows, cols = band_pattern(m, n)
+    positions, rows, cols = band_pattern(m, n)
     big = m * n
-    block = np.arange(count)[:, None]
-    positions = index + 3 * m * big * block
     if bordered:
         rows = np.concatenate([rows, np.arange(big), np.full(big + 1, big)])
         cols = np.concatenate([cols, np.full(big, big), np.arange(big + 1)])
-        tail = 3 * m * big * count
-        positions = np.concatenate([positions, tail + big * block + np.arange(big),
-                                    tail + big * (count + block) + np.arange(big),
-                                    tail + 2 * big * count + block], axis=1)
+        positions = np.concatenate([positions, 3 * m * big + np.arange(2 * big + 1)])
     size = big + int(bordered)
     order = np.lexsort((rows, cols))
-    indptr = np.searchsorted(cols[order], np.arange(size + 1))
-    layout = (positions[:, order].ravel(),
-              (rows[order] + size * block).ravel().astype(np.int32),
-              np.append((indptr[:-1] + indptr[-1] * block).ravel(),
-                        count * indptr[-1]).astype(np.int32))
+    layout = (positions[order], rows[order].astype(np.int32),
+              np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32))
     for a in layout:
         a.flags.writeable = False
     return layout + (size,)
@@ -360,17 +349,15 @@ def band_csc(band: np.ndarray, m: int, n: int, col: np.ndarray | None = None,
     """Compressed sparse columns of an (m*n, 3m) band (layout of ``band_pattern``).
 
     With ``col`` and ``row`` it is the bordered (m*n + 1)-square matrix
-    [B col; row^T corner].  A stack of S bands (S, m*n, 3m), with borders
-    (S, m*n), gives the block-diagonal matrix of the S matrices, in stack
-    order.  The structure is built once per (m, n) and stack size; each call
-    only gathers the values.
+    [B col; row^T corner].  The structure is built once per (m, n); each call
+    only gathers the values.  A band of another size, such as a stack of
+    bands, raises ``ValueError``.
     """
-    count = math.prod(band.shape[:-2])
-    gather, indices, indptr, size = _csc_layout(m, n, col is not None, count)
-    values = band.ravel()
+    gather, indices, indptr, size = _csc_layout(m, n, col is not None)
+    values = band.reshape(3 * m * m * n)
     if col is not None:
-        values = np.concatenate([values, np.ravel(col), np.ravel(row), np.full(count, corner)])
-    return CSCMatrix(values[gather], indices, indptr, (count * size, count * size))
+        values = np.concatenate([values, np.ravel(col), np.ravel(row), [corner]])
+    return CSCMatrix(values[gather], indices, indptr, (size, size))
 
 
 def _block_diagonal_band(rows: np.ndarray) -> np.ndarray:
@@ -663,6 +650,22 @@ def _as_tuple(value, m):
     return out
 
 
+def _non_default(**arguments) -> dict:
+    """The arguments, given as ``name=(value, default)``, whose value differs
+    from the default, as ``ProblemSpec.params`` records them: a function, or
+    a sequence holding one, as ``"callable"`` and a sequence as a list."""
+    out = {}
+    for name, (value, default) in arguments.items():
+        sequence = value is not None and not np.isscalar(value) and not callable(value)
+        if callable(value) or (sequence and any(map(callable, value))):
+            out[name] = "callable"
+        elif sequence:
+            out[name] = [float(v) for v in value]
+        elif value != default:
+            out[name] = value
+    return out
+
+
 def scalar_power(q: float = 0.5, gamma: float = 2.0, theta: float | None = None,
                  a: Coefficient = 1.0) -> ProblemSpec:
     """-(u')' - u^gamma = lambda a(x) u^q on (0, 1)."""
@@ -685,7 +688,8 @@ def scalar_power(q: float = 0.5, gamma: float = 2.0, theta: float | None = None,
         q=q, f=f, f_jac=f_jac, f_hess=f_hess,
         gamma0=gamma, gamma=gamma,
         theta=(1.0 + gamma) / 2.0 if theta is None else theta,
-        name="scalar_power", params={"q": q, "gamma": gamma},
+        name="scalar_power",
+        params={"q": q, "gamma": gamma, **_non_default(a=(a, 1.0), theta=(theta, None))},
     )
 
 
@@ -723,7 +727,8 @@ def perturbed_scalar(q: float = 0.5, gamma: float = 2.0, gamma1: float = 3.0,
         theta=(1.0 + g0) / 2.0 if theta is None else theta,
         name="perturbed_scalar",
         params={"q": q, "gamma": gamma, "gamma1": gamma1,
-                "kappa": kappa if np.isscalar(kappa) else "callable"},
+                "kappa": kappa if np.isscalar(kappa) else "callable",
+                **_non_default(theta=(theta, None))},
     )
 
 
@@ -827,7 +832,8 @@ def cooperative_product(m: int = 2, q: float = 0.5, beta=2.0, alpha=0.5,
         gamma0=gamma0, gamma=gamma,
         theta=(1.0 + gamma0) / 2.0 if theta is None else theta,
         name="cooperative_product",
-        params={"m": m, "q": q, "beta": beta_t.tolist(), "alpha": alpha_t.tolist()},
+        params={"m": m, "q": q, "beta": beta_t.tolist(), "alpha": alpha_t.tolist(),
+                **_non_default(a=(a, 1.0), b=(b, 1.0), theta=(theta, None))},
     )
 
 
@@ -853,7 +859,7 @@ def linear_diagnostic(m: int = 1, a: Coefficient = 1.0) -> ProblemSpec:
         a_coeff=_as_tuple(a, m), a_bounds=_bounds_of(a),
         q=1.0, f=f, f_jac=f_jac, f_hess=f_hess,
         gamma0=2.0, gamma=2.0, theta=1.5, diagnostic=True,
-        name="linear_diagnostic", params={"m": m},
+        name="linear_diagnostic", params={"m": m, **_non_default(a=(a, 1.0))},
     )
 
 

@@ -161,6 +161,40 @@ class TestRunSolve:
         assert text.startswith("<svg") and "polyline" in text
 
 
+class TestCertificateRoundTrip:
+    """A certificate reloads as the problem it certifies."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("scalar_power", {"q": 0.5, "gamma": 2.0, "a": 2.0}),
+        ("scalar_power", {"q": 0.5, "gamma": 2.0, "theta": 1.25}),
+        ("cooperative_product", {"m": 2, "a": 2.0}),
+        ("cooperative_product", {"m": 2, "b": [1.0, 1.5]}),
+        ("cooperative_product", {"m": 2, "theta": 1.25}),
+        ("linear_diagnostic", {"m": 1, "a": 2.0}),
+        ("perturbed_scalar", {"theta": 1.25}),
+    ], ids=["scalar_power-a", "scalar_power-theta", "cooperative_product-a",
+            "cooperative_product-b", "cooperative_product-theta", "linear_diagnostic-a",
+            "perturbed_scalar-theta"])
+    def test_reloads_as_the_same_problem(self, tmp_path, name, params):
+        config = fast_config(problem_name=name, problem_params=params, mesh_sizes=(8,),
+                             out_dir=str(tmp_path))
+        assert harness.run(config) == 0
+        spec, mesh, cert = load_certificate(tmp_path / "certificate.json")
+        original = config.spec()
+        assert (spec.params, spec.theta, spec.a_bounds) \
+            == (original.params, original.theta, original.a_bounds)
+        assert verify_certificate(spec, mesh, cert).valid
+
+    def test_function_coefficient_is_refused_on_reload(self, tmp_path):
+        cert = minimax_solver.maximize(scalar_power(a=lambda x: 1.0 + x), build_mesh(8),
+                                       SolverOptions(n_starts=2))
+        path = tmp_path / "certificate.json"
+        harness.write_certificate(path, cert)
+        assert json.loads(path.read_text())["problem"]["params"]["a"] == "callable"
+        with pytest.raises(ConfigError, match=r"\(a\)"):
+            load_certificate(path)
+
+
 class TestRefinementStudy:
     def test_linear_diagnostic_rates(self):
         config = RunConfig(problem_name="linear_diagnostic", study="refine",
@@ -449,6 +483,18 @@ class TestCLI:
         out = tmp_path / "out"
         code = cli.main(["perturb", "--config", str(cfg), "--n", "8", "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    def test_perturb_with_other_parameters_exits_2(self, tmp_path, capsys):
+        # the base problem would otherwise be solved with a = 1
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": {"name": "scalar_power", "params": {"q": 0.5, "gamma": 2.0, "a": 2.0}},
+            "perturb_kappas": [0.01], "solver": FAST_SOLVER}))
+        out = tmp_path / "out"
+        code = cli.main(["perturb", "--config", str(cfg), "--n", "16", "--out", str(out)])
+        assert code == 2
+        assert "not a" in capsys.readouterr().err
         assert not out.exists()
 
     def test_perturb_of_other_problem_exits_2(self, tmp_path):

@@ -8,7 +8,6 @@ scipy's sparse expressions, so every comparison here is exact.
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from minimax_fold import _kernels, minimax_solver, model
@@ -90,28 +89,15 @@ def test_band_builders_match_the_sparse_expressions(m, n):
 @pytest.mark.parametrize("m, n", SIZES)
 def test_splu_matches_scipy_splu(m, n):
     rng = np.random.default_rng(m * n)
-    jac, borders = rng.standard_normal((3, m * n, 3 * m)), rng.standard_normal((2, 3, m * n))
-    for matrix in (model.band_csc(jac[0], m, n), model.band_csc(jac, m, n, *borders)):
+    jac, (col, row) = rng.standard_normal((m * n, 3 * m)), rng.standard_normal((2, m * n))
+    for matrix in (model.band_csc(jac, m, n), model.band_csc(jac, m, n, col, row)):
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
         ref = scipy.sparse.linalg.splu(as_csc_array(matrix), diag_pivot_thresh=0.1)
         lu = _kernels.splu(matrix)
         b = rng.standard_normal((matrix.shape[0], 2))
         for trans in ("N", "T"):
             assert np.array_equal(lu.solve(b, trans=trans), ref.solve(b, trans=trans))
         assert np.array_equal(lu.perm_c, ref.perm_c) and np.array_equal(lu.perm_r, ref.perm_r)
-
-
-@pytest.mark.parametrize("m, n", SIZES)
-def test_stacked_band_csc_holds_the_arrays_of_block_diag(m, n):
-    rng = np.random.default_rng(m * n)
-    bands, borders = rng.standard_normal((3, m * n, 3 * m)), rng.standard_normal((2, 3, m * n))
-    stacked = model.band_csc(bands, m, n, *borders, 0.5)
-    ref = scipy.sparse.block_diag(
-        [as_csc_array(model.band_csc(b, m, n, c, r, 0.5)) for b, c, r in zip(bands, *borders)],
-        format="csc")
-    assert stacked.shape == ref.shape and stacked.nnz == ref.nnz
-    for field in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(stacked, field), getattr(ref, field))
-    assert stacked.indices.dtype == stacked.indptr.dtype == np.int32
 
 
 def test_non_finite_input_raises_value_error():

@@ -307,11 +307,11 @@ LOCKSTEP_CASES = {
 }
 
 
-def lockstep_case(name):
-    """Eight polish starts on 16 elements: five loose SLP endpoints of the
-    multistart and three of its start fields at their inner minimum, which
-    end in other rounds and for other reasons."""
-    spec, mesh = builtin_problem(*LOCKSTEP_CASES[name]), build_mesh(16)
+def lockstep_case(name, elements=16):
+    """Eight polish starts: five loose SLP endpoints of the multistart and
+    three of its start fields at their inner minimum, which end in other
+    rounds and for other reasons."""
+    spec, mesh = builtin_problem(*LOCKSTEP_CASES[name]), build_mesh(elements)
     blocks = model.stiffness_blocks(spec, mesh)
     options = SolverOptions()
     fields = minimax_solver._starts(spec, mesh, options, blocks)
@@ -333,9 +333,12 @@ def assert_same_polish(stacked, alone):
 class TestLockstepPolish:
     """A stack of starts polishes each one bit for bit as it would alone."""
 
-    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
-    def test_stack_of_eight_equals_each_start_alone(self, name):
-        spec, mesh, blocks, starts = lockstep_case(name)
+    @pytest.mark.parametrize("name, elements", [pytest.param(name, 16, id=name)
+                                                for name in LOCKSTEP_CASES]
+                             + [pytest.param("cooperative_product-m3", 64,
+                                             id="cooperative_product-m3-64")])
+    def test_stack_of_eight_equals_each_start_alone(self, name, elements):
+        spec, mesh, blocks, starts = lockstep_case(name, elements)
         stacked = minimax_solver._fold_polish(spec, mesh, starts, blocks)
         alone = [minimax_solver._fold_polish(spec, mesh, [start], blocks)[0] for start in starts]
         assert_same_polish(stacked, alone)
@@ -343,24 +346,27 @@ class TestLockstepPolish:
         # the starts stop in different rounds
         assert len({r.iterations for r in stacked}) > 1
 
-    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
-    def test_block_lu_equals_each_system_alone(self, name):
-        spec, mesh, blocks, starts = lockstep_case(name)
-        m, n = spec.m, mesh.n_interior
-        values = np.stack([flat for flat, _ in starts]).reshape(len(starts), m, n)
-        jac = model.jacobian_parts(spec, mesh, values, blocks=blocks).jacobian_band(
-            np.array([lam for _, lam in starts])[:, None, None])
-        rng = np.random.default_rng(4)
-        b, c = rng.uniform(0.5, 1.0, (2, len(starts), m * n))
-        _, v, w, s = minimax_solver._bordered_solve(jac, m, n, b, c)
-        for i in range(len(starts)):
-            _, v_i, w_i, s_i = minimax_solver._bordered_solve(jac[i], m, n, b[i], c[i])
-            assert np.array_equal(v[i], v_i) and np.array_equal(w[i], w_i) and s[i] == s_i
+    def test_every_lu_is_one_bordered_system(self, monkeypatch):
+        shapes = []
+        real_splu = minimax_solver.splu
+
+        def splu(a):
+            shapes.append(a.shape)
+            return real_splu(a)
+
+        monkeypatch.setattr(minimax_solver, "splu", splu)
+        spec = builtin_problem("cooperative_product", {"m": 3})
+        cert = maximize(spec, build_mesh(32))
+        finer, _ = minimax_solver.continue_certificate(spec, build_mesh(64), cert,
+                                                       SolverOptions())
+        assert cert.valid and finer.valid
+        # the coarse multistart on 16 elements, the polish on 32, and the continuation to 64
+        sizes = {spec.m * (elements - 1) + 1 for elements in (16, 32, 64)}
+        assert len(shapes) > 8 and all(a == b and a in sizes for a, b in shapes)
 
     def test_singular_system_ends_only_its_start(self, monkeypatch):
         spec, mesh, blocks, starts = lockstep_case("cooperative_product-m2")
         m, n = spec.m, mesh.n_interior
-        size = m * n + 1
         # the border row c of start 2 after its first solve marks its systems
         u = FEField.from_flat(mesh, m, starts[2][0])
         jac = model.jacobian_parts(spec, mesh, u, blocks=blocks).jacobian_band(starts[2][1])
@@ -370,10 +376,8 @@ class TestLockstepPolish:
         real_splu = minimax_solver.splu
 
         def splu(a, **kwargs):
-            dense = as_csc_array(a).toarray()
-            for k in range(0, dense.shape[0], size):
-                if np.array_equal(dense[k + size - 1, k:k + size - 1], marked):
-                    raise RuntimeError("Factor is exactly singular")
+            if np.array_equal(as_csc_array(a).toarray()[-1, :-1], marked):
+                raise RuntimeError("Factor is exactly singular")
             return real_splu(a, **kwargs)
 
         monkeypatch.setattr(minimax_solver, "splu", splu)
@@ -387,20 +391,19 @@ class TestLockstepPolish:
     def test_trial_below_the_cone_floor_is_damped(self, monkeypatch):
         spec, mesh, blocks, starts = lockstep_case("scalar_power")
         marked = starts[1][0]
-        real_steps = minimax_solver._newton_steps
+        real_step = minimax_solver._newton_step
         below = []
 
-        def steps_to_the_floor(points, s_u, s_lam):
-            steps = real_steps(points, s_u, s_lam)
-            for p, step in zip(points, steps):
-                if np.array_equal(p.flat, marked):
-                    # the full step puts node 0 at 1e-14 of the largest coefficient
-                    trial = p.flat + step[:-1]
-                    step[0] = 1e-14 * trial.max() - p.flat[0]
-                    below.append(p.flat + step[:-1])
-            return steps
+        def step_to_the_floor(p, s_u, s_lam):
+            step = real_step(p, s_u, s_lam)
+            if np.array_equal(p.flat, marked):
+                # the full step puts node 0 at 1e-14 of the largest coefficient
+                trial = p.flat + step[:-1]
+                step[0] = 1e-14 * trial.max() - p.flat[0]
+                below.append(p.flat + step[:-1])
+            return step
 
-        monkeypatch.setattr(minimax_solver, "_newton_steps", steps_to_the_floor)
+        monkeypatch.setattr(minimax_solver, "_newton_step", step_to_the_floor)
         stacked = minimax_solver._fold_polish(spec, mesh, starts, blocks)
         alone = [minimax_solver._fold_polish(spec, mesh, [start], blocks)[0] for start in starts]
         assert_same_polish(stacked, alone)

@@ -345,21 +345,9 @@ class TestGradientStencil:
         rng = np.random.default_rng(0)
         col, row = rng.standard_normal((2, m * n))
         bordered = as_csc_array(model.band_csc(band, m, n, col, row, 0.5))
+        assert bordered.has_canonical_format
+        with pytest.raises(ValueError):
+            model.band_csc(np.stack([band, band]), m, n, col, row)
         assert np.array_equal(bordered.toarray(),
                               np.block([[dense, col[:, None]], [row[None, :], 0.5]]))
 
-    def test_stacked_band_csc_is_block_diagonal(self, name, n_interior):
-        spec, mesh, u, terms, parts = stencil_case(name, n_interior)
-        m, n = spec.m, n_interior
-        lams = np.array([0.3, 1.7, 4.0])
-        bands = parts.jacobian_band(lams[:, None, None])
-        rng = np.random.default_rng(1)
-        cols, rows = rng.standard_normal((2, 3, m * n))
-        plain = as_csc_array(model.band_csc(bands, m, n))
-        assert np.array_equal(plain.toarray(), scipy.sparse.block_diag(
-            [as_csc_array(model.band_csc(band, m, n)) for band in bands]).toarray())
-        bordered = as_csc_array(model.band_csc(bands, m, n, cols, rows, 0.5))
-        assert bordered.has_canonical_format
-        assert np.array_equal(bordered.toarray(), scipy.sparse.block_diag(
-            [as_csc_array(model.band_csc(b, m, n, c, r, 0.5))
-             for b, c, r in zip(bands, cols, rows)]).toarray())
