@@ -8,6 +8,7 @@ scipy's sparse expressions, so every comparison here is exact.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from minimax_fold import _kernels, minimax_solver, model
@@ -98,6 +99,22 @@ def test_splu_matches_scipy_splu(m, n):
         for trans in ("N", "T"):
             assert np.array_equal(lu.solve(b, trans=trans), ref.solve(b, trans=trans))
         assert np.array_equal(lu.perm_c, ref.perm_c) and np.array_equal(lu.perm_r, ref.perm_r)
+
+
+@pytest.mark.parametrize("m, n", SIZES)
+def test_bordered_band_csc_holds_the_arrays_of_scipy(m, n):
+    rng = np.random.default_rng(m * n)
+    jac, (col, row) = rng.standard_normal((m * n, 3 * m)), rng.standard_normal((2, m * n))
+    bordered = model.band_csc(jac, m, n, col, row, 0.5)
+    ref = scipy.sparse.csc_array(np.block([[model.band_to_dense(jac, m, n), col[:, None]],
+                                           [row[None, :], 0.5]]))
+    assert bordered.shape == ref.shape and bordered.data.size == ref.nnz
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(bordered, field), getattr(ref, field))
+    # the structure is built once per (m, n); each call only gathers the values
+    again = model.band_csc(2.0 * jac, m, n, 2.0 * col, 2.0 * row, 1.0)
+    assert again.indices is bordered.indices and again.indptr is bordered.indptr
+    assert np.array_equal(again.data, 2.0 * bordered.data)
 
 
 def test_non_finite_input_raises_value_error():

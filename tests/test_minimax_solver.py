@@ -346,6 +346,30 @@ class TestLockstepPolish:
         # the starts stop in different rounds
         assert len({r.iterations for r in stacked}) > 1
 
+    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
+    def test_stacked_band_solves_as_each_system_alone(self, name):
+        spec, mesh, blocks, starts = lockstep_case(name)
+        m, n = spec.m, mesh.n_interior
+        values = np.stack([flat for flat, _ in starts]).reshape(len(starts), m, n)
+        jac = model.jacobian_parts(spec, mesh, values, blocks=blocks).jacobian_band(
+            np.array([lam for _, lam in starts])[:, None, None])
+        rng = np.random.default_rng(4)
+        b, c = rng.uniform(0.5, 1.0, (2, len(starts), m * n))
+        for i, (flat, lam) in enumerate(starts):
+            u = FEField.from_flat(mesh, m, flat)
+            alone = model.jacobian_parts(spec, mesh, u, blocks=blocks).jacobian_band(lam)
+            lu, v, w, s = minimax_solver._bordered_solve(jac[i], m, n, b[i], c[i])
+            _, v_i, w_i, s_i = minimax_solver._bordered_solve(alone, m, n, b[i], c[i])
+            assert np.array_equal(v, v_i) and np.array_equal(w, w_i) and s == s_i
+            assert lu.shape == (m * n + 1, m * n + 1)
+            # [J b; c^T 0][v; s] = [0; 1] and [J^T c; b^T 0][w; s] = [0; 1]
+            dense = np.block([[model.band_to_dense(alone, m, n), b[i][:, None]],
+                              [c[i][None, :], 0.0]])
+            unit = np.zeros(m * n + 1)
+            unit[-1] = 1.0
+            np.testing.assert_allclose(dense @ np.append(v, s), unit, atol=1e-12)
+            np.testing.assert_allclose(dense.T @ np.append(w, s), unit, atol=1e-12)
+
     def test_every_lu_is_one_bordered_system(self, monkeypatch):
         shapes = []
         real_splu = minimax_solver.splu

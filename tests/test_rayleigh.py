@@ -351,3 +351,19 @@ class TestGradientStencil:
         assert np.array_equal(bordered.toarray(),
                               np.block([[dense, col[:, None]], [row[None, :], 0.5]]))
 
+    def test_stacked_jacobian_band_borders_each_lambda_alone(self, name, n_interior):
+        spec, mesh, u, terms, parts = stencil_case(name, n_interior)
+        m, n = spec.m, n_interior
+        stiffness, mass_f, mass_g = dense_parts(parts)
+        lams = np.array([0.3, 1.7, 4.0])
+        bands = parts.jacobian_band(lams[:, None, None])
+        assert bands.shape == (3, m * n, 3 * m)
+        rng = np.random.default_rng(1)
+        cols, rows = rng.standard_normal((2, 3, m * n))
+        for lam, band, col, row in zip(lams, bands, cols, rows):
+            assert np.array_equal(band, parts.jacobian_band(lam))
+            bordered = as_csc_array(model.band_csc(band, m, n, col, row, 0.5))
+            assert bordered.has_canonical_format
+            assert np.array_equal(bordered.toarray(), np.block(
+                [[stiffness - mass_f - lam * mass_g, col[:, None]], [row[None, :], 0.5]]))
+
