@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from . import harness
 from .harness import EXIT_CONFIG, ConfigError, RunConfig
@@ -45,65 +46,50 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    overrides: dict = {"study": args.study}
+    """The run configuration: the ``--config`` file's keys, each flag given
+    overriding its key, validated once as a whole."""
+    data = _read_config(args.config) if args.config else {}
+    data["study"] = args.study
     if args.out:
-        overrides["out_dir"] = args.out
+        data["out_dir"] = args.out
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        data["seed"] = args.seed
     if args.sizes:
-        overrides["mesh_sizes"] = tuple(args.sizes)
+        data["mesh_sizes"] = tuple(args.sizes)
     elif args.n is not None:
-        overrides["mesh_sizes"] = (args.n,)
+        data["mesh_sizes"] = (args.n,)
     if args.strict:
-        overrides["strict"] = True
+        data["strict"] = True
     if args.svg:
-        overrides["svg"] = True
+        data["svg"] = True
     if args.kappa:
-        overrides["perturb_kappas"] = tuple(args.kappa)
+        data["perturb_kappas"] = tuple(args.kappa)
     if args.gamma1 is not None:
-        overrides["perturb_gamma1"] = args.gamma1
+        data["perturb_gamma1"] = args.gamma1
 
     params: dict = {}
     for key in ("q", "gamma", "m"):
         value = getattr(args, key)
         if value is not None:
             params[key] = value
-
-    if args.config:
-        config = harness.load_config(args.config, overrides={})
-        data = json.loads(json.dumps(config_to_dict(config)))
-        data.update(overrides)
-        if args.problem:
-            data["problem"] = {"name": args.problem, "params": params}
-        elif params:
-            merged = dict(data.get("problem", {}).get("params", {}))
-            merged.update(params)
-            data["problem"] = {"name": data.get("problem", {}).get("name", "scalar_power"),
-                               "params": merged}
-        return RunConfig.from_dict(data)
-
     if args.problem:
-        overrides["problem"] = {"name": args.problem, "params": params}
+        data["problem"] = {"name": args.problem, "params": params}
     elif params:
-        overrides["problem"] = {"name": "scalar_power", "params": params}
-    return RunConfig.from_dict(overrides)
+        # the file's problem (named in it or by its problem_name key), flags' values winning
+        problem = dict(data.get("problem", {}))
+        problem["params"] = {**problem.get("params", {}), **params}
+        data["problem"] = problem
+    return RunConfig.from_dict(data)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "problem": {"name": config.problem_name, "params": dict(config.problem_params)},
-        "study": config.study,
-        "mesh_sizes": list(config.mesh_sizes),
-        "grading": config.grading,
-        "ratio": config.ratio,
-        "solver": vars(config.solver).copy(),
-        "out_dir": config.out_dir,
-        "strict": config.strict,
-        "svg": config.svg,
-        "lambda_window": None if config.lambda_window is None else list(config.lambda_window),
-        "perturb_kappas": list(config.perturb_kappas),
-        "perturb_gamma1": config.perturb_gamma1,
-    }
+def _read_config(path) -> dict:
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return data
 
 
 def main(argv=None) -> int:

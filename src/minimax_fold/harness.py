@@ -146,15 +146,6 @@ class RunConfig:
         return build_mesh(n, grading=self.grading, ratio=self.ratio)
 
 
-def load_config(path, overrides: dict | None = None) -> RunConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    data.update(overrides or {})
-    return RunConfig.from_dict(data)
-
-
 # ---------------------------------------------------------------------------
 # studies
 

@@ -16,7 +16,7 @@ HiGHS instance, and each solves every LP from its own previous optimal
 basis (``WarmLP``).  The LP rows are read off the banded gradient stencil
 (``LPRows``), and each iterate is assembled once: an accepted trial point
 brings its terms along, and a rejected step re-solves with the same rows.
-For nonlinear problems ``maximize`` works in two phases:
+For nonlinear problems the multistart works in two phases:
 
 1. every start runs the SLP only until its scaled predicted gain is at most
    ``_HANDOVER_GAIN``, which is enough to land in the contraction basin of
@@ -40,8 +40,8 @@ For nonlinear problems ``maximize`` works in two phases:
 
 ``lambda*`` is the largest polished value, and the multi-start agreement is
 judged on the polished values; ``polish_failed`` means no start polished.  The
-linear diagnostic mode and ``polish=False`` run a single SLP phase at
-``tol_kkt``.  The certificate works on the band as well: two bordered solves
+linear diagnostic mode's multistart and ``polish=False`` run one SLP phase
+to ``tol_kkt``.  The certificate works on the band as well: two bordered solves
 give the adjoint null vector, from which the final multipliers are recovered
 through kappa_i = mu_i / <g(u*), eta_i>, and an upper bound on sigma_min(J);
 |J|_2 comes from the top eigenvalue of the banded J^T J.  The same
@@ -50,15 +50,15 @@ multipliers bound the gain of the SLP's LP at u* by weak duality
 LP, that it predicts no gain above ``_LOOSE_GAIN``.  No SVD is taken and no
 dense matrix is built, in the Newton and continuation oracles either.
 
-On a mesh that halves to at least ``_COARSE_ELEMENTS`` elements the
-two-phase ``maximize`` is nested iteration (Hackbusch, Multi-Grid Methods and
-Applications, Springer 1985, ch. 5): the multistart runs on the coarsest
-mesh, and its fold is carried up each doubling by one polish; on the target
-mesh the certificate, with its no-ascent bound, must be VALID, or the
-multistart runs on the target mesh as the fallback.  The SLP and HiGHS thus
-run only in a multistart.  ``continue_certificate`` does the same for one
-step: it carries a VALID certificate to a finer mesh or a nearby problem.
-Each certificate records which path made it in ``start``.
+On a mesh that halves to at least ``_COARSE_ELEMENTS`` elements, in either
+mode, ``maximize`` with ``polish`` is nested iteration (Hackbusch, Multi-Grid
+Methods and Applications, Springer 1985, ch. 5): the multistart runs on the
+coarsest mesh, and its fold is carried up each doubling by one polish; on
+the target mesh the certificate, with its no-ascent bound, must be VALID, or
+the multistart runs on the target mesh as the fallback.  The SLP and HiGHS
+thus run only in a multistart.  ``continue_certificate`` does the same for
+one step: it carries a VALID certificate to a finer mesh or a nearby
+problem.  Each certificate records which path made it in ``start``.
 
 Everything is deterministic for fixed options and seed: fixed iteration
 order, seeded multi-starts, no timing dependence.
@@ -1055,11 +1055,12 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     polished value wins; ``polish_failed`` means no start polished, and the
     certificate is then that of the best loose SLP point.  The converged starts are polished
     together in lockstep (``_fold_polish``), and each ends where, and as, it
-    would alone.  Otherwise the best SLP point at ``tol_kkt`` is kept.
+    would alone.  Otherwise the best SLP point at ``tol_kkt`` is kept
+    (``converged``).
     ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported in the
     certificate status, not raised.
 
-    In the two-phase mode, a mesh that halves (every other node) to at
+    With ``polish=True``, a mesh that halves (every other node) to at
     least ``_COARSE_ELEMENTS`` elements is solved by nested iteration: the
     multistart runs on the coarsest such mesh, its fold is
     interpolated up each doubling and polished once per level, and on
@@ -1090,7 +1091,7 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     meshes = [mesh]
     while meshes[0].n_elements % 2 == 0 and meshes[0].n_elements // 2 >= _COARSE_ELEMENTS:
         meshes.insert(0, mesh_from_nodes(meshes[0].nodes[::2]))
-    if not options.polish or spec.diagnostic or len(meshes) == 1:
+    if not options.polish or len(meshes) == 1:
         return _multistart(spec, mesh, options)
     nested = _nested(spec, meshes, options)
     if nested is not None:
@@ -1099,7 +1100,9 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
 
 
 def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> MinimaxCertificate:
-    """The multistart of ``maximize`` on ``mesh`` itself."""
+    """The multistart of ``maximize`` on ``mesh`` itself.  The linear
+    diagnostic mode polishes no start: with m >= 2 its smallest eigenvalue
+    is double and the fold system singular."""
     blocks = model.stiffness_blocks(spec, mesh)
     two_phase = options.polish and not spec.diagnostic
     gain_tol = _HANDOVER_GAIN if two_phase else options.tol_kkt
@@ -1127,8 +1130,6 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> Mini
             status = "polish_failed"
         else:
             mu_lp = None
-            if spec.diagnostic:
-                status = "polished"  # SLP is quadratically convergent in the linear mode
     return _certificate(spec, mesh, best.u, best.lam, status, best.iterations, 0,
                         agree, spread, options, blocks, mu_lp=mu_lp)
 
@@ -1182,7 +1183,7 @@ def continue_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertifica
     """Carry a VALID certificate to a new mesh or a nearby problem: nested iteration.
 
     Returns ``(certificate, start)``, and the certificate's ``start`` is the
-    same label.  In the two-phase mode ``cert.u_star`` is interpolated onto
+    same label.  With ``polish=True`` ``cert.u_star`` is interpolated onto
     ``mesh`` (``warm``, when the caller has it already) and the fold polish
     starts there at ``cert.lambda_star``.  The certificate of the polished
     point must be VALID; its no-ascent bound shows that no SLP step leads
@@ -1191,14 +1192,14 @@ def continue_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertifica
     ``lambda_spread_starts`` are those of ``cert``, the multistart the chain
     started from.  Should the field leave the cone, the polish fail or the
     certificate be invalid, an ascent left included, ``maximize`` runs
-    instead and the start is ``fallback``.  The linear diagnostic mode and
-    ``polish=False`` run ``maximize`` (``multistart``).  Raises
-    ``ValueError`` unless ``cert.valid``.
+    instead and the start is ``fallback``.  ``polish=False`` runs
+    ``maximize`` (``multistart``).  Raises ``ValueError`` unless
+    ``cert.valid``.
     """
     if not cert.valid:
         raise ValueError("continuation requires a VALID certificate")
     options = options or SolverOptions()
-    if not options.polish or spec.diagnostic:
+    if not options.polish:
         return maximize(spec, mesh, options=options), "multistart"
     if warm is None:
         warm = cert.u_star.transfer_to(mesh)

@@ -823,11 +823,9 @@ def cooperative_product(m: int = 2, q: float = 0.5, beta=2.0, alpha=0.5,
 
     gamma0 = float(beta_t.min())
     gamma = float((beta_t + alpha_t.sum(axis=1)).max())
-    a_lo = min(_bounds_of(af)[0] for af in a_funcs)
-    a_hi = max(_bounds_of(af)[1] for af in a_funcs)
     return ProblemSpec(
         m=m, sigma=tuple([1.0] * m), c=tuple([0.0] * m),
-        a_coeff=a_funcs, a_bounds=(a_lo, a_hi),
+        a_coeff=a_funcs, a_bounds=_bounds_over(a_funcs),
         q=q, f=f, f_jac=f_jac, f_hess=f_hess,
         gamma0=gamma0, gamma=gamma,
         theta=(1.0 + gamma0) / 2.0 if theta is None else theta,
@@ -854,9 +852,10 @@ def linear_diagnostic(m: int = 1, a: Coefficient = 1.0) -> ProblemSpec:
     def f_hess(x, t):
         return np.zeros((m, m, m) + t.shape[1:])
 
+    a_funcs = _as_tuple(a, m)
     return ProblemSpec(
         m=m, sigma=tuple([1.0] * m), c=tuple([0.0] * m),
-        a_coeff=_as_tuple(a, m), a_bounds=_bounds_of(a),
+        a_coeff=a_funcs, a_bounds=_bounds_over(a_funcs),
         q=1.0, f=f, f_jac=f_jac, f_hess=f_hess,
         gamma0=2.0, gamma=2.0, theta=1.5, diagnostic=True,
         name="linear_diagnostic", params={"m": m, **_non_default(a=(a, 1.0))},
@@ -875,6 +874,12 @@ def _bounds_of(coeff: Coefficient) -> tuple:
     if lo <= 0.0:
         raise ValueError("parameter-term coefficient must be positive")
     return (lo, hi)
+
+
+def _bounds_over(coeffs) -> tuple:
+    """Positive bounds of per-component coefficients: the extremes of theirs."""
+    bounds = [_bounds_of(co) for co in coeffs]
+    return (min(lo for lo, _ in bounds), max(hi for _, hi in bounds))
 
 
 CATALOG = {

@@ -171,10 +171,11 @@ class TestCertificateRoundTrip:
         ("cooperative_product", {"m": 2, "b": [1.0, 1.5]}),
         ("cooperative_product", {"m": 2, "theta": 1.25}),
         ("linear_diagnostic", {"m": 1, "a": 2.0}),
+        ("linear_diagnostic", {"m": 2, "a": [2.0, 2.0]}),
         ("perturbed_scalar", {"theta": 1.25}),
     ], ids=["scalar_power-a", "scalar_power-theta", "cooperative_product-a",
             "cooperative_product-b", "cooperative_product-theta", "linear_diagnostic-a",
-            "perturbed_scalar-theta"])
+            "linear_diagnostic-a-per-component", "perturbed_scalar-theta"])
     def test_reloads_as_the_same_problem(self, tmp_path, name, params):
         config = fast_config(problem_name=name, problem_params=params, mesh_sizes=(8,),
                              out_dir=str(tmp_path))
@@ -314,15 +315,18 @@ class TestNestedRefinement:
         assert json.dumps(table.certificates[1].to_dict()) \
             == json.dumps(dataclasses.replace(plain, start="fallback").to_dict())
 
-    def test_linear_diagnostic_runs_multistart_at_every_size(self):
+    def test_linear_diagnostic_continues_at_every_finer_size(self, monkeypatch):
+        calls = count_calls(monkeypatch, harness, "maximize")
         config = RunConfig(problem_name="linear_diagnostic", study="refine",
                            mesh_sizes=(8, 16, 32), solver=SolverOptions(n_starts=2))
         table = refinement_study(config)
-        assert [r.start for r in table.rows] == ["multistart"] * 3
-        for row in table.rows:
-            full = minimax_solver.maximize(config.spec(), config.mesh(row.n),
-                                           options=config.solver)
-            assert row.lambda_star == full.lambda_star
+        assert len(calls) == 1
+        assert [r.start for r in table.rows] == ["multistart", "continued", "continued"]
+        # the linear multistart polishes no start; each continuation polishes
+        assert [c.status for c in table.certificates] == ["converged", "polished", "polished"]
+        for row, cert in zip(table.rows, table.certificates):
+            assert cert.valid
+            assert verify_certificate(config.spec(), config.mesh(row.n), cert).valid
 
     def test_start_column_in_table(self, tmp_path):
         config = fast_config(study="refine", mesh_sizes=(8, 16, 32), out_dir=str(tmp_path))
@@ -434,9 +438,10 @@ class TestCLI:
         table = (tmp_path / "table.csv").read_text()
         assert "h5" in table
 
-    def test_malformed_config_exits_2_without_artifacts(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["not-json", "not-object"])
+    def test_malformed_config_exits_2_without_artifacts(self, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         out = tmp_path / "out"
         code = cli.main(["solve", "--config", str(bad), "--out", str(out)])
         assert code == 2
@@ -476,6 +481,36 @@ class TestCLI:
         assert code == 0
         data = json.loads((out / "certificate.json").read_text())
         assert data["mesh"]["n_elements"] == 12
+
+    @pytest.mark.parametrize("keys, problem", [
+        ({"study": "refine", "mesh_sizes": [64]}, "scalar_power"),
+        ({"study": "perturb", "problem": {"name": "cooperative_product", "params": {"m": 2}}},
+         "cooperative_product"),
+    ], ids=["refine-sizes", "perturb-problem"])
+    def test_flags_override_the_file_before_it_is_validated(self, tmp_path, keys, problem):
+        # the file alone is an invalid configuration; the flags make it a valid solve
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**keys, "solver": FAST_SOLVER}))
+        out = tmp_path / "out"
+        code = cli.main(["solve", "--config", str(cfg), "--n", "16", "--out", str(out)])
+        assert code == 0
+        data = json.loads((out / "certificate.json").read_text())
+        assert data["mesh"]["n_elements"] == 16 and data["problem"]["name"] == problem
+
+    def test_file_keys_no_flag_names_still_apply(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem_name": "cooperative_product", "problem": {"params": {"q": 0.25}},
+            "mesh_sizes": [8, 16], "solver": {"n_starts": 2, "seed": 4}, "svg": True,
+            "perturb_gamma1": 2.5}))
+        parser = cli.build_parser()
+        config = cli.config_from_args(parser.parse_args(
+            ["solve", "--config", str(cfg), "--m", "3", "--out", str(tmp_path / "out")]))
+        assert (config.problem_name, config.problem_params) \
+            == ("cooperative_product", {"q": 0.25, "m": 3})
+        assert config.mesh_sizes == (8, 16) and config.svg and config.perturb_gamma1 == 2.5
+        assert (config.solver.n_starts, config.solver.seed) == (2, 4)
+        assert config.out_dir == str(tmp_path / "out")
 
     def test_perturb_with_empty_kappas_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -168,13 +168,17 @@ class TestContinueCertificate:
         with pytest.raises(ValueError, match="VALID"):
             minimax_solver.continue_certificate(scalar_power(0.5, 2.0), build_mesh(48), bad)
 
-    def test_continued_certificate_carries_the_multistart_agreement(self, scalar_cert):
-        spec, mesh = scalar_power(0.5, 2.0), build_mesh(48)
-        cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, FAST)
+    @pytest.mark.parametrize("name", ["scalar_power", "linear_diagnostic"])
+    def test_continued_certificate_carries_the_multistart_agreement(self, scalar_cert,
+                                                                    diagnostic_cert, name):
+        spec, prev = (scalar_power(0.5, 2.0), scalar_cert) if name == "scalar_power" \
+            else (linear_diagnostic(), diagnostic_cert)
+        mesh = build_mesh(48)
+        cert, start = minimax_solver.continue_certificate(spec, mesh, prev, FAST)
         assert start == "continued"
         assert cert.valid and cert.status == "polished" and cert.iterations == 0
-        assert cert.starts_agree == scalar_cert.starts_agree
-        assert cert.lambda_spread_starts == scalar_cert.lambda_spread_starts
+        assert cert.starts_agree == prev.starts_agree
+        assert cert.lambda_spread_starts == prev.lambda_spread_starts
         assert verify_certificate(spec, mesh, cert).valid
 
     @pytest.mark.parametrize("refusal", ["guard_ascends", "field_leaves_cone"])
@@ -217,15 +221,10 @@ class TestContinueCertificate:
         assert json.dumps(cert.to_dict()) \
             == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
 
-    @pytest.mark.parametrize("polish", [True, False])
-    def test_single_phase_modes_run_the_multistart(self, scalar_cert, diagnostic_cert,
-                                                   polish):
-        # the linear diagnostic mode, and polish=False for a nonlinear problem
-        spec, prev = (linear_diagnostic(), diagnostic_cert) if polish \
-            else (scalar_power(0.5, 2.0), scalar_cert)
-        mesh = build_mesh(32)
-        options = dataclasses.replace(FAST, polish=polish)
-        cert, start = minimax_solver.continue_certificate(spec, mesh, prev, options)
+    def test_polish_off_runs_the_multistart(self, scalar_cert):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(32)
+        options = dataclasses.replace(FAST, polish=False)
+        cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, options)
         assert start == "multistart"
         full = maximize(spec, mesh, options=options)
         assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
@@ -543,19 +542,42 @@ class TestNestedMaximize:
         assert json.dumps(cert.to_dict()) \
             == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
 
-    @pytest.mark.parametrize("case", ["n24", "linear_diagnostic", "polish_off"])
-    def test_other_paths_run_the_multistart_on_the_target(self, case):
+    @pytest.mark.parametrize("case, start", [("n24", "multistart"),
+                                             ("polish_off", "multistart"),
+                                             ("linear_diagnostic-m2", "fallback")])
+    def test_other_paths_run_the_multistart_on_the_target(self, case, start):
         spec, mesh, options = scalar_power(0.5, 2.0), build_mesh(64), FAST
         if case == "n24":
             mesh = build_mesh(24)  # halves to 12 < 16 elements
-        elif case == "linear_diagnostic":
-            spec = linear_diagnostic()
-        else:
+        elif case == "polish_off":
             options = dataclasses.replace(FAST, polish=False)
+        else:
+            # a double eigenvalue: the fold polish on 32 elements refuses the coarse point
+            spec, mesh = linear_diagnostic(2), build_mesh(32)
         cert = maximize(spec, mesh, options=options)
-        assert cert.start == "multistart"
+        assert cert.start == start and cert.valid
         full = minimax_solver._multistart(spec, mesh, options)
-        assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
+        # the certificate records its path; every other field is the multistart's
+        assert json.dumps(cert.to_dict()) \
+            == json.dumps(dataclasses.replace(full, start=start).to_dict())
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_linear_diagnostic_is_nested(self, n, monkeypatch):
+        columns = []
+        real_solve = minimax_solver.WarmLP.solve
+
+        def recording_solve(self, cost, *args):
+            columns.append(cost.size)
+            return real_solve(self, cost, *args)
+
+        monkeypatch.setattr(minimax_solver.WarmLP, "solve", recording_solve)
+        spec, mesh = linear_diagnostic(), build_mesh(n)
+        cert = maximize(spec, mesh)
+        assert cert.start == "nested" and cert.status == "polished" and cert.valid
+        assert verify_certificate(spec, mesh, cert).valid
+        assert abs(cert.lambda_star - closed_form_eigenvalue(n)) <= 1e-8 * cert.lambda_star
+        # every LP is one of the 16-element multistart: 15 nodes and lambda
+        assert columns and set(columns) == {16}
 
     def test_slp_runs_only_in_the_coarse_multistart(self, scalar_cert, monkeypatch):
         spec = scalar_power(0.5, 2.0)

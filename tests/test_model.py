@@ -79,6 +79,11 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="theta"):
             scalar_power(0.5, 2.0, theta=2.5)
 
+    def test_linear_diagnostic_takes_a_per_component_coefficient(self):
+        assert linear_diagnostic(2, [1.0, 2.0]).a_bounds == (1.0, 2.0)
+        with pytest.raises(ValueError, match="positive"):
+            linear_diagnostic(2, [1.0, 0.0])
+
 
 class TestFEField:
     def test_shape_validation(self):
