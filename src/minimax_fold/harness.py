@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -41,6 +42,11 @@ EXIT_HYPOTHESES = 4
 
 class ConfigError(ValueError):
     """The run configuration is malformed."""
+
+
+def _number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a ``kind`` number and not a bool, as ``SolverOptions`` reads them."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _fmt(x) -> str:
@@ -85,7 +91,10 @@ class RunConfig:
             raise ConfigError(f"unknown study {self.study!r}; choose from {STUDIES}")
         if self.problem_name not in model.CATALOG:
             raise ConfigError(f"unknown problem {self.problem_name!r}")
-        sizes = tuple(int(n) for n in self.mesh_sizes)
+        sizes = tuple(self.mesh_sizes)
+        if not all(_number(n, numbers.Integral) for n in sizes):
+            raise ConfigError(f"mesh sizes must be integers, not {list(sizes)!r}")
+        sizes = tuple(int(n) for n in sizes)
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigError("mesh sizes must be nonempty and strictly increasing")
         if any(n < 2 for n in sizes):
@@ -93,6 +102,14 @@ class RunConfig:
         object.__setattr__(self, "mesh_sizes", sizes)
         if self.study == "refine" and len(sizes) < 3:
             raise ConfigError("the refine study needs at least 3 mesh sizes")
+        if self.lambda_window is not None:
+            window = self.lambda_window
+            if not (isinstance(window, (list, tuple)) and len(window) == 2
+                    and all(_number(x) and math.isfinite(x) for x in window)
+                    and window[0] < window[1]):
+                raise ConfigError("lambda_window must be two finite numbers lo < hi, "
+                                  f"not {window!r}")
+            object.__setattr__(self, "lambda_window", (float(window[0]), float(window[1])))
         if self.study == "perturb":
             # the two-sided example perturbs scalar_power(q, gamma) by kappa u^gamma1
             if self.problem_name != "scalar_power":
@@ -127,13 +144,13 @@ class RunConfig:
         if "seed" in data:
             solver = replace(solver, seed=data.pop("seed"))
         problem = data.pop("problem", {})
-        window = data.pop("lambda_window", None)
+        if not (isinstance(problem, dict) and isinstance(problem.get("params", {}), dict)):
+            raise ConfigError(f"problem must be an object with name and params, not {problem!r}")
         try:
             return RunConfig(
                 problem_name=problem.get("name", data.pop("problem_name", "scalar_power")),
                 problem_params=dict(problem.get("params", {})),
                 solver=solver,
-                lambda_window=None if window is None else (float(window[0]), float(window[1])),
                 **data,
             )
         except TypeError as exc:
@@ -199,8 +216,7 @@ def refinement_study(config: RunConfig) -> RefinementTable:
         mesh = config.mesh(n)
         coarse_on_fine = None if prev_cert is None else prev_cert.u_star.transfer_to(mesh)
         if prev_cert is not None and prev_cert.valid:
-            cert, _ = continue_certificate(spec, mesh, prev_cert, config.solver,
-                                           warm=coarse_on_fine)
+            cert = continue_certificate(spec, mesh, prev_cert, config.solver)
         else:
             cert = maximize(spec, mesh, options=config.solver)
         delta = None if prev_cert is None else abs(cert.lambda_star - prev_cert.lambda_star)

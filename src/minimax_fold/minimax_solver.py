@@ -58,7 +58,9 @@ the target mesh the certificate, with its no-ascent bound, must be VALID, or
 the multistart runs on the target mesh as the fallback.  The SLP and HiGHS
 thus run only in a multistart.  ``continue_certificate`` does the same for
 one step: it carries a VALID certificate to a finer mesh or a nearby
-problem.  Each certificate records which path made it in ``start``.
+problem.  Both carry through ``_carry``, so a carry is refused in one
+place, and only ``_multistart`` and ``_carry`` polish and certify.  Each
+certificate records which path made it in ``start``.
 
 Everything is deterministic for fixed options and seed: fixed iteration
 order, seeded multi-starts, no timing dependence.
@@ -1062,14 +1064,15 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
 
     With ``polish=True``, a mesh that halves (every other node) to at
     least ``_COARSE_ELEMENTS`` elements is solved by nested iteration: the
-    multistart runs on the coarsest such mesh, its fold is
-    interpolated up each doubling and polished once per level, and on
-    ``mesh`` itself the polished point must give a VALID certificate, whose
-    no-ascent bound replaces any SLP there (as in ``continue_certificate``).
-    Such a certificate has ``start`` ``nested``; its ``starts_agree`` and
-    ``lambda_spread_starts`` describe the coarse multistart,
-    ``polish_iterations`` the polish on ``mesh``, and ``iterations`` is 0.
-    Should any step fail, the multistart runs on ``mesh`` and ``start`` is
+    multistart runs on the coarsest such mesh, and when its certificate is
+    VALID, ``_carry`` interpolates its fold up each doubling and polishes
+    it once per level, and on ``mesh`` itself the polished point must give
+    a VALID certificate, whose no-ascent bound replaces any SLP there (the
+    carry of ``continue_certificate``).  Such a certificate has ``start``
+    ``nested``; its ``starts_agree`` and ``lambda_spread_starts`` describe
+    the coarse multistart, ``polish_iterations`` the polish on ``mesh``, and
+    ``iterations`` is 0.  Should the coarse certificate be invalid or the
+    carry be refused, the multistart runs on ``mesh`` and ``start`` is
     ``fallback``.  Every other call runs the multistart on ``mesh``
     (``multistart``).
 
@@ -1080,8 +1083,6 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     a nearby problem, use ``continue_certificate``.
     """
     options = options or SolverOptions()
-    if spec.q >= 1.0 and not spec.diagnostic:
-        raise ValueError("the solver requires q < 1 (or the linear diagnostic mode)")
     xs = np.linspace(0.0, 1.0, 33)
     for co in spec.a_coeff:
         samples = np.broadcast_to(np.asarray(co(xs) if callable(co) else co, dtype=float), xs.shape)
@@ -1093,9 +1094,10 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
         meshes.insert(0, mesh_from_nodes(meshes[0].nodes[::2]))
     if not options.polish or len(meshes) == 1:
         return _multistart(spec, mesh, options)
-    nested = _nested(spec, meshes, options)
+    coarse = _multistart(spec, meshes[0], options)
+    nested = _carry(spec, meshes[1:], coarse, options) if coarse.valid else None
     if nested is not None:
-        return nested
+        return replace(nested, start="nested")
     return replace(_multistart(spec, mesh, options), start="fallback")
 
 
@@ -1158,77 +1160,53 @@ def _agreement(lams, lam_best: float, options: SolverOptions):
     return spread, spread <= options.multistart_rel_tol * (1.0 + abs(lam_best))
 
 
-def _nested(spec, meshes, options) -> Optional[MinimaxCertificate]:
-    """Nested iteration from ``meshes[0]`` up to ``meshes[-1]``, or None at the
-    first step that fails."""
-    coarse = _multistart(spec, meshes[0], options)
-    if not coarse.valid:
-        return None
-    u, lam = coarse.u_star, coarse.lambda_star
-    for mesh in meshes[1:-1]:
-        polished = _polish_from(spec, mesh, u.transfer_to(mesh), lam,
-                                model.stiffness_blocks(spec, mesh))
-        if polished is None:
+def _carry(spec, meshes, cert, options) -> Optional[MinimaxCertificate]:
+    """Carry the fold of ``cert`` onto each of ``meshes`` in turn: interpolate
+    its field, polish once from the last lambda, and certify on the last mesh.
+    None at the first refusal: a field outside the open cone, a polish that
+    is not ``ok``, or an invalid certificate.  The certificate keeps the
+    multistart agreement of ``cert``."""
+    u, lam = cert.u_star, cert.lambda_star
+    for mesh in meshes:
+        warm = u.transfer_to(mesh)
+        if not model.in_open_cone(warm):
+            return None
+        blocks = model.stiffness_blocks(spec, mesh)
+        polished, = _fold_polish(spec, mesh, [(warm.flatten(), lam)], blocks)
+        if not polished.ok:
             return None
         u, lam = polished.u, polished.lam
-    cert = _continued(spec, meshes[-1], coarse, u.transfer_to(meshes[-1]), lam, options)
-    if cert is None or not cert.valid:
-        return None
-    return replace(cert, start="nested")
+    carried = _certificate(spec, mesh, u.flatten(), lam, "polished", 0, polished.iterations,
+                           cert.starts_agree, cert.lambda_spread_starts, options, blocks)
+    return carried if carried.valid else None
 
 
 def continue_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertificate,
-                         options: SolverOptions | None = None,
-                         warm: FEField | None = None) -> tuple[MinimaxCertificate, str]:
+                         options: SolverOptions | None = None) -> MinimaxCertificate:
     """Carry a VALID certificate to a new mesh or a nearby problem: nested iteration.
 
-    Returns ``(certificate, start)``, and the certificate's ``start`` is the
-    same label.  With ``polish=True`` ``cert.u_star`` is interpolated onto
-    ``mesh`` (``warm``, when the caller has it already) and the fold polish
-    starts there at ``cert.lambda_star``.  The certificate of the polished
-    point must be VALID; its no-ascent bound shows that no SLP step leads
-    from there to another branch, so no SLP runs (``iterations`` is 0).
-    Such a certificate is ``continued``: its ``starts_agree`` and
-    ``lambda_spread_starts`` are those of ``cert``, the multistart the chain
-    started from.  Should the field leave the cone, the polish fail or the
-    certificate be invalid, an ascent left included, ``maximize`` runs
-    instead and the start is ``fallback``.  ``polish=False`` runs
-    ``maximize`` (``multistart``).  Raises ``ValueError`` unless
+    With ``polish=True`` ``cert.u_star`` is interpolated onto ``mesh`` and
+    the fold polish starts there at ``cert.lambda_star``.  The certificate
+    of the polished point must be VALID; its no-ascent bound shows that no
+    SLP step leads from there to another branch, so no SLP runs
+    (``iterations`` is 0).  Such a certificate has ``start`` ``continued``:
+    its ``starts_agree`` and ``lambda_spread_starts`` are those of ``cert``,
+    the multistart the chain started from.  Should the field leave the cone,
+    the polish fail or the certificate be invalid, an ascent left included,
+    ``maximize`` runs instead and ``start`` is ``fallback``.
+    ``polish=False`` runs ``maximize`` (``multistart``).  The returned
+    certificate's ``start`` names the path.  Raises ``ValueError`` unless
     ``cert.valid``.
     """
     if not cert.valid:
         raise ValueError("continuation requires a VALID certificate")
     options = options or SolverOptions()
     if not options.polish:
-        return maximize(spec, mesh, options=options), "multistart"
-    if warm is None:
-        warm = cert.u_star.transfer_to(mesh)
-    new, start = _continued(spec, mesh, cert, warm, cert.lambda_star, options), "continued"
-    if new is None or not new.valid:
-        new, start = maximize(spec, mesh, options=options), "fallback"
-    return replace(new, start=start), start
-
-
-def _polish_from(spec, mesh, warm, lam0, blocks) -> Optional[PolishResult]:
-    """Fold polish from the field ``warm`` and the value ``lam0``, or None when
-    the field is outside the open cone or the polish fails."""
-    try:
-        model.require_open_cone(warm, "fold polish start")
-    except model.ConeError:
-        return None
-    polished, = _fold_polish(spec, mesh, [(warm.flatten(), lam0)], blocks)
-    return polished if polished.ok else None
-
-
-def _continued(spec, mesh, cert, warm, lam0, options) -> Optional[MinimaxCertificate]:
-    """Certificate polished from ``(warm, lam0)``, or None at the first step that fails."""
-    blocks = model.stiffness_blocks(spec, mesh)
-    polished = _polish_from(spec, mesh, warm, lam0, blocks)
-    if polished is None:
-        return None
-    return _certificate(spec, mesh, polished.u.flatten(), polished.lam, "polished", 0,
-                        polished.iterations, cert.starts_agree, cert.lambda_spread_starts,
-                        options, blocks)
+        return maximize(spec, mesh, options=options)
+    carried = _carry(spec, [mesh], cert, options)
+    if carried is not None:
+        return replace(carried, start="continued")
+    return replace(maximize(spec, mesh, options=options), start="fallback")
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
             if np.isscalar(kappa) else kappa
         kappa_norm = float(np.abs(kappa_fn(np.linspace(0.0, 1.0, 513))).max())
         pert_spec = model.perturbed_scalar(q=q, gamma=gamma, gamma1=gamma1, kappa=kappa_fn)
-        pert_cert, start = continue_certificate(pert_spec, mesh, base_cert, options)
+        pert_cert = continue_certificate(pert_spec, mesh, base_cert, options)
         if not pert_cert.valid:
             raise RuntimeError(f"solver failure: perturbed status {pert_cert.status!r}")
 
@@ -148,7 +148,7 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
             bounds_hold=bounds_hold,
             kappa_norm=kappa_norm,
             u_star_sup=float(u_sup),
-            start=start,
+            start=pert_cert.start,
             base_cert=base_cert,
             pert_cert=pert_cert,
         ))

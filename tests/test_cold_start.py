@@ -87,6 +87,22 @@ def test_dense_paths_stay_in_model_and_the_audit():
     assert found == [("__init__.py", "eval_jacobian,")]
 
 
+def test_polish_and_certificate_run_only_in_the_multistart_and_the_carry():
+    """``_fold_polish`` and ``_certificate`` are called from ``_multistart``,
+    on a mesh of its own, and from ``_carry``, which carries a certificate to
+    finer meshes or a nearby problem; any other carry path would be a second one."""
+    callers = {"_fold_polish": set(), "_certificate": set()}
+    for path in sorted((SRC / "minimax_fold").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].add((path.name, getattr(top, "name", None)))
+    expected = {("minimax_solver.py", "_multistart"), ("minimax_solver.py", "_carry")}
+    assert callers == {"_fold_polish": expected, "_certificate": expected}
+
+
 def test_scipy_optimize_after_the_library_reuses_its_core():
     run_fresh("""
         import sys

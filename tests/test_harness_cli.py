@@ -447,6 +447,30 @@ class TestCLI:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"problem": "cooperative_product"}, "problem must be an object"),
+        ({"problem": {"name": "scalar_power", "params": 5}}, "problem must be an object"),
+        ({"lambda_window": [1]}, "lambda_window"),
+        ({"lambda_window": [1, 2, 3]}, "lambda_window"),
+        ({"lambda_window": [30, 1]}, "lambda_window"),
+        ({"lambda_window": [1, float("inf")]}, "lambda_window"),
+        ({"lambda_window": [False, True]}, "lambda_window"),
+        ({"mesh_sizes": [8.7, 16, 32]}, "integers"),
+        ({"mesh_sizes": [16.0]}, "integers"),
+    ], ids=["problem-string", "params-number", "window-one", "window-three", "window-reversed",
+            "window-inf", "window-bool", "sizes-float", "sizes-integral-float"])
+    def test_malformed_config_value_exits_2_without_artifacts(self, tmp_path, capsys, config,
+                                                               message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(config)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, library_call", [
         ("solve --q 1.5", lambda: model.scalar_power(q=1.5)),
         ("solve --gamma 0.5", lambda: model.scalar_power(gamma=0.5)),

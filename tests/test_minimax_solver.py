@@ -174,8 +174,8 @@ class TestContinueCertificate:
         spec, prev = (scalar_power(0.5, 2.0), scalar_cert) if name == "scalar_power" \
             else (linear_diagnostic(), diagnostic_cert)
         mesh = build_mesh(48)
-        cert, start = minimax_solver.continue_certificate(spec, mesh, prev, FAST)
-        assert start == "continued"
+        cert = minimax_solver.continue_certificate(spec, mesh, prev, FAST)
+        assert cert.start == "continued"
         assert cert.valid and cert.status == "polished" and cert.iterations == 0
         assert cert.starts_agree == prev.starts_agree
         assert cert.lambda_spread_starts == prev.lambda_spread_starts
@@ -184,7 +184,6 @@ class TestContinueCertificate:
     @pytest.mark.parametrize("refusal", ["guard_ascends", "field_leaves_cone"])
     def test_refused_continuation_falls_back(self, scalar_cert, monkeypatch, refusal):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(48)
-        warm = scalar_cert.u_star.transfer_to(mesh)
         options = FAST
         made = []
         if refusal == "guard_ascends":
@@ -199,12 +198,22 @@ class TestContinueCertificate:
 
             monkeypatch.setattr(minimax_solver, "_certificate", recording_certificate)
         else:
-            values = warm.values.copy()
-            values[0, 0] = -values[0, 0]
-            warm = FEField(mesh, values)
-        cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, options,
-                                                          warm=warm)
-        assert start == "fallback"
+            # only the first interpolation, the continuation's own, leaves the
+            # cone; the fallback's nested carry interpolates as usual
+            real_transfer = FEField.transfer_to
+
+            def transfer_leaving_cone(field, target):
+                warm = real_transfer(field, target)
+                made.append(warm)
+                if len(made) > 1:
+                    return warm
+                values = warm.values.copy()
+                values[0, 0] = -values[0, 0]
+                return FEField(target, values)
+
+            monkeypatch.setattr(FEField, "transfer_to", transfer_leaving_cone)
+        cert = minimax_solver.continue_certificate(spec, mesh, scalar_cert, options)
+        assert cert.start == "fallback" and made
         if refusal == "guard_ascends":  # the polish converged, and only the bound refused it
             continued, tol = made[0], options.tol_cert
             assert not continued.valid and continued.status == "polished"
@@ -224,8 +233,8 @@ class TestContinueCertificate:
     def test_polish_off_runs_the_multistart(self, scalar_cert):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(32)
         options = dataclasses.replace(FAST, polish=False)
-        cert, start = minimax_solver.continue_certificate(spec, mesh, scalar_cert, options)
-        assert start == "multistart"
+        cert = minimax_solver.continue_certificate(spec, mesh, scalar_cert, options)
+        assert cert.start == "multistart"
         full = maximize(spec, mesh, options=options)
         assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
 
@@ -380,8 +389,7 @@ class TestLockstepPolish:
         monkeypatch.setattr(minimax_solver, "splu", splu)
         spec = builtin_problem("cooperative_product", {"m": 3})
         cert = maximize(spec, build_mesh(32))
-        finer, _ = minimax_solver.continue_certificate(spec, build_mesh(64), cert,
-                                                       SolverOptions())
+        finer = minimax_solver.continue_certificate(spec, build_mesh(64), cert, SolverOptions())
         assert cert.valid and finer.valid
         # the coarse multistart on 16 elements, the polish on 32, and the continuation to 64
         sizes = {spec.m * (elements - 1) + 1 for elements in (16, 32, 64)}
@@ -542,6 +550,33 @@ class TestNestedMaximize:
         assert json.dumps(cert.to_dict()) \
             == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
 
+    def test_invalid_coarse_multistart_falls_back(self, monkeypatch):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(64)  # levels 16, 32, 64
+        real_multistart, real_polish = minimax_solver._multistart, minimax_solver._fold_polish
+        multistarts, outside = [], []
+
+        def invalid_at_n16(spec, mesh, options):
+            multistarts.append(mesh.n_elements)
+            cert = real_multistart(spec, mesh, options)
+            multistarts.append(None)  # the multistart has returned
+            return dataclasses.replace(cert, valid=False) if mesh.n_elements == 16 else cert
+
+        def recording_polish(spec, mesh, *args, **kwargs):
+            if multistarts[-1] is None:
+                outside.append(mesh.n_elements)
+            return real_polish(spec, mesh, *args, **kwargs)
+
+        monkeypatch.setattr(minimax_solver, "_multistart", invalid_at_n16)
+        monkeypatch.setattr(minimax_solver, "_fold_polish", recording_polish)
+        cert = maximize(spec, mesh, options=FAST)
+        # nothing is carried up: every polish is a multistart's own
+        assert cert.start == "fallback" and multistarts == [16, None, 64, None]
+        assert outside == []
+        monkeypatch.undo()
+        full = minimax_solver._multistart(spec, mesh, FAST)
+        assert json.dumps(cert.to_dict()) \
+            == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
+
     @pytest.mark.parametrize("case, start", [("n24", "multistart"),
                                              ("polish_off", "multistart"),
                                              ("linear_diagnostic-m2", "fallback")])
@@ -592,8 +627,8 @@ class TestNestedMaximize:
         cert = maximize(spec, build_mesh(128))
         assert cert.start == "nested" and meshes == [16]
         meshes.clear()
-        cert, start = minimax_solver.continue_certificate(spec, build_mesh(48), scalar_cert, FAST)
-        assert start == "continued" and meshes == []
+        cert = minimax_solver.continue_certificate(spec, build_mesh(48), scalar_cert, FAST)
+        assert cert.start == "continued" and meshes == []
 
     def test_graded_mesh_is_nested(self):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(64, grading="geometric", ratio=1.02)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -68,6 +70,13 @@ class TestProblemSpecValidation:
             scalar_power(q=0.5, gamma=0.9)
         with pytest.raises(ValueError):
             cooperative_product(q=0.0)
+
+    @pytest.mark.parametrize("spec, change", [(scalar_power(), {"q": 1.0}),
+                                              (linear_diagnostic(), {"diagnostic": False})])
+    def test_replace_revalidates_the_exponent(self, spec, change):
+        # the solver relies on this: no nonlinear spec with q >= 1 reaches it
+        with pytest.raises(ValueError, match="exponent q"):
+            dataclasses.replace(spec, **change)
 
     def test_catalog_lookup(self):
         spec = builtin_problem("scalar_power", {"q": 0.3, "gamma": 3.0})
