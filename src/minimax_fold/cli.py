@@ -75,10 +75,11 @@ def config_from_args(args) -> RunConfig:
     if args.problem:
         data["problem"] = {"name": args.problem, "params": params}
     elif params:
-        # the file's problem (named in it or by its problem_name key), flags' values winning
-        problem = dict(data.get("problem", {}))
-        problem["params"] = {**problem.get("params", {}), **params}
-        data["problem"] = problem
+        # the file's problem (named in it or by its problem_name key), flags' values
+        # winning; RunConfig.from_dict names a problem or params that is no object
+        problem = data.get("problem", {})
+        if isinstance(problem, dict) and isinstance(problem.get("params", {}), dict):
+            data["problem"] = {**problem, "params": {**problem.get("params", {}), **params}}
     return RunConfig.from_dict(data)
 
 

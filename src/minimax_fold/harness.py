@@ -277,11 +277,15 @@ class ConditionUReport:
         return self.slopes.get(probe)
 
 
-def _high_order_loads(spec: ProblemSpec, mesh: Mesh1D, u_fn, order: int = 12):
-    """Loads <f(u), psi_i>, <g(u), psi_i> for a continuous u, refined Gauss rule."""
+_HIGH_ORDER_POINTS = 12
+
+
+def _high_order_loads(spec: ProblemSpec, mesh: Mesh1D, u_fn):
+    """Loads <f(u), psi_i>, <g(u), psi_i> for a continuous u, with the
+    ``_HIGH_ORDER_POINTS``-point Gauss rule on each element."""
     from numpy.polynomial.legendre import leggauss
 
-    pts, wts = leggauss(order)
+    pts, wts = leggauss(_HIGH_ORDER_POINTS)
     pts = 0.5 * (pts + 1.0)
     wts = 0.5 * wts
     n = mesh.n_interior
@@ -463,7 +467,9 @@ def run(config: RunConfig) -> int:
     """Execute one study and write artifacts; returns the process exit code.
 
     ``timings.csv`` is written on every exit path, solver and hypothesis
-    failures included.
+    failures included.  The hypotheses are checked once, by ``check`` and,
+    except for the linear diagnostic, by ``strict``; ``check`` and a failed
+    ``strict`` run (exit 4) write the check table.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -474,12 +480,15 @@ def run(config: RunConfig) -> int:
     started = time.perf_counter()
 
     try:
-        if config.strict and not spec.diagnostic:
+        if config.study == "check" or (config.strict and not spec.diagnostic):
             report = model.check_hypotheses(spec)
-            if not report.all_passed:
+            failed = config.strict and not report.all_passed
+            if config.study == "check" or failed:
                 write_csv(out / "table.csv",
-                          ["hypothesis", "passed", "margin", "worst_x"],
-                          [(c.key, c.passed, c.margin, c.worst_x) for c in report.checks])
+                          ["hypothesis", "description", "passed", "margin", "worst_x"],
+                          [(c.key, c.description, c.passed, c.margin, c.worst_x)
+                           for c in report.checks])
+            if failed:
                 return EXIT_HYPOTHESES
 
         if config.study == "solve":
@@ -553,15 +562,6 @@ def run(config: RunConfig) -> int:
                                        title="extreme-value shift vs perturbation size",
                                        x_label="kappa", y_label="shift",
                                        logx=True, logy=True)
-
-        elif config.study == "check":
-            report = model.check_hypotheses(spec)
-            write_csv(out / "table.csv",
-                      ["hypothesis", "description", "passed", "margin", "worst_x"],
-                      [(c.key, c.description, c.passed, c.margin, c.worst_x)
-                       for c in report.checks])
-            if config.strict and not report.all_passed:
-                return EXIT_HYPOTHESES
 
         elif config.study == "oracle":
             mesh = config.mesh(config.mesh_sizes[-1])

@@ -302,18 +302,11 @@ def assemble_stiffness(mesh: Mesh1D, sigma: Coefficient, c: Coefficient) -> Oper
     return OperatorMatrix(diag=_freeze(diag), off=_freeze(off))
 
 
-def nodal_interpolate(mesh: Mesh1D, u: Callable[[np.ndarray], np.ndarray],
-                      require_positive: bool = False) -> np.ndarray:
-    """Interior nodal values u(x_i) (the interpolation operator onto P1).
-
-    With ``require_positive`` the coefficients are additionally checked for
-    membership in the open discrete cone.
-    """
+def nodal_interpolate(mesh: Mesh1D, u: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Interior nodal values u(x_i) (the interpolation operator onto P1)."""
     vals = np.asarray(u(mesh.interior_nodes), dtype=float)
     if vals.shape != mesh.interior_nodes.shape:
         vals = np.broadcast_to(vals, mesh.interior_nodes.shape).astype(float)
-    if require_positive and np.any(vals <= 0.0):
-        raise ValueError("interpolant leaves the open cone: nonpositive nodal value")
     return vals
 
 

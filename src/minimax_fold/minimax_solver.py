@@ -256,12 +256,11 @@ def amplitude_line_search(spec: ProblemSpec, mesh: Mesh1D, shape, blocks=None):
         fields = amplitudes[:, None, None] * base[closed, None]  # (shapes, amplitudes, m, n)
         terms = rayleigh.galerkin_terms(spec, mesh, fields.reshape((-1,) + base.shape[1:]),
                                         blocks)
-        low = fields.min(axis=(2, 3))
-        usable = ((low > 0.0)
-                  & ~(low < model.CONE_FLOOR_REL * np.abs(fields).max(axis=(2, 3)))
-                  & ~np.any(terms.g_load <= rayleigh.TOL_DENOM, axis=(1, 2)).reshape(low.shape))
+        grid = fields.shape[:2]
+        usable = (model.in_open_cone(fields)
+                  & ~np.any(terms.g_load <= rayleigh.TOL_DENOM, axis=(1, 2)).reshape(grid))
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam = terms.quotients().min(axis=1).reshape(low.shape)
+            lam = terms.quotients().min(axis=1).reshape(grid)
         # the first amplitude of the largest usable value, as a loop with ">" picks
         score = np.where(usable & (lam > -np.inf), lam, -np.inf)
         pick = score.argmax(axis=1)
@@ -549,6 +548,8 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
 # of the terms it is summed from
 _EPS = float(np.finfo(float).eps)
 
+_POLISH_ROUNDS = 20
+
 
 @dataclass(frozen=True)
 class PolishResult:
@@ -720,10 +721,10 @@ class _PolishRun:
     result: Optional[PolishResult] = None  # None while the start runs
 
 
-def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks,
-                 max_iter: int = 20) -> list:
+def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks) -> list:
     """Newton on the minimally augmented fold system G(u, lam) = [F(u, lam); s(u, lam)]
-    from each start ``(flat0, lam0)``; one ``PolishResult`` per start.
+    from each start ``(flat0, lam0)``; one ``PolishResult`` per start, which
+    ends ``max_iter`` after ``_POLISH_ROUNDS`` (20) rounds.
 
     Each iterate takes one sparse LU of the bordered matrix [J b; c^T 0]
     (``_bordered_solve``), which gives s and the null vectors v, w, and
@@ -776,7 +777,7 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks,
             runs.append(_PolishRun(point=p, b=p.w / np.linalg.norm(p.w),
                                    c=p.v / np.linalg.norm(p.v)))
 
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _POLISH_ROUNDS + 1):
         live = []
         for run in (r for r in runs if r.result is None):
             p = run.point
@@ -829,7 +830,7 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks,
 
     for run in runs:
         if run.result is None:
-            finish(run, "max_iter", max_iter)
+            finish(run, "max_iter", _POLISH_ROUNDS)
     return [run.result for run in runs]
 
 
@@ -1222,11 +1223,9 @@ class NewtonResult:
     reason: str
 
 
-@dataclass(frozen=True)
-class NewtonOptions:
-    max_iters: int = 60
-    tol: float = 1e-11
-    damping_steps: int = 25
+_NEWTON_MAX_ITERS = 60
+_NEWTON_TOL = 1e-11
+_NEWTON_DAMPING_STEPS = 25
 
 
 def _band_at(spec, mesh, flat, lam, terms, blocks) -> np.ndarray:
@@ -1238,18 +1237,18 @@ def _band_at(spec, mesh, flat, lam, terms, blocks) -> np.ndarray:
 
 
 def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
-                 options: NewtonOptions | None = None,
                  blocks=None) -> NewtonResult:
     """Damped Newton on the Galerkin residual at fixed lambda, with cone floor.
 
-    Success means residual sup norm below ``tol`` at a strictly interior
-    field; iterates are clamped at the relative cone floor.  The zero field
-    solves the residual identically (f and g vanish on the cone boundary), so
-    iterates that collapse toward it are reported as failures, never as
-    solutions.  Each iterate is assembled once, and its Jacobian band is
-    factored by one sparse LU.
+    Success means residual sup norm below ``_NEWTON_TOL`` (1e-11) at a
+    strictly interior field within ``_NEWTON_MAX_ITERS`` (60) steps, each
+    halved up to ``_NEWTON_DAMPING_STEPS`` (25) times until the residual
+    decreases; iterates are clamped at the relative cone floor.  The zero
+    field solves the residual identically (f and g vanish on the cone
+    boundary), so iterates that collapse toward it are reported as failures,
+    never as solutions.  Each iterate is assembled once, and its Jacobian
+    band is factored by one sparse LU.
     """
-    options = options or NewtonOptions()
     model.require_open_cone(u0, "newton start")
     if blocks is None:
         blocks = model.stiffness_blocks(spec, mesh)
@@ -1263,10 +1262,10 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
         return float(np.abs(r).max()), r, terms
 
     norm, r, terms = res_norm(flat)
-    for it in range(1, options.max_iters + 1):
+    for it in range(1, _NEWTON_MAX_ITERS + 1):
         if np.abs(flat).max() < 1e-10 * scale0:
             return NewtonResult(False, None, norm, it - 1, "collapsed_to_zero")
-        if norm < options.tol:
+        if norm < _NEWTON_TOL:
             return NewtonResult(True, FEField.from_flat(mesh, m, flat), norm, it - 1, "converged")
         try:
             lu = splu(model.band_csc(_band_at(spec, mesh, flat, lam, terms, blocks), m, n))
@@ -1278,7 +1277,7 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
 
         accepted = False
         damp = 1.0
-        for _ in range(options.damping_steps):
+        for _ in range(_NEWTON_DAMPING_STEPS):
             trial = flat + damp * step
             floor = model.CONE_FLOOR_REL * max(np.abs(trial).max(), 1e-300)
             trial = np.maximum(trial, floor)
@@ -1290,10 +1289,10 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
             damp *= 0.5
         if not accepted:
             return NewtonResult(False, None, norm, it, "no_decrease")
-    if norm < options.tol:
+    if norm < _NEWTON_TOL:
         return NewtonResult(True, FEField.from_flat(mesh, m, flat), norm,
-                            options.max_iters, "converged")
-    return NewtonResult(False, None, norm, options.max_iters, "max_iters")
+                            _NEWTON_MAX_ITERS, "converged")
+    return NewtonResult(False, None, norm, _NEWTON_MAX_ITERS, "max_iters")
 
 
 def newton_multistart(spec: ProblemSpec, mesh: Mesh1D, lam: float,
@@ -1337,14 +1336,12 @@ class BranchPoint:
         return int(np.sign(self.stability))
 
 
-@dataclass(frozen=True)
-class ContinuationOptions:
-    ds_init: float = 0.1
-    ds_max: float = 2.0
-    ds_min: float = 1e-10
-    max_steps: int = 400
-    corrector_tol: float = 1e-11
-    corrector_iters: int = 20
+_DS_INIT = 0.1
+_DS_MAX = 2.0
+_DS_MIN = 1e-10
+_MAX_STEPS = 400
+_CORRECTOR_TOL = 1e-11
+_CORRECTOR_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -1387,7 +1384,7 @@ def _stability(jac: np.ndarray, m: int, n: int) -> float:
     return _kernels.banded_eigenvalue(_symmetric_band(jac, m, n), 0)
 
 
-def _corrector(spec, mesh, z_pred, tangent, options, blocks):
+def _corrector(spec, mesh, z_pred, tangent, blocks):
     """Newton on [F(u, lam); tangent . (z - z_pred)] = 0.
 
     Returns the corrected point with its Galerkin terms, or None when an
@@ -1396,14 +1393,14 @@ def _corrector(spec, mesh, z_pred, tangent, options, blocks):
     """
     m, n = spec.m, mesh.n_interior
     z = z_pred.copy()
-    for _ in range(options.corrector_iters):
+    for _ in range(_CORRECTOR_ITERS):
         flat, lam = z[:-1], z[-1]
         if not model.in_open_cone(flat.reshape(m, n)).all():
             return None
         terms = rayleigh.galerkin_terms(spec, mesh, flat.reshape(m, n), blocks)
         res = terms.residual(lam)
         aug = np.append(res, tangent @ (z - z_pred))
-        if np.abs(res).max() < options.corrector_tol and abs(aug[-1]) < 1e-12:
+        if np.abs(res).max() < _CORRECTOR_TOL and abs(aug[-1]) < 1e-12:
             return z, terms
         try:
             step = _arclength_solve(_band_at(spec, mesh, flat, lam, terms, blocks), m, n,
@@ -1416,22 +1413,24 @@ def _corrector(spec, mesh, z_pred, tangent, options, blocks):
     return None
 
 
-def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
-                       options: ContinuationOptions | None = None) -> ContinuationResult:
+def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D,
+                       lambda_max_guess: float) -> ContinuationResult:
     """Pseudo-arclength continuation of the positive branch, fold by regula falsi.
 
     The branch starts from a Newton solution at a small parameter value and
-    is traced until the tangent's lambda component changes sign (a fold) or
-    the step collapses.  The step grows 1.3-fold per point up to ``ds_max``
-    times the start's sup norm (Allgower and Georg, Introduction to
-    Numerical Continuation Methods, SIAM 2003, ch. 6) and halves when a
-    corrector fails.  The fold is then found inside the bracket of the last
-    two points (``_refine_fold``).  Intended as an oracle independent of the
-    minimax maximization.  Each branch point is assembled once; its tangent
-    and the corrector steps take one sparse LU each of the bordered matrix
-    [J, -g; t^T], and its stability value comes from LAPACK ``dsbevx``.
+    is traced for up to ``_MAX_STEPS`` (400) steps, until the tangent's lambda
+    component changes sign (a fold) or the step collapses below ``_DS_MIN``
+    (1e-10).  The step starts at ``_DS_INIT`` (0.1) and grows 1.3-fold per
+    point up to ``_DS_MAX`` (2) times the start's sup norm (Allgower and
+    Georg, Introduction to Numerical Continuation Methods, SIAM 2003, ch. 6)
+    and halves when a corrector, ``_CORRECTOR_ITERS`` (20) Newton steps to
+    a residual below ``_CORRECTOR_TOL`` (1e-11), fails.  The fold is then
+    found inside the bracket of the last two points (``_refine_fold``).
+    Intended as an oracle independent of the minimax maximization.  Each
+    branch point is assembled once; its tangent and the corrector steps take
+    one sparse LU each of the bordered matrix [J, -g; t^T], and its
+    stability value comes from LAPACK ``dsbevx``.
     """
-    options = options or ContinuationOptions()
     blocks = model.stiffness_blocks(spec, mesh)
     m, n = spec.m, mesh.n_interior
 
@@ -1460,15 +1459,15 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
     points = [BranchPoint(float(z[-1]), FEField.from_flat(mesh, m, z[:-1]),
                           _stability(jac, m, n), arclength)]
 
-    ds = options.ds_init * max(1.0, start.sup_norm)
-    ds_max = options.ds_max * max(1.0, start.sup_norm)
+    ds = _DS_INIT * max(1.0, start.sup_norm)
+    ds_max = _DS_MAX * max(1.0, start.sup_norm)
     status = "max_steps"
     fold_lambda = None
 
-    for _ in range(options.max_steps):
+    for _ in range(_MAX_STEPS):
         corrected = None
-        while ds >= options.ds_min:
-            corrected = _corrector(spec, mesh, z + ds * tan, tan, options, blocks)
+        while ds >= _DS_MIN:
+            corrected = _corrector(spec, mesh, z + ds * tan, tan, blocks)
             if corrected is not None:
                 break
             ds *= 0.5
@@ -1487,7 +1486,7 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
                                   _stability(jac, m, n), arclength))
 
         if tan[-1] > 0.0 and tan_new[-1] < 0.0:
-            fold_lambda = _refine_fold(spec, mesh, z, tan, z_new, tan_new, options, blocks)
+            fold_lambda = _refine_fold(spec, mesh, z, tan, z_new, tan_new, blocks)
             status = "fold_found"
             z, tan = z_new, tan_new
             break
@@ -1500,7 +1499,7 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D, lambda_max_guess: float,
     return ContinuationResult(tuple(points), fold_lambda, status)
 
 
-def _refine_fold(spec, mesh, z_lo, tan_lo, z_hi, tan_hi, options, blocks):
+def _refine_fold(spec, mesh, z_lo, tan_lo, z_hi, tan_hi, blocks):
     """Fold between the branch points ``z_lo`` and ``z_hi``, whose tangents'
     lambda components are positive and negative: Illinois regula falsi on
     that component (Dowell and Jarratt, BIT 11, 1971, 168-174).
@@ -1509,25 +1508,24 @@ def _refine_fold(spec, mesh, z_lo, tan_lo, z_hi, tan_hi, options, blocks):
     corrected in the hyperplane through it normal to the chord, and its
     tangent is oriented along the chord.  The search stops once a point's
     lambda component is below 1e-9 in magnitude or the bracket on the chord
-    is narrower than ``ds_min``; a failed corrector or tangent moves the
+    is narrower than ``_DS_MIN``; a failed corrector or tangent moves the
     trial halfway toward the bracket's lower end.  Returns the lambda of the
     point whose tangent's lambda component is smallest in magnitude.
     """
     chord = z_hi - z_lo
     length = float(np.linalg.norm(chord))
     chord /= length
-    width = max(options.ds_min, 1e-14)
     s_lo, t_lo, s_hi, t_hi = 0.0, tan_lo[-1], length, tan_hi[-1]
     best_t, best = (abs(t_lo), z_lo) if abs(t_lo) <= abs(t_hi) else (abs(t_hi), z_hi)
     replaced = 0  # +1 (-1) when the last trial replaced the lower (upper) end
     s = s_lo - t_lo * (s_hi - s_lo) / (t_hi - t_lo)
     for _ in range(80):
-        if best_t < 1e-9 or s_hi - s_lo < width:
+        if best_t < 1e-9 or s_hi - s_lo < _DS_MIN:
             break
-        point = _chord_point(spec, mesh, z_lo + s * chord, chord, options, blocks)
+        point = _chord_point(spec, mesh, z_lo + s * chord, chord, blocks)
         if point is None:
             s = 0.5 * (s_lo + s)
-            if s - s_lo < width:
+            if s - s_lo < _DS_MIN:
                 break
             continue
         z, t = point
@@ -1547,11 +1545,11 @@ def _refine_fold(spec, mesh, z_lo, tan_lo, z_hi, tan_hi, options, blocks):
     return float(best[-1])
 
 
-def _chord_point(spec, mesh, z_pred, chord, options, blocks):
+def _chord_point(spec, mesh, z_pred, chord, blocks):
     """The branch point in the hyperplane through ``z_pred`` normal to
     ``chord``, and its tangent's lambda component with the tangent oriented
     along ``chord``; None when the corrector or the tangent fails."""
-    corrected = _corrector(spec, mesh, z_pred, chord, options, blocks)
+    corrected = _corrector(spec, mesh, z_pred, chord, blocks)
     if corrected is None:
         return None
     z, terms = corrected

@@ -544,13 +544,13 @@ class HypothesisReport:
         return all(chk.passed for chk in self.checks)
 
 
-def default_x_samples() -> np.ndarray:
-    return np.arange(1, 26) / 26.0
+_X_SAMPLES = np.arange(1, 26) / 26.0
 
 
-def default_t_samples(m: int, t_max: float = 4.0) -> np.ndarray:
-    """Deterministic grid in (0, t_max]^m: log-spaced axis values, full product."""
-    axis = np.geomspace(1e-3, t_max, 7 if m <= 2 else 4)
+def _t_samples(m: int) -> np.ndarray:
+    """Deterministic grid in (0, 4]^m, shape (K, m): log-spaced axis values
+    from 1e-3, 7 of them for m <= 2 and 4 above, full product."""
+    axis = np.geomspace(1e-3, 4.0, 7 if m <= 2 else 4)
     grids = np.meshgrid(*([axis] * m), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -560,18 +560,16 @@ def _argmin_sample(values: np.ndarray, x: np.ndarray, t: np.ndarray):
     return float(values[idx]), float(x[idx]), tuple(np.round(t[:, idx], 12))
 
 
-def check_hypotheses(spec: ProblemSpec, x_samples: np.ndarray | None = None,
-                     t_samples: np.ndarray | None = None) -> HypothesisReport:
+def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     """Sample the five structural hypotheses on a deterministic grid.
 
-    ``t_samples`` has shape (K, m) with strictly positive entries; boundary
-    slices (one coordinate set to zero) are generated internally for the
-    degeneracy check.  A report is always produced, never an exception.
+    The grid is every pair of the 25 points ``_X_SAMPLES`` in (0, 1) and the
+    strictly positive t of ``_t_samples(m)``; boundary slices (one
+    coordinate set to zero) are generated from it for the degeneracy check.
+    A report is always produced, never an exception.
     """
-    xs = default_x_samples() if x_samples is None else np.asarray(x_samples, dtype=float)
-    ts = default_t_samples(spec.m) if t_samples is None else np.asarray(t_samples, dtype=float)
-    if xs.size == 0 or ts.size == 0:
-        raise ValueError("sample grids must be nonempty")
+    xs = _X_SAMPLES
+    ts = _t_samples(spec.m)
     m = spec.m
     K, J = ts.shape[0], xs.size
 

@@ -23,22 +23,22 @@ from .mesh_fem import Coefficient, Mesh1D
 from .minimax_solver import MinimaxCertificate, SolverOptions, continue_certificate, maximize
 from .model import FEField, ProblemSpec
 
+_BOUND_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSpec:
     """Reaction perturbation Psi: (x, t) -> R^m, evaluable on the closed cone."""
 
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    description: str = ""
 
 
 def psi_loads(spec: ProblemSpec, mesh: Mesh1D, psi: PerturbationSpec,
-              u: FEField) -> np.ndarray:
-    """Load vectors <Psi(u), psi_i>, shape (m, n_interior)."""
-    xq, _, _, _ = mesh_fem.element_quadrature(mesh)
-    tq = mesh_fem.values_at_quadrature(mesh, u.values)
-    shape = tq.shape[1:]
-    vals = np.asarray(psi.psi(xq.ravel(), tq.reshape(spec.m, -1)), dtype=float)
+              samples: tuple) -> np.ndarray:
+    """Load vectors <Psi(u), psi_i>, shape (m, n_interior), from the
+    quadrature samples of one field u (``model.quadrature_samples``)."""
+    x, t, shape = samples
+    vals = np.asarray(psi.psi(x, t), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("perturbation sample is not finite")
     return mesh_fem.quadrature_loads(mesh, vals.reshape((spec.m,) + shape))
@@ -46,9 +46,11 @@ def psi_loads(spec: ProblemSpec, mesh: Mesh1D, psi: PerturbationSpec,
 
 def direction_quotients(spec: ProblemSpec, mesh: Mesh1D, psi: PerturbationSpec,
                         u: FEField) -> np.ndarray:
-    """Per-direction quotients <Psi(u), eta_i> / <g(u), eta_i> (flat order)."""
-    numer = psi_loads(spec, mesh, psi, u).ravel()
-    _, g_load = model.eval_residual_terms(spec, mesh, u)
+    """Per-direction quotients <Psi(u), eta_i> / <g(u), eta_i> (flat order),
+    both loads on one sampling of u."""
+    samples = model.quadrature_samples(spec, mesh, u.values)
+    numer = psi_loads(spec, mesh, psi, samples).ravel()
+    _, g_load = model.eval_residual_terms(spec, mesh, u, samples)
     denom = g_load.ravel()
     if np.any(denom <= rayleigh.TOL_DENOM):
         raise rayleigh.DenominatorError("a direction pairing <g(u), eta_i> is not positive")
@@ -95,15 +97,15 @@ class PerturbationReport:
 
 
 def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Coefficient],
-                      mesh: Mesh1D, options: SolverOptions | None = None,
-                      tol: float = 1e-8) -> tuple:
+                      mesh: Mesh1D, options: SolverOptions | None = None) -> tuple:
     """Two-sided estimates for a kappa sequence, one ``PerturbationReport`` each.
 
     The base scalar problem (kappa = 0) is solved once by ``maximize`` and
     shared.  Each kappa then continues the base certificate on the same mesh
     (``continue_certificate``: a fold polish from the base maximizer, with
-    ``maximize`` only as a fallback).  Raises ``RuntimeError`` when a
-    certificate is not VALID.
+    ``maximize`` only as a fallback).  ``bounds_hold`` gives each bound the
+    slack ``_BOUND_TOL`` (1e-8, the default ``tol_cert``).  Raises
+    ``RuntimeError`` when a certificate is not VALID.
     """
     if not (0.0 < q < 1.0 and gamma > 1.0 and gamma1 > 1.0):
         raise ValueError("need 0 < q < 1 and gamma, gamma1 > 1")
@@ -136,8 +138,8 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
         shift = pert_cert.lambda_star - base_cert.lambda_star
         cap = kappa_norm * u_sup ** (gamma1 - q)
         bounds_hold = bool(
-            lo - tol <= shift <= hi + tol
-            and -tol <= -shift <= cap + tol
+            lo - _BOUND_TOL <= shift <= hi + _BOUND_TOL
+            and -_BOUND_TOL <= -shift <= cap + _BOUND_TOL
         )
         reports.append(PerturbationReport(
             lambda_base=base_cert.lambda_star,

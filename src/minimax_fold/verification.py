@@ -17,6 +17,7 @@ from .minimax_solver import MinimaxCertificate
 from .model import FEField, ProblemSpec
 
 _GAUSS_REL = (0.5 - 0.5 / 3**0.5, 0.5 + 0.5 / 3**0.5)
+_TOL = 1e-8
 
 
 def _coeff(co, x):
@@ -118,12 +119,13 @@ class CertificateAudit:
     max_stored_discrepancy: float
 
 
-def verify_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertificate,
-                       tol: float = 1e-8) -> CertificateAudit:
+def verify_certificate(spec: ProblemSpec, mesh: Mesh1D,
+                       cert: MinimaxCertificate) -> CertificateAudit:
     """Recompute all certificate residuals on the independent oracle path.
 
-    VALID requires the four recomputed relative residuals below ``tol`` and
-    sigma_min(J) below 1e-6 * |J| (dense SVD).
+    VALID requires the four recomputed relative residuals below ``_TOL``
+    (1e-8, the default ``tol_cert``) and sigma_min(J) below 1e-6 * |J|
+    (dense SVD).
     """
     m, n = spec.m, mesh.n_interior
     u, v, lam, mu = cert.u_star, cert.v_star, cert.lambda_star, cert.mu
@@ -165,8 +167,8 @@ def verify_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertificate
     discrepancy = float(np.abs(stored - recomputed).max())
 
     singular_enough = sigma_min <= 1e-6 * jac_norm or jac_norm <= 1e-12 * jac_scale
-    valid = bool(primal < tol and adjoint < tol and stationarity < tol
-                 and complementarity < tol and singular_enough
+    valid = bool(primal < _TOL and adjoint < _TOL and stationarity < _TOL
+                 and complementarity < _TOL and singular_enough
                  and v.nonnegative and u.interior)
     return CertificateAudit(
         valid=valid,

@@ -471,6 +471,21 @@ class TestCLI:
         assert "configuration error" in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem", [
+        "cooperative_product",
+        {"name": "cooperative_product", "params": [2]},
+    ], ids=["problem-string", "params-list"])
+    def test_malformed_problem_with_a_parameter_flag_is_named(self, tmp_path, capsys, problem):
+        # the flag is merged only into an object, so the file's fault is named
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"problem": problem}))
+        out = tmp_path / "out"
+        argv = ["solve", "--config", str(cfg), "--q", "0.4", "--n", "8", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert ("configuration error: problem must be an object with name and params"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, library_call", [
         ("solve --q 1.5", lambda: model.scalar_power(q=1.5)),
         ("solve --gamma 0.5", lambda: model.scalar_power(gamma=0.5)),
@@ -598,6 +613,25 @@ class TestCLI:
         config = cli.config_from_args(parser.parse_args(
             ["solve", "--config", str(cfg), "--seed", "3"]))
         assert config.solver.seed == 3
+
+    @pytest.mark.parametrize("args, code", [
+        (["check", "--config", "{cfg}", "--strict"], 4),
+        (["solve", "--config", "{cfg}", "--strict"], 4),
+        (["check", "--config", "{cfg}"], 0),
+        (["check", "--problem", "cooperative_product", "--strict"], 0),
+    ], ids=["check-strict-fails", "solve-strict-fails", "check-fails", "check-strict-passes"])
+    def test_one_hypothesis_check_and_one_table(self, tmp_path, monkeypatch, args, code):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"problem": {"name": "perturbed_scalar", "params": {"kappa": -1.0}}}))
+        calls = count_calls(monkeypatch, model, "check_hypotheses")
+        out = tmp_path / "out"
+        argv = [str(cfg) if a == "{cfg}" else a for a in args] + ["--n", "8", "--out", str(out)]
+        assert cli.main(argv) == code
+        assert len(calls) == 1
+        table = (out / "table.csv").read_text().splitlines()
+        assert table[0] == "hypothesis,description,passed,margin,worst_x"
+        assert [row.split(",")[0] for row in table[1:]] == ["h1", "h2", "h3", "h4", "h5"]
 
     def test_strict_hypothesis_failure_exits_4(self, tmp_path, monkeypatch):
         def bad_problem():

@@ -209,10 +209,6 @@ class TestNodalInterpolate:
         vals = nodal_interpolate(build_mesh(4), lambda x: np.sin(np.pi * x))
         np.testing.assert_allclose(vals, [np.sin(np.pi / 4), 1.0, np.sin(3 * np.pi / 4)])
 
-    def test_positivity_request(self):
-        with pytest.raises(ValueError, match="cone"):
-            nodal_interpolate(build_mesh(4), lambda x: x - 0.5, require_positive=True)
-
     def test_projection_property(self):
         # interpolating a P1 function reproduces its own coefficients
         mesh = build_mesh(7)

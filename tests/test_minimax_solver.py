@@ -271,7 +271,7 @@ class TestTwoPhaseMaximize:
         assert result.ok
         assert result.residual <= 1e-3 * options.tol_cert
 
-    def test_polish_names_its_failure(self):
+    def test_polish_names_its_failure(self, monkeypatch):
         spec = scalar_power(0.5, 2.0)
         mesh = build_mesh(24)
         blocks = model.stiffness_blocks(spec, mesh)
@@ -279,7 +279,8 @@ class TestTwoPhaseMaximize:
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
         slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks,
                                    minimax_solver._LOOSE_GAIN)
-        result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks, max_iter=0)
+        monkeypatch.setattr(minimax_solver, "_POLISH_ROUNDS", 0)
+        result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
         assert result.reason == "max_iter" and not result.ok
 
     def test_no_polished_start_reports_polish_failed(self, monkeypatch):
@@ -1419,8 +1420,7 @@ class TestBandedOracles:
             return real_terms(spec, mesh, u, blocks)
 
         monkeypatch.setattr(rayleigh, "galerkin_terms", recording_terms)
-        newton_solve(spec, mesh, lam, u0, minimax_solver.NewtonOptions(max_iters=1),
-                     blocks=blocks)
+        newton_solve(spec, mesh, lam, u0, blocks=blocks)
         step = fields[1] - fields[0]
         assert np.abs(step - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -1451,10 +1451,8 @@ class TestBandedOracles:
         zero_row = np.zeros(m * n + 1)  # [J, -g; 0] is singular whatever J is
         with pytest.raises(RuntimeError):
             minimax_solver._tangent(jac, m, n, terms.g_load.ravel(), zero_row)
-        options = minimax_solver.ContinuationOptions()
         predicted = z + 0.1 * np.append(np.zeros(m * n), 1.0)  # off the branch
-        assert minimax_solver._corrector(spec, mesh, predicted, zero_row, options,
-                                         blocks) is None
+        assert minimax_solver._corrector(spec, mesh, predicted, zero_row, blocks) is None
 
         real_splu = minimax_solver.splu
 
@@ -1485,5 +1483,4 @@ class TestBandedOracles:
         tangent = np.zeros(z.size)
         tangent[-1] = 1.0
         assert minimax_solver._corrector(spec, mesh, z, tangent,
-                                         minimax_solver.ContinuationOptions(),
                                          model.stiffness_blocks(spec, mesh)) is None

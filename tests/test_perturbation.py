@@ -24,16 +24,15 @@ def base_cert():
 
 
 def psi_zero():
-    return PerturbationSpec(lambda x, t: np.zeros_like(t), "zero")
+    return PerturbationSpec(lambda x, t: np.zeros_like(t))
 
 
 def psi_proportional(c, q):
-    return PerturbationSpec(lambda x, t: c * np.power(t, q), "c * g")
+    return PerturbationSpec(lambda x, t: c * np.power(t, q))
 
 
 def psi_power(coeff, exponent):
-    return PerturbationSpec(lambda x, t: coeff * np.power(t, exponent),
-                            f"{coeff} * t^{exponent}")
+    return PerturbationSpec(lambda x, t: coeff * np.power(t, exponent))
 
 
 class TestLowerShift:
@@ -64,7 +63,7 @@ class TestAdditivity:
         import dataclasses
 
         spec = scalar_power(0.5, 2.0)
-        psi = PerturbationSpec(lambda x, t: 0.3 * np.power(t, 2.7), "0.3 t^2.7")
+        psi = PerturbationSpec(lambda x, t: 0.3 * np.power(t, 2.7))
         pert = dataclasses.replace(
             spec, f=lambda x, t: np.power(t, 2.0) - 0.3 * np.power(t, 2.7))
         rng = np.random.default_rng(8)
@@ -73,11 +72,25 @@ class TestAdditivity:
             v = FEField(MESH, rng.uniform(0.05, 1.0, size=(1, MESH.n_interior)))
             from minimax_fold import model as model_mod
 
-            expected = float((psi_loads(spec, MESH, psi, u) * v.values).sum()) \
+            samples = model_mod.quadrature_samples(spec, MESH, u.values)
+            expected = float((psi_loads(spec, MESH, psi, samples) * v.values).sum()) \
                 / float((model_mod.eval_residual_terms(spec, MESH, u)[1] * v.values).sum())
             got = rayleigh.rayleigh_quotient(pert, MESH, u, v) \
                 - rayleigh.rayleigh_quotient(spec, MESH, u, v)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("spec", [scalar_power(0.5, 2.0), model.cooperative_product(m=3)],
+                             ids=["scalar_power", "cooperative_product-m3"])
+    @pytest.mark.parametrize("n", [8, 33])
+    def test_psi_of_g_gives_the_g_loads(self, spec, n):
+        # psi_loads folds the samples back as eval_residual_terms does, component by component
+        mesh = build_mesh(n)
+        rng = np.random.default_rng(n)
+        u = FEField(mesh, rng.uniform(0.2, 2.0, size=(spec.m, mesh.n_interior)))
+        samples = model.quadrature_samples(spec, mesh, u.values)
+        psi = PerturbationSpec(lambda x, t: model.g_values(spec, x, t))
+        np.testing.assert_array_equal(perturbation.psi_loads(spec, mesh, psi, samples),
+                                      model.eval_residual_terms(spec, mesh, u)[1])
 
     def test_quotient_shift_identity(self, base_cert):
         # R_{A+Psi}(u, v) = R_A(u, v) + <Psi(u), v> / <g(u), v> exactly

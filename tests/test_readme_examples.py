@@ -1,8 +1,9 @@
 """Every ``minimax-fold ...`` example in README.md runs and certifies.
 
-The commands are read from the README itself, so the README and the CLI
-cannot drift apart unnoticed.  Each runs in-process through ``cli.main``
-with its ``--out`` directory redirected to a temporary path.
+The commands and the configuration file are read from the README itself,
+so the README and the CLI cannot drift apart unnoticed.  Each runs
+in-process through ``cli.main`` with its ``--out`` directory redirected to a
+temporary path.
 """
 
 import re
@@ -50,3 +51,14 @@ def test_readme_example(argv, tmp_path):
         spec, mesh, cert = harness.load_certificate(cert_path)
         assert cert.valid, cert.status
         assert verify_certificate(spec, mesh, cert).valid
+
+
+def test_readme_configuration_file(tmp_path):
+    block, = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(block)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    spec, mesh, cert = harness.load_certificate(out / "certificate.json")
+    assert cert.valid, cert.status
+    assert verify_certificate(spec, mesh, cert).valid
