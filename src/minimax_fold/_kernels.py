@@ -1,20 +1,20 @@
 """scipy's compiled kernels, called without importing scipy's subpackages.
 
-The solver calls one LP solver, two LAPACK routines and one sparse LU,
-all compiled extensions of scipy.  Importing them through their packages
-(``scipy.optimize``, ``scipy.linalg``, ``scipy.sparse``) runs each package's
-``__init__``, which together cost most of the library's cold start, while
-the solver needs nothing else from them.  So this module loads the three
-extensions from their files under their canonical names, and wraps each
-routine in a function that makes the call the public scipy function makes,
-with its arguments, checks and errors:
+The solver calls one LP solver and a few LAPACK and BLAS routines, all
+compiled extensions of scipy.  Importing them through their packages
+(``scipy.optimize``, ``scipy.linalg``) runs each package's ``__init__``,
+which together cost most of the library's cold start, while the solver
+needs nothing else from them.  So this module loads the three extensions
+from their files under their canonical names, and wraps each routine in a
+function that makes the call the public scipy function makes:
 
   * ``solve_tridiagonal``: ``scipy.linalg.solve_banded((1, 1), ab, b)``;
   * ``banded_eigenvalue``: ``scipy.linalg.eig_banded`` with
     ``eigvals_only=True, select="i"``;
-  * ``splu``: ``scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.1)``.
+  * ``band_lu``, ``band_lu_solve``: ``dgbtrf``, ``dgbtrs`` of
+    ``solve_banded((width, width), ab, b)``; ``band_product``: ``dgbmv``.
 
-Non-finite input to the LAPACK wrappers raises ``ValueError``, as scipy's
+Non-finite input to the first two raises ``ValueError``, as scipy's
 ``check_finite`` does.  Only this module of the library imports scipy.
 """
 
@@ -61,11 +61,8 @@ def _load_extension(name: str):
 
 
 _flapack = _load_extension("scipy.linalg._flapack")
-_superlu = _load_extension("scipy.sparse.linalg._dsolve._superlu")
+_fblas = _load_extension("scipy.linalg._fblas")
 highs = _load_extension("scipy.optimize._highspy._core")
-
-# the options ``splu(A, diag_pivot_thresh=0.1)`` passes to SuperLU
-_SPLU_OPTIONS = {"DiagPivotThresh": 0.1, "ColPerm": None, "PanelSize": None, "Relax": None}
 
 
 def _finite(a) -> np.ndarray:
@@ -106,19 +103,34 @@ def banded_eigenvalue(band, index: int) -> float:
     return float(w[0])
 
 
-def _csc_array(*args, **kwargs):
-    """``scipy.sparse.csc_array``, imported only when a factor's ``L`` or
-    ``U`` is read."""
-    from scipy.sparse import csc_array
-    return csc_array(*args, **kwargs)
+def band_lu(ab, width: int) -> tuple:
+    """LU factors ``(lu, piv, width)`` of the square A held, with the top
+    ``width`` rows zero, in the Fortran-ordered (3 width + 1, size) ``ab``:
+    A[i, j] at ``ab[2 width + i - j, j]`` (LAPACK ``dgbtrf``, partial
+    pivoting).  An exactly zero pivot raises ``RuntimeError``."""
+    lu, piv, info = _flapack.dgbtrf(ab, width, width)
+    if info > 0:
+        raise RuntimeError(f"matrix is exactly singular (zero pivot U[{info - 1}, {info - 1}])")
+    _check_info(info, "gbtrf")
+    return lu, piv, width
 
 
-def splu(a):
-    """SuperLU factors of the square CSC matrix ``a`` (``data``, ``indices``,
-    ``indptr``, ``shape``, ``nnz``; int32 indices, sorted within each column,
-    without duplicates), with the threshold pivoting ``DiagPivotThresh=0.1``.
+def band_lu_solve(factors: tuple, b, trans: int = 0) -> np.ndarray:
+    """x with A x = b, or A^T x = b if ``trans`` is 1, from the ``band_lu``
+    factors of A; ``b`` is (size,) or (size, k) (LAPACK ``dgbtrs``)."""
+    lu, piv, width = factors
+    x, info = _flapack.dgbtrs(lu, width, width, b, piv, trans=trans)
+    _check_info(info, "gbtrs")
+    return x
 
-    Returns scipy's ``SuperLU`` object; a singular matrix raises ``RuntimeError``.
-    """
-    return _superlu.gstrf(a.shape[1], a.nnz, a.data, a.indices, a.indptr,
-                          csc_construct_func=_csc_array, ilu=False, options=_SPLU_OPTIONS)
+
+def band_product(ab, width: int, x, trans: int = 0) -> np.ndarray:
+    """A x, or A^T x if ``trans`` is 1, for A held in ``ab`` as ``band_lu``
+    takes it (BLAS ``dgbmv``).  scipy's wrapper wants at least 3 width + 1
+    rows, so a smaller A is taken as the top of a taller matrix whose extra
+    rows are the zero slots of ``ab``."""
+    size = ab.shape[1]
+    rows = max(size, 3 * width + 1)
+    if trans and rows > size:
+        x = np.concatenate([x, np.zeros(rows - size)])
+    return _fblas.dgbmv(rows, size, width, 2 * width, 1.0, ab, x, trans=trans)[:size]

@@ -4,11 +4,12 @@ Artifacts are deterministic for a fixed seed: ``certificate.json`` and
 ``table.csv`` are byte-identical across reruns.  Wall-clock timings are
 written to a separate ``timings.csv`` that is excluded from the determinism
 contract.  CSV numbers use 17 significant digits in scientific notation with
-a '.' decimal separator.
+a '.' decimal separator, and a text field holding a comma is quoted.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -62,10 +63,9 @@ def _fmt(x) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [list(header)] + [[_fmt(v) for v in row] for row in rows])
 
 
 @dataclass(frozen=True)

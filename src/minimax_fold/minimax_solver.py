@@ -29,10 +29,10 @@ For nonlinear problems the multistart works in two phases:
    where s, with the right and left null vectors v and w of J, solves the
    bordered system [J b; c^T 0][v; s] = [0; 1] and its transpose (Govaerts,
    Numerical Methods for Bifurcations of Dynamical Equilibria, SIAM 2000,
-   ch. 3).  Each iterate takes one sparse LU of that (m*n + 1)-square
-   matrix, with linear fill, which also gives the Newton step.  The starts
-   are polished in lockstep too: each round assembles their fields as one
-   stack, and each start factors its own bordered matrix.  The polish
+   ch. 3).  Each iterate takes one banded LU of J, with linear fill, and
+   mixed block elimination on it solves that system and gives the Newton
+   step.  The starts are polished in lockstep too: each round assembles
+   their fields as one stack, and each start factors its own J.  The polish
    drives the residuals to the rounding error of their own evaluation, eps
    times the magnitudes of the terms they sum (pure SLP stalls near the fold
    at quotient spreads of order (distance)^2 and cannot reach the
@@ -77,7 +77,6 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels, model, rayleigh
-from ._kernels import splu
 from .mesh_fem import Mesh1D, mesh_from_nodes
 from .model import FEField, ProblemSpec
 
@@ -581,23 +580,71 @@ def _at_roundoff(residuals, roundoff) -> bool:
     return max(residuals) <= max(roundoff)
 
 
+def _transposed(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows of ``x`` read as (rows, cols) and transposed: (m, n) takes
+    the band's component-major order to node-major, (n, m) back."""
+    if 1 in (rows, cols):
+        return x
+    return x.reshape((rows, cols) + x.shape[1:]).swapaxes(0, 1).reshape(x.shape)
+
+
+class _BorderedLU:
+    """Solves with [J b; c^T d] and its transpose on the banded LU of J alone
+    by mixed block elimination, stable where J is singular to roundoff
+    (Govaerts and Pryce, IMA J. Numer. Anal. 13, 1993).  A zero pivot of J
+    or Schur complement d - c^T J^-1 b raises ``RuntimeError``."""
+
+    def __init__(self, jac, m: int, n: int, b, c, d: float = 0.0):
+        self.m, self.n, self.d = m, n, float(d)
+        self.band = _general_band(jac, m, n)
+        self.factors = _kernels.band_lu(self.band, 2 * m - 1)
+        b, c = _transposed(b, m, n), _transposed(c, m, n)
+        jb = _kernels.band_lu_solve(self.factors, b)
+        jc = _kernels.band_lu_solve(self.factors, c, trans=1)
+        schur_b, schur_c = self.d - float(c @ jb), self.d - float(b @ jc)
+        if schur_b == 0.0 or schur_c == 0.0:
+            raise RuntimeError("singular bordered matrix")
+        # per orientation (A = J, then J^T): col, row, A^-1 col, A^-T row, Schur complements
+        self.sides = ((b, c, jb, jc, schur_b, schur_c), (c, b, jc, jb, schur_c, schur_b))
+
+    def _eliminate(self, f, g, trans):
+        """[x; y] with [A col; row^T d][x; y] = [f; g], A = J or J^T, node-major."""
+        col, row, col_solved, row_solved, schur, schur_t = self.sides[trans]
+        y = (g - row_solved @ f) / schur_t
+        x = _kernels.band_lu_solve(self.factors, f - np.multiply.outer(col, y), trans)
+        fix = (g - row @ x - self.d * y) / schur
+        return x - np.multiply.outer(col_solved, fix), y + fix
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """z with [J b; c^T d] z = ``rhs`` (``trans`` "N") or its transpose
+        ("T"), for ``rhs`` (m*n + 1,) or (m*n + 1, k)."""
+        x, y = self._eliminate(_transposed(rhs[:-1], self.m, self.n), rhs[-1], int(trans == "T"))
+        return np.concatenate([_transposed(x, self.n, self.m), np.asarray(y)[None]])
+
+    def unit_solve(self, trans: str = "N") -> np.ndarray:
+        """``solve`` of [0; 1], whose elimination is [-A^-1 col; 1] / S, then
+        one step of iterative refinement on the bordered system: without it
+        the null vectors of a large J miss the polish's roundoff stop test."""
+        t = int(trans == "T")
+        col, row, col_solved, _, schur, _ = self.sides[t]
+        x, y = col_solved * (-1.0 / schur), 1.0 / schur
+        jx = _kernels.band_product(self.band, 2 * self.m - 1, x, t)
+        dx, dy = self._eliminate(-jx - y * col, 1.0 - row @ x - self.d * y, t)
+        return np.concatenate([_transposed(x + dx, self.n, self.m), [y + dy]])
+
+
 def _bordered_solve(jac: np.ndarray, m: int, n: int, b: np.ndarray, c: np.ndarray):
-    """One sparse LU of the bordered matrix [J b; c^T 0] and the null vectors it gives.
+    """The null vectors the bordered matrix [J b; c^T 0] gives (``_BorderedLU``).
 
     ``jac`` is the band of J.  Returns ``(lu, v, w, s)`` with
-    [J b; c^T 0][v; s] = [0; 1] and, from the transposed factors,
-    [J^T c; b^T 0][w; s] = [0; 1].  s vanishes exactly where J is singular,
-    and there v and w span its right and left null spaces.  A singular
-    bordered matrix raises ``RuntimeError``.  The threshold pivoting of
-    ``_kernels.splu`` (``DiagPivotThresh=0.1``) keeps the COLAMD order, so
-    L+U stay within a small multiple of the band; partial pivoting pulls
-    the dense border up and fills quadratically in m*n.
+    [J b; c^T 0][v; s] = [0; 1] and [J^T c; b^T 0][w; s] = [0; 1].  s
+    vanishes exactly where J is singular, and there v and w span its right
+    and left null spaces.  An exactly zero pivot of J, or a singular
+    bordered matrix, raises ``RuntimeError``.
     """
-    lu = splu(model.band_csc(jac, m, n, b, c))
-    unit = np.zeros(m * n + 1)
-    unit[-1] = 1.0
-    x = lu.solve(unit)
-    return lu, x[:-1], lu.solve(unit, trans="T")[:-1], float(x[-1])
+    lu = _BorderedLU(jac, m, n, b, c)
+    x = lu.unit_solve()
+    return lu, x[:-1], lu.unit_solve("T")[:-1], float(x[-1])
 
 
 def _newton_step(p: _PolishPoint, s_u: np.ndarray, s_lam: float) -> np.ndarray:
@@ -726,13 +773,13 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks) -> list:
     from each start ``(flat0, lam0)``; one ``PolishResult`` per start, which
     ends ``max_iter`` after ``_POLISH_ROUNDS`` (20) rounds.
 
-    Each iterate takes one sparse LU of the bordered matrix [J b; c^T 0]
-    (``_bordered_solve``), which gives s and the null vectors v, w, and
-    ``_newton_step`` solves the Newton system with s_u = -C(w) v
-    (``model.adjoint_curvature``) and s_lam = w^T M_g v on the same factors.
-    No LU of J alone is taken, so a singular J needs no special case.  The
-    borders are the normalized all-ones vector at the start, then the
-    normalized w and v found there, fixed for the rest of the polish.
+    Each iterate takes one banded LU of J, on which mixed block elimination
+    solves the bordered matrix [J b; c^T 0] (``_bordered_solve``); that
+    gives s and the null vectors v, w, and ``_newton_step`` solves the
+    Newton system with s_u = -C(w) v (``model.adjoint_curvature``) and
+    s_lam = w^T M_g v on the same factors.  The borders are the normalized
+    all-ones vector at the start, then the normalized w and v found there,
+    fixed for the rest of the polish.
 
     The stop allows for roundoff, not a fixed floor: the primal residual
     K u - F - lam G cancels terms of size |K||u| + |F| + |lam||G| (from
@@ -1001,20 +1048,23 @@ def _gram_layout(m: int, n: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _symmetric_layout(m: int, n: int):
-    """Layout of the node-major upper band of (J + J^T) / 2, of half-width
-    min(2m - 1, m*n - 1), from an (m*n, 3m) band of J: the flat band indices
-    of J[r, c] and J[c, r] for each (r, c) with r at or before c node-major,
-    the flat index of (r, c) in the upper band, and the band's shape."""
-    big, width = m * n, min(2 * m - 1, m * n - 1)
+def _general_layout(m: int, n: int):
+    """Node-major general band of J, half-width 2m - 1, as ``_kernels.band_lu`` takes it: flat
+    indices of J's entries in an (m*n, 3m) band and in that band, and its shape."""
+    width = 2 * m - 1
     inside, node = _node_major_slots(m, n)
-    rows = np.arange(big)
-    row_node = (rows % n) * m + rows // n
-    r, slot = np.nonzero(inside & (row_node[:, None] <= node))
-    block, s = np.divmod(slot, 3)
-    col = block * n + r % n + s - 1
-    target = (width + row_node[r] - node[r, slot]) * big + node[r, slot]
-    return _frozen(r * 3 * m + slot, col * 3 * m + 3 * (r // n) + 2 - s, target) + ((width + 1, big),)
+    r, slot = np.nonzero(inside)
+    col = node[r, slot]
+    target = col * (3 * width + 1) + 2 * width + (r % n) * m + r // n - col
+    return _frozen(r * 3 * m + slot, target) + ((3 * width + 1, m * n),)
+
+
+def _general_band(jac: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The general band (``_general_layout``) of J on an (m*n, 3m) band."""
+    source, target, shape = _general_layout(m, n)
+    band = np.zeros(math.prod(shape))
+    band[target] = jac.reshape(3 * m * m * n)[source]
+    return band.reshape(shape[::-1]).T
 
 
 def _gram_band(jac: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -1026,13 +1076,14 @@ def _gram_band(jac: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _symmetric_band(jac: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Node-major upper band of (J + J^T) / 2 (``_symmetric_layout``) for J
-    on an (m*n, 3m) band."""
-    here, mirror, target, shape = _symmetric_layout(m, n)
-    flat = jac.ravel()
-    band = np.zeros(math.prod(shape))
-    band[target] = 0.5 * (flat[here] + flat[mirror])
-    return band.reshape(shape)
+    """Node-major upper band of (J + J^T) / 2, of half-width min(2m - 1, m*n - 1), for J on
+    an (m*n, 3m) band: its diagonal d averages J's diagonals d and -d."""
+    general, big, top = _general_band(jac, m, n), m * n, 2 * (2 * m - 1)
+    width = min(2 * m - 1, big - 1)
+    band = np.zeros((width + 1, big))
+    for d in range(width + 1):
+        band[width - d, d:] = 0.5 * (general[top - d, d:] + general[top + d, :big - d])
+    return band
 
 
 def _spectral_norm(jac: np.ndarray, m: int, n: int) -> float:
@@ -1247,7 +1298,7 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
     field solves the residual identically (f and g vanish on the cone
     boundary), so iterates that collapse toward it are reported as failures,
     never as solutions.  Each iterate is assembled once, and its Jacobian
-    band is factored by one sparse LU.
+    is factored by one banded LU (``_kernels.band_lu``).
     """
     model.require_open_cone(u0, "newton start")
     if blocks is None:
@@ -1268,8 +1319,9 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh1D, lam: float, u0: FEField,
         if norm < _NEWTON_TOL:
             return NewtonResult(True, FEField.from_flat(mesh, m, flat), norm, it - 1, "converged")
         try:
-            lu = splu(model.band_csc(_band_at(spec, mesh, flat, lam, terms, blocks), m, n))
-            step = lu.solve(-r)
+            factors = _kernels.band_lu(_general_band(
+                _band_at(spec, mesh, flat, lam, terms, blocks), m, n), 2 * m - 1)
+            step = _transposed(_kernels.band_lu_solve(factors, _transposed(-r, m, n)), n, m)
         except (RuntimeError, model.ConeError):
             return NewtonResult(False, None, norm, it - 1, "jacobian_singular")
         if not np.all(np.isfinite(step)):
@@ -1355,24 +1407,10 @@ class ContinuationResult:
         return self.fold_lambda is not None
 
 
-def _arclength_solve(jac: np.ndarray, m: int, n: int, g_load: np.ndarray, row: np.ndarray,
-                     rhs: np.ndarray) -> np.ndarray:
-    """Solve [J, -g; row^T] x = rhs, with ``jac`` the band of J, ``g_load``
-    the flat parameter load and ``row`` the (m*n + 1)-long last row.
-
-    One sparse LU of the bordered matrix, with the threshold pivoting of
-    ``_bordered_solve``; a singular matrix raises ``RuntimeError``.
-    """
-    lu = splu(model.band_csc(jac, m, n, -g_load, row[:-1], row[-1]))
-    return lu.solve(rhs)
-
-
 def _tangent(jac, m, n, g_load, prev):
     """Unit tangent of the solution branch at a point with Jacobian band
     ``jac`` and parameter load ``g_load``, oriented along prev."""
-    rhs = np.zeros(prev.size)
-    rhs[-1] = 1.0
-    tan = _arclength_solve(jac, m, n, g_load, prev, rhs)
+    tan = _BorderedLU(jac, m, n, -g_load, prev[:-1], prev[-1]).unit_solve()
     tan /= np.linalg.norm(tan)
     if tan @ prev < 0:
         tan = -tan
@@ -1403,8 +1441,8 @@ def _corrector(spec, mesh, z_pred, tangent, blocks):
         if np.abs(res).max() < _CORRECTOR_TOL and abs(aug[-1]) < 1e-12:
             return z, terms
         try:
-            step = _arclength_solve(_band_at(spec, mesh, flat, lam, terms, blocks), m, n,
-                                    terms.g_load.ravel(), tangent, -aug)
+            step = _BorderedLU(_band_at(spec, mesh, flat, lam, terms, blocks), m, n,
+                               -terms.g_load.ravel(), tangent[:-1], tangent[-1]).solve(-aug)
         except RuntimeError:
             return None
         if not np.all(np.isfinite(step)):
@@ -1427,9 +1465,9 @@ def continuation_sweep(spec: ProblemSpec, mesh: Mesh1D,
     a residual below ``_CORRECTOR_TOL`` (1e-11), fails.  The fold is then
     found inside the bracket of the last two points (``_refine_fold``).
     Intended as an oracle independent of the minimax maximization.  Each
-    branch point is assembled once; its tangent and the corrector steps take
-    one sparse LU each of the bordered matrix [J, -g; t^T], and its
-    stability value comes from LAPACK ``dsbevx``.
+    branch point is assembled once; its tangent and the corrector steps
+    each solve the bordered matrix [J, -g; t^T] on one banded LU of J
+    (``_BorderedLU``), and its stability value comes from LAPACK ``dsbevx``.
     """
     blocks = model.stiffness_blocks(spec, mesh)
     m, n = spec.m, mesh.n_interior

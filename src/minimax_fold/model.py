@@ -8,9 +8,7 @@ checked by sampling; they cannot be proved for black-box callables.
 
 The Galerkin Jacobian is block-tridiagonal (each of its m x m blocks is a
 tridiagonal matrix), so ``jacobian_parts`` assembles it on an (m*n, 3m)
-band; ``band_csc`` lays a band, optionally bordered by one row and column,
-out in compressed sparse columns (``CSCMatrix``) for the sparse LU, and dense
-matrices are expanded only on request.
+band, and dense matrices are expanded only on request.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -302,62 +300,6 @@ def band_matvec(band: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.
     for s in range(3):
         out[..., s:s + n] += terms[..., s]
     return out[..., 1:-1].reshape(lead + (big,))
-
-
-@functools.lru_cache(maxsize=64)
-def _csc_layout(m: int, n: int, bordered: bool):
-    """Compressed-column structure of an (m*n, 3m) band, optionally bordered.
-
-    ``band_csc`` lays its values out as the raveled band, then (if
-    bordered) the border column, the border row and the corner; ``gather``
-    picks the matrix entries from there in column-major order.  Returns
-    read-only (gather, row indices, column pointers) and the matrix size.
-    """
-    positions, rows, cols = band_pattern(m, n)
-    big = m * n
-    if bordered:
-        rows = np.concatenate([rows, np.arange(big), np.full(big + 1, big)])
-        cols = np.concatenate([cols, np.full(big, big), np.arange(big + 1)])
-        positions = np.concatenate([positions, 3 * m * big + np.arange(2 * big + 1)])
-    size = big + int(bordered)
-    order = np.lexsort((rows, cols))
-    layout = (positions[order], rows[order].astype(np.int32),
-              np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32))
-    for a in layout:
-        a.flags.writeable = False
-    return layout + (size,)
-
-
-class CSCMatrix(NamedTuple):
-    """A square matrix in compressed sparse columns: column j holds the
-    values ``data[indptr[j]:indptr[j + 1]]`` in the rows ``indices[...]`` of
-    the same range.  The indices are int32, ascending within each column,
-    without duplicates."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
-
-
-def band_csc(band: np.ndarray, m: int, n: int, col: np.ndarray | None = None,
-             row: np.ndarray | None = None, corner: float = 0.0) -> CSCMatrix:
-    """Compressed sparse columns of an (m*n, 3m) band (layout of ``band_pattern``).
-
-    With ``col`` and ``row`` it is the bordered (m*n + 1)-square matrix
-    [B col; row^T corner].  The structure is built once per (m, n); each call
-    only gathers the values.  A band of another size, such as a stack of
-    bands, raises ``ValueError``.
-    """
-    gather, indices, indptr, size = _csc_layout(m, n, col is not None)
-    values = band.reshape(3 * m * m * n)
-    if col is not None:
-        values = np.concatenate([values, np.ravel(col), np.ravel(row), [corner]])
-    return CSCMatrix(values[gather], indices, indptr, (size, size))
 
 
 def _block_diagonal_band(rows: np.ndarray) -> np.ndarray:
@@ -840,6 +782,8 @@ def linear_diagnostic(m: int = 1, a: Coefficient = 1.0) -> ProblemSpec:
     formula into the Collatz-Wielandt characterization of the smallest
     generalized eigenvalue and is accepted by the solver only because f = 0.
     """
+    if m < 1:
+        raise ValueError("component count m must be >= 1")
 
     def f(x, t):
         return np.zeros_like(t)

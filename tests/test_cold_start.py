@@ -1,12 +1,12 @@
 """The library loads scipy's compiled kernels without importing scipy's subpackages.
 
 Importing a package runs its ``__init__`` first, and those of
-``scipy.optimize``, ``scipy.linalg`` and ``scipy.sparse`` cost most of the
-library's cold start, so ``_kernels`` loads the extensions
-``scipy.optimize._highspy._core``, ``scipy.linalg._flapack`` and
-``scipy.sparse.linalg._dsolve._superlu`` from their files under their own
-names.  Each test runs in a fresh interpreter, because the import order is
-the thing under test.
+``scipy.optimize`` and ``scipy.linalg`` cost most of the library's cold
+start, so ``_kernels`` loads the extensions ``scipy.optimize._highspy._core``,
+``scipy.linalg._flapack`` and ``scipy.linalg._fblas`` from their files under
+their own names.  Nothing of ``scipy.sparse`` is loaded at all.  Each test
+runs in a fresh interpreter, because the import order is the thing under
+test.
 """
 
 import ast
@@ -47,6 +47,7 @@ def test_library_and_cli_import_no_scipy_subpackage(tmp_path):
         import sys
         import minimax_fold
         assert not {SUBPACKAGES!r} & set(sys.modules)
+        assert not [name for name in sys.modules if name.startswith("scipy.sparse")]
         from minimax_fold import cli
         assert cli.main(["solve", "--n", "16", "--out", {str(tmp_path / "solve")!r}]) == 0
         assert cli.main(["refine", "--sizes", "8", "16", "32",
@@ -57,6 +58,7 @@ def test_library_and_cli_import_no_scipy_subpackage(tmp_path):
         assert cli.main(["oracle", "--problem", "scalar_power", "--n", "16",
                          "--out", {str(tmp_path / "oracle")!r}]) == 0
         assert not {SUBPACKAGES!r} & set(sys.modules)
+        assert not [name for name in sys.modules if name.startswith("scipy.sparse")]
     """)
 
 
@@ -136,7 +138,7 @@ def test_warm_lp_bits_do_not_depend_on_import_order():
 
 def test_missing_core_raises_import_error_naming_it(tmp_path):
     run_fresh(f"""
-        import scipy, scipy.linalg, scipy.sparse.linalg
+        import scipy, scipy.linalg
         scipy.__path__ = [{str(tmp_path)!r}]
         try:
             import minimax_fold
@@ -147,36 +149,37 @@ def test_missing_core_raises_import_error_naming_it(tmp_path):
     """)
 
 
-# the library's LAPACK and SuperLU extensions, the ones scipy's own modules
+# the library's LAPACK and BLAS extensions, the ones scipy's own modules
 # hold, and a call through each of scipy's public functions
 SAME_KERNELS = """
 import sys
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
-from scipy.sparse.linalg._dsolve import linsolve
 from minimax_fold import _kernels
 assert scipy.linalg.lapack._flapack is _kernels._flapack
 assert sys.modules["scipy.linalg._flapack"] is _kernels._flapack
-assert linsolve._superlu is _kernels._superlu
-assert sys.modules["scipy.sparse.linalg._dsolve._superlu"] is _kernels._superlu
+assert scipy.linalg.blas._fblas is _kernels._fblas
+assert sys.modules["scipy.linalg._fblas"] is _kernels._fblas
 band = np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
 assert np.allclose(scipy.linalg.eig_banded(band, eigvals_only=True),
                    2.0 + np.sqrt(2.0) * np.array([-1.0, 0.0, 1.0]))
-lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array([[2.0, 1.0], [1.0, 3.0]]))
-assert np.allclose(lu.solve(np.array([3.0, 4.0])), [1.0, 1.0])
+# tridiag(1, 2, 1) of order 5 as a band with two sub- and two superdiagonals
+general = np.array([[0.0] * 5, [0.0] + [1.0] * 4, [2.0] * 5, [1.0] * 4 + [0.0], [0.0] * 5])
+product = np.array([3.0, 4.0, 4.0, 4.0, 3.0])
+assert np.allclose(scipy.linalg.solve_banded((2, 2), general, product), np.ones(5))
+assert np.allclose(scipy.linalg.blas.dgbmv(5, 5, 2, 2, 1.0, general, np.ones(5)), product)
 """
 
 
 def test_scipy_subpackages_and_the_library_share_their_kernels():
-    for first in ("import minimax_fold", "import scipy.linalg, scipy.sparse.linalg"):
+    for first in ("import minimax_fold", "import scipy.linalg"):
         run_fresh(first + "\n" + SAME_KERNELS)
 
 
 def test_missing_flapack_raises_import_error_naming_it(tmp_path):
     run_fresh(f"""
         import sys
-        import scipy, scipy.optimize, scipy.sparse.linalg
+        import scipy, scipy.optimize
         del sys.modules["scipy.linalg._flapack"]
         scipy.__path__ = [{str(tmp_path)!r}]
         try:

@@ -425,6 +425,36 @@ class TestTimingsOnEveryExit:
 
 
 class TestCLI:
+    @pytest.mark.parametrize("args", [
+        "solve --n 16",
+        "refine --sizes 8 16 32",
+        "perturb --gamma1 3 --kappa 0.1 --n 16",
+        "check --problem scalar_power",
+        "check --problem linear_diagnostic",
+        "oracle --problem scalar_power --n 16",
+    ])
+    def test_every_table_has_the_fields_of_its_header(self, tmp_path, args):
+        # check descriptions hold commas, which an unquoted field would split
+        out = tmp_path / "out"
+        assert cli.main(args.split() + ["--out", str(out)]) == 0
+        tables = sorted(out.rglob("*.csv"))
+        assert {out / "table.csv", out / "timings.csv"} <= set(tables)
+        for path in tables:
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), path
+        if args.startswith("check"):
+            assert {row["passed"] for row in read_table(out / "table.csv")} == {"true"}
+
+    @pytest.mark.parametrize("problem", ["cooperative_product", "linear_diagnostic"])
+    def test_zero_component_count_is_named(self, tmp_path, capsys, problem):
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--problem", problem, "--m", "0", "--n", "8",
+                         "--out", str(out)]) == 2
+        assert ("configuration error: component count m must be >= 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_solve_subcommand(self, tmp_path):
         code = cli.main(["solve", "--problem", "scalar_power", "--q", "0.5",
                          "--gamma", "2", "--n", "12", "--out", str(tmp_path)])

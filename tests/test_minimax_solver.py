@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from minimax_fold import mesh_fem, minimax_solver, model, rayleigh
+from minimax_fold import _kernels, mesh_fem, minimax_solver, model, rayleigh
 from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.minimax_solver import (
     MinimaxCertificate,
@@ -27,7 +27,7 @@ from minimax_fold.verification import verify_certificate
 from tests.test_harness_cli import count_calls
 from tests.test_rayleigh import (
     STENCIL_CASES,
-    as_csc_array,
+    bordered_dense,
     closed_form_eigenvalue,
     dense_gradients,
     mass_matrix,
@@ -370,7 +370,7 @@ class TestLockstepPolish:
             lu, v, w, s = minimax_solver._bordered_solve(jac[i], m, n, b[i], c[i])
             _, v_i, w_i, s_i = minimax_solver._bordered_solve(alone, m, n, b[i], c[i])
             assert np.array_equal(v, v_i) and np.array_equal(w, w_i) and s == s_i
-            assert lu.shape == (m * n + 1, m * n + 1)
+            assert lu.factors[0].shape == (3 * (2 * m - 1) + 1, m * n)  # one system's band
             # [J b; c^T 0][v; s] = [0; 1] and [J^T c; b^T 0][w; s] = [0; 1]
             dense = np.block([[model.band_to_dense(alone, m, n), b[i][:, None]],
                               [c[i][None, :], 0.0]])
@@ -380,21 +380,29 @@ class TestLockstepPolish:
             np.testing.assert_allclose(dense.T @ np.append(w, s), unit, atol=1e-12)
 
     def test_every_lu_is_one_bordered_system(self, monkeypatch):
-        shapes = []
-        real_splu = minimax_solver.splu
+        shapes, bordered = [], []
+        real_band_lu, real_bordered = _kernels.band_lu, minimax_solver._BorderedLU
 
-        def splu(a):
-            shapes.append(a.shape)
-            return real_splu(a)
+        def band_lu(ab, width):
+            shapes.append(ab.shape)
+            return real_band_lu(ab, width)
 
-        monkeypatch.setattr(minimax_solver, "splu", splu)
+        class BorderedLU(real_bordered):
+            def __init__(self, *args):
+                bordered.append(len(shapes))
+                super().__init__(*args)
+
+        monkeypatch.setattr(_kernels, "band_lu", band_lu)
+        monkeypatch.setattr(minimax_solver, "_BorderedLU", BorderedLU)
         spec = builtin_problem("cooperative_product", {"m": 3})
         cert = maximize(spec, build_mesh(32))
         finer = minimax_solver.continue_certificate(spec, build_mesh(64), cert, SolverOptions())
         assert cert.valid and finer.valid
-        # the coarse multistart on 16 elements, the polish on 32, and the continuation to 64
-        sizes = {spec.m * (elements - 1) + 1 for elements in (16, 32, 64)}
-        assert len(shapes) > 8 and all(a == b and a in sizes for a, b in shapes)
+        # the coarse multistart on 16 elements, the polish on 32, and the continuation to 64;
+        # each LU of J, on its general band, is taken for one bordered system
+        sizes = {(3 * (2 * spec.m - 1) + 1, spec.m * (elements - 1)) for elements in (16, 32, 64)}
+        assert len(shapes) > 8 and all(a in sizes for a in shapes)
+        assert bordered == list(range(len(shapes)))
 
     def test_singular_system_ends_only_its_start(self, monkeypatch):
         spec, mesh, blocks, starts = lockstep_case("cooperative_product-m2")
@@ -405,14 +413,14 @@ class TestLockstepPolish:
         ones = np.full(m * n, 1.0 / np.sqrt(m * n))
         _, v, _, _ = minimax_solver._bordered_solve(jac, m, n, ones, ones)
         marked = v / np.linalg.norm(v)
-        real_splu = minimax_solver.splu
 
-        def splu(a, **kwargs):
-            if np.array_equal(as_csc_array(a).toarray()[-1, :-1], marked):
-                raise RuntimeError("Factor is exactly singular")
-            return real_splu(a, **kwargs)
+        class BorderedLU(minimax_solver._BorderedLU):
+            def __init__(self, jac, m, n, b, c):
+                if np.array_equal(c, marked):
+                    raise RuntimeError("matrix is exactly singular")
+                super().__init__(jac, m, n, b, c)
 
-        monkeypatch.setattr(minimax_solver, "splu", splu)
+        monkeypatch.setattr(minimax_solver, "_BorderedLU", BorderedLU)
         stacked = minimax_solver._fold_polish(spec, mesh, starts, blocks)
         alone = [minimax_solver._fold_polish(spec, mesh, [start], blocks)[0] for start in starts]
         assert_same_polish(stacked, alone)
@@ -579,17 +587,13 @@ class TestNestedMaximize:
             == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
 
     @pytest.mark.parametrize("case, start", [("n24", "multistart"),
-                                             ("polish_off", "multistart"),
-                                             ("linear_diagnostic-m2", "fallback")])
+                                             ("polish_off", "multistart")])
     def test_other_paths_run_the_multistart_on_the_target(self, case, start):
         spec, mesh, options = scalar_power(0.5, 2.0), build_mesh(64), FAST
         if case == "n24":
             mesh = build_mesh(24)  # halves to 12 < 16 elements
-        elif case == "polish_off":
-            options = dataclasses.replace(FAST, polish=False)
         else:
-            # a double eigenvalue: the fold polish on 32 elements refuses the coarse point
-            spec, mesh = linear_diagnostic(2), build_mesh(32)
+            options = dataclasses.replace(FAST, polish=False)
         cert = maximize(spec, mesh, options=options)
         assert cert.start == start and cert.valid
         full = minimax_solver._multistart(spec, mesh, options)
@@ -614,6 +618,16 @@ class TestNestedMaximize:
         assert abs(cert.lambda_star - closed_form_eigenvalue(n)) <= 1e-8 * cert.lambda_star
         # every LP is one of the 16-element multistart: 15 nodes and lambda
         assert columns and set(columns) == {16}
+
+    def test_double_eigenvalue_is_nested(self):
+        # two equal uncoupled components: J has a two-dimensional null space at
+        # the fold, and the bordered systems of the polish on 32 elements are
+        # singular to roundoff, yet the elimination carries the coarse point up
+        spec, mesh = linear_diagnostic(2), build_mesh(32)
+        cert = maximize(spec, mesh, options=FAST)
+        assert cert.start == "nested" and cert.status == "polished" and cert.valid
+        assert verify_certificate(spec, mesh, cert).valid
+        assert abs(cert.lambda_star - closed_form_eigenvalue(32)) <= 1e-12 * cert.lambda_star
 
     def test_slp_runs_only_in_the_coarse_multistart(self, scalar_cert, monkeypatch):
         spec = scalar_power(0.5, 2.0)
@@ -718,9 +732,9 @@ class TestAscentBound:
         flat = np.ones(mesh.n_interior)
 
         def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+            raise RuntimeError("matrix is exactly singular")
 
-        monkeypatch.setattr(minimax_solver, "splu", singular)
+        monkeypatch.setattr(_kernels, "band_lu", singular)
         with pytest.raises(RuntimeError, match="certificate point"):
             minimax_solver._certificate(spec, mesh, flat, 1.0, "polished", 0, 0, True, 0.0,
                                         FAST, model.stiffness_blocks(spec, mesh))
@@ -777,13 +791,34 @@ class TestBandedFoldSystem:
         jac = parts.jacobian_band(cert.lambda_star)
         ones = np.full(big, 1.0 / np.sqrt(big))
         lu, v, w, s = minimax_solver._bordered_solve(jac, spec.m, mesh.n_interior, ones, ones)
-        bordered = as_csc_array(model.band_csc(jac, spec.m, mesh.n_interior, ones, ones))
-        assert lu.L.nnz + lu.U.nnz <= 2 * bordered.nnz
+        bordered = bordered_dense(model.band_to_dense(jac, spec.m, mesh.n_interior), ones, ones,
+                                  0.0)
+        # the LU of J fills only its band: 3(2m - 1) + 1 rows of m*n
+        assert lu.factors[0].size <= 2 * np.count_nonzero(bordered)
         # the solve keeps its accuracy: [J b; c^T 0][v; s] = [0; 1]
         x = np.append(v, s)
         rhs = np.zeros(big + 1)
         rhs[-1] = 1.0
         assert np.abs(bordered @ x - rhs).max() <= 1e-13 * abs(bordered).max() * np.abs(x).max()
+
+    def test_bordered_null_vectors_at_roundoff_on_a_large_mesh(self):
+        # at n = 16384 the elimination alone leaves v a residual of about 160 eps |J||v|;
+        # the step of iterative refinement brings it to roundoff
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(16384)
+        cert = maximize(spec, mesh)
+        assert cert.valid
+        n = mesh.n_interior
+        jac = model.jacobian_parts(spec, mesh, cert.u_star).jacobian_band(cert.lambda_star)
+        # the borders of the polish: all-ones, then the w and v found with it
+        b = c = np.full(n, 1.0 / np.sqrt(n))
+        for _ in range(2):
+            _, v, w, s = minimax_solver._bordered_solve(jac, 1, n, b, c)
+            b, c, border = w / np.linalg.norm(w), v / np.linalg.norm(v), (b, c)
+        eps = np.finfo(float).eps
+        for x, transpose, col in ((v, False, border[0]), (w, True, border[1])):
+            residual = model.band_matvec(jac, x, transpose=transpose) + s * col
+            magnitude = model.band_matvec(np.abs(jac), np.abs(x), transpose=transpose)
+            assert np.abs(residual).max() <= 4 * eps * magnitude.max()
 
     @pytest.mark.parametrize("n", [16, 24])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -1454,21 +1489,16 @@ class TestBandedOracles:
         predicted = z + 0.1 * np.append(np.zeros(m * n), 1.0)  # off the branch
         assert minimax_solver._corrector(spec, mesh, predicted, zero_row, blocks) is None
 
-        real_splu = minimax_solver.splu
-
-        def singular(size):
-            def factor(matrix, **kwargs):
-                if matrix.shape[0] == size:
-                    raise RuntimeError("Factor is exactly singular")
-                return real_splu(matrix, **kwargs)
-            return factor
+        def singular(*args, **kwargs):
+            raise RuntimeError("matrix is exactly singular")
 
         # every bordered LU fails: the first tangent of the sweep
-        monkeypatch.setattr(minimax_solver, "splu", singular(m * n + 1))
+        monkeypatch.setattr(minimax_solver, "_BorderedLU", singular)
         sweep = continuation_sweep(spec, mesh, lambda_max_guess=12.0)
         assert sweep.status == "tangent_failed" and sweep.points == ()
+        monkeypatch.undo()
         # every LU of J fails: the Newton step
-        monkeypatch.setattr(minimax_solver, "splu", singular(m * n))
+        monkeypatch.setattr(_kernels, "band_lu", singular)
         result = newton_solve(spec, mesh, lam, FEField(mesh, 1.05 * u.values), blocks=blocks)
         assert not result.converged and result.reason == "jacobian_singular"
 

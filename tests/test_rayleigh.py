@@ -2,10 +2,9 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 
-from minimax_fold import mesh_fem, model, rayleigh
+from minimax_fold import mesh_fem, minimax_solver, model, rayleigh
 from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.model import FEField, cooperative_product, linear_diagnostic, scalar_power
 from minimax_fold.rayleigh import DenominatorError, inner_min, rayleigh_quotient
@@ -38,10 +37,35 @@ def stencil_case(name, n_interior):
     return spec, mesh, u, terms, model.jacobian_parts(spec, mesh, u, blocks=terms.blocks)
 
 
-def as_csc_array(matrix):
-    """scipy's ``csc_array`` of a ``model.CSCMatrix`` record."""
-    data, indices, indptr, shape = matrix
-    return scipy.sparse.csc_array((data, indices, indptr), shape=shape)
+def general_band_to_dense(band, width):
+    """Dense matrix of a LAPACK general band as ``_kernels.band_lu`` takes it:
+    entry (i, j) at ``band[2 width + i - j, j]`` for |i - j| <= width."""
+    size = band.shape[1]
+    i, j = np.indices((size, size))
+    inside = np.abs(i - j) <= width
+    dense = np.zeros((size, size))
+    dense[inside] = band[2 * width + i[inside] - j[inside], j[inside]]
+    return dense
+
+
+def node_major(dense, m, n):
+    """``dense`` with rows and columns (k*n + i) reordered node-major (i*m + k)."""
+    order = np.arange(m * n).reshape(m, n).T.ravel()
+    return dense[np.ix_(order, order)]
+
+
+def bordered_dense(dense, col, row, corner):
+    return np.block([[dense, col[:, None]], [row[None, :], corner]])
+
+
+def assert_bordered_solves(lu, bordered, rng):
+    """``lu.solve``, and the refined ``lu.unit_solve``, match a dense solve of
+    ``bordered`` and of its transpose."""
+    rhs, unit = rng.standard_normal(bordered.shape[0]), np.eye(bordered.shape[0])[-1]
+    for trans, matrix in (("N", bordered), ("T", bordered.T)):
+        for z, b in ((lu.solve(rhs, trans), rhs), (lu.unit_solve(trans), unit)):
+            ref = np.linalg.solve(matrix, b)
+            assert np.abs(z - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def dense_parts(parts):
@@ -341,15 +365,15 @@ class TestGradientStencil:
         band = parts.jacobian_band(1.7)
         assert np.array_equal(model.band_to_dense(band, m, n), dense)
         assert np.array_equal(model.eval_jacobian(spec, mesh, u, 1.7), dense)
-        assert np.array_equal(as_csc_array(model.band_csc(band, m, n)).toarray(), dense)
+        general = minimax_solver._general_band(band, m, n)
+        assert np.array_equal(general_band_to_dense(general, 2 * m - 1),
+                              node_major(dense, m, n))
         rng = np.random.default_rng(0)
         col, row = rng.standard_normal((2, m * n))
-        bordered = as_csc_array(model.band_csc(band, m, n, col, row, 0.5))
-        assert bordered.has_canonical_format
         with pytest.raises(ValueError):
-            model.band_csc(np.stack([band, band]), m, n, col, row)
-        assert np.array_equal(bordered.toarray(),
-                              np.block([[dense, col[:, None]], [row[None, :], 0.5]]))
+            minimax_solver._BorderedLU(np.stack([band, band]), m, n, col, row)
+        assert_bordered_solves(minimax_solver._BorderedLU(band, m, n, col, row, 0.5),
+                               bordered_dense(dense, col, row, 0.5), rng)
 
     def test_stacked_jacobian_band_borders_each_lambda_alone(self, name, n_interior):
         spec, mesh, u, terms, parts = stencil_case(name, n_interior)
@@ -362,8 +386,10 @@ class TestGradientStencil:
         cols, rows = rng.standard_normal((2, 3, m * n))
         for lam, band, col, row in zip(lams, bands, cols, rows):
             assert np.array_equal(band, parts.jacobian_band(lam))
-            bordered = as_csc_array(model.band_csc(band, m, n, col, row, 0.5))
-            assert bordered.has_canonical_format
-            assert np.array_equal(bordered.toarray(), np.block(
-                [[stiffness - mass_f - lam * mass_g, col[:, None]], [row[None, :], 0.5]]))
+            dense = stiffness - mass_f - lam * mass_g
+            general = minimax_solver._general_band(band, m, n)
+            assert np.array_equal(general_band_to_dense(general, 2 * m - 1),
+                                  node_major(dense, m, n))
+            assert_bordered_solves(minimax_solver._BorderedLU(band, m, n, col, row, 0.5),
+                                   bordered_dense(dense, col, row, 0.5), rng)
 
