@@ -467,9 +467,8 @@ def run(config: RunConfig) -> int:
     """Execute one study and write artifacts; returns the process exit code.
 
     ``timings.csv`` is written on every exit path, solver and hypothesis
-    failures included.  The hypotheses are checked once, by ``check`` and,
-    except for the linear diagnostic, by ``strict``; ``check`` and a failed
-    ``strict`` run (exit 4) write the check table.
+    failures included.  ``check`` and ``strict`` check the hypotheses once,
+    and ``check`` and a failed ``strict`` run (exit 4) write the check table.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -480,7 +479,7 @@ def run(config: RunConfig) -> int:
     started = time.perf_counter()
 
     try:
-        if config.study == "check" or (config.strict and not spec.diagnostic):
+        if config.study == "check" or config.strict:
             report = model.check_hypotheses(spec)
             failed = config.strict and not report.all_passed
             if config.study == "check" or failed:

@@ -16,7 +16,7 @@ HiGHS instance, and each solves every LP from its own previous optimal
 basis (``WarmLP``).  The LP rows are read off the banded gradient stencil
 (``LPRows``), and each iterate is assembled once: an accepted trial point
 brings its terms along, and a rejected step re-solves with the same rows.
-For nonlinear problems the multistart works in two phases:
+The multistart works in two phases, for every problem:
 
 1. every start runs the SLP only until its scaled predicted gain is at most
    ``_HANDOVER_GAIN``, which is enough to land in the contraction basin of
@@ -39,16 +39,18 @@ For nonlinear problems the multistart works in two phases:
    singular-value tolerance).
 
 ``lambda*`` is the largest polished value, and the multi-start agreement is
-judged on the polished values; ``polish_failed`` means no start polished.  The
-linear diagnostic mode's multistart and ``polish=False`` run one SLP phase
-to ``tol_kkt``.  The certificate works on the band as well: two bordered solves
-give the adjoint null vector, from which the final multipliers are recovered
-through kappa_i = mu_i / <g(u*), eta_i>, and an upper bound on sigma_min(J);
-|J|_2 comes from the top eigenvalue of the banded J^T J.  The same
-multipliers bound the gain of the SLP's LP at u* by weak duality
-(``_ascent_bound``), so a VALID certificate also shows, without solving that
-LP, that it predicts no gain above ``_LOOSE_GAIN``.  No SVD is taken and no
-dense matrix is built, in the Newton and continuation oracles either.
+judged on the polished values; ``polish_failed`` means no start polished.
+In the linear diagnostic mode (f = 0) the fold is the smallest generalized
+eigenvalue, multiple for m >= 2 equal components, and the same polish finds
+it.  Only ``polish=False`` runs one SLP phase to ``tol_kkt``.  The
+certificate works on the band as well: two bordered solves give the adjoint
+null vector, from which the final multipliers are recovered through kappa_i
+= mu_i / <g(u*), eta_i>, and an upper bound on sigma_min(J); |J|_2 comes
+from the top eigenvalue of the banded J^T J.  The same multipliers bound the
+gain of the SLP's LP at u* by weak duality (``_ascent_bound``), so a VALID
+certificate also shows, without solving that LP, that it predicts no gain
+above ``_LOOSE_GAIN``.  No SVD is taken and no dense matrix is built, in the
+Newton and continuation oracles either.
 
 On a mesh that halves to at least ``_COARSE_ELEMENTS`` elements, in either
 mode, ``maximize`` with ``polish`` is nested iteration (Hackbusch, Multi-Grid
@@ -88,10 +90,10 @@ class SolverOptions:
     """Options for ``maximize`` (all defaults documented here).
 
     ``trust_radius_init`` is relative to the sup norm of the start field.
-    ``tol_kkt`` bounds the scaled predicted LP gain at SLP termination where
-    the SLP has to finish the job: in the linear diagnostic mode and with
-    ``polish=False``.  Otherwise each start hands over to the polish at the
-    gain ``_HANDOVER_GAIN``.  ``tol_cert`` is the relative
+    ``tol_kkt`` bounds the scaled predicted LP gain at SLP termination with
+    ``polish=False``, where the SLP has to finish the job.  With ``polish``
+    each start hands over to the polish at the gain ``_HANDOVER_GAIN``
+    instead, and ``tol_kkt`` does not matter.  ``tol_cert`` is the relative
     residual level a certificate must meet to be flagged VALID.  ``n_starts``
     randomized cone starts are run and the best local maximum is kept;
     disagreement beyond ``multistart_rel_tol`` is flagged, not resolved.
@@ -1036,8 +1038,8 @@ def _gram_layout(m: int, n: int):
     Entry (a, b) of J^T J is the sum over rows r of J[r, a] J[r, b].  Returns
     the flat band indices of the two factors of each product with a at or
     before b node-major, the flat index of (a, b) in the upper band, and the
-    band's shape.  The products come in ascending r, the order in which
-    scipy's sparse product J^T @ J sums them, so the sums keep its bits.
+    band's shape.  The products come in ascending r, as a row-by-row sparse
+    product J^T @ J sums them, so the sums keep that product's bits.
     """
     big, width = m * n, min(2 * (2 * m - 1), m * n - 1)
     inside, node = _node_major_slots(m, n)
@@ -1103,14 +1105,14 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
 
     The multistart runs ``n_starts`` SLP starts in lockstep (the
     torsion-profile start plus seeded random cone perturbations).
-    For a nonlinear problem with ``polish=True`` each start stops at the
-    hand-over gain ``_HANDOVER_GAIN``, every converged start is polished
-    once by Newton on the minimally augmented fold system, and the largest
-    polished value wins; ``polish_failed`` means no start polished, and the
-    certificate is then that of the best loose SLP point.  The converged starts are polished
-    together in lockstep (``_fold_polish``), and each ends where, and as, it
-    would alone.  Otherwise the best SLP point at ``tol_kkt`` is kept
-    (``converged``).
+    With ``polish=True`` each start stops at the hand-over gain
+    ``_HANDOVER_GAIN``, every converged start is polished once by Newton on
+    the minimally augmented fold system, and the largest polished value
+    wins; ``polish_failed`` means no start polished, and the certificate is
+    then that of the best loose SLP point.  The converged starts are
+    polished together in lockstep (``_fold_polish``), and each ends where,
+    and as, it would alone.  With ``polish=False`` the best SLP point at
+    ``tol_kkt`` is kept (``converged``).
     ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported in the
     certificate status, not raised.
 
@@ -1128,7 +1130,7 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     ``fallback``.  Every other call runs the multistart on ``mesh``
     (``multistart``).
 
-    The polish and the certificate factor sparse bordered matrices of J and
+    The polish and the certificate factor banded bordered systems of J and
     take no SVD: ``sigma_min`` is an upper bound from the bordered null
     vectors, which is all the singularity test needs, and ``jac_norm`` comes
     from LAPACK ``dsbevx``.  To carry a VALID certificate to a finer mesh or
@@ -1154,16 +1156,14 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
 
 
 def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> MinimaxCertificate:
-    """The multistart of ``maximize`` on ``mesh`` itself.  The linear
-    diagnostic mode polishes no start: with m >= 2 its smallest eigenvalue
-    is double and the fold system singular."""
+    """The multistart of ``maximize`` on ``mesh`` itself: the SLP of every
+    start, then, with ``polish``, the fold polish of every converged one."""
     blocks = model.stiffness_blocks(spec, mesh)
-    two_phase = options.polish and not spec.diagnostic
-    gain_tol = _HANDOVER_GAIN if two_phase else options.tol_kkt
+    gain_tol = _HANDOVER_GAIN if options.polish else options.tol_kkt
     results = _slp(spec, mesh, _starts(spec, mesh, options, blocks), options, blocks, gain_tol)
     converged = [r for r in results if r.status == "converged"]
 
-    if two_phase and converged:
+    if options.polish and converged:
         polished = [(result, r.iterations) for r, result in zip(
             converged, _fold_polish(spec, mesh, [(r.u, r.lam) for r in converged], blocks))
             if result.ok]
@@ -1179,11 +1179,10 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> Mini
     best = max(candidates, key=lambda r: r.lam)
     spread, agree = _agreement([r.lam for r in candidates], best.lam, options)
     status, mu_lp = best.status, best.mu_lp
-    if status == "converged":
-        if two_phase:
-            status = "polish_failed"
-        else:
-            mu_lp = None
+    if status == "converged" and options.polish:
+        status = "polish_failed"
+    elif status == "converged":
+        mu_lp = None
     return _certificate(spec, mesh, best.u, best.lam, status, best.iterations, 0,
                         agree, spread, options, blocks, mu_lp=mu_lp)
 

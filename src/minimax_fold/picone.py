@@ -81,7 +81,7 @@ class PSEnergyReport:
     1 - chi <= <f_u(u) v, v> - chi <f(u), v^2/u> with chi the midpoint of
     (q, 1) and v renormalized to a(v, v) = 1 (the inequality presumes that
     normalization).  ``consistent`` is False when the energy inequality
-    fails, which flags a non-solution input.
+    fails, which flags a non-solution input.  Neither line applies at q = 1.
     """
 
     applicable: bool
@@ -99,7 +99,7 @@ def ps_energy_diagnostic(spec: ProblemSpec, mesh: Mesh1D,
                          cert: MinimaxCertificate) -> PSEnergyReport:
     """Evaluate the superlinearity energy bound at the certificate pair."""
     u, v, lam = cert.u_star, cert.v_star, cert.lambda_star
-    if spec.diagnostic:
+    if spec.q >= 1.0:
         return PSEnergyReport(False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                               (1.0 + spec.q) / 2.0, True)
 

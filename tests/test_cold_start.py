@@ -105,6 +105,18 @@ def test_polish_and_certificate_run_only_in_the_multistart_and_the_carry():
     assert callers == {"_fold_polish": expected, "_certificate": expected}
 
 
+def test_only_model_reads_the_diagnostic_flag():
+    """``ProblemSpec.diagnostic`` selects the linear mode's validation and its
+    hypothesis rows in ``model``; the solver, the studies and the diagnostics
+    take one path for every problem."""
+    readers = set()
+    for path in sorted((SRC / "minimax_fold").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "diagnostic":
+                readers.add(path.name)
+    assert readers == {"model.py"}
+
+
 def test_scipy_optimize_after_the_library_reuses_its_core():
     run_fresh("""
         import sys

@@ -322,8 +322,8 @@ class TestNestedRefinement:
         table = refinement_study(config)
         assert len(calls) == 1
         assert [r.start for r in table.rows] == ["multistart", "continued", "continued"]
-        # the linear multistart polishes no start; each continuation polishes
-        assert [c.status for c in table.certificates] == ["converged", "polished", "polished"]
+        # the linear multistart hands over to the polish like any other
+        assert [c.status for c in table.certificates] == ["polished"] * 3
         for row, cert in zip(table.rows, table.certificates):
             assert cert.valid
             assert verify_certificate(config.spec(), config.mesh(row.n), cert).valid
@@ -662,6 +662,30 @@ class TestCLI:
         table = (out / "table.csv").read_text().splitlines()
         assert table[0] == "hypothesis,description,passed,margin,worst_x"
         assert [row.split(",")[0] for row in table[1:]] == ["h1", "h2", "h3", "h4", "h5"]
+
+    def test_strict_linear_diagnostic_checks_and_solves(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, model, "check_hypotheses")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--problem", "linear_diagnostic", "--strict", "--n", "32",
+                         "--out", str(out)]) == 0
+        assert len(calls) == 1
+        # the passed check writes no table: table.csv is the solve table
+        row, = read_table(out / "table.csv")
+        assert row["valid"] == "true" and row["status"] == "polished"
+
+    def test_reducible_linear_system_fails_fast(self, tmp_path, monkeypatch):
+        # f = 0 with unequal a: the components decouple, the smaller eigenvalue
+        # belongs to the second alone, and no positive eigenvector exists
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"problem": {"name": "linear_diagnostic", "params": {"m": 2, "a": [1.0, 2.0]}}}))
+        lps = count_calls(monkeypatch, minimax_solver.WarmLP, "solve")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--n", "256",
+                         "--out", str(out)]) == harness.EXIT_SOLVER
+        cert = json.loads((out / "certificate.json").read_text())
+        assert not cert["valid"] and cert["status"] == "polish_failed"
+        assert len(lps) <= 200
 
     def test_strict_hypothesis_failure_exits_4(self, tmp_path, monkeypatch):
         def bad_problem():

@@ -63,10 +63,14 @@ def linear_like_spec(slope):
 
 
 class TestMaximizeLinearDiagnostic:
-    def test_matches_generalized_eigenvalue(self, diagnostic_cert):
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_generalized_eigenvalue(self, m):
+        # with equal a every component carries the scalar eigenvalue, m-fold
         mesh = build_mesh(16)
+        cert = maximize(linear_diagnostic(m), mesh, options=FAST)
         lam1, vec = principal_eigenpair(mesh)
-        assert abs(diagnostic_cert.lambda_star - lam1) <= 1e-8 * lam1
+        assert cert.valid and cert.status == "polished"
+        assert abs(cert.lambda_star - lam1) <= 1e-11 * lam1
         assert abs(lam1 - closed_form_eigenvalue(16)) < 1e-12
 
     def test_primal_and_dual_align_with_eigenvector(self, diagnostic_cert):
@@ -629,6 +633,16 @@ class TestNestedMaximize:
         assert verify_certificate(spec, mesh, cert).valid
         assert abs(cert.lambda_star - closed_form_eigenvalue(32)) <= 1e-12 * cert.lambda_star
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_triple_eigenvalue_ends_valid(self, seed):
+        # at seeds 0 and 1 the carry's polish on 64 elements stalls a few eps
+        # above its roundoff estimate, and the fallback multistart certifies
+        spec, mesh = linear_diagnostic(3), build_mesh(64)
+        cert = maximize(spec, mesh, options=SolverOptions(seed=seed))
+        assert cert.valid and cert.status == "polished"
+        assert verify_certificate(spec, mesh, cert).valid
+        assert abs(cert.lambda_star - closed_form_eigenvalue(64)) <= 1e-11 * cert.lambda_star
+
     def test_slp_runs_only_in_the_coarse_multistart(self, scalar_cert, monkeypatch):
         spec = scalar_power(0.5, 2.0)
         real_slp = minimax_solver._slp
@@ -1030,6 +1044,14 @@ class TestLPBudget:
         calls = count_calls(monkeypatch, minimax_solver.WarmLP, "solve")
         cert = maximize(builtin_problem(name, params), build_mesh(64),
                         options=SolverOptions(seed=seed))
+        assert cert.valid
+        assert len(calls) <= 75
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_linear_cold_solve_lp_count(self, m, seed, monkeypatch):
+        calls = count_calls(monkeypatch, minimax_solver.WarmLP, "solve")
+        cert = maximize(linear_diagnostic(m), build_mesh(32), options=SolverOptions(seed=seed))
         assert cert.valid
         assert len(calls) <= 75
 
