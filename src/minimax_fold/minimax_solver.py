@@ -19,8 +19,8 @@ brings its terms along, and a rejected step re-solves with the same rows.
 The multistart works in two phases, for every problem:
 
 1. every start runs the SLP only until its scaled predicted gain is at most
-   ``_HANDOVER_GAIN``, which is enough to land in the contraction basin of
-   the fold: below it the SLP converges only linearly;
+   ``tol_kkt``, which is enough to land in the contraction basin of the
+   fold: below it the SLP converges only linearly;
 2. every converged start is polished by Newton on the minimally augmented
    fold system
 
@@ -42,21 +42,21 @@ The multistart works in two phases, for every problem:
 judged on the polished values; ``polish_failed`` means no start polished.
 In the linear diagnostic mode (f = 0) the fold is the smallest generalized
 eigenvalue, multiple for m >= 2 equal components, and the same polish finds
-it.  Only ``polish=False`` runs one SLP phase to ``tol_kkt``.  The
-certificate works on the band as well: two bordered solves give the adjoint
-null vector, from which the final multipliers are recovered through kappa_i
-= mu_i / <g(u*), eta_i>, and an upper bound on sigma_min(J); |J|_2 comes
-from the top eigenvalue of the banded J^T J.  The same multipliers bound the
+it; a certificate is VALID only at a polished point.  The certificate works
+on the band as well: two bordered solves give the adjoint null vector, from
+which the final multipliers are recovered through kappa_i = mu_i /
+<g(u*), eta_i>, and an upper bound on sigma_min(J); |J|_2 comes from the
+top eigenvalue of the banded J^T J.  The same multipliers bound the
 gain of the SLP's LP at u* by weak duality (``_ascent_bound``), so a VALID
 certificate also shows, without solving that LP, that it predicts no gain
 above ``_LOOSE_GAIN``.  No SVD is taken and no dense matrix is built, in the
 Newton and continuation oracles either.
 
 On a mesh that halves to at least ``_COARSE_ELEMENTS`` elements, in either
-mode, ``maximize`` with ``polish`` is nested iteration (Hackbusch, Multi-Grid
-Methods and Applications, Springer 1985, ch. 5): the multistart runs on the
-coarsest mesh, and its fold is carried up each doubling by one polish; on
-the target mesh the certificate, with its no-ascent bound, must be VALID, or
+mode, ``maximize`` is nested iteration (Hackbusch, Multi-Grid Methods and
+Applications, Springer 1985, ch. 5): the multistart runs on the coarsest
+mesh, and its fold is carried up each doubling by one polish; on the target
+mesh the certificate, with its no-ascent bound, must be VALID, or
 the multistart runs on the target mesh as the fallback.  The SLP and HiGHS
 thus run only in a multistart.  ``continue_certificate`` does the same for
 one step: it carries a VALID certificate to a finer mesh or a nearby
@@ -87,48 +87,34 @@ _highs = _kernels.highs
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Options for ``maximize`` (all defaults documented here).
+    """Options for ``maximize``: the three values a run may vary.
 
-    ``trust_radius_init`` is relative to the sup norm of the start field.
-    ``tol_kkt`` bounds the scaled predicted LP gain at SLP termination with
-    ``polish=False``, where the SLP has to finish the job.  With ``polish``
-    each start hands over to the polish at the gain ``_HANDOVER_GAIN``
-    instead, and ``tol_kkt`` does not matter.  ``tol_cert`` is the relative
-    residual level a certificate must meet to be flagged VALID.  ``n_starts``
-    randomized cone starts are run and the best local maximum is kept;
-    disagreement beyond ``multistart_rel_tol`` is flagged, not resolved.
-    Construction raises ``ValueError`` unless ``max_iters`` and ``n_starts``
-    are integers >= 1, ``seed`` an integer >= 0, every tolerance, threshold
-    and ``trust_radius_init`` a finite number > 0, and ``polish`` a bool.
+    ``tol_kkt`` (3e-2 by default) is the scaled predicted LP gain at which
+    each SLP start hands over to the fold polish: below it the SLP's tail
+    converges only linearly, and the polish contracts from there in about as
+    many Newton rounds.  ``n_starts`` randomized cone starts, drawn from
+    ``seed``, are run and the largest polished value is kept.  Construction
+    raises ``ValueError`` unless ``tol_kkt`` is a finite number > 0,
+    ``n_starts`` an integer >= 1 and ``seed`` an integer >= 0.  Every other
+    limit is a module constant, the certificate's validity bar ``_TOL_CERT``
+    included.
     """
 
-    max_iters: int = 400
-    tol_kkt: float = 1e-9
-    tol_cert: float = 1e-8
-    trust_radius_init: float = 0.25
+    tol_kkt: float = 3e-2
     n_starts: int = 8
     seed: int = 0
-    polish: bool = True
-    multistart_rel_tol: float = 1e-6
-    collapse_threshold: float = 1e-8
-    growth_threshold: float = 1e8
 
     def __post_init__(self):
-        for name, least in (("max_iters", 1), ("n_starts", 1), ("seed", 0)):
+        if isinstance(self.tol_kkt, bool) or not isinstance(self.tol_kkt, numbers.Real) \
+                or not math.isfinite(self.tol_kkt) or self.tol_kkt <= 0:
+            raise ValueError(f"solver option tol_kkt must be a finite number > 0, "
+                             f"not {self.tol_kkt!r}")
+        for name, least in (("n_starts", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
                     or value < least:
                 raise ValueError(f"solver option {name} must be an integer >= {least}, "
                                  f"not {value!r}")
-        for name in ("tol_kkt", "tol_cert", "trust_radius_init", "multistart_rel_tol",
-                     "collapse_threshold", "growth_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value) or value <= 0:
-                raise ValueError(f"solver option {name} must be a finite number > 0, "
-                                 f"not {value!r}")
-        if not isinstance(self.polish, bool):
-            raise ValueError(f"solver option polish must be a bool, not {self.polish!r}")
 
 
 @dataclass(frozen=True)
@@ -148,14 +134,14 @@ class MinimaxCertificate:
     on the smallest singular value of J, from the null vectors v, w of the
     bordered solves, and ``jac_norm`` is |J|_2, the square root of the top
     eigenvalue of J^T J (LAPACK ``dsbevx`` on its band).
-    ``valid`` requires all four residuals below ``tol_cert``, sigma_min below
-    1e-6 * |J|_2 (or J itself at assembly roundoff), both fields inside
-    their cones, and no ascent: the weak-duality bound ``_ascent_bound`` of
-    mu on the scaled gain of the LP the SLP would solve first from u*, on
-    its box of ``trust_radius_init`` and the cone floor, is at most
-    ``_LOOSE_GAIN``.  ``iterations`` counts the SLP rounds on the
-    certificate's own mesh, so it is 0 on ``nested`` and ``continued``
-    certificates.  ``start`` names the path that made the certificate:
+    ``valid`` requires status ``polished``, all four residuals below
+    ``_TOL_CERT`` (1e-8), sigma_min below 1e-6 * |J|_2 (or J itself at
+    assembly roundoff), both fields inside their cones, and no ascent: the
+    weak-duality bound ``_ascent_bound`` of mu on the scaled gain of the LP
+    the SLP would solve first from u*, on its box of ``_TRUST_RADIUS_INIT``
+    and the cone floor, is at most ``_LOOSE_GAIN``.  ``iterations`` counts
+    the SLP rounds on the certificate's own mesh, so it is 0 on ``nested``
+    and ``continued`` certificates.  ``start`` names the path that made the certificate:
     ``multistart`` (the multistart on its own mesh), ``nested`` (a multistart
     on a coarse mesh, polished up each doubling), ``fallback`` (a refused
     nested or continued path, then the multistart on its own mesh) or
@@ -277,10 +263,14 @@ def amplitude_line_search(spec: ProblemSpec, mesh: Mesh1D, shape, blocks=None):
 # SLP phase
 
 
-# scaled predicted gain at which each start of the two-phase multistart hands
-# over to the fold polish: the SLP's tail below it converges only linearly,
-# and the polish contracts from there in about as many Newton rounds
-_HANDOVER_GAIN = 3e-2
+# each start's SLP runs at most _SLP_MAX_ITERS rounds from a trust radius of
+# _TRUST_RADIUS_INIT times its start's sup norm, and ends ``cone_collapse``
+# (``unbounded_ascent``) once its iterate's sup norm is below
+# _COLLAPSE_THRESHOLD (above _GROWTH_THRESHOLD) times the start's
+_SLP_MAX_ITERS = 400
+_TRUST_RADIUS_INIT = 0.25
+_COLLAPSE_THRESHOLD = 1e-8
+_GROWTH_THRESHOLD = 1e8
 
 # the certificate's no-ascent bound: the scaled gain that the first SLP step
 # from a VALID point may at most predict (``_ascent_bound``)
@@ -437,9 +427,9 @@ def _assemble(spec, mesh, blocks, flats):
 
 
 def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
-         blocks, gain_tol: float) -> list:
+         blocks) -> list:
     """SLP from each field in ``starts`` until its scaled predicted gain is at
-    most ``gain_tol``; one ``_SLPState`` per start.
+    most ``options.tol_kkt``; one ``_SLPState`` per start.
 
     The starts advance in lockstep, one round per iteration: every live start
     solves one LP, and the fields that need terms at one step of the round
@@ -463,10 +453,10 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
                                                       [r.flat for r in runs])):
         run.terms, run.quotients = terms, quotients
         run.scale0 = float(np.abs(run.flat).max())
-        run.trust = options.trust_radius_init * run.scale0
+        run.trust = _TRUST_RADIUS_INIT * run.scale0
         run.lam = run.lam_prev = float(run.quotients.min())
 
-    for it in range(1, options.max_iters + 1):
+    for it in range(1, _SLP_MAX_ITERS + 1):
         live = [r for r in runs if r.status is None]
         if not live:
             break
@@ -474,9 +464,9 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
         for r in live:
             r.iterations = it
             r.scale_u = float(np.abs(r.flat).max())
-            if r.scale_u < options.collapse_threshold * r.scale0 and r.lam <= gain_tol:
+            if r.scale_u < _COLLAPSE_THRESHOLD * r.scale0 and r.lam <= options.tol_kkt:
                 r.status = "cone_collapse"
-            elif r.scale_u > options.growth_threshold * r.scale0 and r.grew >= 5:
+            elif r.scale_u > _GROWTH_THRESHOLD * r.scale0 and r.grew >= 5:
                 r.status = "unbounded_ascent"
             else:
                 # the relative cone floor rises with the iterate scale; re-clamp
@@ -518,7 +508,7 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
             tot = raw.sum()
             if tot > 0:
                 r.mu_lp = raw / tot
-            if predicted <= gain_tol * (1.0 + abs(r.lam)):
+            if predicted <= options.tol_kkt * (1.0 + abs(r.lam)):
                 r.status = "converged"
                 continue
             trials.append((r, delta, predicted, np.maximum(r.flat + delta, r.floor)))
@@ -887,6 +877,10 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks) -> list:
 # certificate assembly
 
 
+# the relative level below which a VALID certificate holds its four residuals
+_TOL_CERT = 1e-8
+
+
 def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
                  status: str, iterations: int, polish_iterations: int,
                  starts_agree: bool, lambda_spread: float,
@@ -949,19 +943,18 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     grad_scale = max(float(row_mag.max()), 1e-300)
     c = model.band_matvec(stencil, mu, transpose=True)  # S^T mu
     stationarity = float(np.linalg.norm(c) / grad_scale)
-    ascent = _ascent_bound(u.values.ravel(), quotients, mu, c, options.trust_radius_init)
+    ascent = _ascent_bound(u.values.ravel(), quotients, mu, c)
     complementarity = float((mu * np.abs(lam - quotients)).max() / (1.0 + abs(lam)))
 
     tol_active = 1e-8 * (1.0 + abs(lam))
     active = np.flatnonzero(quotients <= quotients.min() + tol_active)
 
-    tol = options.tol_cert
     # a Jacobian at assembly roundoff is as singular as floats can express
     singular_enough = sigma_min <= 1e-6 * jac_norm or jac_norm <= 1e-12 * jac_scale
     valid = (
-        status in ("converged", "polished")
-        and primal < tol and adjoint < tol and stationarity < tol
-        and complementarity < tol
+        status == "polished"
+        and primal < _TOL_CERT and adjoint < _TOL_CERT
+        and stationarity < _TOL_CERT and complementarity < _TOL_CERT
         and ascent <= _LOOSE_GAIN
         and singular_enough
         and w_cone_ok
@@ -999,7 +992,7 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     )
 
 
-def _ascent_bound(flat, quotients, y, c, trust_radius_init) -> float:
+def _ascent_bound(flat, quotients, y, c) -> float:
     """Weak-duality bound on the scaled gain of the first LP ``_slp`` solves from ``flat``.
 
     For ``y`` on the simplex and ``c = S^T y`` (S the quotient gradients),
@@ -1007,10 +1000,10 @@ def _ascent_bound(flat, quotients, y, c, trust_radius_init) -> float:
     y . R + c . du (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 13),
     so the gain over q_min = min_i R_i is at most y . R - q_min + sum_j
     max(c_j t, c_j l_j), scaled by 1 + |q_min| as ``_slp`` scales it.  The box
-    is that of ``_slp``: t = ``trust_radius_init`` |u|_inf, l_j = max(-t, floor - u_j).
+    is that of ``_slp``: t = ``_TRUST_RADIUS_INIT`` |u|_inf, l_j = max(-t, floor - u_j).
     """
     scale, q_min = float(np.abs(flat).max()), float(quotients.min())
-    trust = trust_radius_init * scale
+    trust = _TRUST_RADIUS_INIT * scale
     lower = np.maximum(-trust, model.CONE_FLOOR_REL * scale - flat)
     return float((y @ quotients - q_min + np.maximum(c * trust, c * lower).sum())
                  / (1.0 + abs(q_min)))
@@ -1104,25 +1097,23 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     """Solve lambda_r* = sup over the open cone of min_i R(u, eta_i).
 
     The multistart runs ``n_starts`` SLP starts in lockstep (the
-    torsion-profile start plus seeded random cone perturbations).
-    With ``polish=True`` each start stops at the hand-over gain
-    ``_HANDOVER_GAIN``, every converged start is polished once by Newton on
-    the minimally augmented fold system, and the largest polished value
-    wins; ``polish_failed`` means no start polished, and the certificate is
-    then that of the best loose SLP point.  The converged starts are
-    polished together in lockstep (``_fold_polish``), and each ends where,
-    and as, it would alone.  With ``polish=False`` the best SLP point at
-    ``tol_kkt`` is kept (``converged``).
-    ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported in the
-    certificate status, not raised.
+    torsion-profile start plus seeded random cone perturbations).  Each
+    start stops at the hand-over gain ``tol_kkt``, every converged start is
+    polished once by Newton on the minimally augmented fold system, and the
+    largest polished value wins; ``polish_failed`` means no start polished,
+    and the certificate, never VALID, is then that of the best loose SLP
+    point with its LP duals.  The converged starts are polished together in
+    lockstep (``_fold_polish``), and each ends where, and as, it would
+    alone.  ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported
+    in the certificate status, not raised.
 
-    With ``polish=True``, a mesh that halves (every other node) to at
-    least ``_COARSE_ELEMENTS`` elements is solved by nested iteration: the
-    multistart runs on the coarsest such mesh, and when its certificate is
-    VALID, ``_carry`` interpolates its fold up each doubling and polishes
-    it once per level, and on ``mesh`` itself the polished point must give
-    a VALID certificate, whose no-ascent bound replaces any SLP there (the
-    carry of ``continue_certificate``).  Such a certificate has ``start``
+    A mesh that halves (every other node) to at least ``_COARSE_ELEMENTS``
+    elements is solved by nested iteration: the multistart runs on the
+    coarsest such mesh, and when its certificate is VALID, ``_carry``
+    interpolates its fold up each doubling and polishes it once per level,
+    and on ``mesh`` itself the polished point must give a VALID certificate,
+    whose no-ascent bound replaces any SLP there (the carry of
+    ``continue_certificate``).  Such a certificate has ``start``
     ``nested``; its ``starts_agree`` and ``lambda_spread_starts`` describe
     the coarse multistart, ``polish_iterations`` the polish on ``mesh``, and
     ``iterations`` is 0.  Should the coarse certificate be invalid or the
@@ -1146,7 +1137,7 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     meshes = [mesh]
     while meshes[0].n_elements % 2 == 0 and meshes[0].n_elements // 2 >= _COARSE_ELEMENTS:
         meshes.insert(0, mesh_from_nodes(meshes[0].nodes[::2]))
-    if not options.polish or len(meshes) == 1:
+    if len(meshes) == 1:
         return _multistart(spec, mesh, options)
     coarse = _multistart(spec, meshes[0], options)
     nested = _carry(spec, meshes[1:], coarse, options) if coarse.valid else None
@@ -1157,34 +1148,29 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
 
 def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> MinimaxCertificate:
     """The multistart of ``maximize`` on ``mesh`` itself: the SLP of every
-    start, then, with ``polish``, the fold polish of every converged one."""
+    start, then the fold polish of every converged one."""
     blocks = model.stiffness_blocks(spec, mesh)
-    gain_tol = _HANDOVER_GAIN if options.polish else options.tol_kkt
-    results = _slp(spec, mesh, _starts(spec, mesh, options, blocks), options, blocks, gain_tol)
+    results = _slp(spec, mesh, _starts(spec, mesh, options, blocks), options, blocks)
     converged = [r for r in results if r.status == "converged"]
 
-    if options.polish and converged:
+    if converged:
         polished = [(result, r.iterations) for r, result in zip(
             converged, _fold_polish(spec, mesh, [(r.u, r.lam) for r in converged], blocks))
             if result.ok]
         if polished:
             best, slp_iterations = max(polished, key=lambda p: p[0].lam)
-            spread, agree = _agreement([p.lam for p, _ in polished], best.lam, options)
+            spread, agree = _agreement([p.lam for p, _ in polished], best.lam)
             return _certificate(spec, mesh, best.u.flatten(), best.lam, "polished",
                                 slp_iterations, best.iterations, agree, spread,
                                 options, blocks)
 
-    # the best SLP point; when no start polished, it keeps its LP duals
+    # no start polished: the best SLP point, with its LP duals
     candidates = converged or results
     best = max(candidates, key=lambda r: r.lam)
-    spread, agree = _agreement([r.lam for r in candidates], best.lam, options)
-    status, mu_lp = best.status, best.mu_lp
-    if status == "converged" and options.polish:
-        status = "polish_failed"
-    elif status == "converged":
-        mu_lp = None
+    spread, agree = _agreement([r.lam for r in candidates], best.lam)
+    status = "polish_failed" if best.status == "converged" else best.status
     return _certificate(spec, mesh, best.u, best.lam, status, best.iterations, 0,
-                        agree, spread, options, blocks, mu_lp=mu_lp)
+                        agree, spread, options, blocks, mu_lp=best.mu_lp)
 
 
 def _starts(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions, blocks) -> list:
@@ -1205,10 +1191,14 @@ def _starts(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions, blocks) -> 
             for values in amplitude_line_search(spec, mesh, np.stack(shapes), blocks)]
 
 
-def _agreement(lams, lam_best: float, options: SolverOptions):
+# the relative spread of the multi-start values within which the starts agree
+_MULTISTART_REL_TOL = 1e-6
+
+
+def _agreement(lams, lam_best: float):
     """Spread of the multi-start values and whether it is within tolerance."""
     spread = float(max(lams) - min(lams)) if len(lams) > 1 else 0.0
-    return spread, spread <= options.multistart_rel_tol * (1.0 + abs(lam_best))
+    return spread, spread <= _MULTISTART_REL_TOL * (1.0 + abs(lam_best))
 
 
 def _carry(spec, meshes, cert, options) -> Optional[MinimaxCertificate]:
@@ -1236,24 +1226,21 @@ def continue_certificate(spec: ProblemSpec, mesh: Mesh1D, cert: MinimaxCertifica
                          options: SolverOptions | None = None) -> MinimaxCertificate:
     """Carry a VALID certificate to a new mesh or a nearby problem: nested iteration.
 
-    With ``polish=True`` ``cert.u_star`` is interpolated onto ``mesh`` and
-    the fold polish starts there at ``cert.lambda_star``.  The certificate
-    of the polished point must be VALID; its no-ascent bound shows that no
-    SLP step leads from there to another branch, so no SLP runs
-    (``iterations`` is 0).  Such a certificate has ``start`` ``continued``:
-    its ``starts_agree`` and ``lambda_spread_starts`` are those of ``cert``,
-    the multistart the chain started from.  Should the field leave the cone,
-    the polish fail or the certificate be invalid, an ascent left included,
-    ``maximize`` runs instead and ``start`` is ``fallback``.
-    ``polish=False`` runs ``maximize`` (``multistart``).  The returned
-    certificate's ``start`` names the path.  Raises ``ValueError`` unless
+    ``cert.u_star`` is interpolated onto ``mesh`` and the fold polish starts
+    there at ``cert.lambda_star``.  The certificate of the polished point
+    must be VALID; its no-ascent bound shows that no SLP step leads from
+    there to another branch, so no SLP runs (``iterations`` is 0).  Such a
+    certificate has ``start`` ``continued``: its ``starts_agree`` and
+    ``lambda_spread_starts`` are those of ``cert``, the multistart the chain
+    started from.  Should the field leave the cone, the polish fail or the
+    certificate be invalid, an ascent left included, ``maximize`` runs
+    instead and ``start`` is ``fallback``.  The returned certificate's
+    ``start`` names the path.  Raises ``ValueError`` unless
     ``cert.valid``.
     """
     if not cert.valid:
         raise ValueError("continuation requires a VALID certificate")
     options = options or SolverOptions()
-    if not options.polish:
-        return maximize(spec, mesh, options=options)
     carried = _carry(spec, [mesh], cert, options)
     if carried is not None:
         return replace(carried, start="continued")

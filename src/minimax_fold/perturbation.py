@@ -104,7 +104,7 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
     shared.  Each kappa then continues the base certificate on the same mesh
     (``continue_certificate``: a fold polish from the base maximizer, with
     ``maximize`` only as a fallback).  ``bounds_hold`` gives each bound the
-    slack ``_BOUND_TOL`` (1e-8, the default ``tol_cert``).  Raises
+    slack ``_BOUND_TOL`` (1e-8, the certificate bar ``_TOL_CERT``).  Raises
     ``RuntimeError`` when a certificate is not VALID.
     """
     if not (0.0 < q < 1.0 and gamma > 1.0 and gamma1 > 1.0):

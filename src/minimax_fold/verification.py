@@ -124,7 +124,7 @@ def verify_certificate(spec: ProblemSpec, mesh: Mesh1D,
     """Recompute all certificate residuals on the independent oracle path.
 
     VALID requires the four recomputed relative residuals below ``_TOL``
-    (1e-8, the default ``tol_cert``) and sigma_min(J) below 1e-6 * |J|
+    (1e-8, the solver's bar ``_TOL_CERT``) and sigma_min(J) below 1e-6 * |J|
     (dense SVD).
     """
     m, n = spec.m, mesh.n_interior

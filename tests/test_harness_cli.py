@@ -375,9 +375,10 @@ class TestOracleStudy:
         assert comparison.lambda_fold is None
         assert sweep.status == comparison.fold_status
 
-    def test_invalid_minimax_certificate_exits_3(self, tmp_path):
+    def test_invalid_minimax_certificate_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", 1)
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"solver": {"n_starts": 1, "max_iters": 1}}))
+        cfg.write_text(json.dumps({"solver": {"n_starts": 1}}))
         out = tmp_path / "out"
         code = cli.main(["oracle", "--config", str(cfg), "--n", "16", "--out", str(out)])
         assert code == harness.EXIT_SOLVER
@@ -395,9 +396,9 @@ class TestOracleStudy:
 
 
 class TestTimingsOnEveryExit:
-    def test_invalid_certificate(self, tmp_path):
-        config = fast_config(out_dir=str(tmp_path),
-                             solver=SolverOptions(n_starts=1, max_iters=1))
+    def test_invalid_certificate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", 1)
+        config = fast_config(out_dir=str(tmp_path), solver=SolverOptions(n_starts=1))
         assert harness.run(config) == harness.EXIT_SOLVER
         assert not json.loads((tmp_path / "certificate.json").read_text())["valid"]
         assert (tmp_path / "timings.csv").read_text().startswith("stage,seconds\ntotal,")
@@ -614,15 +615,12 @@ class TestCLI:
         ([], {"solver": {"seed": True}}),
         ([], {"solver": {"n_starts": "8"}}),
         ([], {"solver": {"n_starts": 0}}),
-        ([], {"solver": {"max_iters": 2.5}}),
-        ([], {"solver": {"trust_radius_init": -0.25}}),
-        ([], {"solver": {"tol_cert": float("nan")}}),
-        ([], {"solver": {"growth_threshold": float("inf")}}),
-        ([], {"solver": {"multistart_rel_tol": 0.0}}),
-        ([], {"solver": {"polish": 1}}),
+        ([], {"solver": {"tol_kkt": float("nan")}}),
+        ([], {"solver": {"tol_kkt": 0.0}}),
+        ([], {"solver": {"tol_kkt": float("inf")}}),
+        ([], {"solver": {"tol_kkt": True}}),
     ], ids=["seed-flag-negative", "seed-key-float", "seed-bool", "n_starts-string",
-            "n_starts-zero", "max_iters-float", "trust_radius-negative", "tol_cert-nan",
-            "growth-inf", "rel_tol-zero", "polish-int"])
+            "n_starts-zero", "tol_kkt-nan", "tol_kkt-zero", "tol_kkt-inf", "tol_kkt-bool"])
     def test_bad_solver_option_exits_2(self, tmp_path, capsys, flags, config):
         out = tmp_path / "out"
         argv = ["solve", "--n", "16", "--out", str(out)] + flags
@@ -632,6 +630,31 @@ class TestCLI:
             argv += ["--config", str(cfg)]
         assert cli.main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_iters", 2.5), ("trust_radius_init", -0.25), ("tol_cert", float("nan")),
+        ("growth_threshold", float("inf")), ("collapse_threshold", 1e-8),
+        ("multistart_rel_tol", 0.0), ("polish", 1)],
+        ids=["max_iters-float", "trust_radius-negative", "tol_cert-nan", "growth-inf",
+             "collapse-default", "rel_tol-zero", "polish-int"])
+    def test_removed_solver_option_is_named(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"solver": {key: value}}))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--n", "16", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"unknown solver options: [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_loosened_certificate_bar_is_refused(self, tmp_path, capsys):
+        # with an SLP-only path and a settable bar, this run certified a
+        # point whose adjoint residual (1.6e-6) the audit rejects
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"solver": {"polish": False, "tol_kkt": 1e-6,
+                                              "tol_cert": 1e-3}}))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--n", "16", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown solver options: ['polish', 'tol_cert']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_solver_seed_is_kept(self, tmp_path):

@@ -36,6 +36,8 @@ from tests.test_rayleigh import (
 )
 
 FAST = SolverOptions(n_starts=3)
+# the SLP to the no-ascent gain, well past the hand-over to the polish
+LOOSE = SolverOptions(tol_kkt=minimax_solver._LOOSE_GAIN)
 
 
 @pytest.fixture(scope="module")
@@ -188,12 +190,11 @@ class TestContinueCertificate:
     @pytest.mark.parametrize("refusal", ["guard_ascends", "field_leaves_cone"])
     def test_refused_continuation_falls_back(self, scalar_cert, monkeypatch, refusal):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(48)
-        options = FAST
         made = []
         if refusal == "guard_ascends":
             # a trust box this wide lets the residual stationarity S^T mu, of
             # order 1e-13, buy an ascent above _LOOSE_GAIN in the duality bound
-            options = dataclasses.replace(FAST, trust_radius_init=1e12)
+            monkeypatch.setattr(minimax_solver, "_TRUST_RADIUS_INIT", 1e12)
             real_certificate = minimax_solver._certificate
 
             def recording_certificate(*args, **kwargs):
@@ -216,10 +217,11 @@ class TestContinueCertificate:
                 return FEField(target, values)
 
             monkeypatch.setattr(FEField, "transfer_to", transfer_leaving_cone)
-        cert = minimax_solver.continue_certificate(spec, mesh, scalar_cert, options)
+        cert = minimax_solver.continue_certificate(spec, mesh, scalar_cert, FAST)
         assert cert.start == "fallback" and made
+        monkeypatch.undo()
         if refusal == "guard_ascends":  # the polish converged, and only the bound refused it
-            continued, tol = made[0], options.tol_cert
+            continued, tol = made[0], minimax_solver._TOL_CERT
             assert not continued.valid and continued.status == "polished"
             assert max(continued.primal_residual, continued.adjoint_residual,
                        continued.stationarity_residual,
@@ -228,19 +230,11 @@ class TestContinueCertificate:
             assert minimax_solver._certificate(spec, mesh, continued.u_star.flatten(),
                                                continued.lambda_star, "polished", 0, 0, True,
                                                0.0, FAST, blocks).valid
-        monkeypatch.undo()
-        full = maximize(spec, mesh, options=options)
+            monkeypatch.setattr(minimax_solver, "_TRUST_RADIUS_INIT", 1e12)
+        full = maximize(spec, mesh, options=FAST)
         # the certificate records its path; every other field is the plain maximize's
         assert json.dumps(cert.to_dict()) \
             == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
-
-    def test_polish_off_runs_the_multistart(self, scalar_cert):
-        spec, mesh = scalar_power(0.5, 2.0), build_mesh(32)
-        options = dataclasses.replace(FAST, polish=False)
-        cert = minimax_solver.continue_certificate(spec, mesh, scalar_cert, options)
-        assert cert.start == "multistart"
-        full = maximize(spec, mesh, options=options)
-        assert json.dumps(cert.to_dict()) == json.dumps(full.to_dict())
 
 
 class TestTwoPhaseMaximize:
@@ -263,17 +257,15 @@ class TestTwoPhaseMaximize:
     def test_polish_stops_at_roundoff_at_n128(self):
         spec = scalar_power(0.5, 2.0)
         mesh = build_mesh(128)
-        options = SolverOptions()
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.amplitude_line_search(
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
-        slp, = minimax_solver._slp(spec, mesh, [start], options, blocks,
-                                   minimax_solver._LOOSE_GAIN)
+        slp, = minimax_solver._slp(spec, mesh, [start], LOOSE, blocks)
         assert slp.status == "converged"
         result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
         assert result.reason == "converged"
         assert result.ok
-        assert result.residual <= 1e-3 * options.tol_cert
+        assert result.residual <= 1e-3 * minimax_solver._TOL_CERT
 
     def test_polish_names_its_failure(self, monkeypatch):
         spec = scalar_power(0.5, 2.0)
@@ -281,8 +273,7 @@ class TestTwoPhaseMaximize:
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.amplitude_line_search(
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
-        slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks,
-                                   minimax_solver._LOOSE_GAIN)
+        slp, = minimax_solver._slp(spec, mesh, [start], LOOSE, blocks)
         monkeypatch.setattr(minimax_solver, "_POLISH_ROUNDS", 0)
         result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
         assert result.reason == "max_iter" and not result.ok
@@ -299,9 +290,10 @@ class TestTwoPhaseMaximize:
         assert cert.status == "polish_failed"
         assert not cert.valid
 
-    def test_agreement_without_a_converged_start_covers_every_start(self):
+    def test_agreement_without_a_converged_start_covers_every_start(self, monkeypatch):
         # best is then picked from every start, and the agreement is judged there
-        cert = maximize(scalar_power(0.5, 2.0), build_mesh(16), SolverOptions(max_iters=2))
+        monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", 2)
+        cert = maximize(scalar_power(0.5, 2.0), build_mesh(16))
         assert cert.start == "multistart" and cert.status == "max_iters" and not cert.valid
         assert cert.lambda_spread_starts > 0.0 and not cert.starts_agree
 
@@ -328,7 +320,7 @@ def lockstep_case(name, elements=16):
     blocks = model.stiffness_blocks(spec, mesh)
     options = SolverOptions()
     fields = minimax_solver._starts(spec, mesh, options, blocks)
-    loose = minimax_solver._slp(spec, mesh, fields, options, blocks, minimax_solver._LOOSE_GAIN)
+    loose = minimax_solver._slp(spec, mesh, fields, LOOSE, blocks)
     starts = [(r.u, r.lam) for r in loose[:5]]
     starts += [(f.flatten(), float(rayleigh.galerkin_terms(spec, mesh, f, blocks).quotients().min()))
                for f in fields[5:]]
@@ -479,7 +471,7 @@ class TestRoundoffStop:
             spec, mesh, [(coarse.u_star.transfer_to(mesh).flatten(), coarse.lambda_star)],
             model.stiffness_blocks(spec, mesh))
         assert result.ok and result.reason == "converged"
-        assert result.residual <= result.roundoff < SolverOptions().tol_cert
+        assert result.residual <= result.roundoff < minimax_solver._TOL_CERT
 
     def test_stalled_polish_above_the_estimate_is_a_failure(self, monkeypatch):
         spec = scalar_power(0.5, 2.0)
@@ -487,7 +479,7 @@ class TestRoundoffStop:
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.amplitude_line_search(
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
-        slp, = minimax_solver._slp(spec, mesh, [start], FAST, blocks, minimax_solver._LOOSE_GAIN)
+        slp, = minimax_solver._slp(spec, mesh, [start], LOOSE, blocks)
         # a stop test that never passes: the polish runs into its stall
         monkeypatch.setattr(minimax_solver, "_at_roundoff", lambda residuals, roundoff: False)
         result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
@@ -590,20 +582,13 @@ class TestNestedMaximize:
         assert json.dumps(cert.to_dict()) \
             == json.dumps(dataclasses.replace(full, start="fallback").to_dict())
 
-    @pytest.mark.parametrize("case, start", [("n24", "multistart"),
-                                             ("polish_off", "multistart")])
-    def test_other_paths_run_the_multistart_on_the_target(self, case, start):
-        spec, mesh, options = scalar_power(0.5, 2.0), build_mesh(64), FAST
-        if case == "n24":
-            mesh = build_mesh(24)  # halves to 12 < 16 elements
-        else:
-            options = dataclasses.replace(FAST, polish=False)
-        cert = maximize(spec, mesh, options=options)
-        assert cert.start == start and cert.valid
-        full = minimax_solver._multistart(spec, mesh, options)
-        # the certificate records its path; every other field is the multistart's
+    def test_small_mesh_runs_the_multistart_on_the_target(self):
+        spec, mesh = scalar_power(0.5, 2.0), build_mesh(24)  # halves to 12 < 16 elements
+        cert = maximize(spec, mesh, options=FAST)
+        assert cert.start == "multistart" and cert.valid
+        # every field is the multistart's
         assert json.dumps(cert.to_dict()) \
-            == json.dumps(dataclasses.replace(full, start=start).to_dict())
+            == json.dumps(minimax_solver._multistart(spec, mesh, FAST).to_dict())
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_linear_diagnostic_is_nested(self, n, monkeypatch):
@@ -685,7 +670,7 @@ ASCENT_CASES = {
 LP_FEASIBILITY = 1e-7
 
 
-def first_lp(spec, mesh, blocks, flat, options):
+def first_lp(spec, mesh, blocks, flat):
     """``(quotients, stencil, gain, duals)`` of the LP ``_slp`` solves first
     from ``flat``: its scaled gain over min_i R_i and its row duals, normalized."""
     u = FEField.from_flat(mesh, spec.m, flat)
@@ -693,7 +678,7 @@ def first_lp(spec, mesh, blocks, flat, options):
     quotients = terms.quotients()
     stencil = rayleigh.quotient_gradients(spec, mesh, u, terms=terms, quotients=quotients)
     scale = np.abs(flat).max()
-    trust = options.trust_radius_init * scale
+    trust = minimax_solver._TRUST_RADIUS_INIT * scale
     lower = np.append(np.maximum(-trust, model.CONE_FLOOR_REL * scale - flat), -np.inf)
     upper = np.append(np.full(flat.size, trust), np.inf)
     cost = np.zeros(flat.size + 1)
@@ -709,7 +694,7 @@ class TestAscentBound:
     """The certificate's no-ascent bound is the weak-duality bound of the SLP's LP."""
 
     @pytest.mark.parametrize("name", list(ASCENT_CASES))
-    def test_bound_covers_the_lp_gain_along_slp_paths(self, name):
+    def test_bound_covers_the_lp_gain_along_slp_paths(self, name, monkeypatch):
         problem, params, n = ASCENT_CASES[name]
         spec, mesh = builtin_problem(problem, params), build_mesh(n)
         blocks = model.stiffness_blocks(spec, mesh)
@@ -717,18 +702,17 @@ class TestAscentBound:
         starts = minimax_solver._starts(spec, mesh, options, blocks)
         points = [f.flatten() for f in starts]
         for rounds in (1, 2, 3):
-            points += [r.u for r in minimax_solver._slp(
-                spec, mesh, starts, dataclasses.replace(options, max_iters=rounds), blocks,
-                minimax_solver._LOOSE_GAIN)]
+            monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", rounds)
+            points += [r.u for r in minimax_solver._slp(spec, mesh, starts, LOOSE, blocks)]
         for i, flat in enumerate(points):
-            quotients, stencil, gain, duals = first_lp(spec, mesh, blocks, flat, options)
+            quotients, stencil, gain, duals = first_lp(spec, mesh, blocks, flat)
             cert = minimax_solver._certificate(spec, mesh, flat, quotients.min(), "polished", 0, 0,
                                                True, 0.0, options, blocks)
             assert np.all(cert.mu >= 0.0)  # on the simplex, as weak duality needs
             multipliers = [duals, cert.mu, np.full(flat.size, 1.0 / flat.size)]
             bounds = [minimax_solver._ascent_bound(
-                flat, quotients, y, model.band_matvec(stencil, y, transpose=True),
-                options.trust_radius_init) for y in multipliers]
+                flat, quotients, y, model.band_matvec(stencil, y, transpose=True))
+                for y in multipliers]
             assert min(bounds) >= gain - LP_FEASIBILITY
             # the LP's own duals attain its optimum: the bound is tight there
             assert bounds[0] <= gain + LP_FEASIBILITY
@@ -738,7 +722,7 @@ class TestAscentBound:
     def test_valid_certificates_have_no_lp_ascent(self, scalar_cert):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(24)
         _, _, gain, _ = first_lp(spec, mesh, model.stiffness_blocks(spec, mesh),
-                                 scalar_cert.u_star.flatten(), FAST)
+                                 scalar_cert.u_star.flatten())
         assert scalar_cert.valid and gain <= minimax_solver._LOOSE_GAIN
 
     def test_singular_bordered_matrix_at_the_certificate_point_raises(self, monkeypatch):
@@ -958,22 +942,23 @@ class TestLockstepSLP:
         ("scalar_power", {}, 16, minimax_solver._LOOSE_GAIN, 400),
         ("cooperative_product", {"m": 2}, 16, minimax_solver._LOOSE_GAIN, 400),
         ("cooperative_product", {"m": 3}, 16, minimax_solver._LOOSE_GAIN, 400),
-        ("linear_diagnostic", {}, 32, SolverOptions().tol_kkt, 400),
+        ("linear_diagnostic", {}, 32, 1e-9, 400),
         ("scalar_power", {}, 16, minimax_solver._LOOSE_GAIN, 3),
         # some starts converge, the others reach the cap a round later
         ("scalar_power", {}, 16, minimax_solver._LOOSE_GAIN, 12),
     ], ids=["scalar_power", "cooperative_product-m2", "cooperative_product-m3",
             "linear_diagnostic-n32", "max_iters3", "max_iters12"])
-    def test_stack_equals_each_start_alone(self, name, params, n, gain, max_iters):
+    def test_stack_equals_each_start_alone(self, name, params, n, gain, max_iters, monkeypatch):
         spec = builtin_problem(name, params)
         mesh = build_mesh(n)
-        options = SolverOptions(max_iters=max_iters)
+        monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", max_iters)
+        options = SolverOptions(tol_kkt=gain)
         blocks = model.stiffness_blocks(spec, mesh)
         starts = minimax_solver._starts(spec, mesh, options, blocks)
         assert len(starts) == 8
-        stack = minimax_solver._slp(spec, mesh, starts, options, blocks, gain)
+        stack = minimax_solver._slp(spec, mesh, starts, options, blocks)
         for start, state in zip(starts, stack, strict=True):
-            alone, = minimax_solver._slp(spec, mesh, [start], options, blocks, gain)
+            alone, = minimax_solver._slp(spec, mesh, [start], options, blocks)
             assert np.array_equal(state.u, alone.u)
             assert state.lam == alone.lam
             assert state.status == alone.status
@@ -1060,11 +1045,12 @@ class TestSLPAssembly:
     """Each SLP iterate is assembled once, on the band."""
 
     def slp_start(self, spec, mesh):
-        """``_slp`` at ``tol_kkt`` from the torsion-profile start, set up before any patching."""
+        """``_slp`` to the gain 1e-9 from the torsion-profile start, set up before any patching."""
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.amplitude_line_search(
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
-        return lambda: minimax_solver._slp(spec, mesh, [start], SolverOptions(), blocks, 1e-9)[0]
+        options = SolverOptions(tol_kkt=1e-9)
+        return lambda: minimax_solver._slp(spec, mesh, [start], options, blocks)[0]
 
     def test_one_assembly_per_point_none_after_rejection(self, monkeypatch):
         events = []  # ("terms", field bytes) or ("lp", b_ub, solved)
@@ -1162,19 +1148,27 @@ class TestAmplitudeLineSearch:
 
 
 class TestSolverStressModes:
+    # a hand-over gain this tight keeps the SLP running until the mode shows
+    TIGHT = SolverOptions(tol_kkt=1e-9, n_starts=1)
+
     def test_cone_collapse_reported(self):
         # supercritical linear reaction pushes the value to 0 at zero amplitude
         spec = linear_like_spec(25.0)
-        cert = maximize(spec, build_mesh(8),
-                        options=dataclasses.replace(FAST, n_starts=1, polish=False))
+        cert = maximize(spec, build_mesh(8), options=self.TIGHT)
         assert cert.status in ("cone_collapse", "stalled", "max_iters")
         assert not cert.valid
+
+    def test_cone_collapse_at_the_default_hand_over_fails_the_polish(self):
+        # the start hands over at a sup norm of about 2e-7, before the
+        # collapse test fires, and no fold exists to polish there
+        cert = maximize(linear_like_spec(25.0), build_mesh(8),
+                        options=SolverOptions(n_starts=1))
+        assert cert.status == "polish_failed" and not cert.valid
 
     def test_unbounded_ascent_reported(self):
         # negative reaction makes the quotient grow with the amplitude
         spec = linear_like_spec(-0.5)
-        cert = maximize(spec, build_mesh(8),
-                        options=dataclasses.replace(FAST, n_starts=1, polish=False))
+        cert = maximize(spec, build_mesh(8), options=self.TIGHT)
         assert cert.status == "unbounded_ascent"
         assert not cert.valid
 

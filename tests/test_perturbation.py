@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minimax_fold import model, perturbation, rayleigh
+from minimax_fold import minimax_solver, model, perturbation, rayleigh
 from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.minimax_solver import SolverOptions, maximize
 from minimax_fold.model import FEField, scalar_power
@@ -156,9 +156,10 @@ class TestTwoSidedExample:
             return real_maximize(spec, mesh, **kwargs)
 
         monkeypatch.setattr(perturbation, "maximize", counting_maximize)
+        monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", 1)
         with pytest.raises(RuntimeError, match=r"^solver failure: base status 'max_iters'$"):
             two_sided_example(0.5, 2.0, 3.0, (0.1, 0.01), MESH,
-                              options=SolverOptions(n_starts=1, max_iters=1))
+                              options=SolverOptions(n_starts=1))
         assert solved == ["scalar_power"]
 
     def test_large_kappa_continues_from_base(self):

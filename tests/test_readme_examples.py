@@ -6,6 +6,8 @@ in-process through ``cli.main`` with its ``--out`` directory redirected to a
 temporary path.
 """
 
+import dataclasses
+import json
 import re
 import shlex
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from minimax_fold import cli, harness
+from minimax_fold.minimax_solver import SolverOptions
 from minimax_fold.verification import verify_certificate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -55,6 +58,8 @@ def test_readme_example(argv, tmp_path):
 
 def test_readme_configuration_file(tmp_path):
     block, = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+    # the block lists every solver option, at its default
+    assert json.loads(block)["solver"] == dataclasses.asdict(SolverOptions())
     cfg = tmp_path / "config.json"
     cfg.write_text(block)
     out = tmp_path / "out"
