@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -136,7 +136,7 @@ class RunConfig:
     def from_dict(data: dict) -> "RunConfig":
         data = dict(data)
         solver_map = data.pop("solver", {})
-        known = {f for f in SolverOptions.__dataclass_fields__}
+        known = {f.name for f in fields(SolverOptions)}
         unknown = set(solver_map) - known
         if unknown:
             raise ConfigError(f"unknown solver options: {sorted(unknown)}")

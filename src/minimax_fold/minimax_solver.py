@@ -19,8 +19,8 @@ brings its terms along, and a rejected step re-solves with the same rows.
 The multistart works in two phases, for every problem:
 
 1. every start runs the SLP only until its scaled predicted gain is at most
-   ``tol_kkt``, which is enough to land in the contraction basin of the
-   fold: below it the SLP converges only linearly;
+   ``_HANDOVER_GAIN``, which is enough to land in the contraction basin of
+   the fold: below it the SLP converges only linearly;
 2. every converged start is polished by Newton on the minimally augmented
    fold system
 
@@ -73,7 +73,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -87,28 +87,24 @@ _highs = _kernels.highs
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Options for ``maximize``: the three values a run may vary.
+    """Options for ``maximize``: the two values a run may vary.
 
-    ``tol_kkt`` (3e-2 by default) is the scaled predicted LP gain at which
-    each SLP start hands over to the fold polish: below it the SLP's tail
-    converges only linearly, and the polish contracts from there in about as
-    many Newton rounds.  ``n_starts`` randomized cone starts, drawn from
-    ``seed``, are run and the largest polished value is kept.  Construction
-    raises ``ValueError`` unless ``tol_kkt`` is a finite number > 0,
-    ``n_starts`` an integer >= 1 and ``seed`` an integer >= 0.  Every other
-    limit is a module constant, the certificate's validity bar ``_TOL_CERT``
-    included.
+    ``n_starts`` randomized cone starts, drawn from ``seed``, are run and the
+    largest polished value is kept.  Construction raises ``ValueError``
+    unless ``n_starts`` is an integer >= 1 and ``seed`` an integer >= 0.
+    Every other limit is a module constant, the hand-over gain
+    ``_HANDOVER_GAIN`` and the certificate's validity bar ``_TOL_CERT``
+    included.  ``tol_kkt``, which bounded the final gain of the SLP-only
+    path that is gone, is still accepted at construction, so that callers
+    that pass it run unchanged, and is ignored; it is no field, so a
+    configuration file that sets it is refused.
     """
 
-    tol_kkt: float = 3e-2
     n_starts: int = 8
     seed: int = 0
+    tol_kkt: InitVar[Optional[float]] = None
 
-    def __post_init__(self):
-        if isinstance(self.tol_kkt, bool) or not isinstance(self.tol_kkt, numbers.Real) \
-                or not math.isfinite(self.tol_kkt) or self.tol_kkt <= 0:
-            raise ValueError(f"solver option tol_kkt must be a finite number > 0, "
-                             f"not {self.tol_kkt!r}")
+    def __post_init__(self, tol_kkt):
         for name, least in (("n_starts", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
@@ -262,6 +258,11 @@ def amplitude_line_search(spec: ProblemSpec, mesh: Mesh1D, shape, blocks=None):
 # ---------------------------------------------------------------------------
 # SLP phase
 
+
+# scaled predicted gain at which each start of the multistart hands over to
+# the fold polish: the SLP's tail below it converges only linearly, and the
+# polish contracts from there in about as many Newton rounds
+_HANDOVER_GAIN = 3e-2
 
 # each start's SLP runs at most _SLP_MAX_ITERS rounds from a trust radius of
 # _TRUST_RADIUS_INIT times its start's sup norm, and ends ``cone_collapse``
@@ -426,10 +427,9 @@ def _assemble(spec, mesh, blocks, flats):
     return [(terms[i], quotients[i]) for i in range(len(flats))]
 
 
-def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
-         blocks) -> list:
+def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks, gain_tol: float) -> list:
     """SLP from each field in ``starts`` until its scaled predicted gain is at
-    most ``options.tol_kkt``; one ``_SLPState`` per start.
+    most ``gain_tol``; one ``_SLPState`` per start.
 
     The starts advance in lockstep, one round per iteration: every live start
     solves one LP, and the fields that need terms at one step of the round
@@ -464,7 +464,7 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
         for r in live:
             r.iterations = it
             r.scale_u = float(np.abs(r.flat).max())
-            if r.scale_u < _COLLAPSE_THRESHOLD * r.scale0 and r.lam <= options.tol_kkt:
+            if r.scale_u < _COLLAPSE_THRESHOLD * r.scale0 and r.lam <= gain_tol:
                 r.status = "cone_collapse"
             elif r.scale_u > _GROWTH_THRESHOLD * r.scale0 and r.grew >= 5:
                 r.status = "unbounded_ascent"
@@ -508,7 +508,7 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, options: SolverOptions,
             tot = raw.sum()
             if tot > 0:
                 r.mu_lp = raw / tot
-            if predicted <= options.tol_kkt * (1.0 + abs(r.lam)):
+            if predicted <= gain_tol * (1.0 + abs(r.lam)):
                 r.status = "converged"
                 continue
             trials.append((r, delta, predicted, np.maximum(r.flat + delta, r.floor)))
@@ -1098,11 +1098,11 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
 
     The multistart runs ``n_starts`` SLP starts in lockstep (the
     torsion-profile start plus seeded random cone perturbations).  Each
-    start stops at the hand-over gain ``tol_kkt``, every converged start is
-    polished once by Newton on the minimally augmented fold system, and the
-    largest polished value wins; ``polish_failed`` means no start polished,
-    and the certificate, never VALID, is then that of the best loose SLP
-    point with its LP duals.  The converged starts are polished together in
+    start stops at the hand-over gain ``_HANDOVER_GAIN``, every converged
+    start is polished once by Newton on the minimally augmented fold system,
+    and the largest polished value wins; ``polish_failed`` means no start
+    polished, and the certificate, never VALID, is then that of the best
+    loose SLP point with its LP duals.  The converged starts are polished together in
     lockstep (``_fold_polish``), and each ends where, and as, it would
     alone.  ``cone_collapse`` and ``unbounded_ascent`` outcomes are reported
     in the certificate status, not raised.
@@ -1150,7 +1150,7 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> Mini
     """The multistart of ``maximize`` on ``mesh`` itself: the SLP of every
     start, then the fold polish of every converged one."""
     blocks = model.stiffness_blocks(spec, mesh)
-    results = _slp(spec, mesh, _starts(spec, mesh, options, blocks), options, blocks)
+    results = _slp(spec, mesh, _starts(spec, mesh, options, blocks), blocks, _HANDOVER_GAIN)
     converged = [r for r in results if r.status == "converged"]
 
     if converged:

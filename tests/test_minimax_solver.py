@@ -36,8 +36,6 @@ from tests.test_rayleigh import (
 )
 
 FAST = SolverOptions(n_starts=3)
-# the SLP to the no-ascent gain, well past the hand-over to the polish
-LOOSE = SolverOptions(tol_kkt=minimax_solver._LOOSE_GAIN)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +96,13 @@ class TestMaximizeScalarPower:
                       cert.stationarity_residual, cert.complementarity_residual):
             assert value < 1e-8
         assert cert.sigma_min < 1e-6 * cert.jac_norm
+
+    def test_tol_kkt_is_accepted_and_ignored(self):
+        # a caller that still passes it gets the default run; the
+        # certificate's options block records the two fields only
+        options = SolverOptions(n_starts=1, tol_kkt=1e-3)
+        assert options == SolverOptions(n_starts=1)
+        assert vars(options) == {"n_starts": 1, "seed": 0}
 
     def test_multiplier_structure(self, scalar_cert):
         cert = scalar_cert
@@ -260,7 +265,8 @@ class TestTwoPhaseMaximize:
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.amplitude_line_search(
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
-        slp, = minimax_solver._slp(spec, mesh, [start], LOOSE, blocks)
+        slp, = minimax_solver._slp(spec, mesh, [start], blocks,
+                                   minimax_solver._LOOSE_GAIN)
         assert slp.status == "converged"
         result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
         assert result.reason == "converged"
@@ -273,7 +279,8 @@ class TestTwoPhaseMaximize:
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.amplitude_line_search(
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
-        slp, = minimax_solver._slp(spec, mesh, [start], LOOSE, blocks)
+        slp, = minimax_solver._slp(spec, mesh, [start], blocks,
+                                   minimax_solver._LOOSE_GAIN)
         monkeypatch.setattr(minimax_solver, "_POLISH_ROUNDS", 0)
         result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
         assert result.reason == "max_iter" and not result.ok
@@ -320,7 +327,7 @@ def lockstep_case(name, elements=16):
     blocks = model.stiffness_blocks(spec, mesh)
     options = SolverOptions()
     fields = minimax_solver._starts(spec, mesh, options, blocks)
-    loose = minimax_solver._slp(spec, mesh, fields, LOOSE, blocks)
+    loose = minimax_solver._slp(spec, mesh, fields, blocks, minimax_solver._LOOSE_GAIN)
     starts = [(r.u, r.lam) for r in loose[:5]]
     starts += [(f.flatten(), float(rayleigh.galerkin_terms(spec, mesh, f, blocks).quotients().min()))
                for f in fields[5:]]
@@ -479,7 +486,8 @@ class TestRoundoffStop:
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.amplitude_line_search(
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
-        slp, = minimax_solver._slp(spec, mesh, [start], LOOSE, blocks)
+        slp, = minimax_solver._slp(spec, mesh, [start], blocks,
+                                   minimax_solver._LOOSE_GAIN)
         # a stop test that never passes: the polish runs into its stall
         monkeypatch.setattr(minimax_solver, "_at_roundoff", lambda residuals, roundoff: False)
         result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
@@ -703,7 +711,8 @@ class TestAscentBound:
         points = [f.flatten() for f in starts]
         for rounds in (1, 2, 3):
             monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", rounds)
-            points += [r.u for r in minimax_solver._slp(spec, mesh, starts, LOOSE, blocks)]
+            points += [r.u for r in minimax_solver._slp(spec, mesh, starts, blocks,
+                                                        minimax_solver._LOOSE_GAIN)]
         for i, flat in enumerate(points):
             quotients, stencil, gain, duals = first_lp(spec, mesh, blocks, flat)
             cert = minimax_solver._certificate(spec, mesh, flat, quotients.min(), "polished", 0, 0,
@@ -952,13 +961,12 @@ class TestLockstepSLP:
         spec = builtin_problem(name, params)
         mesh = build_mesh(n)
         monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", max_iters)
-        options = SolverOptions(tol_kkt=gain)
         blocks = model.stiffness_blocks(spec, mesh)
-        starts = minimax_solver._starts(spec, mesh, options, blocks)
+        starts = minimax_solver._starts(spec, mesh, SolverOptions(), blocks)
         assert len(starts) == 8
-        stack = minimax_solver._slp(spec, mesh, starts, options, blocks)
+        stack = minimax_solver._slp(spec, mesh, starts, blocks, gain)
         for start, state in zip(starts, stack, strict=True):
-            alone, = minimax_solver._slp(spec, mesh, [start], options, blocks)
+            alone, = minimax_solver._slp(spec, mesh, [start], blocks, gain)
             assert np.array_equal(state.u, alone.u)
             assert state.lam == alone.lam
             assert state.status == alone.status
@@ -1049,8 +1057,7 @@ class TestSLPAssembly:
         blocks = model.stiffness_blocks(spec, mesh)
         start = minimax_solver.amplitude_line_search(
             spec, mesh, minimax_solver.torsion_start(spec, mesh, blocks), blocks)
-        options = SolverOptions(tol_kkt=1e-9)
-        return lambda: minimax_solver._slp(spec, mesh, [start], options, blocks)[0]
+        return lambda: minimax_solver._slp(spec, mesh, [start], blocks, 1e-9)[0]
 
     def test_one_assembly_per_point_none_after_rejection(self, monkeypatch):
         events = []  # ("terms", field bytes) or ("lp", b_ub, solved)
@@ -1148,27 +1155,27 @@ class TestAmplitudeLineSearch:
 
 
 class TestSolverStressModes:
-    # a hand-over gain this tight keeps the SLP running until the mode shows
-    TIGHT = SolverOptions(tol_kkt=1e-9, n_starts=1)
+    ONE_START = SolverOptions(n_starts=1)
 
-    def test_cone_collapse_reported(self):
+    def test_cone_collapse_reported(self, monkeypatch):
         # supercritical linear reaction pushes the value to 0 at zero amplitude
-        spec = linear_like_spec(25.0)
-        cert = maximize(spec, build_mesh(8), options=self.TIGHT)
+        spec, mesh = linear_like_spec(25.0), build_mesh(8)
+        # at the default hand-over gain the start hands over at a sup norm of
+        # about 2e-7, before the collapse test fires, and finds no fold there
+        cert = maximize(spec, mesh, options=self.ONE_START)
+        assert cert.status in ("cone_collapse", "polish_failed")
+        assert not cert.valid
+        # a hand-over gain this tight keeps the SLP running until the mode shows
+        monkeypatch.setattr(minimax_solver, "_HANDOVER_GAIN", 1e-9)
+        cert = maximize(spec, mesh, options=self.ONE_START)
         assert cert.status in ("cone_collapse", "stalled", "max_iters")
         assert not cert.valid
 
-    def test_cone_collapse_at_the_default_hand_over_fails_the_polish(self):
-        # the start hands over at a sup norm of about 2e-7, before the
-        # collapse test fires, and no fold exists to polish there
-        cert = maximize(linear_like_spec(25.0), build_mesh(8),
-                        options=SolverOptions(n_starts=1))
-        assert cert.status == "polish_failed" and not cert.valid
-
-    def test_unbounded_ascent_reported(self):
+    def test_unbounded_ascent_reported(self, monkeypatch):
         # negative reaction makes the quotient grow with the amplitude
         spec = linear_like_spec(-0.5)
-        cert = maximize(spec, build_mesh(8), options=self.TIGHT)
+        monkeypatch.setattr(minimax_solver, "_HANDOVER_GAIN", 1e-9)
+        cert = maximize(spec, build_mesh(8), options=self.ONE_START)
         assert cert.status == "unbounded_ascent"
         assert not cert.valid
 
