@@ -12,9 +12,6 @@ from .mesh_fem import (
     OperatorMatrix,
     assemble_stiffness,
     build_mesh,
-    distance_to_boundary,
-    nodal_interpolate,
-    relative_interp_error,
 )
 from .model import (
     FEField,
@@ -25,11 +22,7 @@ from .model import (
     eval_jacobian,
     eval_residual_terms,
 )
-from .rayleigh import (
-    InnerMinResult,
-    inner_min,
-    rayleigh_quotient,
-)
+from .rayleigh import InnerMinResult, inner_min
 from .minimax_solver import (
     BranchPoint,
     ContinuationResult,
@@ -42,11 +35,6 @@ from .minimax_solver import (
     newton_solve,
 )
 from .verification import CertificateAudit, verify_certificate
-from .picone import (
-    PiconeGap,
-    discrete_picone_gap,
-    ps_energy_diagnostic,
-)
 from .perturbation import (
     PerturbationReport,
     PerturbationSpec,

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import mesh_fem, model, rayleigh, svgplot
-from .mesh_fem import Mesh1D, build_mesh, distance_to_boundary, mesh_from_nodes
+from . import model, rayleigh, svgplot
+from .mesh_fem import Mesh1D, build_mesh, mesh_from_nodes
 from .minimax_solver import (
     ContinuationResult,
     MinimaxCertificate,
@@ -31,7 +31,7 @@ from .minimax_solver import (
     maximize,
 )
 from .model import FEField, ProblemSpec, builtin_problem
-from .perturbation import two_sided_example
+from .perturbation import kappa_samples, two_sided_example
 
 STUDIES = ("solve", "refine", "perturb", "check", "oracle")
 
@@ -128,6 +128,7 @@ class RunConfig:
                 for kappa in self.perturb_kappas:
                     model.perturbed_scalar(spec.q, spec.params["gamma"],
                                            self.perturb_gamma1, kappa)
+                    kappa_samples(kappa)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "_spec", spec)
@@ -234,142 +235,6 @@ def refinement_study(config: RunConfig) -> RefinementTable:
         certs.append(cert)
         prev_cert = cert
     return RefinementTable(rows=tuple(rows), certificates=tuple(certs))
-
-
-def exact_unit_source_profile(q: float):
-    """Closed-form w with -w'' = d(x)^q, w(0) = w(1) = 0 (admissible probe).
-
-    On [0, 1/2]: w(x) = c1 x - x^(2+q) / ((1+q)(2+q)), c1 = (1/2)^(1+q)/(1+q);
-    mirrored on [1/2, 1].
-    """
-    c1 = 0.5 ** (1.0 + q) / (1.0 + q)
-    denom = (1.0 + q) * (2.0 + q)
-
-    def w(x):
-        x = np.asarray(x, dtype=float)
-        xm = np.minimum(x, 1.0 - x)
-        return c1 * xm - np.power(xm, 2.0 + q) / denom
-
-    def neg_second(x):
-        return distance_to_boundary(x) ** q
-
-    return w, neg_second
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    probe: str
-    n: int
-    h: float
-    rel_interp_error: float
-    r_sup_diff: float
-    admissible: bool
-
-
-@dataclass(frozen=True)
-class ConditionUReport:
-    """Decay of the relative interpolation error and of sup_i |R(u) - R(I_r u)|."""
-
-    rows: tuple
-    slopes: dict
-
-    def slope(self, probe: str) -> Optional[float]:
-        return self.slopes.get(probe)
-
-
-_HIGH_ORDER_POINTS = 12
-
-
-def _high_order_loads(spec: ProblemSpec, mesh: Mesh1D, u_fn):
-    """Loads <f(u), psi_i>, <g(u), psi_i> for a continuous u, with the
-    ``_HIGH_ORDER_POINTS``-point Gauss rule on each element."""
-    from numpy.polynomial.legendre import leggauss
-
-    pts, wts = leggauss(_HIGH_ORDER_POINTS)
-    pts = 0.5 * (pts + 1.0)
-    wts = 0.5 * wts
-    n = mesh.n_interior
-    f_load = np.zeros((spec.m, n))
-    g_load = np.zeros((spec.m, n))
-    for e in range(mesh.n_elements):
-        x_l = float(mesh.nodes[e])
-        h = float(mesh.element_sizes[e])
-        x = x_l + pts * h
-        w = wts * h
-        lam_r = pts
-        lam_l = 1.0 - pts
-        t = np.tile(np.asarray(u_fn(x), dtype=float), (spec.m, 1))
-        fv = np.asarray(spec.f(x, t), dtype=float)
-        gv = model.g_values(spec, x, t)
-        for local, lam in ((e - 1, lam_l), (e, lam_r)):
-            if 0 <= local < n:
-                f_load[:, local] += (fv * lam * w).sum(axis=1)
-                g_load[:, local] += (gv * lam * w).sum(axis=1)
-    return f_load, g_load
-
-
-def _continuous_quotients(spec: ProblemSpec, mesh: Mesh1D, u_fn) -> np.ndarray:
-    """R(u, eta_i) for a continuous scalar u: the principal part integrates exactly.
-
-    a(u, eta_i) = sum_e psi_i'|_e (u(right) - u(left)) because the P1 test
-    derivative is constant per element.
-    """
-    jumps = np.asarray(u_fn(mesh.nodes[1:]), dtype=float) \
-        - np.asarray(u_fn(mesh.nodes[:-1]), dtype=float)
-    slopes = 1.0 / mesh.element_sizes
-    # psi_i rises on the element left of node i and falls on the one right of it
-    a_pair = slopes[:-1] * jumps[:-1] - slopes[1:] * jumps[1:]
-    f_load, g_load = _high_order_loads(spec, mesh, u_fn)
-    return (a_pair[None, :] - f_load).ravel() / g_load.ravel()
-
-
-def condition_u_check(spec: ProblemSpec, mesh_sizes: Sequence[int],
-                      probes=None) -> ConditionUReport:
-    """Interpolation-error and quotient-approximation decay for admissible probes.
-
-    Each probe is (name, u, neg_second_derivative_or_None).  Probes must be
-    positive in (0, 1), vanish at the endpoints and have 0 <= -u'' bounded by
-    a multiple of d(x)^q (checked by sampling; inadmissible probes are
-    reported per row, not fatal).
-    """
-    if spec.m != 1:
-        raise ValueError("condition-(U) probes are scalar")
-    if probes is None:
-        w, neg = exact_unit_source_profile(spec.q)
-        probes = [("unit_source_profile", w, neg)]
-
-    xs = np.linspace(1e-4, 1.0 - 1e-4, 2001)
-    rows = []
-    for name, u_fn, neg_second in probes:
-        u_vals = np.asarray(u_fn(xs), dtype=float)
-        admissible = bool(np.all(u_vals > 0.0)
-                          and abs(float(u_fn(np.array([0.0]))[0])) < 1e-12
-                          and abs(float(u_fn(np.array([1.0]))[0])) < 1e-12)
-        if neg_second is not None and admissible:
-            nv = np.asarray(neg_second(xs), dtype=float)
-            dq = distance_to_boundary(xs) ** spec.q
-            admissible = bool(np.all(nv >= -1e-10) and np.all(nv <= 1e6 * dq + 1e-10))
-        for n in mesh_sizes:
-            mesh = build_mesh(int(n))
-            try:
-                rel = mesh_fem.relative_interp_error(mesh, u_fn, spec.q)
-            except ValueError:
-                rows.append(ProbeRow(name, int(n), mesh.h_max, math.nan, math.nan, False))
-                continue
-            exact_q = _continuous_quotients(spec, mesh, u_fn)
-            interp = FEField(mesh, mesh_fem.nodal_interpolate(mesh, u_fn)[None, :])
-            approx_q = rayleigh.inner_min(spec, mesh, interp).quotients
-            sup_diff = float(np.abs(exact_q - approx_q).max())
-            rows.append(ProbeRow(name, int(n), mesh.h_max, rel, sup_diff, admissible))
-
-    slopes = {}
-    for name in {r.probe for r in rows}:
-        sel = [r for r in rows if r.probe == name and r.admissible and r.rel_interp_error > 0]
-        if len(sel) >= 3:
-            hs = np.log([r.h for r in sel])
-            es = np.log([r.rel_interp_error for r in sel])
-            slopes[name] = float(np.polyfit(hs, es, 1)[0])
-    return ConditionUReport(rows=tuple(rows), slopes=slopes)
 
 
 @dataclass(frozen=True)

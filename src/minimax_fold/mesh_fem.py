@@ -8,7 +8,7 @@ rule is exact for P1 x P1 products with constant coefficients, so the
 classical closed forms (stiffness (1/h)*tridiag(-1, 2, -1), mass
 (h/6)*tridiag(1, 4, 1)) are reproduced to roundoff on uniform meshes.
 Tridiagonal matrices are kept as diagonals or as row-wise bands
-(``tridiag_band``); ``tridiag_to_dense`` expands them for dense callers.
+(``tridiag_band``).
 Assembly checks the samples of sigma and c, not the spectrum: a negative c
 may leave the stiffness indefinite, and it is assembled all the same.
 """
@@ -27,12 +27,6 @@ Coefficient = Union[float, int, Callable[[np.ndarray], np.ndarray]]
 
 # reference Gauss points on (0, 1): 1/2 +- 1/(2*sqrt(3)), weight 1/2 each
 _GAUSS_REL = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
-
-
-def distance_to_boundary(x):
-    """d(x) = min(x, 1 - x), distance to the endpoints of (0, 1)."""
-    x = np.asarray(x, dtype=float)
-    return np.minimum(x, 1.0 - x)
 
 
 def _freeze(a):
@@ -210,14 +204,6 @@ def weighted_mass(mesh: Mesh1D, weight: np.ndarray):
     return diag[..., 1:-1], o_mid[..., 1:-1]
 
 
-def tridiag_to_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix with main diagonal ``diag`` and off-diagonal ``off``."""
-    a = np.diag(diag)
-    if diag.size > 1:
-        a += np.diag(off, 1) + np.diag(off, -1)
-    return a
-
-
 def tridiag_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Rows (off_{i-1}, diag_i, off_i) of symmetric tridiagonal matrices.
 
@@ -269,9 +255,6 @@ class OperatorMatrix:
             raise np.linalg.LinAlgError("singular operator matrix (non-finite solve)")
         return x
 
-    def to_dense(self) -> np.ndarray:
-        return tridiag_to_dense(self.diag, self.off)
-
     @functools.cached_property
     def band(self) -> np.ndarray:
         """Row-wise band (n, 3) of ``tridiag_band``, built once."""
@@ -302,50 +285,9 @@ def assemble_stiffness(mesh: Mesh1D, sigma: Coefficient, c: Coefficient) -> Oper
     return OperatorMatrix(diag=_freeze(diag), off=_freeze(off))
 
 
-def nodal_interpolate(mesh: Mesh1D, u: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Interior nodal values u(x_i) (the interpolation operator onto P1)."""
-    vals = np.asarray(u(mesh.interior_nodes), dtype=float)
-    if vals.shape != mesh.interior_nodes.shape:
-        vals = np.broadcast_to(vals, mesh.interior_nodes.shape).astype(float)
-    return vals
-
-
 def interpolant_values(mesh: Mesh1D, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the P1 function with interior coefficients ``coeffs`` at ``x``."""
     full = np.zeros(mesh.nodes.size)
     full[1:-1] = coeffs
     return np.interp(np.asarray(x, dtype=float), mesh.nodes, full)
 
-
-# relative positions used for dense per-element sampling (never exactly nodal)
-_DENSE_REL = np.arange(1, 33) / 33.0
-
-
-def relative_interp_error(mesh: Mesh1D, u: Callable[[np.ndarray], np.ndarray],
-                          q: float) -> float:
-    """Sup over a dense sample grid of |I_r u(x) - u(x)| / u(x).
-
-    ``u`` must be positive on (0, 1) with u(0) = u(1) = 0 and bounded below by
-    a multiple of the boundary distance; the lower bound is checked at the
-    quadrature points only.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"exponent q must lie in (0, 1), got {q}")
-    ends = np.asarray(u(np.array([0.0, 1.0])), dtype=float)
-    if np.abs(ends).max() > 1e-12:
-        raise ValueError("u must vanish at both endpoints")
-    xq, _, _, _ = element_quadrature(mesh)
-    uq = np.asarray(u(xq.ravel()), dtype=float)
-    if np.any(uq <= 0.0):
-        raise ValueError("u must be positive at interior sample points")
-    if np.min(uq / distance_to_boundary(xq.ravel())) <= 0.0:
-        raise ValueError("u is not bounded below by a multiple of d(x)")
-
-    coeffs = nodal_interpolate(mesh, u)
-    left = mesh.nodes[:-1, None]
-    x_dense = (left + _DENSE_REL[None, :] * mesh.element_sizes[:, None]).ravel()
-    exact = np.asarray(u(x_dense), dtype=float)
-    if np.any(exact <= 0.0):
-        raise ValueError("u must be positive at interior sample points")
-    approx = interpolant_values(mesh, coeffs, x_dense)
-    return float(np.abs(approx - exact).__truediv__(exact).max())

@@ -1369,10 +1369,6 @@ class BranchPoint:
     stability: float
     arclength: float
 
-    @property
-    def stability_indicator(self) -> int:
-        return int(np.sign(self.stability))
-
 
 _DS_INIT = 0.1
 _DS_MAX = 2.0
@@ -1387,10 +1383,6 @@ class ContinuationResult:
     points: tuple
     fold_lambda: Optional[float]
     status: str
-
-    @property
-    def fold_found(self) -> bool:
-        return self.fold_lambda is not None
 
 
 def _tangent(jac, m, n, g_load, prev):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class FEField:
     def flatten(self) -> np.ndarray:
         return self.values.ravel().copy()
 
-    def scaled(self, t: float) -> "FEField":
-        return FEField(self.mesh, t * self.values)
-
     def evaluate(self, x) -> np.ndarray:
         """Pointwise values of the P1 field, shape (m, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -139,14 +136,6 @@ class FEField:
     @staticmethod
     def from_flat(mesh: Mesh1D, m: int, flat: np.ndarray) -> "FEField":
         return FEField(mesh, np.asarray(flat, dtype=float).reshape(m, mesh.n_interior))
-
-    @staticmethod
-    def from_functions(mesh: Mesh1D, funcs: Sequence[Callable]) -> "FEField":
-        return FEField(mesh, np.stack([mesh_fem.nodal_interpolate(mesh, f) for f in funcs]))
-
-    @staticmethod
-    def constant(mesh: Mesh1D, m: int, value: float) -> "FEField":
-        return FEField(mesh, np.full((m, mesh.n_interior), float(value)))
 
 
 def _cone_bounds(u):

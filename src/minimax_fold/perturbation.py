@@ -69,6 +69,21 @@ def lower_shift(spec: ProblemSpec, mesh: Mesh1D, base_cert: MinimaxCertificate,
     return float(direction_quotients(spec, mesh, psi, base_cert.u_star).min())
 
 
+def kappa_samples(kappa: Coefficient) -> tuple:
+    """kappa as a function of x, and its values at 513 equispaced points of [0, 1].
+
+    Raises ``ValueError`` at a negative value: the two-sided estimate
+    presumes Psi = -kappa u^gamma1 <= 0, which can only lower the extreme value.
+    """
+    kappa_fn = (lambda x, k=float(kappa): np.full_like(np.asarray(x, dtype=float), k)) \
+        if np.isscalar(kappa) else kappa
+    values = kappa_fn(np.linspace(0.0, 1.0, 513))
+    if np.any(values < 0.0):
+        raise ValueError("perturbation coefficient kappa must be nonnegative, "
+                         f"got {float(np.min(values))}")
+    return kappa_fn, values
+
+
 @dataclass(frozen=True)
 class PerturbationReport:
     """Two-sided estimate for the extra-reaction example kappa(x) u^gamma1.
@@ -105,10 +120,12 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
     (``continue_certificate``: a fold polish from the base maximizer, with
     ``maximize`` only as a fallback).  ``bounds_hold`` gives each bound the
     slack ``_BOUND_TOL`` (1e-8, the certificate bar ``_TOL_CERT``).  Raises
-    ``RuntimeError`` when a certificate is not VALID.
+    ``RuntimeError`` when a certificate is not VALID, and ``ValueError``,
+    before any solve, when a kappa is negative (``kappa_samples``).
     """
     if not (0.0 < q < 1.0 and gamma > 1.0 and gamma1 > 1.0):
         raise ValueError("need 0 < q < 1 and gamma, gamma1 > 1")
+    sampled = [kappa_samples(kappa) for kappa in kappas]
     base_spec = model.scalar_power(q=q, gamma=gamma)
     base_cert = maximize(base_spec, mesh, options=options)
     if not base_cert.valid:
@@ -116,10 +133,8 @@ def two_sided_example(q: float, gamma: float, gamma1: float, kappas: Sequence[Co
     u_sup = base_cert.u_star.sup_norm  # P1 fields attain their sup at nodes
 
     reports = []
-    for kappa in kappas:
-        kappa_fn = (lambda x, k=float(kappa): np.full_like(np.asarray(x, dtype=float), k)) \
-            if np.isscalar(kappa) else kappa
-        kappa_norm = float(np.abs(kappa_fn(np.linspace(0.0, 1.0, 513))).max())
+    for kappa_fn, values in sampled:
+        kappa_norm = float(np.abs(values).max())
         pert_spec = model.perturbed_scalar(q=q, gamma=gamma, gamma1=gamma1, kappa=kappa_fn)
         pert_cert = continue_certificate(pert_spec, mesh, base_cert, options)
         if not pert_cert.valid:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model
 from .mesh_fem import Mesh1D
-from .model import ConeError, FEField, ProblemSpec
+from .model import FEField, ProblemSpec
 
 #: absolute guard for the denominator <g(u), v>; values at or below this
 #: violate the positivity the quotient needs to be well defined.
@@ -96,22 +96,6 @@ def galerkin_terms(spec: ProblemSpec, mesh: Mesh1D, u,
     f_load, g_load = model.eval_residual_terms(spec, mesh, values, samples)
     return GalerkinTerms(stiff_action=action, f_load=f_load, g_load=g_load, blocks=blocks,
                          samples=samples)
-
-
-def rayleigh_quotient(spec: ProblemSpec, mesh: Mesh1D, u: FEField, v: FEField,
-                      terms: GalerkinTerms | None = None) -> float:
-    """Evaluate R(u, v) = [a_m(u, v) - <f(u), v>] / <g(u), v>."""
-    if not u.nonnegative or not v.nonnegative:
-        raise ConeError("rayleigh quotient requires closed-cone fields")
-    if terms is None:
-        terms = galerkin_terms(spec, mesh, u)
-    numerator = float(((terms.stiff_action - terms.f_load) * v.values).sum())
-    denominator = float((terms.g_load * v.values).sum())
-    if denominator <= TOL_DENOM:
-        raise DenominatorError(
-            f"<g(u), v> = {denominator:.3e} <= {TOL_DENOM:.0e}; quotient undefined"
-        )
-    return numerator / denominator
 
 
 @dataclass(frozen=True)

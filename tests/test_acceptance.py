@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from minimax_fold import harness, model, rayleigh
-from minimax_fold.harness import RunConfig, condition_u_check
+from minimax_fold.harness import RunConfig
 from minimax_fold.mesh_fem import assemble_stiffness, build_mesh
 from minimax_fold.minimax_solver import (
     SolverOptions,
@@ -20,8 +20,14 @@ from minimax_fold.minimax_solver import (
 )
 from minimax_fold.model import FEField, cooperative_product, linear_diagnostic, scalar_power
 from minimax_fold.perturbation import two_sided_example
-from minimax_fold.picone import discrete_picone_gap, ps_energy_diagnostic
 from minimax_fold.verification import verify_certificate
+from tests.references import (
+    condition_u_check,
+    discrete_picone_gap,
+    ps_energy_diagnostic,
+    rayleigh_quotient,
+    to_dense,
+)
 from tests.test_rayleigh import closed_form_eigenvalue, mass_matrix
 
 _CERT_CACHE = {}
@@ -50,7 +56,7 @@ def test_criterion_01_linear_collatz_wielandt():
     for n in (4, 16, 64):
         mesh = build_mesh(n)
         cert = maximize(linear_diagnostic(), mesh, options=SolverOptions())
-        a = assemble_stiffness(mesh, 1.0, 0.0).to_dense()
+        a = to_dense(assemble_stiffness(mesh, 1.0, 0.0))
         eig = float(scipy.linalg.eigh(a, mass_matrix(mesh), eigvals_only=True,
                                       subset_by_index=(0, 0))[0])
         ok &= abs(cert.lambda_star - eig) <= 1e-8 * eig
@@ -87,8 +93,8 @@ def test_criterion_03_fold_oracle_agreement():
         spec = scalar_power(0.5, 2.0) if key == "sp64" else scalar_power(0.3, 3.0)
         sweep = continuation_sweep(spec, build_mesh(64),
                                    lambda_max_guess=cert.lambda_star)
-        ok &= sweep.fold_found
-        if sweep.fold_found:
+        ok &= sweep.fold_lambda is not None
+        if sweep.fold_lambda is not None:
             gaps[key] = abs(cert.lambda_star - sweep.fold_lambda) / sweep.fold_lambda
             ok &= gaps[key] <= 0.02
     cert128 = solved_certificate("sp128")
@@ -97,7 +103,7 @@ def test_criterion_03_fold_oracle_agreement():
     ok &= verify_certificate(scalar_power(0.5, 2.0), build_mesh(128), cert128).valid
     sweep128 = continuation_sweep(scalar_power(0.5, 2.0), build_mesh(128),
                                   lambda_max_guess=cert128.lambda_star)
-    ok &= sweep128.fold_found
+    ok &= sweep128.fold_lambda is not None
     gap128 = abs(cert128.lambda_star - sweep128.fold_lambda) / sweep128.fold_lambda
     # both methods locate the same discrete fold, so the gaps sit at solver
     # tolerance; "shrinks under refinement" is asserted up to that noise floor
@@ -198,8 +204,8 @@ def test_criterion_09_gradient_correctness():
             up, dn = u.values.copy(), u.values.copy()
             up[0, j] += eps
             dn[0, j] -= eps
-            fd[j] = (rayleigh.rayleigh_quotient(spec, mesh, FEField(mesh, up), eta)
-                     - rayleigh.rayleigh_quotient(spec, mesh, FEField(mesh, dn), eta)) / (2 * eps)
+            fd[j] = (rayleigh_quotient(spec, mesh, FEField(mesh, up), eta)
+                     - rayleigh_quotient(spec, mesh, FEField(mesh, dn), eta)) / (2 * eps)
         ok &= np.abs(fd - grad).max() / max(np.abs(grad).max(), 1e-300) <= 1e-5
     report(9, "analytic quotient gradients match central differences", ok)
 

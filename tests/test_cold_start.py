@@ -19,6 +19,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SUBPACKAGES = {"scipy.linalg", "scipy.sparse", "scipy.optimize"}
+# the modules ``import minimax_fold`` loads; ``harness``, ``cli`` and
+# ``svgplot`` load only when imported themselves
+PACKAGE_MODULES = {"minimax_fold", "minimax_fold._kernels", "minimax_fold.mesh_fem",
+                   "minimax_fold.minimax_solver", "minimax_fold.model",
+                   "minimax_fold.perturbation", "minimax_fold.rayleigh",
+                   "minimax_fold.verification"}
 
 # one warm-startable LP, solved and printed as the hex of its bits
 SOLVE_ONE_LP = """
@@ -46,6 +52,8 @@ def test_library_and_cli_import_no_scipy_subpackage(tmp_path):
     run_fresh(f"""
         import sys
         import minimax_fold
+        assert {{name for name in sys.modules
+                 if name.split(".")[0] == "minimax_fold"}} == {PACKAGE_MODULES!r}
         assert not {SUBPACKAGES!r} & set(sys.modules)
         assert not [name for name in sys.modules if name.startswith("scipy.sparse")]
         from minimax_fold import cli
@@ -115,6 +123,35 @@ def test_only_model_reads_the_diagnostic_flag():
             if isinstance(node, ast.Attribute) and node.attr == "diagnostic":
                 readers.add(path.name)
     assert readers == {"model.py"}
+
+
+# public entry points that users, the benchmark and its tracer call, and no library module
+ENTRY_POINTS = {"harness.load_certificate", "verification.verify_certificate",
+                "model.eval_jacobian"}
+
+
+def test_every_public_name_has_a_production_caller():
+    """Each public top-level function and class of the library, and each
+    public method and property of those classes, is named in some library
+    module other than ``__init__.py``, the entry points aside.  Code that only
+    the tests call belongs in ``tests/references.py``."""
+    defined, named = {}, set()
+    for path in sorted((SRC / "minimax_fold").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defined[f"{path.stem}.{top.name}"] = top.name
+                for item in top.body if isinstance(top, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined[f"{path.stem}.{top.name}.{item.name}"] = item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert {key for key, name in defined.items() if name not in named} == ENTRY_POINTS
 
 
 def test_scipy_optimize_after_the_library_reuses_its_core():

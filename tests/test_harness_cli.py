@@ -9,7 +9,6 @@ from minimax_fold import cli, harness, minimax_solver, model, perturbation
 from minimax_fold.harness import (
     ConfigError,
     RunConfig,
-    condition_u_check,
     load_certificate,
     oracle_compare,
     refinement_study,
@@ -18,6 +17,7 @@ from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.minimax_solver import SolverOptions
 from minimax_fold.model import scalar_power
 from minimax_fold.verification import verify_certificate
+from tests.references import condition_u_check
 from tests.test_rayleigh import closed_form_eigenvalue
 
 FAST_SOLVER = {"n_starts": 2}
@@ -524,6 +524,10 @@ class TestCLI:
         ("check --problem cooperative_product --q 2", lambda: model.cooperative_product(q=2.0)),
         ("perturb --gamma1 0.5", lambda: model.perturbed_scalar(gamma1=0.5)),
         ("perturb --kappa nan", lambda: model.perturbed_scalar(kappa=float("nan"))),
+        ("perturb --kappa -0.01 --n 64",
+         lambda: perturbation.two_sided_example(0.5, 2.0, 3.0, (-0.01,), build_mesh(64))),
+        ("perturb --kappa -0.1 --n 16",
+         lambda: perturbation.two_sided_example(0.5, 2.0, 3.0, (-0.1,), build_mesh(16))),
     ], ids=lambda v: v if isinstance(v, str) else "library")
     def test_bad_problem_parameters_exit_2_without_artifacts(self, args, library_call,
                                                               tmp_path, capsys):

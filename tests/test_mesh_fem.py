@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given
 
 from minimax_fold import mesh_fem
-from minimax_fold.mesh_fem import (
-    OperatorMatrix,
-    assemble_stiffness,
-    build_mesh,
-    distance_to_boundary,
-    nodal_interpolate,
-    relative_interp_error,
-)
+from minimax_fold.mesh_fem import OperatorMatrix, assemble_stiffness, build_mesh
 from minimax_fold.minimax_solver import torsion_start
 from minimax_fold.model import ConeError, FEField, eval_residual_terms, scalar_power
+from tests.references import (
+    distance_to_boundary,
+    exact_unit_source_profile,
+    nodal_interpolate,
+    relative_interp_error,
+    to_dense,
+)
 
 
 def sin_load_exact(mesh):
@@ -96,11 +96,11 @@ class TestAssembleStiffness:
     def test_indefinite_operator_assembles(self):
         # c = -50 leaves the stiffness indefinite; assembly does not reject it
         a = assemble_stiffness(build_mesh(8), 1.0, -50.0)
-        assert np.linalg.eigvalsh(a.to_dense())[0] <= 0.0
+        assert np.linalg.eigvalsh(to_dense(a))[0] <= 0.0
 
     def test_symmetry_to_tolerance(self):
         a = assemble_stiffness(build_mesh(13), lambda x: 1.0 + x, lambda x: 0.3 * x)
-        dense = a.to_dense()
+        dense = to_dense(a)
         assert np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
 
     def test_entries_match_loop_assembled_oracle(self):
@@ -116,7 +116,7 @@ class TestAssembleStiffness:
         spec = dataclasses.replace(scalar_power(0.5, 2.0), sigma=(sigma,), c=(c,))
         a = assemble_stiffness(mesh, sigma, c)
         dense = oracle_stiffness(spec, mesh)[0]
-        assert np.abs(a.to_dense() - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.abs(to_dense(a) - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 def load_at_quadrature(mesh, w):
@@ -145,7 +145,7 @@ class TestQuadratureLoads:
         spec = dataclasses.replace(
             base, f=lambda x, t: np.where(x < 0.5, np.nan, base.f(x, t)))
         with pytest.raises(ValueError, match="reaction sample is not finite"):
-            eval_residual_terms(spec, mesh, FEField.constant(mesh, 1, 1.0))
+            eval_residual_terms(spec, mesh, FEField(mesh, np.ones((1, mesh.n_interior))))
 
 
 class TestMMatrix:
@@ -193,7 +193,7 @@ class TestMMatrix:
         assert np.all(a.diag > 0.0)
         assert a.n == 1 or np.all(a.off <= 1e-14 * max(1.0, np.abs(a.diag).max()))
         assert np.all(a.solve(np.ones(a.n)) > 0.0)
-        dense = a.to_dense()
+        dense = to_dense(a)
         assert np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
 
 
@@ -241,8 +241,6 @@ class TestRelativeInterpError:
 
     def test_boundary_singular_profile_rate(self):
         # -u'' proportional to d(x)^q gives relative error of order h^(1+q)
-        from minimax_fold.harness import exact_unit_source_profile
-
         q = 0.5
         w, _ = exact_unit_source_profile(q)
         sizes = np.array([8, 16, 32, 64, 128])

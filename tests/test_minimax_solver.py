@@ -24,6 +24,7 @@ from minimax_fold.model import (
     scalar_power,
 )
 from minimax_fold.verification import verify_certificate
+from tests.references import to_dense
 from tests.test_harness_cli import count_calls
 from tests.test_rayleigh import (
     STENCIL_CASES,
@@ -1212,7 +1213,7 @@ def hand_built_linear_certificate(mesh):
     kappa = mu / g_load.ravel()
     a = mesh_fem.assemble_stiffness(mesh, 1.0, 0.0)
     v = FEField(mesh, kappa[None, :] / np.sqrt(float(kappa @ a.matvec(kappa))))
-    jac = a.to_dense() - lam1 * mass_matrix(mesh)
+    jac = to_dense(a) - lam1 * mass_matrix(mesh)
     svals = np.linalg.svd(jac, compute_uv=False)
     return spec, MinimaxCertificate(
         lambda_star=lam1, u_star=u, v_star=v, mu=mu, kappa=kappa,
@@ -1275,7 +1276,8 @@ class TestNewton:
         # -u'' = u^2 with zero parameter term; quotients all vanish there
         mesh = build_mesh(32)
         spec = scalar_power(0.5, 2.0)
-        u0 = FEField.from_functions(mesh, [lambda x: 46.0 * x * (1 - x)])
+        x = mesh.interior_nodes
+        u0 = FEField(mesh, [46.0 * x * (1 - x)])
         result = newton_solve(spec, mesh, 0.0, u0)
         assert result.converged and result.residual_norm < 1e-11
         values = rayleigh.inner_min(spec, mesh, result.u).quotients
@@ -1307,7 +1309,7 @@ class TestContinuation:
         mesh = build_mesh(24)
         spec = scalar_power(0.5, 2.0)
         sweep = continuation_sweep(spec, mesh, lambda_max_guess=scalar_cert.lambda_star)
-        assert sweep.fold_found
+        assert sweep.fold_lambda is not None
         gap = abs(sweep.fold_lambda - scalar_cert.lambda_star) / scalar_cert.lambda_star
         assert gap <= 0.02
 
@@ -1315,7 +1317,7 @@ class TestContinuation:
         mesh = build_mesh(8)
         spec = linear_diagnostic()
         sweep = continuation_sweep(spec, mesh, lambda_max_guess=10.0)
-        assert not sweep.fold_found
+        assert sweep.fold_lambda is None
 
     def test_branch_points_monotone_arclength(self, scalar_cert):
         mesh = build_mesh(24)
@@ -1329,15 +1331,15 @@ class TestContinuation:
         mesh = build_mesh(24)
         sweep = continuation_sweep(scalar_power(0.5, 2.0), mesh,
                                    lambda_max_guess=scalar_cert.lambda_star)
-        assert sweep.points[0].stability_indicator > 0
-        assert sweep.points[-1].stability_indicator < 0
+        assert np.sign(sweep.points[0].stability) > 0
+        assert np.sign(sweep.points[-1].stability) < 0
 
     def test_fold_sequence_tightens_under_refinement(self):
         spec = scalar_power(0.5, 2.0)
         folds = []
         for n in (16, 32, 64):
             sweep = continuation_sweep(spec, build_mesh(n), lambda_max_guess=12.0)
-            assert sweep.fold_found
+            assert sweep.fold_lambda is not None
             folds.append(sweep.fold_lambda)
         d1 = abs(folds[1] - folds[0])
         d2 = abs(folds[2] - folds[1])
@@ -1401,12 +1403,12 @@ class TestFoldSearch:
     @pytest.mark.parametrize("name", list(FOLD_CASES))
     def test_fold_agrees_with_reference(self, name, monkeypatch):
         sweep, _, fold = fold_sweep(name, monkeypatch)
-        assert sweep.fold_found
+        assert sweep.fold_lambda is not None
         assert abs(sweep.fold_lambda - fold) <= 1e-10 * fold
 
     def test_fold_found_after_a_failed_corrector(self, monkeypatch):
         sweep, correctors, fold = fold_sweep("scalar_power-n64", monkeypatch, fail_first=True)
-        assert sweep.fold_found and correctors > 1
+        assert sweep.fold_lambda is not None and correctors > 1
         assert abs(sweep.fold_lambda - fold) <= 1e-10 * fold
 
 
@@ -1460,8 +1462,8 @@ class TestBandedOracles:
             patch.setattr(model.JacobianParts, "stiffness", property(dense))
             sweep = continuation_sweep(spec, mesh, lambda_max_guess=guess)
             newton = newton_multistart(spec, mesh, 0.5 * guess)
-        assert sweep.status == "fold_found" and sweep.fold_found
-        assert sweep.points[0].stability_indicator > 0 > sweep.points[-1].stability_indicator
+        assert sweep.status == "fold_found" and sweep.fold_lambda is not None
+        assert np.sign(sweep.points[0].stability) > 0 > np.sign(sweep.points[-1].stability)
         assert newton.converged
 
     @pytest.mark.parametrize("name", list(ORACLE_CASES))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minimax_fold import minimax_solver, model, perturbation, rayleigh
+from minimax_fold import minimax_solver, model, perturbation
 from minimax_fold.mesh_fem import build_mesh
 from minimax_fold.minimax_solver import SolverOptions, maximize
 from minimax_fold.model import FEField, scalar_power
@@ -13,6 +13,7 @@ from minimax_fold.perturbation import (
     two_sided_example,
 )
 from minimax_fold.verification import verify_certificate
+from tests.references import rayleigh_quotient
 
 FAST = SolverOptions(n_starts=3)
 MESH = build_mesh(24)
@@ -75,8 +76,8 @@ class TestAdditivity:
             samples = model_mod.quadrature_samples(spec, MESH, u.values)
             expected = float((psi_loads(spec, MESH, psi, samples) * v.values).sum()) \
                 / float((model_mod.eval_residual_terms(spec, MESH, u)[1] * v.values).sum())
-            got = rayleigh.rayleigh_quotient(pert, MESH, u, v) \
-                - rayleigh.rayleigh_quotient(spec, MESH, u, v)
+            got = rayleigh_quotient(pert, MESH, u, v) \
+                - rayleigh_quotient(spec, MESH, u, v)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("spec", [scalar_power(0.5, 2.0), model.cooperative_product(m=3)],
@@ -104,8 +105,8 @@ class TestAdditivity:
         for _ in range(10):
             u = FEField(MESH, rng.uniform(0.2, 2.0, size=(1, MESH.n_interior)))
             v = FEField(MESH, rng.uniform(0.05, 1.0, size=(1, MESH.n_interior)))
-            r_base = rayleigh.rayleigh_quotient(spec, MESH, u, v)
-            r_pert = rayleigh.rayleigh_quotient(pert, MESH, u, v)
+            r_base = rayleigh_quotient(spec, MESH, u, v)
+            r_pert = rayleigh_quotient(pert, MESH, u, v)
             assert r_pert - r_base == pytest.approx(c, rel=1e-12)
 
     def test_proportional_perturbation_shifts_lambda_by_c(self, base_cert):
@@ -177,3 +178,12 @@ class TestTwoSidedExample:
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             two_sided_example(1.5, 2.0, 3.0, [0.1], MESH)
+
+    def test_rejects_negative_kappa_before_any_solve(self, monkeypatch):
+        # the estimate presumes Psi = -kappa u^gamma1 <= 0; a kappa function
+        # negative anywhere on the sample grid is refused before the base solve
+        solved = []
+        monkeypatch.setattr(perturbation, "maximize", lambda *a, **k: solved.append(a))
+        with pytest.raises(ValueError, match=r"kappa must be nonnegative, got -0\.1$"):
+            two_sided_example(0.5, 2.0, 3.0, (0.1, lambda x: 0.1 - 0.2 * x), MESH)
+        assert solved == []

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from minimax_fold import model
 from minimax_fold.mesh_fem import assemble_stiffness, build_mesh
 from minimax_fold.minimax_solver import SolverOptions, maximize
-from minimax_fold.model import linear_diagnostic, scalar_power
-from minimax_fold.picone import discrete_picone_gap, ps_energy_diagnostic
+from minimax_fold.model import FEField, linear_diagnostic, scalar_power
+from tests.references import discrete_picone_gap, ps_energy_diagnostic
 
 
 def random_stiffness(rng, n_max=50):
@@ -123,7 +123,7 @@ class TestPSEnergyDiagnostic:
 
     def test_scaled_nonsolution_flagged(self, cert):
         spec = scalar_power(0.5, 2.0)
-        inflated = dataclasses.replace(cert, u_star=cert.u_star.scaled(10.0))
+        inflated = dataclasses.replace(cert, u_star=FEField(cert.u_star.mesh, 10.0 * cert.u_star.values))
         report = ps_energy_diagnostic(spec, build_mesh(24), inflated)
         assert report.energy_margin < 0.0
         assert not report.consistent
