@@ -1,9 +1,19 @@
 """Independent recomputation of certificate residuals.
 
-Everything here is assembled from scratch with plain per-element loops and
-dense matrices, deliberately sharing no code with the production assembly in
-``mesh_fem``/``model``.  The quadrature rule is the same 2-point Gauss rule
-(the certificate is defined with respect to it); only the code path differs.
+Everything here is assembled from scratch with plain per-element loops,
+deliberately sharing no code with the production assembly in
+``mesh_fem``/``model``/``rayleigh``.  The quadrature rule is the same 2-point
+Gauss rule (the certificate is defined with respect to it); only the code
+path differs.
+
+The loops write the stiffness, the Jacobian and the reaction mass as
+(row, col, value) triplets, and every product and row or column norm is an
+``np.bincount`` over them, so the audit takes time and memory linear in
+``m * n``.  It takes no factorization: the singularity test rests on two norm
+inequalities (Golub and Van Loan, *Matrix Computations*, 4th ed., 2.3),
+
+    sigma_min(J) <= |J^T w|_2 / |w|_2          for every w != 0,
+    max_j |J e_j|_2 <= |J|_2 <= sqrt(|J|_1 |J|_inf).
 """
 
 from __future__ import annotations
@@ -20,94 +30,127 @@ _GAUSS_REL = (0.5 - 0.5 / 3**0.5, 0.5 + 0.5 / 3**0.5)
 _TOL = 1e-8
 
 
-def _coeff(co, x):
-    if callable(co):
-        return float(np.broadcast_to(np.asarray(co(np.asarray([x]))), (1,))[0])
-    return float(co)
+def _coeff(co, x: np.ndarray) -> np.ndarray:
+    """A coefficient (constant or function of x) at the points ``x``."""
+    return np.broadcast_to(np.asarray(co(x) if callable(co) else co, dtype=float), x.shape)
 
 
-def _gauss_points(mesh: Mesh1D):
-    pts = []
-    for e in range(mesh.n_elements):
-        x_l = float(mesh.nodes[e])
-        h = float(mesh.element_sizes[e])
-        for rel in _GAUSS_REL:
-            pts.append((e, x_l + rel * h, 0.5 * h, 1.0 - rel, rel))
-    return pts
+@dataclass(frozen=True)
+class Triplets:
+    """A square matrix of order ``size`` as (row, col, value) arrays, one
+    entry per position."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    size: int
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.size)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, weights=self.vals * x[self.rows], minlength=self.size)
+
+    def row_sums(self, power: int) -> np.ndarray:
+        """sum_j |a_ij|^power for every row i."""
+        return np.bincount(self.rows, weights=np.abs(self.vals) ** power, minlength=self.size)
+
+    def col_sums(self, power: int) -> np.ndarray:
+        """sum_i |a_ij|^power for every column j."""
+        return np.bincount(self.cols, weights=np.abs(self.vals) ** power, minlength=self.size)
 
 
-def _field_at(mesh: Mesh1D, values: np.ndarray, e: int, lam_l: float, lam_r: float):
-    full = np.zeros(mesh.nodes.size)
-    full[1:-1] = values
-    return lam_l * full[e] + lam_r * full[e + 1]
+@dataclass(frozen=True)
+class OracleSystem:
+    """Loop-assembled loads and operators at u, component-major of order m*n.
+
+    The three operators share one pattern.  ``jac_a`` is the stiffness minus
+    the reaction Jacobian mass <f'(u) psi_j, psi_i>; the Jacobian of the
+    residual at lambda is ``jac_a - lambda * mass_g``.
+    """
+
+    f_load: np.ndarray  # <f(u), psi_i>, shape (m, n)
+    g_load: np.ndarray  # <g(u), psi_i>, shape (m, n)
+    stiff: Triplets  # the block-diagonal stiffness a_k(psi_j, psi_i)
+    jac_a: Triplets
+    mass_g: Triplets  # <g'(u) psi_j, psi_i>
+
+    def jacobian(self, lam: float) -> Triplets:
+        a = self.jac_a
+        return Triplets(a.rows, a.cols, a.vals - lam * self.mass_g.vals, a.size)
 
 
-def oracle_loads(spec: ProblemSpec, mesh: Mesh1D, u: FEField):
-    """Loop-assembled (<f(u), psi_i>, <g(u), psi_i>), shapes (m, n_interior)."""
+def oracle_assembly(spec: ProblemSpec, mesh: Mesh1D, u: FEField) -> OracleSystem:
+    """Loads and operators at u, from a loop over the Gauss points of every element.
+
+    The loop writes each point's contributions to the element's two local
+    hat functions, and to their four pairs, into preallocated value arrays.
+    The rows and columns follow from the element alone; the entries of a
+    boundary node are dropped, and those at one position are summed.
+    """
     m, n = spec.m, mesh.n_interior
-    f_load = np.zeros((m, n))
-    g_load = np.zeros((m, n))
-    for e, x, w, lam_l, lam_r in _gauss_points(mesh):
-        t = np.array([[_field_at(mesh, u.values[k], e, lam_l, lam_r)] for k in range(m)])
-        fv = np.asarray(spec.f(np.array([x]), t), dtype=float)[:, 0]
-        gv = np.array([_coeff(spec.a_coeff[k], x) * t[k, 0] ** spec.q for k in range(m)])
-        for local, lam in ((e - 1, lam_l), (e, lam_r)):
-            if 0 <= local < n:
-                f_load[:, local] += w * lam * fv
-                g_load[:, local] += w * lam * gv
-    return f_load, g_load
-
-
-def oracle_stiffness(spec: ProblemSpec, mesh: Mesh1D):
-    """Loop-assembled dense component stiffness matrices."""
-    n = mesh.n_interior
-    mats = [np.zeros((n, n)) for _ in range(spec.m)]
-    for e, x, w, lam_l, lam_r in _gauss_points(mesh):
-        h = float(mesh.element_sizes[e])
-        for k in range(spec.m):
-            sig = _coeff(spec.sigma[k], x)
-            cc = _coeff(spec.c[k], x)
-            locals_ = ((e - 1, -1.0 / h, lam_l), (e, 1.0 / h, lam_r))
-            for ia, da, la in locals_:
-                if not 0 <= ia < n:
-                    continue
-                for ib, db, lb in locals_:
-                    if 0 <= ib < n:
-                        mats[k][ia, ib] += w * (sig * da * db + cc * la * lb)
-    return mats
-
-
-def oracle_jacobian(spec: ProblemSpec, mesh: Mesh1D, u: FEField, lam: float):
-    """Loop-assembled dense Jacobian of the residual at (u, lambda)."""
-    m, n = spec.m, mesh.n_interior
+    sizes = mesh.element_sizes.tolist()
+    elem = np.repeat(np.arange(mesh.n_elements), len(_GAUSS_REL))
+    x = np.array([x_l + rel * h for x_l, h in zip(mesh.nodes.tolist(), sizes)
+                  for rel in _GAUSS_REL])
+    full = np.zeros((m, mesh.nodes.size))
+    full[:, 1:-1] = u.values
+    t = np.array([[(1.0 - rel) * left + rel * right for left, right in zip(comp[:-1], comp[1:])
+                   for rel in _GAUSS_REL] for comp in full.tolist()])  # (m, points)
+    a = np.stack([_coeff(co, x) for co in spec.a_coeff])
+    # per point: f^k, g^k = a_k t_k^q, its derivative, sigma_k, c_k, then df^k/dt_l
+    per_point = np.concatenate([np.asarray(spec.f(x, t), dtype=float), a * t**spec.q,
+                                spec.q * a * t ** (spec.q - 1.0),
+                                np.stack([_coeff(co, x) for co in spec.sigma]),
+                                np.stack([_coeff(co, x) for co in spec.c]),
+                                np.asarray(spec.f_jac(x, t), dtype=float).reshape(m * m, -1)])
+    loads = np.zeros((2, x.size, 2, m))  # [f or g, point, local function, component]
+    # [stiffness, f'-mass, g'-mass][point, test function, trial function, component, component]
+    local = np.zeros((3, x.size, 2, 2, m, m))
+    comps, sides = tuple(range(m)), (0, 1)  # loop ranges, built once
+    for p, (e, vals) in enumerate(zip(elem.tolist(), per_point.T.tolist())):
+        h = sizes[e]
+        w, rel = 0.5 * h, _GAUSS_REL[p % 2]
+        hat, slope = (1.0 - rel, rel), (-1.0 / h, 1.0 / h)
+        for ia in sides:
+            for k in comps:
+                loads[0, p, ia, k] = w * hat[ia] * vals[k]
+                loads[1, p, ia, k] = w * hat[ia] * vals[m + k]
+            for ib in sides:
+                mass = w * hat[ia] * hat[ib]
+                for k in comps:
+                    local[0, p, ia, ib, k, k] = w * (vals[3 * m + k] * slope[ia] * slope[ib]
+                                                     + vals[4 * m + k] * hat[ia] * hat[ib])
+                    local[2, p, ia, ib, k, k] = mass * vals[2 * m + k]
+                    for l in comps:
+                        local[1, p, ia, ib, k, l] = mass * vals[5 * m + k * m + l]
+    node = elem[:, None] + np.arange(-1, 1)  # node e - 1 + i of local function i
+    inside = (node >= 0) & (node < n)
+    index = node[:, :, None] + np.arange(m) * n  # (point, local function, component)
     big = m * n
-    jac = np.zeros((big, big))
-    stiff = oracle_stiffness(spec, mesh)
-    for k in range(m):
-        sl = slice(k * n, (k + 1) * n)
-        jac[sl, sl] += stiff[k]
-    for e, x, w, lam_l, lam_r in _gauss_points(mesh):
-        t = np.array([[_field_at(mesh, u.values[k], e, lam_l, lam_r)] for k in range(m)])
-        fj = np.asarray(spec.f_jac(np.array([x]), t), dtype=float)[:, :, 0]
-        gt = np.array([spec.q * _coeff(spec.a_coeff[k], x) * t[k, 0] ** (spec.q - 1.0)
-                       for k in range(m)])
-        locals_ = ((e - 1, lam_l), (e, lam_r))
-        for ia, la in locals_:
-            if not 0 <= ia < n:
-                continue
-            for ib, lb in locals_:
-                if not 0 <= ib < n:
-                    continue
-                for k in range(m):
-                    for l in range(m):
-                        jac[k * n + ia, l * n + ib] -= w * la * lb * fj[k, l]
-                    jac[k * n + ia, k * n + ib] -= lam * w * la * lb * gt[k]
-    return jac
+    f_load, g_load = (np.bincount(index[inside].ravel(), weights=load[inside].ravel(),
+                                  minlength=big)
+                      for load in loads)
+    shape = local.shape[1:]
+    keep = np.broadcast_to((inside[:, :, None] & inside[:, None, :])[..., None, None], shape)
+    rows = np.broadcast_to(index[:, :, None, :, None], shape)[keep]
+    cols = np.broadcast_to(index[:, None, :, None, :], shape)[keep]
+    key, inverse = np.unique(rows * big + cols, return_inverse=True)
+    stiff, jac_a, mass_g = (
+        Triplets(key // big, key % big, np.bincount(inverse, weights=vals[keep]), big)
+        for vals in (local[0], local[0] - local[1], local[2]))
+    return OracleSystem(f_load=f_load.reshape(m, n), g_load=g_load.reshape(m, n),
+                        stiff=stiff, jac_a=jac_a, mass_g=mass_g)
 
 
 @dataclass(frozen=True)
 class CertificateAudit:
-    """Residuals recomputed from scratch, plus agreement with the stored ones."""
+    """Residuals recomputed from scratch, plus agreement with the stored ones.
+
+    ``sigma_min`` is |J^T v*|_2 / |v*|_2, an upper bound on the smallest
+    singular value of the recomputed Jacobian J, and ``jac_norm`` is
+    max_j |J e_j|_2, a lower bound on |J|_2.
+    """
 
     valid: bool
     primal_residual: float
@@ -124,41 +167,40 @@ def verify_certificate(spec: ProblemSpec, mesh: Mesh1D,
     """Recompute all certificate residuals on the independent oracle path.
 
     VALID requires the four recomputed relative residuals below ``_TOL``
-    (1e-8, the solver's bar ``_TOL_CERT``) and sigma_min(J) below 1e-6 * |J|
-    (dense SVD).
+    (1e-8, the solver's bar ``_TOL_CERT``) and J singular to working
+    precision: |J^T v*| / |v*| <= 1e-6 max_j |J e_j|, which implies
+    sigma_min(J) <= 1e-6 |J|_2, or J itself at roundoff,
+    sqrt(|J|_1 |J|_inf) <= 1e-12 times the scale of its terms.
     """
     m, n = spec.m, mesh.n_interior
     u, v, lam, mu = cert.u_star, cert.v_star, cert.lambda_star, cert.mu
 
-    f_load, g_load = oracle_loads(spec, mesh, u)
-    stiff = oracle_stiffness(spec, mesh)
-    action = np.stack([stiff[k] @ u.values[k] for k in range(m)])
+    system = oracle_assembly(spec, mesh, u)
+    f_load, g_load = system.f_load, system.g_load
+    action = system.stiff.matvec(u.values.ravel()).reshape(m, n)
     res = (action - f_load - lam * g_load).ravel()
     primal_scale = max(np.abs(action).max(), np.abs(f_load).max(),
                        abs(lam) * np.abs(g_load).max(), 1e-300)
     primal = float(np.abs(res).max() / primal_scale)
 
-    jac = oracle_jacobian(spec, mesh, u, lam)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    jac_norm = float(svals[0])
-    sigma_min = float(svals[-1])
-
-    mass_g = _oracle_mass_g(spec, mesh, u)
-    jac_a = jac + lam * mass_g  # stiffness minus reaction mass
-    jac_scale = max(np.abs(jac_a).max(), abs(lam) * np.abs(mass_g).max(), 1e-300)
-
+    jac, jac_a, mass_g = system.jacobian(lam), system.jac_a, system.mass_g
+    jac_scale = max(np.abs(jac_a.vals).max(), abs(lam) * np.abs(mass_g.vals).max(), 1e-300)
     v_flat = v.values.ravel()
-    adjoint = float(np.linalg.norm(jac.T @ v_flat)
-                    / (jac_scale * max(np.linalg.norm(v_flat), 1e-300)))
+    sigma_min = float(np.linalg.norm(jac.rmatvec(v_flat)) / max(np.linalg.norm(v_flat), 1e-300))
+    adjoint = sigma_min / jac_scale
+    jac_norm = float(np.sqrt(jac.col_sums(2).max()))
+    jac_norm_upper = float(np.sqrt(jac.col_sums(1).max() * jac.row_sums(1).max()))
 
     numer = (action - f_load).ravel()
     denom = g_load.ravel()
     quotients = numer / denom
-    grads = (jac_a - quotients[:, None] * mass_g) / denom[:, None]
-    row_mag = (np.linalg.norm(jac_a, axis=1)
-               + np.abs(quotients) * np.linalg.norm(mass_g, axis=1)) / denom
+    # the gradient of quotient i is (row i of jac_a - quotient_i row i of mass_g) / denom_i
+    weights = mu / denom
+    grad_mu = jac_a.rmatvec(weights) - mass_g.rmatvec(quotients * weights)
+    row_mag = (np.sqrt(jac_a.row_sums(2))
+               + np.abs(quotients) * np.sqrt(mass_g.row_sums(2))) / denom
     grad_scale = max(float(row_mag.max()), 1e-300)
-    stationarity = float(np.linalg.norm(grads.T @ mu) / grad_scale)
+    stationarity = float(np.linalg.norm(grad_mu) / grad_scale)
     complementarity = float((mu * np.abs(lam - quotients)).max() / (1.0 + abs(lam)))
 
     stored = np.array([cert.primal_residual, cert.adjoint_residual,
@@ -166,7 +208,7 @@ def verify_certificate(spec: ProblemSpec, mesh: Mesh1D,
     recomputed = np.array([primal, adjoint, stationarity, complementarity])
     discrepancy = float(np.abs(stored - recomputed).max())
 
-    singular_enough = sigma_min <= 1e-6 * jac_norm or jac_norm <= 1e-12 * jac_scale
+    singular_enough = sigma_min <= 1e-6 * jac_norm or jac_norm_upper <= 1e-12 * jac_scale
     valid = bool(primal < _TOL and adjoint < _TOL and stationarity < _TOL
                  and complementarity < _TOL and singular_enough
                  and v.nonnegative and u.interior)
@@ -180,22 +222,3 @@ def verify_certificate(spec: ProblemSpec, mesh: Mesh1D,
         jac_norm=jac_norm,
         max_stored_discrepancy=discrepancy,
     )
-
-
-def _oracle_mass_g(spec: ProblemSpec, mesh: Mesh1D, u: FEField):
-    m, n = spec.m, mesh.n_interior
-    big = m * n
-    mass = np.zeros((big, big))
-    for e, x, w, lam_l, lam_r in _gauss_points(mesh):
-        t = np.array([[_field_at(mesh, u.values[k], e, lam_l, lam_r)] for k in range(m)])
-        gt = np.array([spec.q * _coeff(spec.a_coeff[k], x) * t[k, 0] ** (spec.q - 1.0)
-                       for k in range(m)])
-        locals_ = ((e - 1, lam_l), (e, lam_r))
-        for ia, la in locals_:
-            if not 0 <= ia < n:
-                continue
-            for ib, lb in locals_:
-                if 0 <= ib < n:
-                    for k in range(m):
-                        mass[k * n + ia, k * n + ib] += w * la * lb * gt[k]
-    return mass

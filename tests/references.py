@@ -3,7 +3,8 @@
 The library keeps its operators as tridiagonal bands and evaluates quotients
 along the nodal directions only.  The tests check it against what is kept
 here: dense expansions of the bands, nodal interpolation of continuous
-functions with its relative error, the quotient R(u, v) for any cone pair,
+functions with its relative error, the certificate audit on dense matrices
+with a full SVD, the quotient R(u, v) for any cone pair,
 the discrete Picone identity with the superlinearity energy bound
 (acceptance criteria 5, 6 and 9) and the condition-(U) rates (criterion 7).
 
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from minimax_fold import model, rayleigh
+from minimax_fold import model, rayleigh, verification
 from minimax_fold.mesh_fem import (
     Mesh1D,
     OperatorMatrix,
@@ -99,6 +100,66 @@ def relative_interp_error(mesh: Mesh1D, u: Callable[[np.ndarray], np.ndarray],
         raise ValueError("u must be positive at interior sample points")
     approx = interpolant_values(mesh, coeffs, x_dense)
     return float(np.abs(approx - exact).__truediv__(exact).max())
+
+
+# ---------------------------------------------------------------------------
+# the certificate audit on dense matrices
+
+
+def triplets_to_dense(t: verification.Triplets) -> np.ndarray:
+    """The dense matrix of the audit's (row, col, value) triplets."""
+    dense = np.zeros((t.size, t.size))
+    np.add.at(dense, (t.rows, t.cols), t.vals)
+    return dense
+
+
+def dense_audit(spec: ProblemSpec, mesh: Mesh1D,
+                cert: MinimaxCertificate) -> verification.CertificateAudit:
+    """``verify_certificate`` on the dense expansion of its loop-assembled
+    operators, with a full SVD: ``sigma_min`` and ``jac_norm`` are the
+    extreme singular values of J, and J is singular enough when
+    sigma_min <= 1e-6 |J|_2, or |J|_2 <= 1e-12 times the scale of its terms.
+    Cubic in m*n; a reference up to m*n of a few thousand."""
+    m, n = spec.m, mesh.n_interior
+    u, v, lam, mu = cert.u_star, cert.v_star, cert.lambda_star, cert.mu
+
+    system = verification.oracle_assembly(spec, mesh, u)
+    stiff, jac_a, mass_g = (triplets_to_dense(t)
+                            for t in (system.stiff, system.jac_a, system.mass_g))
+    f_load, g_load = system.f_load, system.g_load
+    action = (stiff @ u.values.ravel()).reshape(m, n)
+    res = (action - f_load - lam * g_load).ravel()
+    primal_scale = max(np.abs(action).max(), np.abs(f_load).max(),
+                       abs(lam) * np.abs(g_load).max(), 1e-300)
+    primal = float(np.abs(res).max() / primal_scale)
+
+    jac = jac_a - lam * mass_g
+    svals = np.linalg.svd(jac, compute_uv=False)
+    jac_scale = max(np.abs(jac_a).max(), abs(lam) * np.abs(mass_g).max(), 1e-300)
+    v_flat = v.values.ravel()
+    adjoint = float(np.linalg.norm(jac.T @ v_flat)
+                    / (jac_scale * max(np.linalg.norm(v_flat), 1e-300)))
+
+    quotients = (action - f_load).ravel() / g_load.ravel()
+    grads = (jac_a - quotients[:, None] * mass_g) / g_load.ravel()[:, None]
+    row_mag = (np.linalg.norm(jac_a, axis=1)
+               + np.abs(quotients) * np.linalg.norm(mass_g, axis=1)) / g_load.ravel()
+    stationarity = float(np.linalg.norm(grads.T @ mu) / max(float(row_mag.max()), 1e-300))
+    complementarity = float((mu * np.abs(lam - quotients)).max() / (1.0 + abs(lam)))
+
+    stored = np.array([cert.primal_residual, cert.adjoint_residual,
+                       cert.stationarity_residual, cert.complementarity_residual])
+    recomputed = np.array([primal, adjoint, stationarity, complementarity])
+    singular_enough = svals[-1] <= 1e-6 * svals[0] or svals[0] <= 1e-12 * jac_scale
+    tol = verification._TOL
+    valid = bool(primal < tol and adjoint < tol and stationarity < tol
+                 and complementarity < tol and singular_enough
+                 and v.nonnegative and u.interior)
+    return verification.CertificateAudit(
+        valid=valid, primal_residual=primal, adjoint_residual=adjoint,
+        stationarity_residual=stationarity, complementarity_residual=complementarity,
+        sigma_min=float(svals[-1]), jac_norm=float(svals[0]),
+        max_stored_discrepancy=float(np.abs(stored - recomputed).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,13 @@ DENSE_NAMES = re.compile(r"band_to_dense|eval_jacobian"
                          r"|np\.linalg\.(solve|svd|eig|eigh|eigvalsh|inv)\b")
 
 
-def test_dense_paths_stay_in_model_and_the_audit():
+def test_dense_paths_stay_in_model():
     """Dense Jacobians and dense factorizations appear only in ``model.py``,
-    which keeps them as the tests' references, in ``verification.py``, the
-    independent audit, and in the package's re-export of ``eval_jacobian``."""
+    which keeps them as the tests' references, and in the package's
+    re-export of ``eval_jacobian``."""
     found = []
     for path in sorted((SRC / "minimax_fold").glob("*.py")):
-        if path.name not in ("model.py", "verification.py"):
+        if path.name != "model.py":
             found += [(path.name, line.strip()) for line in path.read_text().splitlines()
                       if DENSE_NAMES.search(line)]
     assert found == [("__init__.py", "eval_jacobian,")]
@@ -125,33 +125,73 @@ def test_only_model_reads_the_diagnostic_flag():
     assert readers == {"model.py"}
 
 
-# public entry points that users, the benchmark and its tracer call, and no library module
+# public entry points that users, the benchmark and its tracer call, and no
+# library module; the tracer also reads the dense ``JacobianParts.stiffness``
 ENTRY_POINTS = {"harness.load_certificate", "verification.verify_certificate",
-                "model.eval_jacobian"}
+                "model.eval_jacobian", "model.JacobianParts.stiffness"}
 
 
 def test_every_public_name_has_a_production_caller():
     """Each public top-level function and class of the library, and each
-    public method and property of those classes, is named in some library
-    module other than ``__init__.py``, the entry points aside.  Code that only
-    the tests call belongs in ``tests/references.py``."""
-    defined, named = {}, set()
+    public method and property of those classes, is referenced by some
+    library module other than ``__init__.py``, the entry points aside.  A
+    method or property is referenced as an attribute (``x.name``).  A
+    function or class is referenced as an attribute, as a name imported from
+    its own module, or by name in that module, where no variable or argument
+    of the same name shadows it.  Code that only the tests call belongs in
+    ``tests/references.py``."""
+    defined, attributes, imported, own = {}, set(), set(), set()
     for path in sorted((SRC / "minimax_fold").glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
-                defined[f"{path.stem}.{top.name}"] = top.name
+                defined[f"{path.stem}.{top.name}"] = (path.stem, top.name, False)
                 for item in top.body if isinstance(top, ast.ClassDef) else ():
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        defined[f"{path.stem}.{top.name}.{item.name}"] = item.name
+                        defined[f"{path.stem}.{top.name}.{item.name}"] = (path.stem, item.name,
+                                                                          True)
+        loaded, bound = set(), set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-    assert {key for key, name in defined.items() if name not in named} == ENTRY_POINTS
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.update((node.module.split(".")[-1], alias.name) for alias in node.names)
+            elif isinstance(node, ast.Name):
+                (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+        own.update((path.stem, name) for name in loaded - bound)
+
+    def referenced(module, name, method):
+        return name in attributes or not method and ((module, name) in imported
+                                                     or (module, name) in own)
+
+    assert {key for key, ref in defined.items() if not referenced(*ref)} == ENTRY_POINTS
+
+
+# the library's types, the only names the independent audit may import from it
+AUDIT_IMPORTS = {("mesh_fem", "Mesh1D"), ("minimax_solver", "MinimaxCertificate"),
+                 ("model", "FEField"), ("model", "ProblemSpec")}
+
+
+def test_the_audit_imports_only_types_from_the_library():
+    """``verification.py`` recomputes the certificate on its own loops: it may
+    take the library's types, and nothing of its assembly, its kernels, its
+    quotients or scipy."""
+    imports = set()  # (module, name), relative imports taken within the package
+    for node in ast.walk(ast.parse((SRC / "minimax_fold" / "verification.py").read_text())):
+        if isinstance(node, ast.Import):
+            imports.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("minimax_fold." if node.level else "") + (node.module or "")
+            imports.update((module, alias.name) for alias in node.names)
+    library = {(module.removeprefix("minimax_fold."), name) for module, name in imports
+               if module.startswith("minimax_fold")}
+    assert library == AUDIT_IMPORTS
+    assert {module for module, _ in imports if not module.startswith("minimax_fold")} == {
+        "__future__", "dataclasses", "numpy"}
 
 
 def test_scipy_optimize_after_the_library_reuses_its_core():

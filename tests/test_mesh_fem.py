@@ -15,6 +15,7 @@ from tests.references import (
     nodal_interpolate,
     relative_interp_error,
     to_dense,
+    triplets_to_dense,
 )
 
 
@@ -106,7 +107,7 @@ class TestAssembleStiffness:
     def test_entries_match_loop_assembled_oracle(self):
         # independent scalar-loop assembly of a(psi_j, psi_i)
         from minimax_fold.model import scalar_power
-        from minimax_fold.verification import oracle_stiffness
+        from minimax_fold.verification import oracle_assembly
 
         mesh = build_mesh(9, grading="geometric", ratio=1.15)
         sigma = lambda x: 1.0 + 0.5 * x
@@ -115,7 +116,8 @@ class TestAssembleStiffness:
 
         spec = dataclasses.replace(scalar_power(0.5, 2.0), sigma=(sigma,), c=(c,))
         a = assemble_stiffness(mesh, sigma, c)
-        dense = oracle_stiffness(spec, mesh)[0]
+        ones = FEField(mesh, np.ones((1, mesh.n_interior)))
+        dense = triplets_to_dense(oracle_assembly(spec, mesh, ones).stiff)
         assert np.abs(to_dense(a) - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
