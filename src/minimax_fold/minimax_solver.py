@@ -42,15 +42,15 @@ The multistart works in two phases, for every problem:
 judged on the polished values; ``polish_failed`` means no start polished.
 In the linear diagnostic mode (f = 0) the fold is the smallest generalized
 eigenvalue, multiple for m >= 2 equal components, and the same polish finds
-it; a certificate is VALID only at a polished point.  The certificate works
-on the band as well: two bordered solves give the adjoint null vector, from
-which the final multipliers are recovered through kappa_i = mu_i /
-<g(u*), eta_i>, and an upper bound on sigma_min(J); |J|_2 comes from the
-top eigenvalue of the banded J^T J.  The same multipliers bound the
-gain of the SLP's LP at u* by weak duality (``_ascent_bound``), so a VALID
-certificate also shows, without solving that LP, that it predicts no gain
-above ``_LOOSE_GAIN``.  No SVD is taken and no dense matrix is built, in the
-Newton and continuation oracles either.
+it; a certificate is VALID only at a polished point.  The certificate is
+read off the polish's last point, with no assembly or LU of its own: its
+adjoint null vector w gives the final multipliers through kappa_i = mu_i /
+<g(u*), eta_i> and, with v, an upper bound on sigma_min(J); |J|_2 comes
+from the top eigenvalue of the banded J^T J.  The same multipliers bound
+the gain of the SLP's LP at u* by weak duality (``_ascent_bound``), so a
+VALID certificate also shows, without solving that LP, that it predicts no
+gain above ``_LOOSE_GAIN``.  No SVD is taken and no dense matrix is built,
+in the Newton and continuation oracles either.
 
 On a mesh that halves to at least ``_COARSE_ELEMENTS`` elements, in either
 mode, ``maximize`` is nested iteration (Hackbusch, Multi-Grid Methods and
@@ -128,8 +128,9 @@ class MinimaxCertificate:
       * ``complementarity_residual``: max_i mu_i |lambda* - R_i| / (1 + |lambda*|).
     ``sigma_min`` is the upper bound min(|J v|_2 / |v|_2, |J^T w|_2 / |w|_2)
     on the smallest singular value of J, from the null vectors v, w of the
-    bordered solves, and ``jac_norm`` is |J|_2, the square root of the top
-    eigenvalue of J^T J (LAPACK ``dsbevx`` on its band).
+    polish's last bordered solve; its digits at the rounding level move with
+    any change to those vectors.  ``jac_norm`` is |J|_2, the square root of
+    the top eigenvalue of J^T J (LAPACK ``dsbevx`` on its band).
     ``valid`` requires status ``polished``, all four residuals below
     ``_TOL_CERT`` (1e-8), sigma_min below 1e-6 * |J|_2 (or J itself at
     assembly roundoff), both fields inside their cones, and no ascent: the
@@ -296,15 +297,6 @@ def _trust_radius(trust: float, rho: float, step: float, cap: float) -> float:
     return trust
 
 
-@dataclass
-class _SLPState:
-    u: np.ndarray
-    lam: float
-    status: str
-    iterations: int
-    mu_lp: Optional[np.ndarray]
-
-
 def _new_highs():
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
@@ -397,8 +389,9 @@ class LPRows:
 
 @dataclass
 class _SLPRun:
-    """Working state of one start of ``_slp``: its iterate with terms,
-    quotients and LP rows, its LP chain, trust radius and stop status."""
+    """One start of ``_slp``: its iterate with terms, quotients and LP rows,
+    its LP chain, trust radius and stop status, and its result once ``_slp``
+    returns it."""
 
     flat: np.ndarray
     lp: WarmLP
@@ -429,7 +422,8 @@ def _assemble(spec, mesh, blocks, flats):
 
 def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks, gain_tol: float) -> list:
     """SLP from each field in ``starts`` until its scaled predicted gain is at
-    most ``gain_tol``; one ``_SLPState`` per start.
+    most ``gain_tol``; one ``_SLPRun`` per start, whose ``status`` is
+    ``max_iters`` if it ran out of rounds.
 
     The starts advance in lockstep, one round per iteration: every live start
     solves one LP, and the fields that need terms at one step of the round
@@ -527,8 +521,9 @@ def _slp(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks, gain_tol: float)
             elif r.trust < 1e-13 * r.scale_u:
                 r.status = "stalled"
 
-    return [_SLPState(u=r.flat, lam=r.lam, status=r.status or "max_iters",
-                      iterations=r.iterations, mu_lp=r.mu_lp) for r in runs]
+    for r in runs:
+        r.status = r.status or "max_iters"
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +547,8 @@ class PolishResult:
     above ``roundoff``), ``singular_system`` or ``max_iter``.  ``u`` and
     ``lam`` are the last accepted iterate either way; ``residual`` is its
     largest scaled residual and ``roundoff`` the estimate it is held to.
+    ``point`` is that iterate's ``_PolishPoint``, which the certificate
+    reads; None when the start's own bordered matrix is singular.
     """
 
     reason: str
@@ -560,6 +557,7 @@ class PolishResult:
     iterations: int
     residual: float
     roundoff: float
+    point: Optional[_PolishPoint] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -668,10 +666,10 @@ def _newton_step(p: _PolishPoint, s_u: np.ndarray, s_lam: float) -> np.ndarray:
 @dataclass
 class _PolishPoint:
     """One iterate of the fold polish: its terms and Jacobian parts, the
-    bordered factors there, and its residuals.  ``residuals`` are the scaled
-    (primal, adjoint) residuals and ``roundoff`` the eps multiples of the
-    componentwise magnitudes they are computed from, on the (primal,
-    Jacobian) ``scales``."""
+    bordered factors there with the null vectors v, w and s, and its
+    residuals.  ``residuals`` are the scaled (primal, adjoint) residuals and
+    ``roundoff`` the eps multiples of the componentwise magnitudes they are
+    computed from, on the point's own (primal, Jacobian) ``scales``."""
 
     flat: np.ndarray
     lam: float
@@ -692,27 +690,24 @@ def _largest(*stacks) -> np.ndarray:
     return np.maximum(np.maximum.reduce([np.abs(a).max(axis=(-2, -1)) for a in stacks]), 1e-300)
 
 
-def _assemble_fold(spec, mesh, blocks, flats) -> tuple:
-    """Terms and Jacobian parts of the stack of fields ``flats``, from one
-    stacked assembly."""
-    values = np.stack(flats).reshape(len(flats), spec.m, mesh.n_interior)
-    terms = rayleigh.galerkin_terms(spec, mesh, values, blocks)
-    return terms, model.jacobian_parts(spec, mesh, values, blocks=blocks, samples=terms.samples)
+def _ones(size: int) -> np.ndarray:
+    """The normalized all-ones border.  The fold's null vectors lie in the
+    open cone, so it finds them at the first point of a polish."""
+    return np.full(size, 1.0 / np.sqrt(size))
 
 
-def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None,
-                   assembly=None) -> list:
+def _polish_points(spec, mesh, blocks, flats, lams, borders) -> list:
     """The ``_PolishPoint`` of each field and value, bordered by its ``(b, c)``
-    and measured on its ``scales`` (by default its own), from one stacked
-    assembly (``assembly``, the ``_assemble_fold`` of ``flats``, if given)
-    and one bordered LU per point; None for a point whose bordered matrix is
+    and measured on its own scales, from one stacked assembly and one
+    bordered LU per point; None for a point whose bordered matrix is
     singular.
     """
     m, n = spec.m, mesh.n_interior
     count = len(flats)
     values = np.stack(flats).reshape(count, m, n)
     lam = np.array(lams)
-    terms, parts = _assemble_fold(spec, mesh, blocks, flats) if assembly is None else assembly
+    terms = rayleigh.galerkin_terms(spec, mesh, values, blocks)
+    parts = model.jacobian_parts(spec, mesh, values, blocks=blocks, samples=terms.samples)
     jac = parts.jacobian_band(lam[:, None, None])
     factors = []
     for jac_i, (b, c) in zip(jac, borders):
@@ -724,15 +719,12 @@ def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None,
     # its zero row only fills the stack
     w = np.stack([np.zeros(m * n) if f is None else f[2] for f in factors])
 
-    if scales is None:
-        # the Jacobian scale is the magnitude of the matrices J is assembled
-        # from, not of J itself, which vanishes at the fold of a problem with
-        # one unknown
-        lam_abs = np.abs(lam)[:, None, None]
-        scales = list(zip(_largest(terms.stiff_action, terms.f_load, lam_abs * terms.g_load),
-                          _largest(parts.stiffness_band, parts.mass_f_band,
-                                   lam_abs * parts.mass_g_band)))
-    scale1, scale2 = (np.array(column) for column in zip(*scales))
+    # the Jacobian scale is the magnitude of the matrices J is assembled
+    # from, not of J itself, which vanishes at the fold of a problem with
+    # one unknown
+    lam_abs = np.abs(lam)[:, None, None]
+    scale1 = _largest(terms.stiff_action, terms.f_load, lam_abs * terms.g_load)
+    scale2 = _largest(parts.stiffness_band, parts.mass_f_band, lam_abs * parts.mass_g_band)
     primal = terms.residual(lam[:, None, None])
     w_scale = np.maximum(scale2 * np.abs(w).max(axis=1), 1e-300)
     primal_mag = (model.band_matvec(np.abs(parts.stiffness_band), values)
@@ -744,7 +736,7 @@ def _polish_points(spec, mesh, blocks, flats, lams, borders, scales=None,
     roundoff = zip(_EPS * primal_mag.max(axis=1) / scale1,
                    _EPS * adjoint_mag.max(axis=1) / w_scale)
     return [None if f is None else _PolishPoint(flats[i], lams[i], terms[i], parts[i], primal[i],
-                                                *f, scales[i], r, e)
+                                                *f, (scale1[i], scale2[i]), r, e)
             for i, (f, r, e) in enumerate(zip(factors, residuals, roundoff))]
 
 
@@ -787,9 +779,10 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks) -> list:
     curvatures of a round are one stacked call, and the first iterates and
     the trials at each damping level are each one stacked assembly
     (``_polish_points``).  Every start keeps its own bordered LU, borders,
-    scales, damping and stop test, and its arithmetic never mixes with
-    another's, so each ends where, and as, it would alone; a singular system
-    ends only its own start.
+    damping and stop test, and its arithmetic never mixes with another's, so
+    each ends where, and as, it would alone; a singular system ends only its
+    own start.  Each point is measured on its own scales, so the last one
+    carries all the certificate reads (``PolishResult.point``).
     """
     m, n = spec.m, mesh.n_interior
     big = m * n
@@ -801,11 +794,11 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks) -> list:
         if reason == "no_decrease" and _at_roundoff(p.residuals, p.roundoff):
             reason = "converged"  # rounding noise, which no step can decrease
         run.result = PolishResult(reason, FEField.from_flat(mesh, m, p.flat), p.lam, iterations,
-                                  float(max(p.residuals)), float(max(p.roundoff)))
+                                  float(max(p.residuals)), float(max(p.roundoff)), p)
 
-    # the fold's null vectors lie in the open cone, so the all-ones border
-    # finds them at the start; they border every later solve
-    ones = np.full(big, 1.0 / np.sqrt(big))
+    # the all-ones border finds the null vectors at the start; they border
+    # every later solve
+    ones = _ones(big)
     runs = []
     for flat, lam, p in zip(flats, lams, _polish_points(spec, mesh, blocks, flats, lams,
                                                         [(ones, ones)] * len(starts))):
@@ -854,7 +847,7 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks) -> list:
             done = set()
             for (run, _, _), trial in zip(trials, _polish_points(
                     spec, mesh, blocks, [t[1] for t in trials], [t[2] for t in trials],
-                    [(t[0].b, t[0].c) for t in trials], [t[0].point.scales for t in trials])):
+                    [(t[0].b, t[0].c) for t in trials])):
                 p = run.point
                 if trial is None:
                     finish(run, "singular_system", iters - 1)
@@ -874,40 +867,36 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks) -> list:
 
 
 # ---------------------------------------------------------------------------
-# certificate assembly
+# certificate
 
 
 # the relative level below which a VALID certificate holds its four residuals
 _TOL_CERT = 1e-8
 
 
-def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
+def _certificate(spec: ProblemSpec, mesh: Mesh1D, point: _PolishPoint,
                  status: str, iterations: int, polish_iterations: int,
                  starts_agree: bool, lambda_spread: float,
-                 options: SolverOptions, blocks,
+                 options: SolverOptions,
                  mu_lp: Optional[np.ndarray] = None) -> MinimaxCertificate:
+    """The certificate of ``point``: the last point of a polish or, when no
+    start polished, the best SLP point bordered as a polish starts.  It only
+    evaluates what ``point`` holds, with no assembly and no LU.  Without
+    ``mu_lp``, the LP duals of an unpolished point, the multipliers come
+    from w."""
     m, n = spec.m, mesh.n_interior
-    u = FEField.from_flat(mesh, m, np.maximum(flat, 0.0))
-    # borders as in the polish: all-ones, then the normalized w and v found with
-    # it, both on one assembly of the point
-    flats = [u.values.ravel()]
-    assembly = _assemble_fold(spec, mesh, blocks, flats)
-    border = (np.full(m * n, 1.0 / np.sqrt(m * n)),) * 2
-    for _ in range(2):
-        p, = _polish_points(spec, mesh, blocks, flats, [lam], [border], assembly=assembly)
-        if p is None:
-            raise RuntimeError("singular bordered matrix at the certificate point")
-        border = (p.w / np.linalg.norm(p.w), p.v / np.linalg.norm(p.v))
-    terms, parts, w = p.terms, p.parts, p.w
+    lam = point.lam
+    u = FEField.from_flat(mesh, m, point.flat)
+    terms, parts, w = point.terms, point.parts, point.w
     denom = terms.g_load.ravel()
     quotients = terms.quotients()
     jac_band = parts.jacobian_band(lam)
     # |J x| / |x| bounds sigma_min(J) from above for any x
     sigma_min = float(min(
-        np.linalg.norm(model.band_matvec(jac_band, p.v)) / np.linalg.norm(p.v),
+        np.linalg.norm(model.band_matvec(jac_band, point.v)) / np.linalg.norm(point.v),
         np.linalg.norm(model.band_matvec(jac_band, w, transpose=True)) / np.linalg.norm(w)))
     jac_norm = _spectral_norm(jac_band, m, n)
-    jac_scale = p.scales[1]
+    jac_scale = point.scales[1]
 
     if mu_lp is not None and mu_lp.sum() > 0:
         # an unrefined point: the final LP duals are the multiplier estimate
@@ -926,10 +915,10 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
         mu = mu_raw / mu_raw.sum() if mu_raw.sum() > 0 else np.full(m * n, 1.0 / (m * n))
         kappa = mu / denom
     v_vals = kappa.reshape(m, n)
-    energy = sum(float(v_vals[k] @ blocks[k].matvec(v_vals[k])) for k in range(m))
+    energy = sum(float(v_vals[k] @ terms.blocks[k].matvec(v_vals[k])) for k in range(m))
     v_star = FEField(mesh, v_vals / np.sqrt(energy)) if energy > 0 else FEField(mesh, v_vals)
 
-    primal = float(p.residuals[0])
+    primal = float(point.residuals[0])
 
     v_flat = v_star.values.ravel()
     adjoint = float(np.linalg.norm(model.band_matvec(jac_band, v_flat, transpose=True))
@@ -943,7 +932,7 @@ def _certificate(spec: ProblemSpec, mesh: Mesh1D, flat: np.ndarray, lam: float,
     grad_scale = max(float(row_mag.max()), 1e-300)
     c = model.band_matvec(stencil, mu, transpose=True)  # S^T mu
     stationarity = float(np.linalg.norm(c) / grad_scale)
-    ascent = _ascent_bound(u.values.ravel(), quotients, mu, c)
+    ascent = _ascent_bound(point.flat, quotients, mu, c)
     complementarity = float((mu * np.abs(lam - quotients)).max() / (1.0 + abs(lam)))
 
     tol_active = 1e-8 * (1.0 + abs(lam))
@@ -1121,11 +1110,12 @@ def maximize(spec: ProblemSpec, mesh: Mesh1D,
     ``fallback``.  Every other call runs the multistart on ``mesh``
     (``multistart``).
 
-    The polish and the certificate factor banded bordered systems of J and
-    take no SVD: ``sigma_min`` is an upper bound from the bordered null
-    vectors, which is all the singularity test needs, and ``jac_norm`` comes
-    from LAPACK ``dsbevx``.  To carry a VALID certificate to a finer mesh or
-    a nearby problem, use ``continue_certificate``.
+    The polish factors banded bordered systems of J, the certificate reads
+    the polish's last point, and neither takes an SVD: ``sigma_min`` is an
+    upper bound from the bordered null vectors, which is all the singularity
+    test needs, and ``jac_norm`` comes from LAPACK ``dsbevx``.  To carry a
+    VALID certificate to a finer mesh or a nearby problem, use
+    ``continue_certificate``.
     """
     options = options or SolverOptions()
     xs = np.linspace(0.0, 1.0, 33)
@@ -1155,22 +1145,25 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> Mini
 
     if converged:
         polished = [(result, r.iterations) for r, result in zip(
-            converged, _fold_polish(spec, mesh, [(r.u, r.lam) for r in converged], blocks))
+            converged, _fold_polish(spec, mesh, [(r.flat, r.lam) for r in converged], blocks))
             if result.ok]
         if polished:
             best, slp_iterations = max(polished, key=lambda p: p[0].lam)
             spread, agree = _agreement([p.lam for p, _ in polished], best.lam)
-            return _certificate(spec, mesh, best.u.flatten(), best.lam, "polished",
-                                slp_iterations, best.iterations, agree, spread,
-                                options, blocks)
+            return _certificate(spec, mesh, best.point, "polished", slp_iterations,
+                                best.iterations, agree, spread, options)
 
-    # no start polished: the best SLP point, with its LP duals
+    # no start polished: the best SLP point, bordered as a polish starts, with its LP duals
     candidates = converged or results
     best = max(candidates, key=lambda r: r.lam)
     spread, agree = _agreement([r.lam for r in candidates], best.lam)
     status = "polish_failed" if best.status == "converged" else best.status
-    return _certificate(spec, mesh, best.u, best.lam, status, best.iterations, 0,
-                        agree, spread, options, blocks, mu_lp=best.mu_lp)
+    ones = _ones(best.flat.size)
+    point, = _polish_points(spec, mesh, blocks, [best.flat], [best.lam], [(ones, ones)])
+    if point is None:
+        raise RuntimeError("singular bordered matrix at the certificate point")
+    return _certificate(spec, mesh, point, status, best.iterations, 0, agree, spread, options,
+                        mu_lp=best.mu_lp)
 
 
 def _starts(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions, blocks) -> list:
@@ -1217,8 +1210,8 @@ def _carry(spec, meshes, cert, options) -> Optional[MinimaxCertificate]:
         if not polished.ok:
             return None
         u, lam = polished.u, polished.lam
-    carried = _certificate(spec, mesh, u.flatten(), lam, "polished", 0, polished.iterations,
-                           cert.starts_agree, cert.lambda_spread_starts, options, blocks)
+    carried = _certificate(spec, mesh, polished.point, "polished", 0, polished.iterations,
+                           cert.starts_agree, cert.lambda_spread_starts, options)
     return carried if carried.valid else None
 
 

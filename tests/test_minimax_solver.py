@@ -39,6 +39,19 @@ from tests.test_rayleigh import (
 FAST = SolverOptions(n_starts=3)
 
 
+def certificate_at(spec, mesh, flat, lam, options=FAST):
+    """The ``polished`` certificate of the point ``(flat, lam)``, bordered as
+    a polish borders its points: all-ones, then the normalized w and v found
+    with it."""
+    blocks = model.stiffness_blocks(spec, mesh)
+    ones = minimax_solver._ones(flat.size)
+    border = (ones, ones)
+    for _ in range(2):
+        point, = minimax_solver._polish_points(spec, mesh, blocks, [flat], [lam], [border])
+        border = (point.w / np.linalg.norm(point.w), point.v / np.linalg.norm(point.v))
+    return minimax_solver._certificate(spec, mesh, point, "polished", 0, 0, True, 0.0, options)
+
+
 @pytest.fixture(scope="module")
 def scalar_cert():
     return maximize(scalar_power(0.5, 2.0), build_mesh(24), options=FAST)
@@ -233,10 +246,8 @@ class TestContinueCertificate:
             assert max(continued.primal_residual, continued.adjoint_residual,
                        continued.stationarity_residual,
                        continued.complementarity_residual) < tol
-            blocks = model.stiffness_blocks(spec, mesh)
-            assert minimax_solver._certificate(spec, mesh, continued.u_star.flatten(),
-                                               continued.lambda_star, "polished", 0, 0, True,
-                                               0.0, FAST, blocks).valid
+            assert certificate_at(spec, mesh, continued.u_star.flatten(),
+                                  continued.lambda_star).valid
             monkeypatch.setattr(minimax_solver, "_TRUST_RADIUS_INIT", 1e12)
         full = maximize(spec, mesh, options=FAST)
         # the certificate records its path; every other field is the plain maximize's
@@ -270,7 +281,7 @@ class TestTwoPhaseMaximize:
         slp, = minimax_solver._slp(spec, mesh, [start], blocks,
                                    minimax_solver._LOOSE_GAIN)
         assert slp.status == "converged"
-        result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
+        result, = minimax_solver._fold_polish(spec, mesh, [(slp.flat, slp.lam)], blocks)
         assert result.reason == "converged"
         assert result.ok
         assert result.residual <= 1e-3 * minimax_solver._TOL_CERT
@@ -284,7 +295,7 @@ class TestTwoPhaseMaximize:
         slp, = minimax_solver._slp(spec, mesh, [start], blocks,
                                    minimax_solver._LOOSE_GAIN)
         monkeypatch.setattr(minimax_solver, "_POLISH_ROUNDS", 0)
-        result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
+        result, = minimax_solver._fold_polish(spec, mesh, [(slp.flat, slp.lam)], blocks)
         assert result.reason == "max_iter" and not result.ok
 
     def test_no_polished_start_reports_polish_failed(self, monkeypatch):
@@ -330,7 +341,7 @@ def lockstep_case(name, elements=16):
     options = SolverOptions()
     fields = minimax_solver._starts(spec, mesh, options, blocks)
     loose = minimax_solver._slp(spec, mesh, fields, blocks, minimax_solver._LOOSE_GAIN)
-    starts = [(r.u, r.lam) for r in loose[:5]]
+    starts = [(r.flat, r.lam) for r in loose[:5]]
     starts += [(f.flatten(), float(rayleigh.galerkin_terms(spec, mesh, f, blocks).quotients().min()))
                for f in fields[5:]]
     return spec, mesh, blocks, starts
@@ -492,7 +503,7 @@ class TestRoundoffStop:
                                    minimax_solver._LOOSE_GAIN)
         # a stop test that never passes: the polish runs into its stall
         monkeypatch.setattr(minimax_solver, "_at_roundoff", lambda residuals, roundoff: False)
-        result, = minimax_solver._fold_polish(spec, mesh, [(slp.u, slp.lam)], blocks)
+        result, = minimax_solver._fold_polish(spec, mesh, [(slp.flat, slp.lam)], blocks)
         assert result.reason in ("no_decrease", "max_iter") and not result.ok
         assert result.residual < 1e-12  # it reached roundoff all the same
 
@@ -713,12 +724,11 @@ class TestAscentBound:
         points = [f.flatten() for f in starts]
         for rounds in (1, 2, 3):
             monkeypatch.setattr(minimax_solver, "_SLP_MAX_ITERS", rounds)
-            points += [r.u for r in minimax_solver._slp(spec, mesh, starts, blocks,
+            points += [r.flat for r in minimax_solver._slp(spec, mesh, starts, blocks,
                                                         minimax_solver._LOOSE_GAIN)]
         for i, flat in enumerate(points):
             quotients, stencil, gain, duals = first_lp(spec, mesh, blocks, flat)
-            cert = minimax_solver._certificate(spec, mesh, flat, quotients.min(), "polished", 0, 0,
-                                               True, 0.0, options, blocks)
+            cert = certificate_at(spec, mesh, flat, quotients.min(), options)
             assert np.all(cert.mu >= 0.0)  # on the simplex, as weak duality needs
             multipliers = [duals, cert.mu, np.full(flat.size, 1.0 / flat.size)]
             bounds = [minimax_solver._ascent_bound(
@@ -737,16 +747,14 @@ class TestAscentBound:
         assert scalar_cert.valid and gain <= minimax_solver._LOOSE_GAIN
 
     def test_singular_bordered_matrix_at_the_certificate_point_raises(self, monkeypatch):
-        spec, mesh = scalar_power(0.5, 2.0), build_mesh(16)
-        flat = np.ones(mesh.n_interior)
+        # no start polishes, and the best SLP point has no bordered factors either
 
         def singular(*args, **kwargs):
             raise RuntimeError("matrix is exactly singular")
 
         monkeypatch.setattr(_kernels, "band_lu", singular)
         with pytest.raises(RuntimeError, match="certificate point"):
-            minimax_solver._certificate(spec, mesh, flat, 1.0, "polished", 0, 0, True, 0.0,
-                                        FAST, model.stiffness_blocks(spec, mesh))
+            maximize(scalar_power(0.5, 2.0), build_mesh(16), FAST)
 
 
 def fold_case(name):
@@ -837,8 +845,7 @@ class TestBandedFoldSystem:
         mesh = build_mesh(n)
         u = np.random.default_rng(m * n).uniform(0.5, 1.5, m * mesh.n_interior)
         lam = 4.0
-        cert = minimax_solver._certificate(spec, mesh, u, lam, "polished", 0, 0, True, 0.0,
-                                           SolverOptions(), model.stiffness_blocks(spec, mesh))
+        cert = certificate_at(spec, mesh, u, lam, SolverOptions())
         svals = np.linalg.svd(model.eval_jacobian(spec, mesh, FEField.from_flat(mesh, m, u), lam),
                               compute_uv=False)
         assert abs(cert.jac_norm - svals[0]) <= 1e-12 * svals[0]
@@ -847,18 +854,26 @@ class TestBandedFoldSystem:
 
 
 class TestCertificateAssembly:
-    def test_one_assembly_for_both_borders(self, scalar_cert, monkeypatch):
+    def test_certificate_only_reads_the_polished_point(self, scalar_cert, monkeypatch):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(24)
-        args = (spec, mesh, scalar_cert.u_star.values.ravel(), scalar_cert.lambda_star,
-                scalar_cert.status, 0, 0, True, 0.0, FAST, model.stiffness_blocks(spec, mesh))
-        terms = count_calls(monkeypatch, rayleigh, "galerkin_terms")
-        parts = count_calls(monkeypatch, model, "jacobian_parts")
-        cert = minimax_solver._certificate(*args)
-        assert (len(terms), len(parts)) == (1, 1)
-        assert cert.valid
-        assert cert.sigma_min == scalar_cert.sigma_min
-        assert np.array_equal(cert.kappa, scalar_cert.kappa)
-        assert np.array_equal(cert.v_star.values, scalar_cert.v_star.values)
+        result, = minimax_solver._fold_polish(
+            spec, mesh, [(scalar_cert.u_star.flatten(), scalar_cert.lambda_star)],
+            model.stiffness_blocks(spec, mesh))
+        assert result.ok
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the certificate assembled or factored its point again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rayleigh, "galerkin_terms", forbidden)
+            patch.setattr(model, "jacobian_parts", forbidden)
+            patch.setattr(_kernels, "band_lu", forbidden)
+            cert = minimax_solver._certificate(spec, mesh, result.point, "polished", 0,
+                                               result.iterations, True, 0.0, FAST)
+        assert cert.valid and cert.polish_iterations == result.iterations
+        assert cert.lambda_star == result.lam
+        assert np.array_equal(cert.u_star.values, result.u.values)
+        assert verify_certificate(spec, mesh, cert).valid
 
 
 def row_form(dense):
@@ -969,7 +984,7 @@ class TestLockstepSLP:
         stack = minimax_solver._slp(spec, mesh, starts, blocks, gain)
         for start, state in zip(starts, stack, strict=True):
             alone, = minimax_solver._slp(spec, mesh, [start], blocks, gain)
-            assert np.array_equal(state.u, alone.u)
+            assert np.array_equal(state.flat, alone.flat)
             assert state.lam == alone.lam
             assert state.status == alone.status
             assert state.iterations == alone.iterations
