@@ -1,18 +1,18 @@
 """scipy's compiled kernels, called without importing scipy's subpackages.
 
-The solver calls one LP solver and a few LAPACK and BLAS routines, all
-compiled extensions of scipy.  Importing them through their packages
-(``scipy.optimize``, ``scipy.linalg``) runs each package's ``__init__``,
-which together cost most of the library's cold start, while the solver
-needs nothing else from them.  So this module loads the three extensions
-from their files under their canonical names, and wraps each routine in a
-function that makes the call the public scipy function makes:
+The solver calls one LP solver and four LAPACK routines, all compiled
+extensions of scipy, and no BLAS routine.  Importing them through their
+packages (``scipy.optimize``, ``scipy.linalg``) runs each package's
+``__init__``, which together cost most of the library's cold start, while
+the solver needs nothing else from them.  So this module loads the two
+extensions from their files under their canonical names, and wraps each
+routine in a function that makes the call the public scipy function makes:
 
   * ``solve_tridiagonal``: ``scipy.linalg.solve_banded((1, 1), ab, b)``;
   * ``banded_eigenvalue``: ``scipy.linalg.eig_banded`` with
     ``eigvals_only=True, select="i"``;
   * ``band_lu``, ``band_lu_solve``: ``dgbtrf``, ``dgbtrs`` of
-    ``solve_banded((width, width), ab, b)``; ``band_product``: ``dgbmv``.
+    ``solve_banded((width, width), ab, b)``.
 
 Non-finite input to the first two raises ``ValueError``, as scipy's
 ``check_finite`` does.  Only this module of the library imports scipy.
@@ -61,7 +61,6 @@ def _load_extension(name: str):
 
 
 _flapack = _load_extension("scipy.linalg._flapack")
-_fblas = _load_extension("scipy.linalg._fblas")
 highs = _load_extension("scipy.optimize._highspy._core")
 
 
@@ -122,15 +121,3 @@ def band_lu_solve(factors: tuple, b, trans: int = 0) -> np.ndarray:
     x, info = _flapack.dgbtrs(lu, width, width, b, piv, trans=trans)
     _check_info(info, "gbtrs")
     return x
-
-
-def band_product(ab, width: int, x, trans: int = 0) -> np.ndarray:
-    """A x, or A^T x if ``trans`` is 1, for A held in ``ab`` as ``band_lu``
-    takes it (BLAS ``dgbmv``).  scipy's wrapper wants at least 3 width + 1
-    rows, so a smaller A is taken as the top of a taller matrix whose extra
-    rows are the zero slots of ``ab``."""
-    size = ab.shape[1]
-    rows = max(size, 3 * width + 1)
-    if trans and rows > size:
-        x = np.concatenate([x, np.zeros(rows - size)])
-    return _fblas.dgbmv(rows, size, width, 2 * width, 1.0, ab, x, trans=trans)[:size]

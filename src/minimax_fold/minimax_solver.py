@@ -618,7 +618,7 @@ class _BorderedLU:
         t = int(trans == "T")
         col, row, col_solved, _, schur, _ = self.sides[t]
         x, y = col_solved * (-1.0 / schur), 1.0 / schur
-        jx = _kernels.band_product(self.band, 2 * self.m - 1, x, t)
+        jx = _band_product(self.band, 2 * self.m - 1, x, t)
         dx, dy = self._eliminate(-jx - y * col, 1.0 - row @ x - self.d * y, t)
         return np.concatenate([_transposed(x + dx, self.n, self.m), [y + dy]])
 
@@ -1049,6 +1049,25 @@ def _general_band(jac: np.ndarray, m: int, n: int) -> np.ndarray:
     band = np.zeros(math.prod(shape))
     band[target] = jac.reshape(3 * m * m * n)[source]
     return band.reshape(shape[::-1]).T
+
+
+def _band_product(band: np.ndarray, width: int, x: np.ndarray, trans: int = 0) -> np.ndarray:
+    """A x, or A^T x if ``trans`` is 1, for A on the general band ``band``
+    (``_general_layout``): one product per diagonal, summed in the order of
+    the band's rows, from the outermost superdiagonal to the outermost
+    subdiagonal, so the bits depend on no BLAS thread count."""
+    size = band.shape[1]
+    out = np.zeros(size)
+    reach = min(width, size - 1)
+    for d in range(-reach, reach + 1):
+        # diagonal i - j = d holds A[i, j] at band[2 width + d, j]
+        diag = band[2 * width + d, max(-d, 0):size - max(d, 0)]
+        rows, cols = slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size - max(d, 0))
+        if trans:
+            out[cols] += diag * x[rows]
+        else:
+            out[rows] += diag * x[cols]
+    return out
 
 
 def _gram_band(jac: np.ndarray, m: int, n: int) -> np.ndarray:

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,24 @@ class TestRunSolve:
             for name in ("certificate.json", "table.csv"):
                 assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), \
                     (study, name)
+
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # threaded OpenBLAS changes the last bits of a banded product on a
+        # system this large, so the solver takes no BLAS product
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for threads in ("1", "2"):
+            runs.append(tmp_path / threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src] + [p for p in
+                                                           [os.environ.get("PYTHONPATH")] if p]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "minimax_fold.cli", "solve", "--problem",
+                 "cooperative_product", "--m", "3", "--n", "512", "--seed", "1",
+                 "--out", str(runs[-1])], env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+        for name in ("certificate.json", "table.csv"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_start_column_names_the_path(self, tmp_path):
         for n, start in ((16, "multistart"), (64, "nested")):

@@ -110,8 +110,8 @@ def test_band_lu_matches_solve_banded(m, n):
                                    np.linalg.solve(dense.T, b), rtol=0, atol=1e-12)
     x = rng.standard_normal(m * n)
     for trans, matrix in ((0, dense), (1, dense.T)):
-        np.testing.assert_allclose(_kernels.band_product(band, width, x, trans), matrix @ x,
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(minimax_solver._band_product(band, width, x, trans),
+                                   matrix @ x, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("m, n", SIZES)
