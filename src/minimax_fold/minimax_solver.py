@@ -690,10 +690,11 @@ def _largest(*stacks) -> np.ndarray:
     return np.maximum(np.maximum.reduce([np.abs(a).max(axis=(-2, -1)) for a in stacks]), 1e-300)
 
 
-def _ones(size: int) -> np.ndarray:
-    """The normalized all-ones border.  The fold's null vectors lie in the
-    open cone, so it finds them at the first point of a polish."""
-    return np.full(size, 1.0 / np.sqrt(size))
+def _ones_border(size: int) -> tuple:
+    """The border (b, c) of a polish's first point, both the normalized
+    all-ones vector: the fold's null vectors lie in the open cone."""
+    ones = np.full(size, 1.0 / np.sqrt(size))
+    return ones, ones
 
 
 def _polish_points(spec, mesh, blocks, flats, lams, borders) -> list:
@@ -796,12 +797,10 @@ def _fold_polish(spec: ProblemSpec, mesh: Mesh1D, starts: list, blocks) -> list:
         run.result = PolishResult(reason, FEField.from_flat(mesh, m, p.flat), p.lam, iterations,
                                   float(max(p.residuals)), float(max(p.roundoff)), p)
 
-    # the all-ones border finds the null vectors at the start; they border
-    # every later solve
-    ones = _ones(big)
+    # every later solve is bordered by the null vectors found with the all-ones border
     runs = []
     for flat, lam, p in zip(flats, lams, _polish_points(spec, mesh, blocks, flats, lams,
-                                                        [(ones, ones)] * len(starts))):
+                                                        [_ones_border(big)] * len(starts))):
         if p is None:
             runs.append(_PolishRun(result=PolishResult(
                 "singular_system", FEField.from_flat(mesh, m, flat), lam, 0, np.inf, np.inf)))
@@ -1061,12 +1060,9 @@ def _band_product(band: np.ndarray, width: int, x: np.ndarray, trans: int = 0) -
     reach = min(width, size - 1)
     for d in range(-reach, reach + 1):
         # diagonal i - j = d holds A[i, j] at band[2 width + d, j]
-        diag = band[2 * width + d, max(-d, 0):size - max(d, 0)]
         rows, cols = slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size - max(d, 0))
-        if trans:
-            out[cols] += diag * x[rows]
-        else:
-            out[rows] += diag * x[cols]
+        into, source = (cols, rows) if trans else (rows, cols)
+        out[into] += band[2 * width + d, cols] * x[source]
     return out
 
 
@@ -1177,8 +1173,8 @@ def _multistart(spec: ProblemSpec, mesh: Mesh1D, options: SolverOptions) -> Mini
     best = max(candidates, key=lambda r: r.lam)
     spread, agree = _agreement([r.lam for r in candidates], best.lam)
     status = "polish_failed" if best.status == "converged" else best.status
-    ones = _ones(best.flat.size)
-    point, = _polish_points(spec, mesh, blocks, [best.flat], [best.lam], [(ones, ones)])
+    point, = _polish_points(spec, mesh, blocks, [best.flat], [best.lam],
+                            [_ones_border(best.flat.size)])
     if point is None:
         raise RuntimeError("singular bordered matrix at the certificate point")
     return _certificate(spec, mesh, point, status, best.iterations, 0, agree, spread, options,

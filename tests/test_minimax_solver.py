@@ -44,8 +44,7 @@ def certificate_at(spec, mesh, flat, lam, options=FAST):
     a polish borders its points: all-ones, then the normalized w and v found
     with it."""
     blocks = model.stiffness_blocks(spec, mesh)
-    ones = minimax_solver._ones(flat.size)
-    border = (ones, ones)
+    border = minimax_solver._ones_border(flat.size)
     for _ in range(2):
         point, = minimax_solver._polish_points(spec, mesh, blocks, [flat], [lam], [border])
         border = (point.w / np.linalg.norm(point.w), point.v / np.linalg.norm(point.v))
