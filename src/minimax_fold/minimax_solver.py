@@ -548,7 +548,7 @@ class PolishResult:
     ``lam`` are the last accepted iterate either way; ``residual`` is its
     largest scaled residual and ``roundoff`` the estimate it is held to.
     ``point`` is that iterate's ``_PolishPoint``, which the certificate
-    reads; None when the start's own bordered matrix is singular.
+    reads; None when the bordered matrix at the start is singular.
     """
 
     reason: str

@@ -853,26 +853,32 @@ class TestBandedFoldSystem:
 
 
 class TestCertificateAssembly:
-    def test_certificate_only_reads_the_polished_point(self, scalar_cert, monkeypatch):
+    def test_certificate_only_reads_the_polished_point(self, monkeypatch):
         spec, mesh = scalar_power(0.5, 2.0), build_mesh(24)
-        result, = minimax_solver._fold_polish(
-            spec, mesh, [(scalar_cert.u_star.flatten(), scalar_cert.lambda_star)],
-            model.stiffness_blocks(spec, mesh))
-        assert result.ok
+        polished = []
+        real_polish = minimax_solver._fold_polish
+
+        def recording_polish(*args):
+            polished.extend(real_polish(*args))
+            return polished[-len(args[3]):]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the certificate assembled or factored its point again")
 
+        monkeypatch.setattr(minimax_solver, "_fold_polish", recording_polish)
+        made = maximize(spec, mesh, options=FAST)
+        assert made.valid and made.start == "multistart"
+        best = next(r for r in polished if r.ok and r.lam == made.lambda_star)
         with monkeypatch.context() as patch:
             patch.setattr(rayleigh, "galerkin_terms", forbidden)
             patch.setattr(model, "jacobian_parts", forbidden)
             patch.setattr(_kernels, "band_lu", forbidden)
-            cert = minimax_solver._certificate(spec, mesh, result.point, "polished", 0,
-                                               result.iterations, True, 0.0, FAST)
-        assert cert.valid and cert.polish_iterations == result.iterations
-        assert cert.lambda_star == result.lam
-        assert np.array_equal(cert.u_star.values, result.u.values)
-        assert verify_certificate(spec, mesh, cert).valid
+            cert = minimax_solver._certificate(spec, mesh, best.point, "polished",
+                                               made.iterations, best.iterations,
+                                               made.starts_agree, made.lambda_spread_starts, FAST)
+        assert cert.valid and verify_certificate(spec, mesh, cert).valid
+        # the multistart's certificate is this reading of its best polished point
+        assert json.dumps(cert.to_dict()) == json.dumps(made.to_dict())
 
 
 def row_form(dense):
